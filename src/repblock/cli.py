@@ -276,7 +276,7 @@ def cmd_blockdiag(args) -> int:
         "worst_residual": float(blocked.residual),
         "blocks": blocks_meta,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
     if args.format == "structured":
         doc = _report_doc("blockdiag", args, {"out": str(outdir), **manifest})

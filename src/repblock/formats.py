@@ -41,6 +41,7 @@ Decomposition basis (line-oriented text)
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -287,6 +288,8 @@ def parse_sdp(text: str) -> SdpProblem:
                 im = float(parts[5]) if field == "complex" else 0.0
             except ValueError:
                 raise SpecFormatError("malformed MATRIX entry", line=lineno)
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise SpecFormatError("MATRIX value is not finite", line=lineno)
             if not 0 <= k <= m:
                 raise SpecFormatError(f"matrix index {k} out of range 0..{m}", line=lineno)
             if not (0 <= i < n and 0 <= j < n):
@@ -309,6 +312,8 @@ def parse_sdp(text: str) -> SdpProblem:
                 bvec = [float(v) for v in parts[1:]]
             except ValueError:
                 raise SpecFormatError("malformed B value", line=lineno)
+            if not all(math.isfinite(v) for v in bvec):
+                raise SpecFormatError("B value is not finite", line=lineno)
         else:
             raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
 
@@ -415,6 +420,8 @@ def parse_basis(text: str):
                 vals = [float(v) for v in parts[1:]]
             except ValueError:
                 raise SpecFormatError("malformed ROW value", line=lineno)
+            if not all(math.isfinite(v) for v in vals):
+                raise SpecFormatError("ROW value is not finite", line=lineno)
             if field == "complex":
                 rows.append([complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)])
             else:

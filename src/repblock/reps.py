@@ -16,8 +16,6 @@ with :func:`tensor`, :func:`direct_sum`, :func:`conjugate` and
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .compact import CompactGroupHandle
@@ -73,17 +71,6 @@ class Representation:
         """Uniform (finite) or Haar (compact) random group element."""
         return self.group.sample(rng)
 
-    def identity_element(self):
-        if self.is_finite:
-            return Permutation.identity(self.group.degree)
-        return np.eye(self.group.dim, dtype=_dtype(self.field))
-
-    def compose_elements(self, g, h):
-        """Group product g*h (h acts first)."""
-        if self.is_finite:
-            return g * h
-        return g @ h
-
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dim}, field={self.field})"
 
@@ -99,8 +86,8 @@ class _ChainImages:
     Every transversal representative carries a word over the original
     generators; its matrix image is the product of the generator images
     along that word, built once and cached.  The image of a group element
-    is the product of its transversal images, cached per element.  Cache
-    writes are idempotent, so racing threads at worst redo a product.
+    is the product of its transversal images; it is not cached, and a
+    transversal element's image is its cached level image itself.
     """
 
     def __init__(self, group: PermutationGroup, gen_images, dim, field):
@@ -109,8 +96,6 @@ class _ChainImages:
         self.field = field
         self._gen = [np.asarray(m, dtype=_dtype(field)) for m in gen_images]
         self._level = [dict() for _ in group.transversals]
-        self._full = {}
-        self._lock = threading.Lock()
 
     def _word_image(self, word):
         out = np.eye(self.dim, dtype=_dtype(self.field))
@@ -123,23 +108,18 @@ class _ChainImages:
         cache = self._level[level]
         hit = cache.get(point)
         if hit is None:
-            hit = _frozen(self._word_image(self.group.transversal_words[level][point]))
-            with self._lock:
-                cache.setdefault(point, hit)
+            word = self.group.transversal_words[level][point]
+            hit = cache[point] = _frozen(self._word_image(word))
         return hit
 
     def __call__(self, g: Permutation) -> np.ndarray:
-        key = g.images
-        hit = self._full.get(key)
-        if hit is not None:
-            return hit
-        out = np.eye(self.dim, dtype=_dtype(self.field))
+        out = None
         for level, point in self.group.factorize(g):
             if point != self.group.base[level]:  # identity factor otherwise
-                out = out @ self._transversal_image(level, point)
-        out = _frozen(out)
-        with self._lock:
-            self._full.setdefault(key, out)
+                t = self._transversal_image(level, point)
+                out = t if out is None else out @ t
+        if out is None:
+            return np.eye(self.dim, dtype=_dtype(self.field))
         return out
 
 

@@ -37,9 +37,11 @@ class NotInvariantError(ValueError):
 
 
 def _check_hermitian(m, what):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} has a non-finite entry")
     resid = np.linalg.norm(m - m.conj().T)
     scale = max(1.0, np.linalg.norm(m))
-    if resid > _HERMITIAN_TOL * scale:
+    if not resid <= _HERMITIAN_TOL * scale:  # NaN fails too
         raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
 
 
@@ -66,6 +68,8 @@ class SdpProblem:
             if ai.shape != (n, n):
                 raise ValueError(f"A_{i + 1} has shape {ai.shape}, expected {(n, n)}")
             _check_hermitian(ai, f"A_{i + 1}")
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("b has a non-finite entry")
         if len(self.a) != len(self.b):
             raise ValueError(f"{len(self.a)} constraint matrices but {len(self.b)} b entries")
 
@@ -151,7 +155,7 @@ def block_diagonalize_matrix(decomp: IrrepDecomposition, x,
     raises :class:`NotInvariantError` when the residual exceeds ``tol``.
     """
     blocks, _, residual = _extract_blocks(decomp, x)
-    if residual > tol:
+    if not residual <= tol:
         raise NotInvariantError(
             f"matrix does not fit the invariant block pattern: residual {residual:.3e} "
             f"above tolerance {tol:.1e}")
@@ -206,10 +210,11 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
     else:
         results = [extract(m) for m in mats]
 
-    worst = max(total for _, _, total in results)
-    if worst > tol:
+    totals = [total for _, _, total in results]
+    worst = float(np.max(totals))  # NaN propagates, where max() would drop it
+    if not worst <= tol:
         bad = ["C"] + [f"A_{i + 1}" for i in range(prob.m)]
-        which = bad[max(range(len(results)), key=lambda i: results[i][2])]
+        which = bad[int(np.argmax(totals))]
         raise NotInvariantError(
             f"{which} does not fit the invariant block pattern: residual {worst:.3e} "
             f"above tolerance {tol:.1e}")

@@ -182,6 +182,17 @@ def test_blockdiag_noninvariant_exit4(s3_files, tmp_path, capsys):
     assert "worst residual" in capsys.readouterr().out
 
 
+def test_blockdiag_nan_entry_exit2(s3_files, tmp_path, capsys):
+    group, rep = s3_files
+    sdp = tmp_path / "nan.sdp"
+    sdp.write_text("3 1 real\nMATRIX 0 0 0 nan\nMATRIX 1 0 1 1.0\nB 1\n")
+    out = tmp_path / "blocks"
+    assert main(["blockdiag", str(sdp), str(group), str(rep), "--field", "real",
+                 "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_blockdiag_structured_deterministic(s3_files, tmp_path, capsys):
     group, rep = s3_files
     sdp = _write_invariant_sdp(tmp_path, m=2, seed=23)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ def test_equivalence_self(rng):
     bases = eigsplit(xbar, 1e-6)
     xprime = sample_commutant(rep, rng=rng)
     b2 = [b for b in bases if b.dim == 2][0]
-    w = equivalence_test(rep, b2, b2, xprime, rng=rng)
+    w = equivalence_test(b2, b2, xprime)
     assert w is not None
     a = w.F / w.alpha
     assert np.linalg.norm(a.conj().T @ a - np.eye(2)) <= 1e-8
@@ -101,7 +103,7 @@ def test_equivalence_dimension_mismatch(rng):
     xprime = sample_commutant(rep, rng=rng)
     b1 = [b for b in bases if b.dim == 1][0]
     b2 = [b for b in bases if b.dim == 2][0]
-    assert equivalence_test(rep, b1, b2, xprime, rng=rng) is None
+    assert equivalence_test(b1, b2, xprime) is None
 
 
 def test_equivalence_inequivalent_characters(rng):
@@ -112,13 +114,13 @@ def test_equivalence_inequivalent_characters(rng):
     xprime = sample_commutant(rep, rng=rng)
     for i in range(4):
         for j in range(i):
-            assert equivalence_test(rep, bases[j], bases[i], xprime, rng=rng) is None
+            assert equivalence_test(bases[j], bases[i], xprime) is None
 
 
 def test_equivalence_multiplicity_two_and_harmonize(rng):
     rep, bases, xprime = _s3_double_standard(rng)
     assert sorted(b.dim for b in bases) == [2, 2]
-    w = equivalence_test(rep, bases[0], bases[1], xprime, rng=rng)
+    w = equivalence_test(bases[0], bases[1], xprime)
     assert w is not None
 
     aligned = harmonize(bases[1], w)
@@ -144,11 +146,11 @@ def test_harmonize_identity_witness(rng):
 
 def test_harmonize_idempotent(rng):
     rep, bases, xprime = _s3_double_standard(rng)
-    w = equivalence_test(rep, bases[0], bases[1], xprime, rng=rng)
+    w = equivalence_test(bases[0], bases[1], xprime)
     aligned = harmonize(bases[1], w)
     # a fresh witness against the already-aligned basis is the identity,
     # so harmonizing again moves nothing
-    w2 = equivalence_test(rep, bases[0], aligned, xprime, rng=rng)
+    w2 = equivalence_test(bases[0], aligned, xprime)
     again = harmonize(aligned, w2)
     assert np.linalg.norm(again.rows - aligned.rows) <= 1e-10
 
@@ -346,8 +348,12 @@ def test_decompose_budget_exhaustion(rng):
     cfg = DecomposeConfig(witness_tol=1e-18, max_resamples=1)
     g = symmetric(3)
     std = rep_from_generator_images(g, s3_standard_images(), "real")
-    with pytest.raises(DecompositionError, match="gave up after 2 attempts"):
+    with pytest.raises(DecompositionError, match="gave up after 2 attempts") as info:
         decompose(direct_sum(std, std), cfg, rng=rng)
+    # every attempt's reason is reported, not only the last
+    msg = str(info.value)
+    assert "attempt 1: " in msg and "attempt 2: " in msg
+    assert msg.count("not a scaled unitary") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +436,27 @@ def test_verify_flags_corrupted_basis(rng):
     r = verify_decomposition(rep, d, trials=10, rng=rng)
     assert not r.passed
     assert any("unitary" in f for f in r.failures)
+    # a NaN entry fails every check instead of passing them all
+    u[1, 1] = np.nan
+    r = verify_decomposition(rep, d, trials=10, rng=rng)
+    assert any("unitary" in f for f in r.failures)
+    assert any("leakage" in f for f in r.failures)
+    assert any("copy structure" in f for f in r.failures)
+
+
+def test_verify_flags_misaligned_copy(rng):
+    # rotating the second copy's rows keeps U unitary and leaks nothing
+    # between components, but the copy no longer repeats the first block:
+    # the check that catches a wrong intertwiner
+    rep, _, _ = _s3_double_standard(rng)
+    d = decompose(rep, rng=rng)
+    assert d.dm_multiset() == [(2, 2)]
+    c, s = math.cos(0.3), math.sin(0.3)
+    r = np.array([[c, -s], [s, c]])
+    u = d.U.copy()
+    u[2:4] = r @ u[2:4]
+    d.U = u
+    report = verify_decomposition(rep, d, trials=10, rng=rng)
+    assert not report.passed
+    assert report.unitarity_residual <= 1e-12
+    assert any("component copy structure" in f for f in report.failures)

@@ -184,6 +184,12 @@ def test_sdp_roundtrip_real_and_complex(rng):
     ("3 1 real\nMATRIX 0 0 0 1", "missing B"),
     ("3 1 real\nB 1 2", "B line"),
     ("3 1 real\nWHAT 1\nB 1", "unknown record"),
+    ("3 1 real\nMATRIX 0 0 0 nan\nB 1", "line 2: MATRIX value is not finite"),
+    ("3 1 real\nMATRIX 1 0 1 -inf\nB 1", "line 2: MATRIX value is not finite"),
+    ("3 1 complex\nMATRIX 0 0 0 1 0\nMATRIX 1 0 1 1 inf\nB 1",
+     "line 3: MATRIX value is not finite"),
+    ("3 1 real\nMATRIX 0 0 0 1\nB nan", "line 3: B value is not finite"),
+    ("3 2 real\nB 1 inf", "line 2: B value is not finite"),
 ])
 def test_sdp_parse_errors(bad, msg):
     with pytest.raises(SpecFormatError, match=msg):
@@ -229,6 +235,7 @@ def test_basis_roundtrip(field):
     ("BASIS 1\nFIELD real\nDIM 2\nROW 1\nROW 0 1", "values"),
     ("BASIS 1\nFIELD real\nDIM 1\nCOMPONENT 1 1 sideways\nROW 1", "real_type"),
     ("BASIS 1\nFIELD quaternion\nDIM 1\nROW 1", "FIELD"),
+    ("BASIS 1\nFIELD real\nDIM 2\nROW 1 0\nROW nan 1", "line 5: ROW value is not finite"),
 ])
 def test_basis_parse_errors(bad, msg):
     with pytest.raises(SpecFormatError, match=msg):

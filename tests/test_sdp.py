@@ -102,6 +102,15 @@ def test_block_diagonalize_rejects_noninvariant(s3_setup, rng):
     x = sample_gue(3, "complex", rng)  # generic, not invariant
     with pytest.raises(NotInvariantError):
         block_diagonalize_matrix(decomp, x)
+    # the gates fail closed on a NaN residual
+    x = np.eye(3)
+    x[0, 0] = np.nan
+    with pytest.raises(NotInvariantError, match="residual nan"):
+        block_diagonalize_matrix(decomp, x)
+    prob = SdpProblem(c=np.eye(3), a=[np.eye(3), np.eye(3)], b=[1.0, 2.0], field="complex")
+    prob.a[1][0, 0] = np.nan  # past the constructor's checks
+    with pytest.raises(NotInvariantError, match="A_2 .*residual nan"):
+        block_diagonalize_sdp(decomp, prob)
 
 
 def test_sdp_problem_validation(rng):
@@ -112,6 +121,15 @@ def test_sdp_problem_validation(rng):
         SdpProblem(c=c, a=[c], b=[], field="real")
     with pytest.raises(ValueError, match="shape"):
         SdpProblem(c=c, a=[np.eye(2)], b=[1.0], field="real")
+    bad = np.eye(3)
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="C has a non-finite entry"):
+        SdpProblem(c=bad, a=[], b=[], field="real")
+    bad[0, 0], bad[1, 2], bad[2, 1] = 1.0, np.inf, np.inf
+    with pytest.raises(ValueError, match="A_1 has a non-finite entry"):
+        SdpProblem(c=c, a=[bad], b=[1.0], field="real")
+    with pytest.raises(ValueError, match="b has a non-finite entry"):
+        SdpProblem(c=c, a=[c], b=[np.nan], field="real")
     p = SdpProblem(c=c, a=[c, 2 * c], b=[1.0, 2.0], field="real")
     assert p.n == 3 and p.m == 2
 
