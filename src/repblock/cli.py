@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .commutant import ProjectionConfig, ProjectionError
+from .commutant import ProjectionConfig, ProjectionError, projection_path
 from .decompose import (DecomposeConfig, DecompositionError, decompose,
                         verify_decomposition)
 from .formats import (SpecFormatError, format_basis, format_sdp, parse_basis,
@@ -189,7 +189,8 @@ def cmd_decompose(args) -> int:
     except (DecompositionError, ProjectionError) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_DECOMPOSE
-    _note(args, f"decomposed in {decomp.attempts} attempt(s)")
+    _note(args, f"decomposed in {decomp.attempts} attempt(s); "
+                f"projection: {projection_path(rep)}")
 
     if args.emit_basis:
         Path(args.emit_basis).write_text(format_basis(decomp, args.field))
@@ -240,6 +241,8 @@ def cmd_blockdiag(args) -> int:
     except (DecompositionError, ProjectionError) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_DECOMPOSE
+    _note(args, f"decomposed in {decomp.attempts} attempt(s); "
+                f"projection: {projection_path(rep)}")
 
     tol = args.tol if args.tol is not None else 1e-6
     try:

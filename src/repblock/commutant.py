@@ -2,10 +2,13 @@
 
 A commutant sample is obtained by drawing a Hermitian matrix from the
 Gaussian unitary ensemble (orthogonal ensemble over the reals) and
-projecting it onto the commutant by group averaging: exactly, through the
-stabilizer-chain transversal sets, for finite groups; by iterated
-averaging over small random sample sets for compact groups, where the
-averaged matrix converges to the group integral as rounds accumulate.
+projecting it onto the commutant by group averaging.  For finite groups
+the average is exact: a representation that permutes its basis vectors
+(one with an index action) is averaged within each orbital, the orbit of
+the group on index pairs, at O(n^2) cost; any other is averaged through
+the stabilizer-chain transversal sets.  For compact groups the average is
+iterated over small random sample sets, and the averaged matrix converges
+to the group integral as rounds accumulate.
 
 The conjugation inverse is realized as the conjugate transpose, which is
 exact for unitary representations and keeps Hermitian input Hermitian.
@@ -90,8 +93,7 @@ def _conjugation_average(rep, elements, x, hermitize):
     field_dtype = np.complex128 if rep.field == "complex" else np.float64
     acc = np.zeros(x.shape, dtype=np.result_type(x.dtype, field_dtype))
     for g in elements:
-        u = rep.image(g)
-        acc += u @ x @ u.conj().T
+        acc += rep.conjugate_by(g, x)
     acc /= len(elements)
     if hermitize:
         acc = (acc + acc.conj().T) / 2
@@ -116,8 +118,12 @@ def commutation_residual(rep: Representation, x, elements) -> float:
         return 0.0
     worst = 0.0
     for g in elements:
-        u = rep.image(g)
-        worst = max(worst, np.linalg.norm(x @ u - u @ x) / nx)
+        if rep.index_action is None:
+            u = rep.image(g)
+            diff = x @ u - u @ x
+        else:  # a gather, and ||u x u^dag - x|| = ||x u - u x|| for unitary u
+            diff = rep.conjugate_by(g, x) - x
+        worst = float(np.maximum(worst, np.linalg.norm(diff) / nx))  # keeps NaN
     return worst
 
 
@@ -127,13 +133,55 @@ def _finite_probes(group: PermutationGroup):
     return [g for g in group.generators if not g.is_identity()]
 
 
-def _project_finite(rep, x, hermitize):
+def chain_average(rep: Representation, x, hermitize=True) -> np.ndarray:
+    """Exact group average of x through the transversal-set factorization.
+
+    Costs one conjugation per transversal element instead of one per group
+    element; for the symmetric group on D points that is quadratic in D
+    rather than factorial.  Used for generator images that are not
+    permutation matrices, and as the reference for :func:`orbital_average`.
+    """
     if not rep.is_finite:
         raise TypeError("finite projection requires a permutation-group representation")
     out = np.array(x)
     for t in rep.group.transversal_sets():
         out = _conjugation_average(rep, t, out, hermitize)
     return out
+
+
+def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
+    """Exact group average of x for a representation with an index action.
+
+    Conjugation by a permutation image moves entry (i, j) within its
+    orbital, so the group average replaces every entry by the mean of its
+    orbital.  O(n^2) once the orbitals are known.
+    """
+    ids, counts = rep.index_action.orbitals()
+    flat = np.asarray(x).reshape(-1)
+    means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
+    if np.iscomplexobj(flat):
+        means = means + 1j * (np.bincount(ids, weights=flat.imag,
+                                          minlength=len(counts)) / counts)
+    out = means[ids].reshape(rep.dim, rep.dim)
+    if hermitize:
+        out = (out + out.conj().T) / 2
+    return out
+
+
+def _project_finite(rep, x, hermitize):
+    if rep.index_action is not None:
+        return orbital_average(rep, x, hermitize)
+    return chain_average(rep, x, hermitize)
+
+
+def projection_path(rep: Representation) -> str:
+    """How the commutant projection of ``rep`` averages, and over how much."""
+    if not rep.is_finite:
+        return "Haar averaging"
+    if rep.index_action is not None:
+        return f"orbital averaging, {len(rep.index_action.orbitals()[1])} orbitals"
+    total = sum(len(t) for t in rep.group.transversals)
+    return f"stabilizer chain, {total} transversal elements"
 
 
 def _project_compact(rep, x, config, rng, hermitize):
@@ -156,15 +204,10 @@ def _project_compact(rep, x, config, rng, hermitize):
 
 
 def project_commutant_finite(rep: Representation, x) -> CommutantSample:
-    """Exact group average of x through the transversal-set factorization.
-
-    Costs one conjugation per transversal element instead of one per group
-    element; for the symmetric group on D points that is quadratic in D
-    rather than factorial.
-    """
+    """Exact group average of x: by orbitals or through the stabilizer chain."""
     out = _project_finite(rep, x, hermitize=True)
     resid = commutation_residual(rep, out, _finite_probes(rep.group))
-    if resid > FINITE_COMMUTATION_TOL:
+    if not resid <= FINITE_COMMUTATION_TOL:  # NaN fails too
         raise ProjectionError(
             f"finite projection left commutation residual {resid:.3e}; "
             "the representation is probably not a homomorphism")

@@ -43,6 +43,8 @@ REAL_TYPES = ("real", "complex", "quaternionic", "not_applicable")
 
 _CLASSIFY_SAMPLES = 8
 _CLASSIFY_SV_CUTOFF = 1e-6
+# real dimension of the commutant of an irreducible real representation
+_REAL_TYPE_WEIGHT = {"real": 1, "complex": 2, "quaternionic": 4}
 
 
 class ResampleNeeded(Exception):
@@ -229,10 +231,12 @@ def classify_real_type(rep: Representation, component: IsotypicComponent,
                        rng=None, config: DecomposeConfig | None = None) -> str:
     """Division-algebra type of a real isotypic component's irrep.
 
-    Restricts the representation to one irrep copy and measures the
-    dimension of its commutant algebra by projecting generic (full,
-    non-symmetric) Gaussian matrices and ranking their span: dimension 1,
-    2 or 4 corresponds to real, complex or quaternionic type.  Symmetric
+    Measures the dimension of the commutant algebra of one irrep copy:
+    generic (full, non-symmetric) Gaussian matrices are projected onto the
+    commutant of the whole representation and compressed to the copy's
+    basis B as B P(X) B^T, and the rank of their span is taken.  The
+    compression maps the commutant onto the copy's commutant, so dimension
+    1, 2 or 4 corresponds to real, complex or quaternionic type.  Symmetric
     seeds would not do: the symmetric part of the commutant is
     one-dimensional for all three types.
     """
@@ -241,18 +245,13 @@ def classify_real_type(rep: Representation, component: IsotypicComponent,
     if rng is None:
         rng = np.random.default_rng()
     cfg = config or DecomposeConfig()
-    d = component.dimension
-    block = np.ascontiguousarray(component.basis[:d])
-
-    restricted = Representation(
-        rep.group, d, "real",
-        lambda g: block @ rep.image(g) @ block.conj().T,
-        name="restricted")
+    block = np.ascontiguousarray(component.basis[:component.dimension])
 
     rows = []
     for _ in range(_CLASSIFY_SAMPLES):
-        seed = rng.standard_normal((d, d))
-        rows.append(project_linear(restricted, seed, cfg.projection, rng).reshape(-1))
+        seed = rng.standard_normal((rep.dim, rep.dim))
+        projected = project_linear(rep, seed, cfg.projection, rng)
+        rows.append((block @ projected @ block.T).reshape(-1))
     svals = np.linalg.svd(np.array(rows), compute_uv=False)
     if svals[0] == 0:
         raise ResampleNeeded("all classification samples projected to zero")
@@ -272,6 +271,10 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     the claimed pattern: zero off the component blocks, and each component
     an M-fold repetition of a single D x D block.  Norms are relative to
     the Frobenius norm of rho_g.  A NaN residual fails its check.
+
+    For a representation with an index action the commutant dimension is
+    also checked exactly: the number of orbitals must equal sum e M^2, with
+    e = 1 over C and e = 1, 2, 4 for real, complex, quaternionic type over R.
     """
     if tol is None:
         tol = 1e-8 if rep.is_finite else 1e-6
@@ -279,6 +282,7 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
         rng = np.random.default_rng()
     u = decomp.U
     n = rep.dim
+    action = rep.index_action
     failures = []
 
     dims_ok = sum(c.size for c in decomp.components) == n and u.shape == (n, n)
@@ -289,6 +293,15 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     if not unit_resid <= tol * n:
         failures.append(f"basis is not unitary (residual {unit_resid:.3e})")
 
+    if action is not None:
+        orbitals = len(action.orbitals()[1])
+        weight = _REAL_TYPE_WEIGHT if rep.field == "real" else {}
+        claimed = sum(weight.get(c.real_type, 1) * c.multiplicity ** 2
+                      for c in decomp.components)
+        if claimed != orbitals:
+            failures.append(f"commutant dimension {claimed} claimed by the components "
+                            f"differs from the {orbitals} orbitals")
+
     # np.maximum keeps a NaN residual, where max() would drop it
     max_off = 0.0
     comp_resid = [0.0] * len(decomp.components)
@@ -296,9 +309,13 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
         offsets = np.cumsum([0] + [c.size for c in decomp.components])
         for _ in range(trials):
             g = rep.random_element(rng)
-            img = rep.image(g)
-            nrm = float(np.linalg.norm(img))
-            b = u @ img @ u.conj().T
+            if action is None:
+                img = rep.image(g)
+                nrm = float(np.linalg.norm(img))
+                b = u @ img @ u.conj().T
+            else:  # u rho_g gathers the columns of u; |rho_g|_F = sqrt(n)
+                nrm = np.sqrt(n)
+                b = u[:, action.element(g)] @ u.conj().T
             leak = b.copy()
             for ci, comp in enumerate(decomp.components):
                 lo, hi = offsets[ci], offsets[ci + 1]

@@ -134,9 +134,14 @@ def parse_inline_group(token: str):
 # ---------------------------------------------------------------------------
 
 def _parse_entry(v, field, where):
+    # JSON NaN and Infinity parse to floats; math.isfinite rejects them
     if isinstance(v, (int, float)):
+        if not math.isfinite(v):
+            raise SpecFormatError(f"{where}: matrix entry is not finite")
         return float(v)
     if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+        if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+            raise SpecFormatError(f"{where}: matrix entry is not finite")
         if field == "real":
             if v[1] != 0:
                 raise SpecFormatError(f"{where}: complex entry in a real-field matrix")

@@ -22,6 +22,7 @@ from repblock import (DecomposeConfig, ProjectionConfig,
                       natural_perm_rep, project_commutant_finite,
                       rep_from_generator_images, reconstruct, sample_commutant,
                       sample_gue, tensor, unitary_group, verify_decomposition)
+from repblock.commutant import chain_average
 
 from conftest import (alternating4, closure, closure_with_images, cyclic,
                       dihedral, klein4, perm_matrix, quaternion8,
@@ -163,26 +164,29 @@ CRITERION_9_GROUPS = [
 
 
 def test_criterion_09_projection_vs_brute_force():
-    with criterion(9, "chain projection = brute-force averaging, orders 2-120"):
+    with criterion(9, "chain and orbital projection = brute-force averaging, orders 2-120"):
         rng = np.random.default_rng(10)
         for name, make in CRITERION_9_GROUPS:
             group = make()
             assert 2 <= group.order() <= 120
             rep = natural_perm_rep(group, "complex")
             x = sample_gue(group.degree, "complex", rng)
-            got = project_commutant_finite(rep, x).matrix
 
             elems = closure(group.degree, [p.images for p in group.generators])
-            acc = np.zeros_like(got)
+            acc = np.zeros((group.degree, group.degree), dtype=complex)
             for e in elems:
                 u = perm_matrix(e, dtype=complex)
                 acc += u @ x @ u.conj().T
             want = acc / len(elems)
-
             scale = max(np.linalg.norm(want), 1.0)
-            assert np.linalg.norm(got - want) <= 1e-12 * scale, name
-            again = project_commutant_finite(rep, got).matrix
-            assert np.linalg.norm(again - got) <= 1e-10 * np.linalg.norm(got), name
+
+            # the chain path, and the orbital path project_commutant_finite takes
+            for project in (chain_average,
+                            lambda r, m: project_commutant_finite(r, m).matrix):
+                got = project(rep, x)
+                assert np.linalg.norm(got - want) <= 1e-12 * scale, name
+                again = project(rep, got)
+                assert np.linalg.norm(again - got) <= 1e-10 * np.linalg.norm(got), name
 
 
 def test_criterion_10_sdp_round_trip():

@@ -168,6 +168,41 @@ def test_blockdiag_flow(s3_files, tmp_path, capsys):
     assert blk.b.tolist() == [1.0]
 
 
+S3_STANDARD = ('{"kind": "generator-images", "images": [[[1, 0], [0, -1]], '
+               '[[-0.5, -0.8660254037844386], [0.8660254037844386, -0.5]]]}\n')
+
+
+@pytest.mark.parametrize("group_text,rep_text,path", [
+    (S3_GROUP, NATURAL, "projection: orbital averaging, 2 orbitals"),
+    (S3_GROUP, S3_STANDARD, "projection: stabilizer chain, 5 transversal elements"),
+    (U2_GROUP, U2_ADJOINT, "projection: Haar averaging"),
+])
+def test_verbose_names_projection_path(tmp_path, capsys, group_text, rep_text, path):
+    (tmp_path / "g").write_text(group_text)
+    (tmp_path / "r").write_text(rep_text)
+    args = ["decompose", str(tmp_path / "g"), str(tmp_path / "r"), "--seed", "3",
+            "--nu", "100", "--format", "structured"]
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert main(args + ["-v"]) == 0
+    loud = capsys.readouterr()
+    assert path not in quiet.err and path in loud.err
+    assert loud.out == quiet.out
+
+
+def test_blockdiag_verbose_names_projection_path(s3_files, tmp_path, capsys):
+    group, rep = s3_files
+    sdp = _write_invariant_sdp(tmp_path)
+    args = ["blockdiag", str(sdp), str(group), str(rep), "--seed", "2",
+            "--out", str(tmp_path / "b"), "--format", "structured"]
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert main(args + ["-v"]) == 0
+    loud = capsys.readouterr()
+    assert "projection: orbital averaging, 2 orbitals" in loud.err
+    assert loud.out == quiet.out
+
+
 def test_blockdiag_noninvariant_exit4(s3_files, tmp_path, capsys):
     group, rep = s3_files
     x = sample_gue(3, "complex", np.random.default_rng(0))
@@ -191,6 +226,16 @@ def test_blockdiag_nan_entry_exit2(s3_files, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "line 2" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_decompose_nan_generator_image_exit2(s3_files, tmp_path, capsys):
+    group, _ = s3_files
+    rep = tmp_path / "nan.rep"
+    rep.write_text('{"kind": "generator-images", "images": [[[NaN]], [[1]]]}\n')
+    assert main(["decompose", str(group), str(rep), "--field", "real"]) == 2
+    captured = capsys.readouterr()
+    assert "rep.images[0][0][0]: matrix entry is not finite" in captured.err
+    assert captured.out == ""
 
 
 def test_blockdiag_structured_deterministic(s3_files, tmp_path, capsys):

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repblock import (CommutantSample, Permutation, ProjectionConfig,
-                      defining_rep, group_from_generators, natural_perm_rep,
+                      conjugate, decompose, defining_rep, direct_sum,
+                      group_from_generators, natural_perm_rep,
                       partial_average, project_commutant,
                       project_commutant_compact, project_commutant_finite,
-                      sample_commutant, sample_gue, tensor, unitary_group)
-from repblock.commutant import commutation_residual
+                      rep_from_generator_images,
+                      sample_commutant, sample_gue, tensor, tensor_power,
+                      unitary_group)
+from repblock.commutant import (chain_average, commutation_residual, orbital_average,
+                                project_linear)
 
-from conftest import (alternating4, closure, cyclic, dihedral, group_of,
-                      klein4, perm_matrix, quaternion8, symmetric)
+from conftest import (alternating4, brute_average, closure, closure_with_images,
+                      cyclic, dihedral, group_of, klein4, perm_matrix,
+                      quaternion8, regular_group, symmetric)
+from test_reps import s3_standard_images
 
 
 def brute_reynolds_natural(group, x):
@@ -245,3 +253,169 @@ def test_project_dispatch(rng):
         project_commutant_compact(rep, x, ProjectionConfig(), rng)
     with pytest.raises(TypeError):
         project_commutant_finite(defining_rep(unitary_group(2)), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# orbital averaging for representations with an index action
+# ---------------------------------------------------------------------------
+#
+# Each case builds a representation and, independently of it, the matrices
+# of the group generators; the oracle is the brute-force average over the
+# closure of those matrices.
+
+def _gen_perms(group):
+    return [p.images for p in group.generators]
+
+
+def _natural(group, field="complex"):
+    return natural_perm_rep(group, field), [perm_matrix(p) for p in _gen_perms(group)]
+
+
+def _regular_images(group, field="complex"):
+    # the left-regular action as generator-images of the group itself
+    reg = regular_group(group)
+    mats = [perm_matrix(p.images) for p in reg.generators]
+    return rep_from_generator_images(group, mats, field), mats
+
+
+def _kron(a, b):
+    return [np.kron(x, y) for x, y in zip(a, b)]
+
+
+def _blockdiag(a, b):
+    out = []
+    for x, y in zip(a, b):
+        m = np.zeros((len(x) + len(y),) * 2)
+        m[:len(x), :len(x)], m[len(x):, len(x):] = x, y
+        out.append(m)
+    return out
+
+
+def _perm_cases():
+    s3, d4 = symmetric(3), dihedral(4)
+    nat3, nat3_m = _natural(s3)
+    reg3, reg3_m = _regular_images(s3)
+    nat4, nat4_m = _natural(d4)
+    return [
+        ("natural S4", *_natural(symmetric(4))),
+        ("natural A4", *_natural(alternating4())),
+        ("generator-images S3 regular", reg3, reg3_m),
+        ("tensor natural x images", tensor(nat3, reg3), _kron(nat3_m, reg3_m)),
+        ("dsum images + natural", direct_sum(reg3, nat3), _blockdiag(reg3_m, nat3_m)),
+        ("conj natural D4", conjugate(nat4), nat4_m),
+        ("power 2 natural D4", tensor_power(nat4, 2), _kron(nat4_m, nat4_m)),
+        ("dsum(power, conj)", direct_sum(tensor_power(nat3, 2), conjugate(reg3)),
+         _blockdiag(_kron(nat3_m, nat3_m), reg3_m)),
+    ]
+
+
+def _brute(rep, mats, x):
+    table = closure_with_images(rep.group.degree, _gen_perms(rep.group), mats)
+    return brute_average(table.keys(), table, x)
+
+
+@pytest.mark.parametrize("case", range(len(_perm_cases())))
+def test_orbital_projection_matches_brute_force(case, rng):
+    name, rep, mats = _perm_cases()[case]
+    assert rep.index_action is not None, name
+    n = rep.dim
+    x = sample_gue(n, "complex", rng)
+    want = _brute(rep, mats, x)
+    scale = max(1.0, np.linalg.norm(want))
+    got = project_commutant_finite(rep, x)
+    assert np.linalg.norm(got.matrix - want) <= 1e-12 * scale, name
+    assert got.residual == 0.0
+    # the chain path is the second reference, and project_linear takes the
+    # orbital path for a non-Hermitian matrix too
+    assert np.linalg.norm(chain_average(rep, x) - got.matrix) <= 1e-12 * scale
+    y = rng.standard_normal((n, n))
+    assert np.linalg.norm(project_linear(rep, y) - _brute(rep, mats, y)) <= 1e-12 * n
+    ids, counts = rep.index_action.orbitals()
+    assert ids.shape == (n * n,) and counts.sum() == n * n
+
+
+def _non_permutation_cases():
+    c2, c4 = cyclic(2), cyclic(4)
+    quarter = [np.array([[0.0, -1.0], [1.0, 0.0]])]  # a signed permutation
+    near = [np.array([[0.0, 1.0 - 1e-12], [1.0, 0.0]])]
+    s3 = symmetric(3)
+    return [
+        ("signed permutation C4", rep_from_generator_images(c4, quarter, "real"), quarter),
+        ("S3 standard", rep_from_generator_images(s3, s3_standard_images(), "real"),
+         s3_standard_images()),
+        ("1 - 1e-12 entry", rep_from_generator_images(c2, near, "real"), near),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_non_permutation_images_take_the_chain(case, rng):
+    name, rep, mats = _non_permutation_cases()[case]
+    assert rep.index_action is None, name
+    x = sample_gue(rep.dim, "real", rng)
+    want = _brute(rep, mats, x)
+    got = project_commutant_finite(rep, x).matrix
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want)), name
+
+
+def test_combinators_drop_the_index_action_with_a_matrix_factor():
+    s3 = symmetric(3)
+    nat = natural_perm_rep(s3, "real")
+    std = rep_from_generator_images(s3, s3_standard_images(), "real")
+    assert tensor(nat, std).index_action is None
+    assert direct_sum(std, nat).index_action is None
+    assert tensor(nat, nat).index_action is not None
+
+
+def test_orbital_labels_against_brute_force():
+    # the regular action has one orbital per group element
+    regular = natural_perm_rep(regular_group(symmetric(4)))
+    assert len(regular.index_action.orbitals()[1]) == 24
+    # S4 on pairs of index pairs of its tensor square, by brute force
+    elems = closure(4, _gen_perms(symmetric(4)))
+    ids, counts = tensor_power(natural_perm_rep(symmetric(4)), 2).index_action.orbitals()
+
+    def move(g, i):
+        return g[i // 4] * 4 + g[i % 4]
+
+    orbits = {frozenset(move(g, i) * 16 + move(g, j) for g in elems)
+              for i in range(16) for j in range(16)}
+    assert len(counts) == len(orbits)
+    for orbit in orbits:
+        assert len({int(ids[p]) for p in orbit}) == 1
+        assert counts[ids[min(orbit)]] == len(orbit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=3))),
+    st.integers(0, 2 ** 32 - 1))
+def test_orbital_projection_properties(generated, seed):
+    n, gens = generated
+    group = group_of(n, gens)
+    rep = natural_perm_rep(group, "complex")
+    x = sample_gue(n, "complex", np.random.default_rng(seed))
+    got = project_commutant_finite(rep, x).matrix
+
+    want = np.zeros((n, n), dtype=complex)
+    elems = closure(n, gens)
+    for e in elems:
+        u = perm_matrix(e)
+        want += u @ x @ u.T
+    want /= len(elems)
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+    assert np.linalg.norm(orbital_average(rep, got) - got) <= 1e-12 * max(1.0, np.linalg.norm(got))
+    assert np.array_equal(got, got.conj().T)
+    for p in gens:
+        u = perm_matrix(p)
+        assert np.linalg.norm(u @ got - got @ u) <= 1e-12 * max(1.0, np.linalg.norm(got))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=3))),
+    st.integers(0, 2 ** 32 - 1))
+def test_decompose_over_c_counts_the_orbitals(generated, seed):
+    n, gens = generated
+    rep = natural_perm_rep(group_of(n, gens), "complex")
+    d = decompose(rep, rng=np.random.default_rng(seed))
+    assert sum(m * m for m in d.multiplicities) == len(rep.index_action.orbitals()[1])

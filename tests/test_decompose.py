@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
-                      ProjectionConfig, ResampleNeeded,
+                      IsotypicComponent, ProjectionConfig, ResampleNeeded,
                       classify_real_type, conjugate, decompose,
                       defining_rep, direct_sum, eigsplit, equivalence_test,
                       group_from_generators, harmonize, natural_perm_rep,
@@ -13,7 +13,7 @@ from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
                       verify_decomposition)
 
 from conftest import (closure_with_images, cyclic, perm_matrix, quaternion8,
-                      symmetric)
+                      regular_rep, symmetric)
 from test_reps import s3_standard_images
 
 FAST_COMPACT = DecomposeConfig(projection=ProjectionConfig(nu=300))
@@ -460,3 +460,30 @@ def test_verify_flags_misaligned_copy(rng):
     assert not report.passed
     assert report.unitarity_residual <= 1e-12
     assert any("component copy structure" in f for f in report.failures)
+
+
+def test_verify_flags_wrong_multiplicity(rng):
+    # S3 regular: the two copies of the 2-dim irrep, harmonized, leak nothing
+    # into each other, so splitting them into two components of multiplicity
+    # 1 passes the pattern checks; only the commutant dimension differs
+    rep = regular_rep(symmetric(3), "complex")
+    d = decompose(rep, rng=rng)
+    assert d.dm_multiset() == [(1, 1), (1, 1), (2, 2)]
+    big = d.components[0]
+    assert (big.dimension, big.multiplicity) == (2, 2)
+    d.components[:1] = [IsotypicComponent(2, 1, big.basis[:2]),
+                        IsotypicComponent(2, 1, big.basis[2:])]
+    report = verify_decomposition(rep, d, trials=10, rng=rng)
+    assert report.failures == (
+        "commutant dimension 4 claimed by the components differs from the 6 orbitals",)
+
+
+def test_verify_flags_wrong_real_type(rng):
+    rep = natural_perm_rep(cyclic(5), "real")
+    d = decompose(rep, rng=rng)
+    assert sorted(c.real_type for c in d.components) == ["complex", "complex", "real"]
+    assert verify_decomposition(rep, d, trials=10, rng=rng).passed
+    next(c for c in d.components if c.real_type == "complex").real_type = "real"
+    report = verify_decomposition(rep, d, trials=10, rng=rng)
+    assert report.failures == (
+        "commutant dimension 4 claimed by the components differs from the 5 orbitals",)

@@ -137,6 +137,23 @@ def test_rep_spec_errors():
         parse_rep_spec("not json", g, "complex")
 
 
+S3_IMAGES = '{"kind": "generator-images", "images": [%s, %s]}'
+
+
+@pytest.mark.parametrize("first,second,field,msg", [
+    ("[[NaN]]", "[[1]]", "real", r"rep\.images\[0\]\[0\]\[0\]: matrix entry is not finite"),
+    ("[[Infinity]]", "[[1]]", "real", r"rep\.images\[0\]\[0\]\[0\]: matrix entry"),
+    ("[[1]]", "[[-Infinity]]", "real", r"rep\.images\[1\]\[0\]\[0\]: matrix entry"),
+    ("[[1, 0], [0, NaN]]", "[[1, 0], [0, 1]]", "real",
+     r"rep\.images\[0\]\[1\]\[1\]: matrix entry is not finite"),
+    ("[[[NaN, 0]]]", "[[1]]", "real", r"rep\.images\[0\]\[0\]\[0\]: matrix entry"),
+    ("[[[1, Infinity]]]", "[[1]]", "complex", r"rep\.images\[0\]\[0\]\[0\]: matrix entry"),
+])
+def test_rep_spec_nonfinite_image_entries(first, second, field, msg):
+    with pytest.raises(SpecFormatError, match=msg):
+        parse_rep_spec(S3_IMAGES % (first, second), symmetric(3), field)
+
+
 # ---------------------------------------------------------------------------
 # SDP text format
 # ---------------------------------------------------------------------------

@@ -60,6 +60,45 @@ def test_generator_images_errors():
         rep_from_generator_images(c2, [np.array([[OMEGA]])], "complex")
     with pytest.raises(ValueError, match="complex entries"):
         rep_from_generator_images(c2, [np.array([[1j]])], "real")
+    # NaN fails the unitarity gate instead of passing it
+    with pytest.raises(ValueError, match="unitary"):
+        rep_from_generator_images(c2, [np.array([[np.nan]])], "real")
+    # permutation images are checked exactly: a 3-cycle cannot square to 1
+    with pytest.raises(ValueError, match="inconsistent"):
+        rep_from_generator_images(c2, [perm_matrix((1, 2, 0))], "real")
+
+
+def test_index_action_agrees_with_images(rng):
+    g = symmetric(3)
+    nat = natural_perm_rep(g, "complex")
+    images = rep_from_generator_images(
+        g, [perm_matrix(p.images) for p in g.generators], "complex")
+    assert images.index_action is not None
+
+    def block(a, b):
+        m = np.zeros((len(a) + len(b),) * 2)
+        m[:len(a), :len(a)], m[len(a):, len(a):] = a, b
+        return m
+
+    cases = [
+        (nat, lambda p: p),
+        (images, lambda p: p),
+        (tensor(nat, images), lambda p: np.kron(p, p)),
+        (direct_sum(images, nat), lambda p: block(p, p)),
+        (conjugate(nat), lambda p: p),
+        (tensor_power(nat, 3), lambda p: np.kron(np.kron(p, p), p)),
+    ]
+    for rep, want in cases:
+        for _ in range(10):
+            x = g.sample(rng)
+            sigma = rep.index_action.element(x)
+            assert np.array_equal(rep.image(x), want(perm_matrix(x.images)))
+            assert np.array_equal(rep.image(x), perm_matrix(sigma))
+            m = rng.standard_normal((rep.dim, rep.dim))
+            u = rep.image(x)
+            assert np.array_equal(rep.conjugate_by(x, m), u @ m @ u.T)
+        for p, sigma in zip(g.generators, rep.index_action.generators):
+            assert np.array_equal(rep.index_action.element(p), sigma)
 
 
 def test_natural_rep_examples():
