@@ -7,9 +7,8 @@ to block-diagonalize invariant semidefinite program data.
 """
 
 from .commutant import (CommutantSample, ProjectionConfig, ProjectionError,
-                        partial_average, project_commutant,
-                        project_commutant_compact, project_commutant_finite,
-                        sample_commutant, sample_gue)
+                        partial_average, project_commutant, sample_commutant,
+                        sample_gue)
 from .compact import (CompactGroupHandle, haar_orthogonal, haar_unitary,
                       orthogonal_group, unitary_group)
 from .decompose import (DecomposeConfig, DecompositionError,

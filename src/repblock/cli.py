@@ -68,12 +68,12 @@ def _build_parser():
                         default=_env("FIELD", "complex"),
                         help="scalar field of the representation (default complex)")
     common.add_argument("--nu", type=int, default=_env("NU", 1000, int),
-                        help="averaging rounds for compact-group projection")
+                        help="cap on averaging rounds for compact-group projection")
     common.add_argument("--set-size", type=int, default=_env("SET_SIZE", 3, int),
                         help="Haar sample set size per averaging round")
     common.add_argument("--commutation-tol", type=float,
                         default=_env("COMMUTATION_TOL", 1e-8, float),
-                        help="commutation residual target for compact projection")
+                        help="largest commutation residual accepted from compact projection")
     common.add_argument("--tol", type=float, default=_env("TOL", None, float),
                         help="verification / invariance tolerance override")
     common.add_argument("--format", choices=["text", "structured"],

@@ -7,8 +7,9 @@ the average is exact: a representation that permutes its basis vectors
 (one with an index action) is averaged within each orbital, the orbit of
 the group on index pairs, at O(n^2) cost; any other is averaged through
 the stabilizer-chain transversal sets.  For compact groups the average is
-iterated over small random sample sets, and the averaged matrix converges
-to the group integral as rounds accumulate.
+iterated over small random sample sets; each round shrinks the part of the
+matrix outside the commutant, so the residual falls geometrically until it
+reaches roundoff, and the iteration stops there.
 
 The conjugation inverse is realized as the conjugate transpose, which is
 exact for unitary representations and keeps Hermitian input Hermitian.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import PermutationGroup
 from .reps import Representation
 
 #: Commutation tolerance for the exact finite-group projection; anything
@@ -29,6 +29,8 @@ from .reps import Representation
 FINITE_COMMUTATION_TOL = 1e-10
 
 _RESIDUAL_PROBES = 20
+#: Averaging rounds between two residual checks of the compact projection.
+_CHECK_EVERY = 10
 
 
 class ProjectionError(RuntimeError):
@@ -37,28 +39,30 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Tuning knobs for the compact-group iterated projection.
+    """Knobs of the compact-group iterated projection.
 
-    ``nu`` rounds of averaging over fresh Haar sample sets of size
-    ``set_size`` are run first; if the measured commutation residual still
-    exceeds ``commutation_tol``, extension blocks of ``nu/10`` rounds are
-    added, at most ``max_resamples`` of them, before giving up.
+    Each round averages over a fresh Haar sample set of size ``set_size``.
+    Every 10 rounds the commutation residual is measured on 20 Haar probes
+    drawn once; averaging stops at the first check that does not halve the
+    previous one, when the residual has reached roundoff, or after ``nu``
+    rounds, a cap.  The result must then be within ``commutation_tol``.
     """
 
     nu: int = 1000
     set_size: int = 3
     commutation_tol: float = 1e-8
-    max_resamples: int = 10
 
     def __post_init__(self):
         if self.nu < 1:
             raise ValueError("nu must be >= 1")
         if self.set_size < 2:
             raise ValueError("set_size must be >= 2")
-        if self.commutation_tol <= 0:
-            raise ValueError("commutation_tol must be positive")
-        if self.max_resamples < 0:
-            raise ValueError("max_resamples must be >= 0")
+        _check_tol(self.commutation_tol, "commutation_tol")
+
+
+def _check_tol(tol, name):
+    if not (0 < tol < math.inf):  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,6 @@ def commutation_residual(rep: Representation, x, elements) -> float:
     return worst
 
 
-def _finite_probes(group: PermutationGroup):
-    # The images of the generators suffice: commuting with them means
-    # commuting with everything they generate.
-    return [g for g in group.generators if not g.is_identity()]
-
-
 def chain_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     """Exact group average of x through the transversal-set factorization.
 
@@ -168,12 +166,6 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     return out
 
 
-def _project_finite(rep, x, hermitize):
-    if rep.index_action is not None:
-        return orbital_average(rep, x, hermitize)
-    return chain_average(rep, x, hermitize)
-
-
 def projection_path(rep: Representation) -> str:
     """How the commutant projection of ``rep`` averages, and over how much."""
     if not rep.is_finite:
@@ -184,71 +176,64 @@ def projection_path(rep: Representation) -> str:
     return f"stabilizer chain, {total} transversal elements"
 
 
-def _project_compact(rep, x, config, rng, hermitize):
+def _project(rep, x, config, rng, hermitize):
+    """Group average of x and its commutation residual, gated.
+
+    Exact for finite groups; for compact groups averaging stops as
+    :class:`ProjectionConfig` describes.
+    """
     if rep.is_finite:
-        raise TypeError("compact projection requires a compact-group representation")
+        if rep.index_action is not None:
+            out = orbital_average(rep, x, hermitize)
+        else:
+            out = chain_average(rep, x, hermitize)
+        # commuting with the generators' images means commuting with the group
+        resid = commutation_residual(rep, out, rep.group.generators)
+        if not resid <= FINITE_COMMUTATION_TOL:  # NaN fails too
+            raise ProjectionError(
+                f"finite projection left commutation residual {resid:.3e}; "
+                "the representation is probably not a homomorphism")
+        return out, resid
+    config = config or ProjectionConfig()
+    rng = rng or np.random.default_rng()
     handle = rep.group
+    probes = [handle.sample(rng) for _ in range(_RESIDUAL_PROBES)]
     out = np.array(x)
-    for block in range(config.max_resamples + 1):
-        rounds = config.nu if block == 0 else max(1, math.ceil(config.nu / 10))
-        for _ in range(rounds):
+    rounds, resid = 0, math.inf
+    while rounds < config.nu:
+        for _ in range(min(_CHECK_EVERY, config.nu - rounds)):
             t = [handle.sample(rng) for _ in range(config.set_size)]
             out = _conjugation_average(rep, t, out, hermitize)
-        probes = [handle.sample(rng) for _ in range(_RESIDUAL_PROBES)]
-        resid = commutation_residual(rep, out, probes)
-        if resid <= config.commutation_tol:
-            return out, resid
-    raise ProjectionError(
-        f"commutation residual {resid:.3e} still above {config.commutation_tol:.1e} "
-        f"after {config.nu} rounds and {config.max_resamples} extensions")
-
-
-def project_commutant_finite(rep: Representation, x) -> CommutantSample:
-    """Exact group average of x: by orbitals or through the stabilizer chain."""
-    out = _project_finite(rep, x, hermitize=True)
-    resid = commutation_residual(rep, out, _finite_probes(rep.group))
-    if not resid <= FINITE_COMMUTATION_TOL:  # NaN fails too
+            rounds += 1
+        last, resid = resid, commutation_residual(rep, out, probes)
+        if not resid < last / 2:  # roundoff reached; NaN stops too
+            break
+    if not resid <= config.commutation_tol:
         raise ProjectionError(
-            f"finite projection left commutation residual {resid:.3e}; "
-            "the representation is probably not a homomorphism")
-    return CommutantSample(out, resid)
-
-
-def project_commutant_compact(rep: Representation, x, config: ProjectionConfig,
-                              rng) -> CommutantSample:
-    """Iterated randomized averaging onto the commutant of a compact group."""
-    out, resid = _project_compact(rep, x, config, rng, hermitize=True)
-    return CommutantSample(out, resid)
+            f"commutation residual {resid:.3e} above {config.commutation_tol:.1e} "
+            f"after {rounds} rounds")
+    return out, resid
 
 
 def project_commutant(rep: Representation, x, config: ProjectionConfig = None,
                       rng=None) -> CommutantSample:
-    """Group-appropriate projection of a Hermitian matrix onto the commutant."""
-    if rep.is_finite:
-        return project_commutant_finite(rep, x)
-    if config is None:
-        config = ProjectionConfig()
-    if rng is None:
-        rng = np.random.default_rng()
-    return project_commutant_compact(rep, x, config, rng)
+    """Group-appropriate projection of a Hermitian matrix onto the commutant.
+
+    Raises :class:`ProjectionError` when the result does not commute with
+    the representation to tolerance.
+    """
+    return CommutantSample(*_project(rep, x, config, rng, hermitize=True))
 
 
 def project_linear(rep: Representation, x, config: ProjectionConfig = None,
                    rng=None) -> np.ndarray:
     """Projection of an arbitrary (not necessarily Hermitian) matrix.
 
-    Same averaging as :func:`project_commutant` but without Hermitian
-    symmetrization and without the residual contract; used to probe the
-    full commutant algebra, e.g. when measuring its dimension.
+    Same averaging and residual gate as :func:`project_commutant`, without
+    Hermitian symmetrization; used to probe the full commutant algebra,
+    e.g. when measuring its dimension.
     """
-    if rep.is_finite:
-        return _project_finite(rep, x, hermitize=False)
-    if config is None:
-        config = ProjectionConfig()
-    if rng is None:
-        rng = np.random.default_rng()
-    out, _ = _project_compact(rep, x, config, rng, hermitize=False)
-    return out
+    return _project(rep, x, config, rng, hermitize=False)[0]
 
 
 def sample_commutant(rep: Representation, config: ProjectionConfig = None,

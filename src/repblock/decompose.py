@@ -35,8 +35,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .commutant import (CommutantSample, ProjectionConfig, project_linear,
-                        sample_commutant)
+from .commutant import (CommutantSample, ProjectionConfig, _check_tol,
+                        project_linear, sample_commutant)
 from .reps import Representation
 
 REAL_TYPES = ("real", "complex", "quaternionic", "not_applicable")
@@ -64,6 +64,10 @@ class DecomposeConfig:
     verify_trials: int = 20        # random elements checked before a decomposition is returned
     block_tol: float | None = None  # verification tolerance; None = 1e-8 finite, 1e-6 compact
     projection: ProjectionConfig = dataclass_field(default_factory=ProjectionConfig)
+
+    def __post_init__(self):
+        if self.block_tol is not None:
+            _check_tol(self.block_tol, "block_tol")
 
 
 @dataclass
@@ -227,9 +231,9 @@ def harmonize(b2: SubrepBasis, witness: EquivalenceWitness) -> SubrepBasis:
     return SubrepBasis(rows=witness.transform @ b2.rows, eigenvalue=b2.eigenvalue)
 
 
-def classify_real_type(rep: Representation, component: IsotypicComponent,
-                       rng=None, config: DecomposeConfig | None = None) -> str:
-    """Division-algebra type of a real isotypic component's irrep.
+def classify_real_type(rep: Representation, components, rng=None,
+                       config: DecomposeConfig | None = None) -> list:
+    """Division-algebra type of each real isotypic component's irrep.
 
     Measures the dimension of the commutant algebra of one irrep copy:
     generic (full, non-symmetric) Gaussian matrices are projected onto the
@@ -238,28 +242,30 @@ def classify_real_type(rep: Representation, component: IsotypicComponent,
     compression maps the commutant onto the copy's commutant, so dimension
     1, 2 or 4 corresponds to real, complex or quaternionic type.  Symmetric
     seeds would not do: the symmetric part of the commutant is
-    one-dimensional for all three types.
+    one-dimensional for all three types.  The projected seeds are shared
+    by all components.
     """
     if rep.field != "real":
         raise ValueError("real-type classification applies to real representations")
     if rng is None:
         rng = np.random.default_rng()
     cfg = config or DecomposeConfig()
-    block = np.ascontiguousarray(component.basis[:component.dimension])
-
-    rows = []
-    for _ in range(_CLASSIFY_SAMPLES):
-        seed = rng.standard_normal((rep.dim, rep.dim))
-        projected = project_linear(rep, seed, cfg.projection, rng)
-        rows.append((block @ projected @ block.T).reshape(-1))
-    svals = np.linalg.svd(np.array(rows), compute_uv=False)
-    if svals[0] == 0:
-        raise ResampleNeeded("all classification samples projected to zero")
-    rank = int(np.sum(svals > _CLASSIFY_SV_CUTOFF * svals[0]))
+    projected = [project_linear(rep, rng.standard_normal((rep.dim, rep.dim)),
+                                cfg.projection, rng)
+                 for _ in range(_CLASSIFY_SAMPLES)]
     mapping = {1: "real", 2: "complex", 4: "quaternionic"}
-    if rank not in mapping:
-        raise ResampleNeeded(f"commutant dimension estimate {rank} is not 1, 2 or 4")
-    return mapping[rank]
+    types = []
+    for component in components:
+        block = np.ascontiguousarray(component.basis[:component.dimension])
+        rows = [(block @ p @ block.T).reshape(-1) for p in projected]
+        svals = np.linalg.svd(np.array(rows), compute_uv=False)
+        if svals[0] == 0:
+            raise ResampleNeeded("all classification samples projected to zero")
+        rank = int(np.sum(svals > _CLASSIFY_SV_CUTOFF * svals[0]))
+        if rank not in mapping:
+            raise ResampleNeeded(f"commutant dimension estimate {rank} is not 1, 2 or 4")
+        types.append(mapping[rank])
+    return types
 
 
 def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
@@ -278,6 +284,9 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     """
     if tol is None:
         tol = 1e-8 if rep.is_finite else 1e-6
+    _check_tol(tol, "tol")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if rng is None:
         rng = np.random.default_rng()
     u = decomp.U
@@ -378,16 +387,16 @@ def _decompose_once(rep, cfg, streams, attempt):
     components.sort(key=lambda c: (-c.dimension, -c.multiplicity, c.eigenvalues[0]))
 
     if rep.field == "real":
-        for comp in components:
-            comp.real_type = classify_real_type(rep, comp, s_classify, cfg)
+        types = classify_real_type(rep, components, s_classify, cfg)
+        for comp, real_type in zip(components, types):
+            comp.real_type = real_type
 
     decomp = IrrepDecomposition(
         U=np.vstack([c.basis for c in components]),
         components=components, diagnostics=None, rep=rep, attempts=attempt + 1)
 
-    tol = cfg.block_tol if cfg.block_tol is not None else (1e-8 if rep.is_finite else 1e-6)
     report = verify_decomposition(rep, decomp, trials=cfg.verify_trials,
-                                  tol=tol, rng=s_verify)
+                                  tol=cfg.block_tol, rng=s_verify)
     decomp.diagnostics = report
     if not report.passed:
         raise ResampleNeeded("verification failed: " + "; ".join(report.failures))

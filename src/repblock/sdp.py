@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import ProjectionConfig, project_commutant
+from .commutant import ProjectionConfig, _check_tol, project_commutant
 from .decompose import IrrepDecomposition
 from .reps import Representation
 
@@ -154,6 +154,7 @@ def block_diagonalize_matrix(decomp: IrrepDecomposition, x,
     Returns ``(blocks, residual)`` with the residual relative to ``|x|``;
     raises :class:`NotInvariantError` when the residual exceeds ``tol``.
     """
+    _check_tol(tol, "tol")
     blocks, _, residual = _extract_blocks(decomp, x)
     if not residual <= tol:
         raise NotInvariantError(
@@ -193,6 +194,7 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
     ``threads`` > 1 extracts the m+1 matrices concurrently; results do not
     depend on the thread count.
     """
+    _check_tol(tol, "tol")
     if prob.n != decomp.U.shape[0]:
         raise ValueError(f"problem size {prob.n} does not match basis size {decomp.U.shape[0]}")
     mats = [prob.c] + list(prob.a)

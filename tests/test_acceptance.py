@@ -19,7 +19,7 @@ from repblock import (DecomposeConfig, ProjectionConfig,
                       SdpProblem, block_diagonalize_matrix,
                       block_diagonalize_sdp, conjugate, decompose,
                       defining_rep, haar_orthogonal, haar_unitary,
-                      natural_perm_rep, project_commutant_finite,
+                      natural_perm_rep, project_commutant,
                       rep_from_generator_images, reconstruct, sample_commutant,
                       sample_gue, tensor, unitary_group, verify_decomposition)
 from repblock.commutant import chain_average
@@ -180,9 +180,9 @@ def test_criterion_09_projection_vs_brute_force():
             want = acc / len(elems)
             scale = max(np.linalg.norm(want), 1.0)
 
-            # the chain path, and the orbital path project_commutant_finite takes
+            # the chain path, and the orbital path project_commutant takes
             for project in (chain_average,
-                            lambda r, m: project_commutant_finite(r, m).matrix):
+                            lambda r, m: project_commutant(r, m).matrix):
                 got = project(rep, x)
                 assert np.linalg.norm(got - want) <= 1e-12 * scale, name
                 again = project(rep, got)

@@ -1,12 +1,22 @@
-"""The benchmark's traced mode wraps package functions by name; they must exist."""
+"""The benchmark uses the package by name; what it uses must keep working.
+
+Its traced mode wraps package functions by name, ``layer_metrics`` reads
+the stabilizer chain's transversal words, and ``bench/job.py`` calls the
+functions ``repblock blockdiag`` uses, with their keyword arguments.
+"""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from conftest import symmetric
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -35,3 +45,19 @@ def test_formats_module_has_parsers_and_writers():
              if callable(v) and getattr(v, "__module__", None) == tracing.FORMATS_MODULE]
     assert any(k.startswith("parse_") for k in names)
     assert any(k.startswith("format_") for k in names)
+
+
+def test_layer_metrics_reads_the_chain():
+    group = symmetric(5)
+    metrics = tracing.layer_metrics(tracing.Tracer(), [group])
+    assert metrics["perm.max_word_len"] >= 1
+    assert metrics["perm.transversal_total"] == sum(len(t) for t in group.transversals)
+
+
+def test_bench_selftest_passes():
+    # among the self-tests, one runs a job through bench/job.py and through
+    # ``repblock blockdiag`` and compares the files they write
+    proc = subprocess.run([sys.executable, str(BENCH / "check_selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "11/11 self-tests passed" in proc.stdout, proc.stdout

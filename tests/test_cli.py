@@ -82,7 +82,8 @@ def test_decompose_failure_exit_code(tmp_path, capsys):
     code = main(["decompose", str(group), str(rep), "--nu", "1",
                  "--commutation-tol", "1e-15"])
     assert code == 3
-    assert "decomposition failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "decomposition failed" in err and "after 1 rounds" in err
 
 
 def test_emit_basis_and_verify(s3_files, tmp_path, capsys):
@@ -123,7 +124,7 @@ def test_verify_tight_tolerance_on_compact_basis(tmp_path, capsys):
     # few enough rounds that the basis carries visible (but in-tolerance)
     # averaging error: fine at the default tolerance, hopeless at 1e-15
     assert main(["decompose", str(group), str(rep), "--seed", "5", "--nu", "35",
-                 "--emit-basis", str(basis)]) == 0
+                 "--commutation-tol", "1e-6", "--emit-basis", str(basis)]) == 0
     capsys.readouterr()
     assert main(["verify", str(group), str(rep), str(basis), "--seed", "5"]) == 0
     capsys.readouterr()
@@ -226,6 +227,41 @@ def test_blockdiag_nan_entry_exit2(s3_files, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "line 2" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify", "--tol", "inf"), ("verify", "--tol", "nan"), ("verify", "--tol", "-1"),
+    ("verify", "--trials", "0"), ("verify", "--trials", "-3"),
+    ("blockdiag", "--tol", "inf"), ("blockdiag", "--tol", "nan"),
+    ("blockdiag", "--tol", "-1"), ("blockdiag", "--commutation-tol", "nan"),
+    ("decompose", "--tol", "0"), ("decompose", "--commutation-tol", "inf"),
+])
+def test_out_of_range_flag_exit2(s3_files, tmp_path, capsys, command, flag, value):
+    # inputs that fail every check at a sane tolerance, so an out-of-range
+    # value cannot pass them by accident
+    group, rep = s3_files
+    out = tmp_path / "blocks"
+    if command == "verify":
+        basis = tmp_path / "u.basis"
+        assert main(["decompose", str(group), str(rep), "--emit-basis", str(basis)]) == 0
+        lines = basis.read_text().splitlines()
+        first_row = next(i for i, line in enumerate(lines) if line.startswith("ROW"))
+        lines[first_row] = "ROW" + " 0" * 6  # unitarity residual 1.0
+        basis.write_text("\n".join(lines) + "\n")
+        args = ["verify", str(group), str(rep), str(basis)]
+    elif command == "blockdiag":
+        x = sample_gue(3, "complex", np.random.default_rng(0))  # not invariant
+        sdp = tmp_path / "bad.sdp"
+        sdp.write_text(format_sdp(SdpProblem(c=x, a=[], b=[], field="complex")))
+        args = ["blockdiag", str(sdp), str(group), str(rep), "--out", str(out)]
+    else:
+        args = ["decompose", str(group), str(rep)]
+    capsys.readouterr()
+    assert main(args + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag.lstrip("-").replace("-", "_") in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_decompose_nan_generator_image_exit2(s3_files, tmp_path, capsys):

@@ -1,18 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from repblock import (CommutantSample, Permutation, ProjectionConfig,
-                      conjugate, decompose, defining_rep, direct_sum,
-                      group_from_generators, natural_perm_rep,
-                      partial_average, project_commutant,
-                      project_commutant_compact, project_commutant_finite,
-                      rep_from_generator_images,
-                      sample_commutant, sample_gue, tensor, tensor_power,
-                      unitary_group)
-from repblock.commutant import (chain_average, commutation_residual, orbital_average,
-                                project_linear)
+                      ProjectionError, Representation, conjugate, decompose,
+                      defining_rep, direct_sum, group_from_generators,
+                      natural_perm_rep, partial_average, project_commutant,
+                      rep_from_generator_images, sample_commutant, sample_gue,
+                      tensor, tensor_power, unitary_group)
+from repblock.commutant import (_RESIDUAL_PROBES, chain_average, commutation_residual,
+                                orbital_average, project_linear)
 
 from conftest import (alternating4, brute_average, closure, closure_with_images,
                       cyclic, dihedral, group_of, klein4, perm_matrix,
@@ -98,7 +98,7 @@ def test_project_finite_trivial_group(rng):
     g = group_from_generators(5, [])
     rep = natural_perm_rep(g)
     x = sample_gue(5, "complex", rng)
-    out = project_commutant_finite(rep, x)
+    out = project_commutant(rep, x)
     assert np.allclose(out.matrix, x)
     assert out.residual == 0.0
 
@@ -106,7 +106,7 @@ def test_project_finite_trivial_group(rng):
 def test_project_finite_identity_fixed_point():
     g = symmetric(4)
     rep = natural_perm_rep(g)
-    out = project_commutant_finite(rep, np.eye(4))
+    out = project_commutant(rep, np.eye(4))
     assert np.linalg.norm(out.matrix - np.eye(4)) <= 1e-14
 
 
@@ -114,7 +114,7 @@ def test_project_finite_matches_brute_force_s4(rng):
     g = symmetric(4)
     rep = natural_perm_rep(g)
     x = sample_gue(4, "complex", rng)
-    got = project_commutant_finite(rep, x).matrix
+    got = project_commutant(rep, x).matrix
     want = brute_reynolds_natural(g, x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -139,13 +139,13 @@ def test_chain_projection_invariants(name, make, rng):
     rep = natural_perm_rep(group, "complex")
     n = group.degree
     x = sample_gue(n, "complex", rng)
-    proj = project_commutant_finite(rep, x).matrix
+    proj = project_commutant(rep, x).matrix
 
     # matches brute force
     want = brute_reynolds_natural(group, x)
     assert np.linalg.norm(proj - want) <= 1e-12 * max(1, np.linalg.norm(want))
     # idempotent
-    again = project_commutant_finite(rep, proj).matrix
+    again = project_commutant(rep, proj).matrix
     assert np.linalg.norm(again - proj) <= 1e-10 * np.linalg.norm(proj)
     # commutes with 20 random elements
     elems = [group.sample(rng) for _ in range(20)]
@@ -154,8 +154,8 @@ def test_chain_projection_invariants(name, make, rng):
     assert abs(np.trace(proj) - np.trace(x)) <= 1e-10 * max(1, abs(np.trace(x)))
     # linear
     y = sample_gue(n, "complex", rng)
-    py = project_commutant_finite(rep, y).matrix
-    both = project_commutant_finite(rep, 2.0 * x + 0.5 * y).matrix
+    py = project_commutant(rep, y).matrix
+    both = project_commutant(rep, 2.0 * x + 0.5 * y).matrix
     assert np.linalg.norm(both - (2.0 * proj + 0.5 * py)) <= 1e-10 * np.linalg.norm(both)
 
 
@@ -166,12 +166,15 @@ def test_projection_config_validation():
         ProjectionConfig(set_size=1)
     with pytest.raises(ValueError):
         ProjectionConfig(commutation_tol=0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="commutation_tol"):
+            ProjectionConfig(commutation_tol=tol)
 
 
 def test_project_compact_identity(rng):
     rep = tensor(defining_rep(unitary_group(2)), defining_rep(unitary_group(2)))
     cfg = ProjectionConfig(nu=50)
-    out = project_commutant_compact(rep, np.eye(4), cfg, rng)
+    out = project_commutant(rep, np.eye(4), cfg, rng)
     assert np.linalg.norm(out.matrix - np.eye(4)) <= 1e-12
     assert out.residual <= 1e-12
 
@@ -179,7 +182,7 @@ def test_project_compact_identity(rng):
 def test_project_compact_u1_scalar(rng):
     rep = defining_rep(unitary_group(1))
     x = np.array([[2.5]])
-    out = project_commutant_compact(rep, x, ProjectionConfig(nu=10), rng)
+    out = project_commutant(rep, x, ProjectionConfig(nu=10), rng)
     assert np.allclose(out.matrix, x)
 
 
@@ -188,7 +191,7 @@ def test_project_compact_schur_weyl(rng):
     u2 = defining_rep(unitary_group(2))
     rep = tensor(u2, u2)
     x = sample_gue(4, "complex", rng)
-    out = project_commutant_compact(rep, x, ProjectionConfig(nu=1000), rng)
+    out = project_commutant(rep, x, ProjectionConfig(nu=1000), rng)
     assert out.residual <= 1e-8
 
     swap = np.zeros((4, 4))
@@ -202,14 +205,61 @@ def test_project_compact_schur_weyl(rng):
 
 
 def test_project_compact_budget_exhaustion(rng):
-    from repblock import ProjectionError
-
     u2 = defining_rep(unitary_group(2))
     rep = tensor(u2, u2)
     x = sample_gue(4, "complex", rng)
-    cfg = ProjectionConfig(nu=1, set_size=2, commutation_tol=1e-15, max_resamples=1)
-    with pytest.raises(ProjectionError):
-        project_commutant_compact(rep, x, cfg, rng)
+    cfg = ProjectionConfig(nu=1, set_size=2, commutation_tol=1e-15)
+    with pytest.raises(ProjectionError, match="after 1 rounds"):
+        project_commutant(rep, x, cfg, rng)
+
+
+def _counting(rep, image):
+    """``rep`` with its images taken from ``image``, and a call counter."""
+    calls = [0]
+
+    def image_fn(g):
+        calls[0] += 1
+        return image(g)
+
+    return Representation(rep.group, rep.dim, rep.field, image_fn), calls
+
+
+def test_project_compact_stops_at_roundoff(rng):
+    u3 = defining_rep(unitary_group(3))
+    inner = tensor(u3, u3)
+    rep, calls = _counting(inner, inner.image)
+    cfg = ProjectionConfig()
+    out = project_commutant(rep, sample_gue(9, "complex", rng), cfg, rng)
+    assert out.residual <= 1e-13
+    # the residual reaches roundoff well before the nu-round cap
+    assert calls[0] <= cfg.nu * cfg.set_size // 5
+
+
+def test_project_compact_nan_image_stops_early(rng):
+    u2 = defining_rep(unitary_group(2))
+    rep, calls = _counting(u2, lambda g: np.full((2, 2), np.nan))
+    cfg = ProjectionConfig()
+    with pytest.raises(ProjectionError, match="nan above .* after 10 rounds"):
+        project_commutant(rep, np.eye(2), cfg, rng)
+    # ten rounds, then one residual check on the fixed probes
+    assert calls[0] == 10 * cfg.set_size + _RESIDUAL_PROBES
+
+
+def test_project_linear_gates_a_broken_finite_rep(rng):
+    # a fresh random unitary per element is no homomorphism: the chain
+    # average of any matrix then fails to commute with the generators
+    g = symmetric(3)
+    mats = {}
+
+    def image(p):
+        if p.images not in mats:
+            q, _ = np.linalg.qr(sample_gue(2, "complex", rng))
+            mats[p.images] = q
+        return mats[p.images]
+
+    rep = Representation(g, 2, "complex", image)
+    with pytest.raises(ProjectionError, match="not a homomorphism"):
+        project_linear(rep, rng.standard_normal((2, 2)))
 
 
 def test_sample_commutant_trivial_group_returns_raw_gue():
@@ -239,7 +289,7 @@ def test_sample_commutant_c4_circulant(rng):
             assert abs(s[i, j] - s[0, (j - i) % 4]) <= 1e-12
     # and equals the brute-force average of the GOE/GUE seed used
     want = brute_reynolds_natural(g, sample_gue(4, "complex", np.random.default_rng(99)))
-    got = project_commutant_finite(rep, sample_gue(4, "complex", np.random.default_rng(99))).matrix
+    got = project_commutant(rep, sample_gue(4, "complex", np.random.default_rng(99))).matrix
     assert np.linalg.norm(got - want) <= 1e-12
 
 
@@ -250,9 +300,7 @@ def test_project_dispatch(rng):
     out = project_commutant(rep, x)
     assert isinstance(out, CommutantSample)
     with pytest.raises(TypeError):
-        project_commutant_compact(rep, x, ProjectionConfig(), rng)
-    with pytest.raises(TypeError):
-        project_commutant_finite(defining_rep(unitary_group(2)), np.eye(2))
+        chain_average(defining_rep(unitary_group(2)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +370,7 @@ def test_orbital_projection_matches_brute_force(case, rng):
     x = sample_gue(n, "complex", rng)
     want = _brute(rep, mats, x)
     scale = max(1.0, np.linalg.norm(want))
-    got = project_commutant_finite(rep, x)
+    got = project_commutant(rep, x)
     assert np.linalg.norm(got.matrix - want) <= 1e-12 * scale, name
     assert got.residual == 0.0
     # the chain path is the second reference, and project_linear takes the
@@ -353,7 +401,7 @@ def test_non_permutation_images_take_the_chain(case, rng):
     assert rep.index_action is None, name
     x = sample_gue(rep.dim, "real", rng)
     want = _brute(rep, mats, x)
-    got = project_commutant_finite(rep, x).matrix
+    got = project_commutant(rep, x).matrix
     assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want)), name
 
 
@@ -394,7 +442,7 @@ def test_orbital_projection_properties(generated, seed):
     group = group_of(n, gens)
     rep = natural_perm_rep(group, "complex")
     x = sample_gue(n, "complex", np.random.default_rng(seed))
-    got = project_commutant_finite(rep, x).matrix
+    got = project_commutant(rep, x).matrix
 
     want = np.zeros((n, n), dtype=complex)
     elems = closure(n, gens)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -292,6 +293,25 @@ def test_decompose_o3_tensor_square_real(rng):
     assert got == [(1, 1, "real"), (3, 1, "real"), (5, 1, "real")]
 
 
+def test_classify_projects_shared_seeds_once(monkeypatch):
+    # the 8 projected seeds serve all three components of O(3)^(x2); the
+    # package attribute repblock.decompose is the function, not the module
+    dec = importlib.import_module("repblock.decompose")
+
+    calls = [0]
+    inner = dec.project_linear
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dec, "project_linear", counting)
+    o3 = defining_rep(orthogonal_group(3))
+    d = decompose(tensor(o3, o3), rng=np.random.default_rng(0))
+    assert len(d.components) == 3 and d.attempts == 1
+    assert calls[0] == 8
+
+
 def test_decompose_c4_real_types(rng):
     d = decompose(natural_perm_rep(cyclic(4), "real"), rng=rng)
     got = sorted((c.dimension, c.multiplicity, c.real_type) for c in d.components)
@@ -404,12 +424,30 @@ def test_classify_requires_real_field(rng):
     rep = natural_perm_rep(cyclic(4), "complex")
     d = decompose(rep, rng=rng)
     with pytest.raises(ValueError):
-        classify_real_type(rep, d.components[0], rng)
+        classify_real_type(rep, d.components, rng)
 
 
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_tolerances_fail_closed(value, rng):
+    with pytest.raises(ValueError, match="block_tol"):
+        DecomposeConfig(block_tol=value)
+    rep = natural_perm_rep(symmetric(3), "complex")
+    d = decompose(rep, rng=rng)
+    with pytest.raises(ValueError, match="tol"):
+        verify_decomposition(rep, d, tol=value)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_needs_a_trial(trials, rng):
+    rep = natural_perm_rep(symmetric(3), "complex")
+    d = decompose(rep, rng=rng)
+    with pytest.raises(ValueError, match="trials"):
+        verify_decomposition(rep, d, trials=trials)
+
 
 def test_verify_trivial_group(rng):
     rep = natural_perm_rep(group_from_generators(4, []), "complex")

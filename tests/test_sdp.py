@@ -113,6 +113,16 @@ def test_block_diagonalize_rejects_noninvariant(s3_setup, rng):
         block_diagonalize_sdp(decomp, prob)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_block_diagonalize_rejects_bad_tolerance(s3_setup, tol):
+    _, decomp = s3_setup
+    with pytest.raises(ValueError, match="tol"):
+        block_diagonalize_matrix(decomp, np.eye(3), tol=tol)
+    prob = SdpProblem(c=np.eye(3), a=[np.eye(3)], b=[1.0], field="complex")
+    with pytest.raises(ValueError, match="tol"):
+        block_diagonalize_sdp(decomp, prob, tol=tol)
+
+
 def test_sdp_problem_validation(rng):
     c = np.eye(3)
     with pytest.raises(ValueError, match="Hermitian"):
