@@ -169,9 +169,14 @@ def _diag_doc(report):
     }
 
 
-def _group_label(group):
+def _group_label(group, chain=False):
+    """One-line description; ``chain`` adds the stabilizer chain's size."""
     if isinstance(group, PermutationGroup):
-        return f"permutation group, degree {group.degree}, order {group.order()}"
+        label = f"permutation group, degree {group.degree}, order {group.order()}"
+        if chain:
+            label += (f", base length {len(group.base)}, "
+                      f"{group.strong_generator_count} strong generators")
+        return label
     return f"{group.kind} group, dimension {group.dim}"
 
 
@@ -182,7 +187,7 @@ def _note(args, message):
 
 def cmd_decompose(args) -> int:
     rep = _load_rep(args.group_spec, args.rep_spec, args.field)
-    _note(args, f"{_group_label(rep.group)}; representation dimension {rep.dim}")
+    _note(args, f"{_group_label(rep.group, chain=True)}; representation dimension {rep.dim}")
     rng = np.random.default_rng(args.seed)
     try:
         decomp = decompose(rep, _decompose_config(args), rng=rng)
@@ -232,7 +237,7 @@ def cmd_blockdiag(args) -> int:
         raise SpecFormatError(
             f"SDP size {prob.n} does not match representation dimension {rep.dim}")
 
-    _note(args, f"{_group_label(rep.group)}; SDP n={prob.n}, m={prob.m}, "
+    _note(args, f"{_group_label(rep.group, chain=True)}; SDP n={prob.n}, m={prob.m}, "
                 f"field {prob.field}")
     rng = np.random.default_rng(args.seed)
     config = _decompose_config(args)

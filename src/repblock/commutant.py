@@ -115,15 +115,19 @@ def partial_average(rep: Representation, elements, x) -> np.ndarray:
     return _conjugation_average(rep, elements, x, hermitize=True)
 
 
-def commutation_residual(rep: Representation, x, elements) -> float:
-    """max_g ||x rho_g - rho_g x||_F / ||x||_F over the given elements."""
+def commutation_residual(rep: Representation, x, elements, images=None) -> float:
+    """max_g ||x rho_g - rho_g x||_F / ||x||_F over the given elements.
+
+    ``images``, when given, are the images of ``elements``, built once by a
+    caller that measures the same elements repeatedly.
+    """
     nx = np.linalg.norm(x)
     if nx == 0 or len(elements) == 0:
         return 0.0
     worst = 0.0
-    for g in elements:
+    for k, g in enumerate(elements):
         if rep.index_action is None:
-            u = rep.image(g)
+            u = rep.image(g) if images is None else images[k]
             diff = x @ u - u @ x
         else:  # a gather, and ||u x u^dag - x|| = ||x u - u x|| for unitary u
             diff = rep.conjugate_by(g, x) - x
@@ -198,6 +202,7 @@ def _project(rep, x, config, rng, hermitize):
     rng = rng or np.random.default_rng()
     handle = rep.group
     probes = [handle.sample(rng) for _ in range(_RESIDUAL_PROBES)]
+    probe_images = [rep.image(g) for g in probes]
     out = np.array(x)
     rounds, resid = 0, math.inf
     while rounds < config.nu:
@@ -205,7 +210,7 @@ def _project(rep, x, config, rng, hermitize):
             t = [handle.sample(rng) for _ in range(config.set_size)]
             out = _conjugation_average(rep, t, out, hermitize)
             rounds += 1
-        last, resid = resid, commutation_residual(rep, out, probes)
+        last, resid = resid, commutation_residual(rep, out, probes, probe_images)
         if not resid < last / 2:  # roundoff reached; NaN stops too
             break
     if not resid <= config.commutation_tol:

@@ -14,26 +14,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def haar_unitary(d: int, rng) -> np.ndarray:
-    """Haar-random d x d unitary matrix."""
+def _shape(d, size):
     if d <= 0:
         raise ValueError(f"dimension must be positive, got {d}")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+    return (d, d) if size is None else (size, d, d)
+
+
+def haar_unitary(d: int, rng, size=None) -> np.ndarray:
+    """Haar-random d x d unitary matrix, or a stack of ``size`` of them.
+
+    A stack is QR-factored in one batched call.  It reads the random
+    stream in another order than ``size`` separate draws, so its values
+    differ from theirs, but not its distribution.
+    """
+    shape = _shape(d, size)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def haar_orthogonal(d: int, rng) -> np.ndarray:
-    """Haar-random d x d real orthogonal matrix."""
-    if d <= 0:
-        raise ValueError(f"dimension must be positive, got {d}")
-    a = rng.standard_normal((d, d))
+def haar_orthogonal(d: int, rng, size=None) -> np.ndarray:
+    """Haar-random d x d real orthogonal matrix, or a stack of ``size`` of them."""
+    shape = _shape(d, size)
+    a = rng.standard_normal(shape)
     q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    signs = np.where(diag >= 0, 1.0, -1.0)
-    return q * signs
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(diag >= 0, 1.0, -1.0)[..., None, :]
 
 
 @dataclass(frozen=True)

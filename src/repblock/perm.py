@@ -17,7 +17,7 @@ canonical: it does not depend on the order in which generators are given.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cached_property, reduce
 
 
 class Permutation:
@@ -112,11 +112,66 @@ def inverse(p: Permutation) -> Permutation:
 # Stabilizer chain construction.
 #
 # The builder works on (images, word) pairs, where ``word`` expresses the
-# permutation as a product of the *original* generators: letter +i stands for
-# generator i-1, letter -i for its inverse, leftmost letter applied last.
-# Words are what later lets a representation evaluate the matrix image of any
-# transversal element from the generator images alone.
+# permutation as a product of the *original* generators.  A word is a node
+# of a product DAG (a straight-line program) built from plain tuples:
+# ``None`` is the identity, an int i is generator i, ``(w,)`` is the inverse
+# of w and ``(wa, wb)`` is the product wa * wb, wb applied first.  Products
+# and inverses are O(1) and share their operands instead of copying letters;
+# nodes that only a discarded Schreier generator holds are freed with it.
+# Words are what later lets a representation evaluate the image of any
+# transversal element from the generator images alone (:func:`evaluate_words`).
 # ---------------------------------------------------------------------------
+
+
+def _word_mul(wa, wb):
+    if wa is None:
+        return wb
+    if wb is None:
+        return wa
+    return (wa, wb)
+
+
+def _word_inv(w):
+    if w is None:
+        return None
+    if type(w) is tuple and len(w) == 1:
+        return w[0]
+    return (w,)
+
+
+def evaluate_words(words, gen_values, one, mul, inv):
+    """Value of each word node under the given generator values.
+
+    ``mul(a, b)`` is the value of the product (b applied first), ``inv``
+    the inverse and ``one()`` the identity.  Shared subwords are evaluated
+    once: every product or inverse node reachable from ``words`` costs one
+    ``mul`` or ``inv`` call, however many letters the words spell.
+    """
+    memo = {}  # id(node) -> value; the nodes stay alive through ``words``
+
+    def value(node):
+        return gen_values[node] if type(node) is int else memo[id(node)]
+
+    out = []
+    for root in words:
+        if root is None:
+            out.append(one())
+            continue
+        stack = [root]
+        while stack:  # iterative post-order: DAGs can be thousands deep
+            node = stack[-1]
+            if type(node) is int or id(node) in memo:
+                stack.pop()
+                continue
+            pending = [c for c in node if type(c) is not int and id(c) not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            memo[id(node)] = (inv(value(node[0])) if len(node) == 1
+                              else mul(value(node[0]), value(node[1])))
+        out.append(value(root))
+    return out
 
 
 class _Level:
@@ -136,23 +191,24 @@ def _min_moved(images):
 
 
 def _build_chain(degree, gen_words):
+    """Levels of the chain and the number of strong generators."""
     ident = tuple(range(degree))
     levels: list[_Level] = []
 
     def mul(a, b):
         pa, wa = a
         pb, wb = b
-        return tuple(pa[x] for x in pb), wa + wb
+        return tuple([pa[x] for x in pb]), _word_mul(wa, wb)
 
     def inv(a):
         p, w = a
         q = [0] * degree
         for i, j in enumerate(p):
             q[j] = i
-        return tuple(q), tuple(-x for x in reversed(w))
+        return tuple(q), _word_inv(w)
 
     def rebuild_transversal(lvl):
-        t = {lvl.point: (ident, ())}
+        t = {lvl.point: (ident, None)}
         frontier = [lvl.point]
         while frontier:
             grown = []
@@ -243,7 +299,8 @@ def _build_chain(degree, gen_words):
         else:
             l -= 1
 
-    return levels
+    strong = {id(s) for lvl in levels for s in lvl.gens}
+    return levels, len(strong)
 
 
 class PermutationGroup:
@@ -264,10 +321,13 @@ class PermutationGroup:
     transversals : tuple of dict
         One map per base point, sending each orbit point ``b`` to a coset
         representative ``u`` with ``u(base[i]) == b``.
-    transversal_words : tuple of dict
-        The same representatives as words over the original generators
-        (letter +i = generator i-1, -i = its inverse, leftmost applied
-        last).  Used to carry matrix images along the chain.
+    transversal_nodes : tuple of dict
+        The same representatives as nodes of one shared product DAG over
+        the original generators (see :func:`evaluate_words`).
+        :meth:`transversal_images` evaluates them under any generator
+        images, which carries a representation along the chain.
+    strong_generator_count : int
+        Size of the strong generating set the chain was built from.
     """
 
     def __init__(self, degree: int, generators):
@@ -283,10 +343,11 @@ class PermutationGroup:
         self.degree = degree
         self.generators = gens
 
-        levels = _build_chain(degree, [(g.images, (i + 1,)) for i, g in enumerate(gens)])
+        levels, self.strong_generator_count = _build_chain(
+            degree, [(g.images, i) for i, g in enumerate(gens)])
         self.base = tuple(lvl.point for lvl in levels)
         transversals = []
-        words = []
+        nodes = []
         for lvl in levels:
             tmap, wmap = {}, {}
             for point, (imgs, word) in lvl.transversal.items():
@@ -295,10 +356,35 @@ class PermutationGroup:
                 tmap[point] = q
                 wmap[point] = word
             transversals.append(tmap)
-            words.append(wmap)
+            nodes.append(wmap)
         self.transversals = tuple(transversals)
-        self.transversal_words = tuple(words)
+        self.transversal_nodes = tuple(nodes)
         self._orbits = tuple(tuple(sorted(t)) for t in self.transversals)
+
+    def transversal_images(self, gen_values, one, mul, inv):
+        """Every transversal representative evaluated under generator values.
+
+        Returns one dict per level, orbit point -> value, where ``mul``,
+        ``inv`` and ``one`` are as in :func:`evaluate_words`.  All levels
+        are walked together, so a subword shared anywhere in the chain is
+        evaluated once.
+        """
+        nodes = [w for level in self.transversal_nodes for w in level.values()]
+        values = iter(evaluate_words(nodes, gen_values, one, mul, inv))
+        return [{b: next(values) for b in level} for level in self.transversal_nodes]
+
+    @cached_property
+    def transversal_words(self):
+        """The representatives as letter tuples, expanded from the DAG on first use.
+
+        Letter +i is generator i-1, -i its inverse, leftmost applied last.
+        Kept for the benchmark's word-length metric only, and to be
+        retired with it: the library evaluates :attr:`transversal_nodes`.
+        """
+        letters = [(i + 1,) for i in range(len(self.generators))]
+        return tuple(self.transversal_images(
+            letters, tuple, lambda a, b: a + b,
+            lambda w: tuple(-x for x in reversed(w))))
 
     def order(self) -> int:
         n = 1

@@ -165,35 +165,29 @@ def _frozen(mat):
 class _ChainImages:
     """Evaluate generator-image representations through the chain.
 
-    Every transversal representative carries a word over the original
-    generators; its image is the product of the generator images along
-    that word, built once and cached.  The image of a group element is the
-    product of its transversal images; it is not cached, and a transversal
-    element's image is its cached level image itself.  The images are
-    matrices, or index arrays of an :class:`IndexAction`, according to the
-    product ``mul``, the inverse ``inv`` and the identity ``one`` given.
+    Every transversal representative is a node of the chain's shared
+    product DAG over the original generators.  On first use all of them
+    are evaluated together, with one product or inverse per reachable node
+    (:meth:`PermutationGroup.transversal_images`), and kept per level.  The
+    image of a group element is the product of its transversal images; it
+    is not cached, and a transversal element's image is its cached level
+    image itself.  The images are matrices, or index arrays of an
+    :class:`IndexAction`, according to the product ``mul``, the inverse
+    ``inv`` and the identity ``one`` given.
     """
 
     def __init__(self, group: PermutationGroup, gen_images, one, mul, inv):
         self.group = group
-        self._one, self._mul = one, mul
-        self._gen = [(m, inv(m)) for m in gen_images]
-        self._level = [dict() for _ in group.transversals]
-
-    def _word_image(self, word):
-        out = self._one()
-        for letter in word:
-            m, m_inv = self._gen[abs(letter) - 1]
-            out = self._mul(out, m if letter > 0 else m_inv)
-        return out
+        self._one, self._mul, self._inv = one, mul, inv
+        self._gen = list(gen_images)
+        self._level = None
 
     def _transversal_image(self, level, point):
-        cache = self._level[level]
-        hit = cache.get(point)
-        if hit is None:
-            word = self.group.transversal_words[level][point]
-            hit = cache[point] = _frozen(self._word_image(word))
-        return hit
+        if self._level is None:
+            self._level = [{b: _frozen(m) for b, m in images.items()} for images in
+                           self.group.transversal_images(self._gen, self._one,
+                                                         self._mul, self._inv)]
+        return self._level[level][point]
 
     def __call__(self, g: Permutation) -> np.ndarray:
         out = None

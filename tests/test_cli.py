@@ -188,6 +188,9 @@ def test_verbose_names_projection_path(tmp_path, capsys, group_text, rep_text, p
     assert main(args + ["-v"]) == 0
     loud = capsys.readouterr()
     assert path not in quiet.err and path in loud.err
+    chain = "base length 2, 3 strong generators"
+    assert chain not in quiet.err
+    assert (chain in loud.err) == (group_text == S3_GROUP)
     assert loud.out == quiet.out
 
 
@@ -201,6 +204,7 @@ def test_blockdiag_verbose_names_projection_path(s3_files, tmp_path, capsys):
     assert main(args + ["-v"]) == 0
     loud = capsys.readouterr()
     assert "projection: orbital averaging, 2 orbitals" in loud.err
+    assert "degree 3, order 6, base length 2, 3 strong generators" in loud.err
     assert loud.out == quiet.out
 
 

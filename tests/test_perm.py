@@ -222,3 +222,41 @@ def test_degree_validation():
         PermutationGroup(0, [])
     with pytest.raises(TypeError):
         PermutationGroup(3, [[1, 0, 2]])
+
+
+def _multiply_out(word, gens):
+    """Left-to-right product of a letter word (+i = generator i-1, -i its inverse)."""
+    out = Permutation.identity(gens[0].degree)
+    for letter in word:
+        g = gens[abs(letter) - 1]
+        out = out * (g if letter > 0 else g.inverse())
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda d=d: symmetric(d) for d in range(4, 9)),
+    lambda: group_of(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),  # A5
+    lambda: symmetric(14),
+], ids=["S4", "S5", "S6", "S7", "S8", "A5", "S14"])
+def test_expanded_transversal_words_multiply_out(make):
+    g = make()
+    longest = 0
+    for words, t in zip(g.transversal_words, g.transversals):
+        assert words.keys() == t.keys()
+        for b, word in words.items():
+            assert _multiply_out(word, g.generators) == t[b]
+            longest = max(longest, len(word))
+    if g.degree == 14:
+        # the expansion spells the words the chain has always built
+        assert longest == 2960
+
+
+def test_word_dag_simplifies_identity_and_double_inverse():
+    from repblock.perm import _word_inv, _word_mul, evaluate_words
+
+    w = _word_mul(0, _word_inv(1))
+    assert _word_mul(None, w) is w and _word_mul(w, None) is w
+    assert _word_inv(_word_inv(w)) is w and _word_inv(None) is None
+    letters = evaluate_words([None, 0, w, _word_inv(w)], [(1,), (2,)], tuple,
+                             lambda a, b: a + b, lambda a: tuple(-x for x in reversed(a)))
+    assert letters == [(), (1,), (1, -2), (2, -1)]

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from repblock import (Permutation, conjugate, defining_rep, direct_sum,
+from repblock import (Permutation, PermutationGroup, conjugate, defining_rep, direct_sum,
                       natural_perm_rep,
                       rep_from_generator_images, tensor, tensor_power,
                       trivial_rep, unitary_group, orthogonal_group)
+
+from repblock.reps import _ChainImages
 
 from conftest import cyclic, group_of, perm_matrix, symmetric
 
@@ -255,3 +257,87 @@ def test_dimensions_exact():
     b = trivial_rep(g)
     assert tensor(a, a).dim == 9
     assert direct_sum(a, b).dim == 4
+
+
+def hyperoctahedral(n):
+    """(group, images): signed permutations of n axes acting on the 2n points
+    +e_i -> 2i, -e_i -> 2i + 1, with their signed permutation matrices."""
+    def axis_perm(sigma, flip=()):
+        images = [0] * (2 * n)
+        mat = np.zeros((n, n))
+        for i in range(n):
+            sign = -1 if i in flip else 1
+            mat[sigma[i], i] = sign
+            images[2 * i] = 2 * sigma[i] + (sign < 0)
+            images[2 * i + 1] = 2 * sigma[i] + (sign > 0)
+        return Permutation(images), mat
+
+    swap = [1, 0] + list(range(2, n))
+    cycle = list(range(1, n)) + [0]
+    gens = [axis_perm(swap), axis_perm(cycle), axis_perm(list(range(n)), flip=(0,))]
+    return PermutationGroup(2 * n, [p for p, _ in gens]), [m for _, m in gens]
+
+
+def s4_standard_images():
+    """Natural S4 restricted to the sum-zero subspace, in an orthonormal basis."""
+    basis = np.linalg.qr(np.eye(4)[:, :3] - 0.25)[0]
+    return [basis.T @ perm_matrix(p.images) @ basis for p in symmetric(4).generators]
+
+
+def _fold(word, gens, inv, mul, one):
+    """Left fold of the generator images along an expanded letter word."""
+    out = one
+    for letter in word:
+        m = gens[abs(letter) - 1]
+        out = mul(out, m if letter > 0 else inv(m))
+    return out
+
+
+@pytest.mark.parametrize("case", ["hyperoctahedral", "s4 standard", "s6 index"])
+def test_dag_transversal_images_match_word_fold(case):
+    if case == "hyperoctahedral":
+        g, images = hyperoctahedral(4)
+    elif case == "s4 standard":
+        g, images = symmetric(4), s4_standard_images()
+    else:
+        g = symmetric(6)
+        images = [perm_matrix(p.images) for p in g.generators]
+    rep = rep_from_generator_images(g, images, "real")
+    assert (rep.index_action is not None) == (case == "s6 index")
+    for level, words in enumerate(g.transversal_words):
+        for b, word in words.items():
+            u = g.transversals[level][b]
+            if rep.index_action is None:
+                want = _fold(word, images, lambda m: m.T, np.matmul, np.eye(rep.dim))
+                assert np.abs(rep.image(u) - want).max() <= 1e-12
+            else:  # integer gathers are exact
+                sigmas = rep.index_action.generators
+                want = _fold(word, sigmas, np.argsort, lambda a, b: a[b],
+                             np.arange(rep.dim))
+                assert np.array_equal(rep.index_action.element(u), want)
+
+
+def test_transversal_images_cost_one_product_per_reachable_node():
+    g = symmetric(14)
+    reachable, stack = set(), [w for words in g.transversal_nodes for w in words.values()]
+    while stack:
+        w = stack.pop()
+        if isinstance(w, tuple) and id(w) not in reachable:
+            reachable.add(id(w))
+            stack.extend(w)
+    calls = [0]
+
+    def counted(op):
+        def run(*args):
+            calls[0] += 1
+            return op(*args)
+        return run
+
+    chain = _ChainImages(g, [np.array(p.images) for p in g.generators],
+                         lambda: np.arange(14), counted(lambda a, b: a[b]),
+                         counted(np.argsort))
+    for level, t in enumerate(g.transversals):
+        for b, u in t.items():
+            assert chain._transversal_image(level, b).tolist() == list(u.images)
+    # a left fold along the expanded words would take about 10^5 products
+    assert calls[0] <= len(reachable) < 500
