@@ -124,7 +124,7 @@ def format_group_spec(group) -> str:
 def parse_inline_group(token: str):
     """Parse 'unitary:d' / 'orthogonal:d' shorthand used on the command line."""
     kind, _, d = token.partition(":")
-    if kind not in ("unitary", "orthogonal") or not d.isdigit() or int(d) < 1:
+    if kind not in ("unitary", "orthogonal") or not d.isdecimal() or int(d) < 1:
         raise SpecFormatError(f"expected 'unitary:<d>' or 'orthogonal:<d>', got {token!r}")
     return CompactGroupHandle(kind, int(d))
 
@@ -133,28 +133,59 @@ def parse_inline_group(token: str):
 # representation specs
 # ---------------------------------------------------------------------------
 
+def _entry_float(x, where):
+    """A JSON number as a finite float; NaN, Infinity and integers beyond
+    the float range are refused."""
+    try:
+        x = float(x)
+    except OverflowError:
+        raise SpecFormatError(f"{where}: matrix entry is too large") from None
+    if not math.isfinite(x):
+        raise SpecFormatError(f"{where}: matrix entry is not finite")
+    return x
+
+
 def _parse_entry(v, field, where):
-    # JSON NaN and Infinity parse to floats; math.isfinite rejects them
     if isinstance(v, (int, float)):
-        if not math.isfinite(v):
-            raise SpecFormatError(f"{where}: matrix entry is not finite")
-        return float(v)
+        return _entry_float(v, where)
     if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        if not (math.isfinite(v[0]) and math.isfinite(v[1])):
-            raise SpecFormatError(f"{where}: matrix entry is not finite")
+        re, im = _entry_float(v[0], where), _entry_float(v[1], where)
         if field == "real":
-            if v[1] != 0:
+            if im != 0:
                 raise SpecFormatError(f"{where}: complex entry in a real-field matrix")
-            return float(v[0])
-        return complex(v[0], v[1])
+            return re
+        return complex(re, im)
     raise SpecFormatError(f"{where}: matrix entries must be numbers or [re, im] pairs")
 
 
 def _parse_matrix(rows, field, where):
+    """An n x n image from its JSON rows.
+
+    A matrix of plain numbers, or of [re, im] pairs, converts in one numpy
+    call.  Anything else (ragged rows, a bad or non-finite entry, numbers
+    mixed with pairs) is read entry by entry, which names the first bad
+    entry in row-major order.
+    """
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise SpecFormatError(f"{where}: expected a list of rows")
     n = len(rows)
-    mat = np.zeros((n, n), dtype=np.complex128 if field == "complex" else np.float64)
+    dtype = np.complex128 if field == "complex" else np.float64
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged, or numbers mixed with pairs
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf" and arr.shape in ((n, n), (n, n, 2)):
+        arr = arr.astype(np.float64)
+        if np.isfinite(arr).all():
+            if arr.ndim == 2:
+                return arr.astype(dtype, copy=False)
+            if field == "complex":
+                mat = np.empty((n, n), dtype=dtype)
+                mat.real, mat.imag = arr[..., 0], arr[..., 1]
+                return mat
+            if not arr[..., 1].any():
+                return arr[..., 0].copy()
+    mat = np.zeros((n, n), dtype=dtype)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise SpecFormatError(f"{where}: row {i} has {len(row)} entries, expected {n}")
@@ -254,87 +285,202 @@ def parse_rep_spec(text: str, group, field: str) -> Representation:
 # SDP problems
 # ---------------------------------------------------------------------------
 
+_SDP_CHUNK = 4096  # lines per conversion batch; bounds the tokens held at once
+
+
+def _sdp_header(parts, lineno):
+    if len(parts) != 3:
+        raise SpecFormatError("header must be 'n m field'", line=lineno)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SpecFormatError("header sizes must be integers", line=lineno)
+    field = parts[2]
+    if n < 1 or m < 0 or field not in ("real", "complex"):
+        raise SpecFormatError("header must be 'n m field' with n >= 1, m >= 0, "
+                              "field in {real, complex}", line=lineno)
+    return n, m, field
+
+
+def _sdp_entry(parts, lineno, n, m, field):
+    """Check one MATRIX line; returns (k, i, j, re, im)."""
+    want = 6 if field == "complex" else 5
+    if len(parts) != want:
+        raise SpecFormatError(
+            f"MATRIX line needs {want - 1} fields for field {field}", line=lineno)
+    try:
+        k, i, j = int(parts[1]), int(parts[2]), int(parts[3])
+        re = float(parts[4])
+        im = float(parts[5]) if field == "complex" else 0.0
+    except ValueError:
+        raise SpecFormatError("malformed MATRIX entry", line=lineno)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise SpecFormatError("MATRIX value is not finite", line=lineno)
+    if not 0 <= k <= m:
+        raise SpecFormatError(f"matrix index {k} out of range 0..{m}", line=lineno)
+    if not (0 <= i < n and 0 <= j < n):
+        raise SpecFormatError("entry indices out of range", line=lineno)
+    if i > j:
+        raise SpecFormatError("entries must lie in the upper triangle (i <= j)",
+                              line=lineno)
+    if i == j and im != 0.0:
+        raise SpecFormatError("diagonal entries must be real", line=lineno)
+    return k, i, j, re, im
+
+
+def _sdp_b(parts, lineno, m):
+    if len(parts) != 1 + m:
+        raise SpecFormatError(f"B line needs exactly {m} values", line=lineno)
+    try:
+        bvec = [float(v) for v in parts[1:]]
+    except ValueError:
+        raise SpecFormatError("malformed B value", line=lineno)
+    if not all(math.isfinite(v) for v in bvec):
+        raise SpecFormatError("B value is not finite", line=lineno)
+    return bvec
+
+
+def _first_bad_entry(rows, linenos, n, m, field):
+    """(line, error) of the first MATRIX line failing :func:`_sdp_entry`, or None."""
+    for parts, lineno in zip(rows, linenos):
+        try:
+            _sdp_entry(parts, lineno, n, m, field)
+        except SpecFormatError as exc:
+            return lineno, exc
+    return None
+
+
+def _sdp_columns(rows, linenos, n, m, field):
+    """Convert a batch of MATRIX lines field by field.
+
+    Returns the (k, i, j, re, im) arrays and the (line, error) of the first
+    line that fails a check, or None.  numpy parses each field with Python's
+    own ``int`` and ``float`` rules, so a token converts here exactly when it
+    converts in :func:`_sdp_entry`; an index beyond int64 is out of range,
+    as the header guard keeps n and m below that.  Either failure sends the
+    batch through :func:`_sdp_entry` line by line to name the spot.
+    """
+    cols = list(zip(*rows))
+    try:
+        k, i, j = (np.array(c, dtype=np.int64) for c in cols[1:4])
+        re = np.array(cols[4], dtype=np.float64)
+        im = (np.array(cols[5], dtype=np.float64) if field == "complex"
+              else np.zeros_like(re))
+    except (ValueError, OverflowError):
+        error = _first_bad_entry(rows, linenos, n, m, field)
+        if error is None:
+            raise  # numpy refused a field that Python parses
+        return None, error
+    bad = (~(np.isfinite(re) & np.isfinite(im)) | (k < 0) | (k > m)
+           | (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i > j) | ((i == j) & (im != 0)))
+    error = None
+    if bad.any():
+        t = int(np.argmax(bad))
+        error = _first_bad_entry(rows[t:], linenos[t:], n, m, field)
+    return (k, i, j, re, im), error
+
+
+def _too_large(n, m, lineno):
+    return SpecFormatError(f"{m + 1} matrices of size {n}x{n} do not fit in memory",
+                           line=lineno)
+
+
 def parse_sdp(text: str) -> SdpProblem:
     """Parse the sparse SDP text format into a full problem.
 
     Upper-triangle entries are mirrored to the implied conjugate positions;
-    parse errors carry the offending line number.
+    parse errors carry the offending line number.  MATRIX lines are read
+    in batches of a few thousand lines: each field of a batch is converted
+    by one numpy call and every check runs as a mask over the batch.  The
+    first line failing any check, or repeating an earlier (k, i, j) in any
+    batch, is reported with the message a line-by-line reading gives, so
+    errors come out in file order.
     """
+    lines = text.splitlines()
     header = None
-    entries = {}
-    bvec = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3:
-                raise SpecFormatError("header must be 'n m field'", line=lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise SpecFormatError("header sizes must be integers", line=lineno)
-            field = parts[2]
-            if n < 1 or m < 0 or field not in ("real", "complex"):
-                raise SpecFormatError("header must be 'n m field' with n >= 1, m >= 0, "
-                                      "field in {real, complex}", line=lineno)
-            header = (n, m, field)
-            continue
-        n, m, field = header
-        if parts[0] == "MATRIX":
-            want = 6 if field == "complex" else 5
-            if len(parts) != want:
-                raise SpecFormatError(
-                    f"MATRIX line needs {want - 1} fields for field {field}", line=lineno)
-            try:
-                k, i, j = int(parts[1]), int(parts[2]), int(parts[3])
-                re = float(parts[4])
-                im = float(parts[5]) if field == "complex" else 0.0
-            except ValueError:
-                raise SpecFormatError("malformed MATRIX entry", line=lineno)
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise SpecFormatError("MATRIX value is not finite", line=lineno)
-            if not 0 <= k <= m:
-                raise SpecFormatError(f"matrix index {k} out of range 0..{m}", line=lineno)
-            if not (0 <= i < n and 0 <= j < n):
-                raise SpecFormatError("entry indices out of range", line=lineno)
-            if i > j:
-                raise SpecFormatError("entries must lie in the upper triangle (i <= j)",
-                                      line=lineno)
-            if i == j and im != 0.0:
-                raise SpecFormatError("diagonal entries must be real", line=lineno)
-            if (k, i, j) in entries:
-                raise SpecFormatError(f"duplicate entry for matrix {k} at ({i}, {j})",
-                                      line=lineno)
-            entries[(k, i, j)] = complex(re, im)
-        elif parts[0] == "B":
-            if bvec is not None:
-                raise SpecFormatError("duplicate B line", line=lineno)
-            if len(parts) != 1 + m:
-                raise SpecFormatError(f"B line needs exactly {m} values", line=lineno)
-            try:
-                bvec = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise SpecFormatError("malformed B value", line=lineno)
-            if not all(math.isfinite(v) for v in bvec):
-                raise SpecFormatError("B value is not finite", line=lineno)
-        else:
-            raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
-
+    for pos, raw in enumerate(lines):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            header_line = pos + 1
+            header = _sdp_header(parts, header_line)
+            break
     if header is None:
         raise SpecFormatError("empty SDP file", line=1)
+    n, m, field = header
+    dtype = np.complex128 if field == "complex" else np.float64
+    if (m + 1) * n * n * np.dtype(dtype).itemsize >= 2 ** 63:
+        raise _too_large(n, m, header_line)
+    want = 6 if field == "complex" else 5
+
+    bvec = None
+    batches = []  # (line numbers, k, i, j, re, im) of MATRIX lines that passed
+    error = None  # (line, exception) of the first line that failed
+    for start in range(header_line, len(lines), _SDP_CHUNK):
+        rows, linenos = [], []
+        for lineno, raw in enumerate(lines[start:start + _SDP_CHUNK], start=start + 1):
+            parts = raw.split("#", 1)[0].split()
+            if len(parts) == want and parts[0] == "MATRIX":
+                rows.append(parts)
+                linenos.append(lineno)
+                continue
+            if not parts:
+                continue
+            try:
+                if parts[0] == "MATRIX":
+                    _sdp_entry(parts, lineno, n, m, field)
+                elif parts[0] == "B":
+                    if bvec is not None:
+                        raise SpecFormatError("duplicate B line", line=lineno)
+                    bvec = _sdp_b(parts, lineno, m)
+                else:
+                    raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
+            except SpecFormatError as exc:
+                error = (lineno, exc)
+                break
+        if rows:
+            cols, bad = _sdp_columns(rows, linenos, n, m, field)
+            if bad is not None and (error is None or bad[0] < error[0]):
+                error = bad
+            if cols is not None:
+                lines_arr = np.array(linenos, dtype=np.int64)
+                keep = lines_arr < error[0] if error is not None else slice(None)
+                batches.append(tuple(a[keep] for a in (lines_arr, *cols)))
+        if error is not None:
+            break
+
+    lines_arr, k, i, j, re, im = (np.concatenate([b[c] for b in batches])
+                                  if batches else np.zeros(0, dtype=np.int64)
+                                  for c in range(6))
+    key = (k * n + i) * n + j
+    order = np.argsort(key, kind="stable")  # equal keys stay in file order
+    repeat = order[1:][key[order][1:] == key[order][:-1]]
+    if repeat.size:
+        first = repeat[np.argmin(lines_arr[repeat])]
+        if error is None or lines_arr[first] < error[0]:
+            error = (int(lines_arr[first]), SpecFormatError(
+                f"duplicate entry for matrix {k[first]} at ({i[first]}, {j[first]})",
+                line=int(lines_arr[first])))
+    if error is not None:
+        raise error[1]
     if bvec is None:
         raise SpecFormatError("missing B line")
 
-    n, m, field = header
-    dtype = np.complex128 if field == "complex" else np.float64
-    mats = [np.zeros((n, n), dtype=dtype) for _ in range(m + 1)]
-    for (k, i, j), v in entries.items():
-        v = v if field == "complex" else v.real
-        mats[k][i, j] = v
-        if i != j:
-            mats[k][j, i] = np.conj(v)
+    try:
+        mats = [np.zeros((n, n), dtype=dtype) for _ in range(m + 1)]
+    except MemoryError:
+        raise _too_large(n, m, header_line) from None
+    if field == "complex":
+        values = np.empty(k.size, dtype=np.complex128)
+        values.real, values.imag = re, im
+    else:
+        values = re
+    by_k = np.argsort(k, kind="stable")
+    bounds = np.searchsorted(k[by_k], np.arange(m + 2))
+    for kk, mat in enumerate(mats):
+        sel = by_k[bounds[kk]:bounds[kk + 1]]
+        off = sel[i[sel] != j[sel]]
+        mat[j[off], i[off]] = np.conj(values[off])
+        mat[i[sel], j[sel]] = values[sel]
     return SdpProblem(c=mats[0], a=mats[1:], b=np.array(bvec), field=field)
 
 
@@ -405,7 +551,7 @@ def parse_basis(text: str):
                 raise SpecFormatError("FIELD must be real or complex", line=lineno)
             field = parts[1]
         elif tag == "DIM":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise SpecFormatError("DIM needs a positive integer", line=lineno)
             n = int(parts[1])
         elif tag == "COMPONENT":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, reduce
+from operator import itemgetter
 
 
 class Permutation:
@@ -175,12 +176,20 @@ def evaluate_words(words, gen_values, one, mul, inv):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses", "built", "verified")
 
     def __init__(self, point):
         self.point = point
         self.gens = []          # strong generators fixing all earlier base points
         self.transversal = {}   # orbit point -> (images, word), word maps base point there
+        self.inverses = {}      # orbit point -> inverse of its transversal element
+        self.built = 0          # len(gens) when the transversal was last built
+        # (s, u_a, u_b) images of the Schreier generators that sifted to the
+        # identity.  The group below this level only grows, so such a generator
+        # stays a member and is never sifted again.  Keying by images also
+        # skips a generator listed twice, as re-rooting merges levels whose
+        # generator lists overlap.
+        self.verified = set()
 
 
 def _min_moved(images):
@@ -190,49 +199,51 @@ def _min_moved(images):
     return None
 
 
+def _inverse_images(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _build_transversal(lvl, ident):
+    """Breadth-first orbit of the base point under the level's generators."""
+    t = {lvl.point: (ident, None)}
+    frontier = [lvl.point]
+    while frontier:
+        grown = []
+        for a in frontier:
+            pa, wa = t[a]
+            for ps, ws in lvl.gens:
+                b = ps[a]
+                if b not in t:
+                    t[b] = itemgetter(*pa)(ps), _word_mul(ws, wa)
+                    grown.append(b)
+        frontier = sorted(set(grown))
+    lvl.transversal = t
+    lvl.inverses = {b: (_inverse_images(p), _word_inv(w)) for b, (p, w) in t.items()}
+    lvl.built = len(lvl.gens)
+
+
+def _sift(levels, wp, start):
+    """Strip ``(images, word)`` through ``levels[start:]``.
+
+    Returns the residue; it is the identity exactly when ``wp`` lies in the
+    group those levels describe (once they are verified).
+    """
+    p, w = wp
+    for lvl in itertools.islice(levels, start, None):
+        b = p[lvl.point]
+        if b == lvl.point:
+            continue
+        u = lvl.inverses.get(b)
+        if u is None:
+            break
+        p, w = itemgetter(*p)(u[0]), _word_mul(u[1], w)
+    return p, w
+
+
 def _build_chain(degree, gen_words):
     """Levels of the chain and the number of strong generators."""
     ident = tuple(range(degree))
     levels: list[_Level] = []
-
-    def mul(a, b):
-        pa, wa = a
-        pb, wb = b
-        return tuple([pa[x] for x in pb]), _word_mul(wa, wb)
-
-    def inv(a):
-        p, w = a
-        q = [0] * degree
-        for i, j in enumerate(p):
-            q[j] = i
-        return tuple(q), _word_inv(w)
-
-    def rebuild_transversal(lvl):
-        t = {lvl.point: (ident, None)}
-        frontier = [lvl.point]
-        while frontier:
-            grown = []
-            for a in frontier:
-                ua = t[a]
-                for s in lvl.gens:
-                    b = s[0][a]
-                    if b not in t:
-                        t[b] = mul(s, ua)
-                        grown.append(b)
-            frontier = sorted(set(grown))
-        lvl.transversal = t
-
-    def sift(wp, start):
-        cur = wp
-        for l in range(start, len(levels)):
-            lvl = levels[l]
-            b = cur[0][lvl.point]
-            if b == lvl.point:
-                continue
-            if b not in lvl.transversal:
-                return cur
-            cur = mul(inv(lvl.transversal[b]), cur)
-        return cur
 
     def assign(wp, start):
         """Register a strong generator at the levels it belongs to.
@@ -278,20 +289,26 @@ def _build_chain(degree, gen_words):
     # deepest level it touched.
     l = len(levels) - 1
     while l >= 0:
-        rebuild_transversal(levels[l])
         lvl = levels[l]
+        if lvl.built != len(lvl.gens):
+            _build_transversal(lvl, ident)
+        t, inverses, verified = lvl.transversal, lvl.inverses, lvl.verified
         residue = None
-        for a in sorted(lvl.transversal):
-            ua = lvl.transversal[a]
-            for s in lvl.gens:
-                ub = lvl.transversal[s[0][a]]
-                sg = mul(inv(ub), mul(s, ua))
-                if sg[0] == ident:
+        for a in sorted(t):
+            pa, wa = t[a]
+            for ps, ws in lvl.gens:
+                b = ps[a]
+                key = (ps, pa, t[b][0])
+                if key in verified:
                     continue
-                res = sift(sg, l + 1)
-                if res[0] != ident:
-                    residue = res
-                    break
+                pv, wv = inverses[b]
+                sg = itemgetter(*itemgetter(*pa)(ps))(pv)
+                if sg != ident:
+                    res = _sift(levels, (sg, _word_mul(wv, _word_mul(ws, wa))), l + 1)
+                    if res[0] != ident:
+                        residue = res
+                        break
+                verified.add(key)
             if residue is not None:
                 break
         if residue is not None:

@@ -178,3 +178,232 @@ def perm_matrix(images, dtype=float):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# --- reference stabilizer chain -------------------------------------------
+#
+# The Schreier-Sims builder before it remembered verified Schreier
+# generators: every visit to a level rebuilds its transversal and re-sifts
+# every Schreier generator, inverting transversal elements at each use.
+# Same (images, word) representation and word DAG as repblock.perm.
+
+def reference_build_chain(degree, gen_words):
+    """(levels, strong generator count); each level has .point, .gens and
+    .transversal (orbit point -> (images, word))."""
+    from types import SimpleNamespace
+
+    from repblock.perm import _min_moved, _word_inv, _word_mul
+
+    ident = tuple(range(degree))
+    levels = []
+
+    def new_level(point):
+        return SimpleNamespace(point=point, gens=[], transversal={})
+
+    def mul(a, b):
+        return tuple(a[0][x] for x in b[0]), _word_mul(a[1], b[1])
+
+    def inv(a):
+        q = [0] * degree
+        for i, j in enumerate(a[0]):
+            q[j] = i
+        return tuple(q), _word_inv(a[1])
+
+    def rebuild_transversal(lvl):
+        t = {lvl.point: (ident, None)}
+        frontier = [lvl.point]
+        while frontier:
+            grown = []
+            for a in frontier:
+                for s in lvl.gens:
+                    b = s[0][a]
+                    if b not in t:
+                        t[b] = mul(s, t[a])
+                        grown.append(b)
+            frontier = sorted(set(grown))
+        lvl.transversal = t
+
+    def sift(wp, start):
+        cur = wp
+        for lvl in levels[start:]:
+            b = cur[0][lvl.point]
+            if b == lvl.point:
+                continue
+            if b not in lvl.transversal:
+                return cur
+            cur = mul(inv(lvl.transversal[b]), cur)
+        return cur
+
+    def assign(wp, start):
+        p = _min_moved(wp[0])
+        l = start
+        while True:
+            if l == len(levels):
+                lvl = new_level(p)
+                lvl.gens.append(wp)
+                levels.append(lvl)
+                return l
+            lvl = levels[l]
+            if p < lvl.point:
+                merged = list(lvl.gens)
+                for deeper in levels[l + 1:]:
+                    merged.extend(deeper.gens)
+                merged.append(wp)
+                del levels[l:]
+                nl = new_level(p)
+                nl.gens = merged
+                levels.append(nl)
+                return l
+            lvl.gens.append(wp)
+            if wp[0][lvl.point] != lvl.point:
+                return l
+            l += 1
+
+    for wp in gen_words:
+        if wp[0] != ident:
+            assign(wp, 0)
+    l = len(levels) - 1
+    while l >= 0:
+        lvl = levels[l]
+        rebuild_transversal(lvl)
+        residue = None
+        for a in sorted(lvl.transversal):
+            ua = lvl.transversal[a]
+            for s in lvl.gens:
+                sg = mul(inv(lvl.transversal[s[0][a]]), mul(s, ua))
+                if sg[0] == ident:
+                    continue
+                res = sift(sg, l + 1)
+                if res[0] != ident:
+                    residue = res
+                    break
+            if residue is not None:
+                break
+        if residue is not None:
+            l = assign(residue, l + 1)
+        else:
+            l -= 1
+    return levels, len({id(s) for lvl in levels for s in lvl.gens})
+
+
+# --- reference parsers ------------------------------------------------------
+#
+# The line-by-line SDP reader and entry-by-entry image reader that the
+# batched parsers in repblock.formats replaced.  They define the arrays the
+# batched parsers must return and, for malformed input, the line and message
+# of the error.
+
+def reference_parse_sdp(text):
+    import math
+
+    from repblock.formats import SpecFormatError
+    from repblock.sdp import SdpProblem
+
+    header = None
+    entries = {}
+    bvec = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 3:
+                raise SpecFormatError("header must be 'n m field'", line=lineno)
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise SpecFormatError("header sizes must be integers", line=lineno)
+            field = parts[2]
+            if n < 1 or m < 0 or field not in ("real", "complex"):
+                raise SpecFormatError("header must be 'n m field' with n >= 1, m >= 0, "
+                                      "field in {real, complex}", line=lineno)
+            header = (n, m, field)
+            continue
+        n, m, field = header
+        if parts[0] == "MATRIX":
+            want = 6 if field == "complex" else 5
+            if len(parts) != want:
+                raise SpecFormatError(
+                    f"MATRIX line needs {want - 1} fields for field {field}", line=lineno)
+            try:
+                k, i, j = int(parts[1]), int(parts[2]), int(parts[3])
+                re = float(parts[4])
+                im = float(parts[5]) if field == "complex" else 0.0
+            except ValueError:
+                raise SpecFormatError("malformed MATRIX entry", line=lineno)
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise SpecFormatError("MATRIX value is not finite", line=lineno)
+            if not 0 <= k <= m:
+                raise SpecFormatError(f"matrix index {k} out of range 0..{m}", line=lineno)
+            if not (0 <= i < n and 0 <= j < n):
+                raise SpecFormatError("entry indices out of range", line=lineno)
+            if i > j:
+                raise SpecFormatError("entries must lie in the upper triangle (i <= j)",
+                                      line=lineno)
+            if i == j and im != 0.0:
+                raise SpecFormatError("diagonal entries must be real", line=lineno)
+            if (k, i, j) in entries:
+                raise SpecFormatError(f"duplicate entry for matrix {k} at ({i}, {j})",
+                                      line=lineno)
+            entries[(k, i, j)] = complex(re, im)
+        elif parts[0] == "B":
+            if bvec is not None:
+                raise SpecFormatError("duplicate B line", line=lineno)
+            if len(parts) != 1 + m:
+                raise SpecFormatError(f"B line needs exactly {m} values", line=lineno)
+            try:
+                bvec = [float(v) for v in parts[1:]]
+            except ValueError:
+                raise SpecFormatError("malformed B value", line=lineno)
+            if not all(math.isfinite(v) for v in bvec):
+                raise SpecFormatError("B value is not finite", line=lineno)
+        else:
+            raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
+
+    if header is None:
+        raise SpecFormatError("empty SDP file", line=1)
+    if bvec is None:
+        raise SpecFormatError("missing B line")
+
+    n, m, field = header
+    dtype = np.complex128 if field == "complex" else np.float64
+    mats = [np.zeros((n, n), dtype=dtype) for _ in range(m + 1)]
+    for (k, i, j), v in entries.items():
+        v = v if field == "complex" else v.real
+        mats[k][i, j] = v
+        if i != j:
+            mats[k][j, i] = np.conj(v)
+    return SdpProblem(c=mats[0], a=mats[1:], b=np.array(bvec), field=field)
+
+
+def reference_parse_matrix(rows, field, where):
+    import math
+
+    from repblock.formats import SpecFormatError
+
+    def entry(v, where):
+        if isinstance(v, (int, float)):
+            if not math.isfinite(v):
+                raise SpecFormatError(f"{where}: matrix entry is not finite")
+            return float(v)
+        if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+            if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+                raise SpecFormatError(f"{where}: matrix entry is not finite")
+            if field == "real":
+                if v[1] != 0:
+                    raise SpecFormatError(f"{where}: complex entry in a real-field matrix")
+                return float(v[0])
+            return complex(v[0], v[1])
+        raise SpecFormatError(f"{where}: matrix entries must be numbers or [re, im] pairs")
+
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise SpecFormatError(f"{where}: expected a list of rows")
+    n = len(rows)
+    mat = np.zeros((n, n), dtype=np.complex128 if field == "complex" else np.float64)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise SpecFormatError(f"{where}: row {i} has {len(row)} entries, expected {n}")
+        for j, v in enumerate(row):
+            mat[i, j] = entry(v, f"{where}[{i}][{j}]")
+    return mat

@@ -268,6 +268,30 @@ def test_out_of_range_flag_exit2(s3_files, tmp_path, capsys, command, flag, valu
     assert not out.exists()
 
 
+def test_blockdiag_oversized_sdp_exit2(s3_files, tmp_path, capsys):
+    group, rep = s3_files
+    sdp = tmp_path / "huge.sdp"
+    sdp.write_text("2000000 1 real\nB 1\n")  # two 29 TiB matrices: allocation fails at once
+    out = tmp_path / "blocks"
+    assert main(["blockdiag", str(sdp), str(group), str(rep), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "line 1: 2 matrices of size 2000000x2000000 do not fit in memory" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_decompose_huge_integer_image_exit2(s3_files, tmp_path, capsys):
+    group, _ = s3_files
+    rep = tmp_path / "big.rep"
+    big = "1" + "0" * 400  # a JSON integer beyond the float range
+    rep.write_text('{"kind": "generator-images", "images": '
+                   '[[[%s, 0], [0, 1]], [[1, 0], [0, 1]]]}\n' % big)
+    assert main(["decompose", str(group), str(rep), "--field", "real"]) == 2
+    captured = capsys.readouterr()
+    assert "rep.images[0][0][0]: matrix entry is too large" in captured.err
+    assert captured.out == ""
+
+
 def test_decompose_nan_generator_image_exit2(s3_files, tmp_path, capsys):
     group, _ = s3_files
     rep = tmp_path / "nan.rep"

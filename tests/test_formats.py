@@ -1,13 +1,18 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repblock import formats
 from repblock import (CompactGroupHandle, PermutationGroup, decompose,
                       natural_perm_rep, sample_commutant, SdpProblem)
 from repblock.formats import (SpecFormatError, format_basis, format_group_spec,
                               format_sdp, parse_basis, parse_group_spec,
                               parse_inline_group, parse_rep_spec, parse_sdp)
 
-from conftest import symmetric
+from conftest import reference_parse_matrix, reference_parse_sdp, symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,8 @@ def test_inline_group():
         parse_inline_group("unitary:x")
     with pytest.raises(SpecFormatError):
         parse_inline_group("special:3")
+    with pytest.raises(SpecFormatError):
+        parse_inline_group("unitary:²")  # a digit that int() refuses
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +145,7 @@ def test_rep_spec_errors():
 
 
 S3_IMAGES = '{"kind": "generator-images", "images": [%s, %s]}'
+BIG = "1" + "0" * 400  # beyond the float range
 
 
 @pytest.mark.parametrize("first,second,field,msg", [
@@ -148,6 +156,10 @@ S3_IMAGES = '{"kind": "generator-images", "images": [%s, %s]}'
      r"rep\.images\[0\]\[1\]\[1\]: matrix entry is not finite"),
     ("[[[NaN, 0]]]", "[[1]]", "real", r"rep\.images\[0\]\[0\]\[0\]: matrix entry"),
     ("[[[1, Infinity]]]", "[[1]]", "complex", r"rep\.images\[0\]\[0\]\[0\]: matrix entry"),
+    (f"[[{BIG}, 0], [0, 1]]", "[[1, 0], [0, 1]]", "real",
+     r"rep\.images\[0\]\[0\]\[0\]: matrix entry is too large"),
+    ("[[1, 0], [0, 1]]", f"[[1, 0], [0, [1, -{BIG}]]]", "complex",
+     r"rep\.images\[1\]\[1\]\[1\]: matrix entry is too large"),
 ])
 def test_rep_spec_nonfinite_image_entries(first, second, field, msg):
     with pytest.raises(SpecFormatError, match=msg):
@@ -213,6 +225,15 @@ def test_sdp_parse_errors(bad, msg):
         parse_sdp(bad)
 
 
+@pytest.mark.parametrize("header", [
+    "2000000 1 real",   # two 29 TiB matrices: the allocation fails at once
+    "10000000000 0 complex",  # beyond any address space: refused before allocating
+])
+def test_sdp_oversized_header_names_header_line(header):
+    with pytest.raises(SpecFormatError, match=r"line 2: .* do not fit in memory"):
+        parse_sdp("# too big\n" + header + "\nB" + " 1" * int(header.split()[1]) + "\n")
+
+
 def test_sdp_zero_constraints_parse():
     prob = parse_sdp("2 0 real\nMATRIX 0 0 1 3.5\nB\n")
     assert prob.m == 0 and prob.b.size == 0
@@ -252,8 +273,248 @@ def test_basis_roundtrip(field):
     ("BASIS 1\nFIELD real\nDIM 2\nROW 1\nROW 0 1", "values"),
     ("BASIS 1\nFIELD real\nDIM 1\nCOMPONENT 1 1 sideways\nROW 1", "real_type"),
     ("BASIS 1\nFIELD quaternion\nDIM 1\nROW 1", "FIELD"),
+    ("BASIS 1\nFIELD real\nDIM 0", "line 3: DIM needs a positive integer"),
+    ("BASIS 1\nFIELD real\nDIM ²", "line 3: DIM needs a positive integer"),
     ("BASIS 1\nFIELD real\nDIM 2\nROW 1 0\nROW nan 1", "line 5: ROW value is not finite"),
 ])
 def test_basis_parse_errors(bad, msg):
     with pytest.raises(SpecFormatError, match=msg):
         parse_basis(bad)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the line-by-line and entry-by-entry readers
+# ---------------------------------------------------------------------------
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except SpecFormatError as exc:
+        return exc
+
+
+def _assert_same_sdp(text):
+    want = _outcome(reference_parse_sdp, text)
+    got = _outcome(parse_sdp, text)
+    if isinstance(want, SpecFormatError):
+        assert isinstance(got, SpecFormatError), "the batched parser accepted a bad file"
+        assert (str(got), got.line) == (str(want), want.line)
+        return
+    assert not isinstance(got, SpecFormatError), str(got)
+    assert got.field == want.field
+    for x, y in zip([got.c, *got.a, got.b], [want.c, *want.a, want.b]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()  # bit for bit, signed zeros included
+    assert len(got.a) == len(want.a)
+
+
+_VALUES = st.one_of(
+    st.floats(-1e150, 1e150),  # the Hermitian check squares entries
+    st.sampled_from([0.0, -0.0, 5e-324, 1e150, 1 / 3]),
+    st.integers(-10**6, 10**6).map(float))
+_SPELLINGS = ["{!r}", "{:.17g}", "{:.3e}", "{:+.1f}", "{:.25g}"]
+
+
+@st.composite
+def sdp_files(draw):
+    """A valid SDP file as a list of lines, with its (n, m, field)."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    slots = [(k, i, j) for k in range(m + 1) for i in range(n) for j in range(i, n)]
+    keys = draw(st.lists(st.sampled_from(slots), unique=True, max_size=30))
+
+    def spell(v):
+        return draw(st.sampled_from(_SPELLINGS)).format(v)
+
+    body = []
+    for k, i, j in keys:
+        line = f"MATRIX {k} {i} {j} {spell(draw(_VALUES))}"
+        if field == "complex":
+            line += " " + spell(draw(st.sampled_from([0.0, -0.0])) if i == j else draw(_VALUES))
+        body.append(line)
+    body.append("B" + "".join(" " + spell(draw(_VALUES)) for _ in range(m)))
+    body = draw(st.permutations(body))
+    lines = ["# generated", f"{n} {m} {field}"]
+    for line in body:
+        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# x"]), max_size=1)))
+        lines.append(line + draw(st.sampled_from(["", "  ", " # trailing"])))
+    return lines, (n, m, field)
+
+
+@st.composite
+def mutated_sdp_files(draw):
+    lines, (n, m, field) = draw(sdp_files())
+    at = [t for t, line in enumerate(lines) if line.startswith("MATRIX")]
+    kind = draw(st.sampled_from([
+        "token", "nonfinite", "k", "ij", "long index", "lower", "complex diagonal",
+        "duplicate", "fields", "record", "second B"]))
+    if kind in ("duplicate", "second B", "record") or not at:  # insert a line
+        if kind == "duplicate" and at:
+            src = draw(st.sampled_from(at))
+            extra, lo = lines[src], src + 1
+        else:
+            extra = {"second B": "B" + " 1" * m,
+                     "record": "MATRICES 0 0 0 1"}.get(kind, "MATRIX 0 0 0 1")
+            lo = 2
+        pos = draw(st.integers(lo, len(lines)))
+        return lines[:pos] + [extra] + lines[pos:]
+    t = draw(st.sampled_from(at))
+    parts = lines[t].split("#")[0].split()
+    if kind == "token":
+        parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(
+            ["x1", "1.2.3", "0x10", "--1", "1e", "nan(1)", "٣", "1_0", "+2"]))
+    elif kind == "nonfinite":
+        parts[draw(st.integers(4, len(parts) - 1))] = draw(st.sampled_from(
+            ["nan", "-inf", "Infinity", "1e999"]))
+    elif kind == "k":
+        parts[1] = str(draw(st.sampled_from([-1, m + 1, 10**6])))
+    elif kind == "ij":
+        parts[draw(st.sampled_from([2, 3]))] = str(draw(st.sampled_from([-1, n, n + 7])))
+    elif kind == "long index":
+        parts[draw(st.integers(1, 3))] = draw(st.sampled_from(["1" * 25, "-" + "9" * 25]))
+    elif kind == "lower":
+        parts[2], parts[3] = parts[3], parts[2]
+    elif kind == "complex diagonal":
+        parts[3] = parts[2]
+        parts[4:] = ["1", "0.5"] if field == "complex" else ["1", "2"]
+    elif kind == "fields":
+        parts = parts[:-1] if draw(st.booleans()) else parts + ["7"]
+    lines[t] = " ".join(parts)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(sdp_files(), st.integers(1, 9))
+def test_parse_sdp_matches_reference_on_valid_files(case, chunk):
+    lines, _ = case
+    with mock.patch.object(formats, "_SDP_CHUNK", chunk):  # many batch boundaries
+        _assert_same_sdp("\n".join(lines) + "\n")
+
+
+@settings(max_examples=250, deadline=None)
+@given(mutated_sdp_files(), st.integers(1, 9))
+def test_parse_sdp_matches_reference_on_mutated_files(lines, chunk):
+    with mock.patch.object(formats, "_SDP_CHUNK", chunk):
+        _assert_same_sdp("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("dup", [None, 4096, 4097, 5000])
+def test_parse_sdp_longer_than_one_batch(dup):
+    n = 100
+    lines = ["100 1 real"] + [f"MATRIX 1 {i} {j} {i - j / 7:.17g}"
+                              for i in range(n) for j in range(i, n)] + ["B 2"]
+    if dup is not None:  # repeat line 2 at this line number
+        lines.insert(dup - 1, lines[1])
+    _assert_same_sdp("\n".join(lines))
+
+
+_ENTRIES = st.one_of(
+    st.integers(-2**70, 2**70), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([float("nan"), float("inf"), -0.0, True, False, None, "1"]))
+
+
+@st.composite
+def image_rows(draw):
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["numbers", "pairs", "mixed", "ragged"]))
+    pair = st.lists(_ENTRIES, min_size=2, max_size=2)
+    if shape == "pairs":
+        if draw(st.booleans()):  # mostly well-formed real pairs
+            pair = st.tuples(_ENTRIES, st.sampled_from([0, 0.0, -0.0])).map(list)
+        entry = pair
+    elif shape == "mixed":
+        entry = st.one_of(_ENTRIES, pair, st.lists(_ENTRIES, max_size=3))
+    else:
+        entry = _ENTRIES
+    clean = draw(st.booleans())  # finite numbers only, so most matrices convert
+    if clean and shape != "mixed":
+        entry = st.one_of(st.integers(-2**70, 2**70),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        entry = st.lists(entry, min_size=2, max_size=2) if shape == "pairs" else entry
+    lengths = [draw(st.integers(0, n + 1)) if shape == "ragged" else n for _ in range(n)]
+    return [draw(st.lists(entry, min_size=size, max_size=size)) for size in lengths]
+
+
+@settings(max_examples=250, deadline=None)
+@given(image_rows(), st.sampled_from(["real", "complex"]))
+def test_parse_matrix_matches_reference(rows, field):
+    want = _outcome(reference_parse_matrix, rows, field, "rep.images[0]")
+    got = _outcome(formats._parse_matrix, rows, field, "rep.images[0]")
+    if isinstance(want, SpecFormatError):
+        assert isinstance(got, SpecFormatError) and str(got) == str(want)
+    else:
+        assert not isinstance(got, SpecFormatError), str(got)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed specs end in SpecFormatError and nothing else
+# ---------------------------------------------------------------------------
+
+# Integers stay small: a degree or tensor power is a size the parsers build.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 4), st.floats(allow_nan=True),
+              st.sampled_from(["natural", "defining", "unitary", "orthogonal", "x"])),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["kind", "k", "inner", "factors", "terms", "images", "degree",
+                         "generators", "compact", "dimension"]), inner, max_size=4),
+    max_leaves=12)
+
+
+def _rep_nodes(depth):
+    """Rep spec trees of at most dimension 81 over S3 or U(2)."""
+    leaf = st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["natural", "defining", "induced", 3])}),
+        st.fixed_dictionaries({"kind": st.just("generator-images"),
+                               "images": st.lists(st.one_of(st.just([[1]]), st.just([[-1]]),
+                                                            st.just([[0, 1], [1, 0]]), _JSON),
+                                                  max_size=3)}),
+        _JSON)
+    if depth == 0:
+        return leaf
+    sub = _rep_nodes(depth - 1)
+    return st.one_of(
+        leaf,
+        st.fixed_dictionaries({"kind": st.sampled_from(["tensor", "dsum"]),
+                               "factors": st.lists(sub, max_size=2),
+                               "terms": st.lists(sub, max_size=2)}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["conj", "power"]), "inner": sub,
+                               "k": st.one_of(st.integers(-1, 2), st.just("2"), st.just(2.0))}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_JSON.map(json.dumps), st.text(max_size=40)))
+def test_parse_group_spec_fuzz(text):
+    try:
+        parse_group_spec(text)
+    except SpecFormatError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_rep_nodes(2).map(json.dumps) | st.text(max_size=20),
+       st.sampled_from(["s3", "u2"]), st.sampled_from(["real", "complex"]))
+def test_parse_rep_spec_fuzz(text, group, field):
+    g = (parse_group_spec('{"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}')
+         if group == "s3" else CompactGroupHandle("unitary", 2))
+    try:
+        parse_rep_spec(text, g, field)
+    except SpecFormatError:
+        pass
+
+
+_BASIS_LINES = st.one_of(
+    st.sampled_from(["BASIS 1", "FIELD real", "FIELD complex", "DIM 2", "DIM ²", "DIM 0",
+                     "COMPONENT 1 2 real", "COMPONENT 2 1 complex", "COMPONENT -1 -2 real",
+                     "COMPONENT x 1 real", "ROW 1 0", "ROW 0 1", "ROW 1 0 0 0", "ROW nan 1",
+                     "ROW 1e999 0", "# c", "", "FIELD", "DIM", "BASIS"]),
+    st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(_BASIS_LINES, max_size=8))
+def test_parse_basis_fuzz(magic, lines):
+    try:
+        parse_basis("\n".join(["BASIS 1"] * magic + lines))
+    except SpecFormatError:
+        pass

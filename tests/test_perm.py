@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repblock import Permutation, PermutationGroup, compose, group_from_generators, identity, inverse
 
 from conftest import (alternating4, closure, cyclic, dihedral, group_of,
-                      klein4, quaternion8, symmetric)
+                      klein4, quaternion8, reference_build_chain, symmetric)
 
 
 def test_compose_examples():
@@ -260,3 +261,86 @@ def test_word_dag_simplifies_identity_and_double_inverse():
     letters = evaluate_words([None, 0, w, _word_inv(w)], [(1,), (2,)], tuple,
                              lambda a, b: a + b, lambda a: tuple(-x for x in reversed(a)))
     assert letters == [(), (1,), (1, -2), (2, -1)]
+
+
+def _letters(words, ngens):
+    from repblock.perm import evaluate_words
+
+    return evaluate_words(words, [(i + 1,) for i in range(ngens)], tuple,
+                          lambda a, b: a + b, lambda w: tuple(-x for x in reversed(w)))
+
+
+def _assert_chain_matches_reference(g):
+    levels, strong = reference_build_chain(
+        g.degree, [(p.images, i) for i, p in enumerate(g.generators)])
+    assert g.base == tuple(lvl.point for lvl in levels)
+    assert g.strong_generator_count == strong
+    ngens = len(g.generators)
+    for lvl, t, words in zip(levels, g.transversals, g.transversal_words):
+        assert {b: u.images for b, u in t.items()} == \
+            {b: images for b, (images, _) in lvl.transversal.items()}
+        points = list(lvl.transversal)
+        want = _letters([lvl.transversal[b][1] for b in points], ngens)
+        assert [words[b] for b in points] == want
+
+
+def _signed_permutations(n):
+    """The hyperoctahedral group: point i is +i, point i + n is -i."""
+    def lift(images, flip=()):
+        out = [0] * (2 * n)
+        for i, j in enumerate(images):
+            neg = i in flip
+            out[i], out[i + n] = (j + n, j) if neg else (j, j + n)
+        return out
+    swap = [1, 0] + list(range(2, n))
+    cycle = list(range(1, n)) + [0]
+    return group_of(2 * n, [lift(swap), lift(cycle), lift(range(n), flip=(0,))])
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda d=d: symmetric(d) for d in range(4, 13)),
+    lambda: group_of(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),  # A5
+    lambda: _signed_permutations(4),
+    lambda: _signed_permutations(5),
+], ids=[*(f"S{d}" for d in range(4, 13)), "A5", "B4", "B5"])
+def test_chain_matches_reference_builder(make):
+    g = make()
+    _assert_chain_matches_reference(g)
+    if g.degree == 10 and len(g.generators) == 3:
+        assert g.order() == 2 ** 5 * 120
+
+
+def _permutation_of(d):
+    swaps = st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=3)
+
+    def apply(pairs):
+        p = list(range(d))
+        for a, b in pairs:
+            p[a], p[b] = p[b], p[a]
+        return p
+    return st.one_of(st.permutations(range(d)), swaps.map(apply))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(_permutation_of(d), max_size=4))))
+def test_chain_matches_reference_builder_random(case):
+    d, gens = case
+    _assert_chain_matches_reference(group_of(d, gens))
+
+
+def test_chain_sifts_each_schreier_generator_once(monkeypatch):
+    import repblock.perm as perm
+
+    calls = [0]
+    sift = perm._sift
+
+    def counted(*args):
+        calls[0] += 1
+        return sift(*args)
+
+    monkeypatch.setattr(perm, "_sift", counted)
+    g = symmetric(14)
+    assert g.strong_generator_count == 1027
+    # the builder without the verified-generator memo sifts 27,235
+    assert calls[0] <= 27_235 // 5
