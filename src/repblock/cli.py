@@ -32,9 +32,9 @@ import numpy as np
 from .commutant import ProjectionConfig, ProjectionError, projection_path
 from .decompose import (DecomposeConfig, DecompositionError, decompose,
                         verify_decomposition)
-from .formats import (SpecFormatError, format_basis, format_sdp, parse_basis,
-                      parse_group_spec, parse_inline_group, parse_rep_spec,
-                      parse_sdp)
+from .formats import (SpecFormatError, format_basis, format_rows, format_sdp,
+                      parse_basis, parse_group_spec, parse_inline_group,
+                      parse_rep_spec, parse_sdp)
 from .perm import PermutationGroup
 from .sdp import NotInvariantError, SdpProblem, block_diagonalize_sdp
 
@@ -189,11 +189,7 @@ def cmd_decompose(args) -> int:
     rep = _load_rep(args.group_spec, args.rep_spec, args.field)
     _note(args, f"{_group_label(rep.group, chain=True)}; representation dimension {rep.dim}")
     rng = np.random.default_rng(args.seed)
-    try:
-        decomp = decompose(rep, _decompose_config(args), rng=rng)
-    except (DecompositionError, ProjectionError) as exc:
-        print(f"decomposition failed: {exc}", file=sys.stderr)
-        return EXIT_DECOMPOSE
+    decomp = decompose(rep, _decompose_config(args), rng=rng)
     _note(args, f"decomposed in {decomp.attempts} attempt(s); "
                 f"projection: {projection_path(rep)}")
 
@@ -241,11 +237,7 @@ def cmd_blockdiag(args) -> int:
                 f"field {prob.field}")
     rng = np.random.default_rng(args.seed)
     config = _decompose_config(args)
-    try:
-        decomp = decompose(rep, config, rng=rng)
-    except (DecompositionError, ProjectionError) as exc:
-        print(f"decomposition failed: {exc}", file=sys.stderr)
-        return EXIT_DECOMPOSE
+    decomp = decompose(rep, config, rng=rng)
     _note(args, f"decomposed in {decomp.attempts} attempt(s); "
                 f"projection: {projection_path(rep)}")
 
@@ -334,20 +326,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _format_matrix_rows(mat, field):
-    rows = []
-    for row in np.asarray(mat):
-        if field == "complex":
-            vals = []
-            for v in row:
-                vals.append(f"{v.real:.17g}")
-                vals.append(f"{v.imag:.17g}")
-        else:
-            vals = [f"{float(v):.17g}" for v in row]
-        rows.append(" ".join(vals))
-    return rows
-
-
 def cmd_sample_group(args) -> int:
     if _INLINE_GROUP.match(args.spec):
         group = parse_inline_group(args.spec)
@@ -389,8 +367,7 @@ def cmd_sample_group(args) -> int:
         else:
             for k, u in enumerate(samples):
                 print(f"SAMPLE {k}")
-                for line in _format_matrix_rows(u, "complex" if group.kind == "unitary"
-                                                else "real"):
+                for line in format_rows(u, "complex" if group.kind == "unitary" else "real"):
                     print(line)
             if samples:
                 print(f"# max unitarity residual: {worst:.3e}")

@@ -376,15 +376,20 @@ def _decompose_once(rep, cfg, streams, attempt):
         else:
             classes.append([b])
 
-    components = [IsotypicComponent(
-        dimension=members[0].dim,
-        multiplicity=len(members),
-        basis=np.vstack([m.rows for m in members]),
-        eigenvalues=tuple(m.eigenvalue for m in members)) for members in classes]
-
     # canonical order: big irreps first, then high multiplicity, then by the
     # leading eigenvalue of the sample that produced the component
-    components.sort(key=lambda c: (-c.dimension, -c.multiplicity, c.eigenvalues[0]))
+    classes.sort(key=lambda members: (-members[0].dim, -len(members), members[0].eigenvalue))
+    u = np.vstack([m.rows for members in classes for m in members])
+    components = []
+    offset = 0
+    for members in classes:
+        size = members[0].dim * len(members)
+        components.append(IsotypicComponent(
+            dimension=members[0].dim,
+            multiplicity=len(members),
+            basis=u[offset:offset + size],
+            eigenvalues=tuple(m.eigenvalue for m in members)))
+        offset += size
 
     if rep.field == "real":
         types = classify_real_type(rep, components, s_classify, cfg)
@@ -392,8 +397,7 @@ def _decompose_once(rep, cfg, streams, attempt):
             comp.real_type = real_type
 
     decomp = IrrepDecomposition(
-        U=np.vstack([c.basis for c in components]),
-        components=components, diagnostics=None, rep=rep, attempts=attempt + 1)
+        U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1)
 
     report = verify_decomposition(rep, decomp, trials=cfg.verify_trials,
                                   tol=cfg.block_tol, rng=s_verify)

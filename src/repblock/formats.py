@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -194,6 +195,15 @@ def _parse_matrix(rows, field, where):
     return mat
 
 
+def _build_at(path, build, *args):
+    """``build(*args)``, with its ValueError (a mismatch, a dimension too
+    large to hold) reported at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SpecFormatError(f"{path}: {exc}") from exc
+
+
 def _build_rep(node, group, field, path):
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecFormatError(f"{path}: expected an object with a 'kind'")
@@ -211,10 +221,7 @@ def _build_rep(node, group, field, path):
         if not isinstance(images, list):
             raise SpecFormatError(f"{path}: 'generator-images' needs an 'images' list")
         mats = [_parse_matrix(m, field, f"{path}.images[{k}]") for k, m in enumerate(images)]
-        try:
-            return rep_from_generator_images(group, mats, field)
-        except ValueError as exc:
-            raise SpecFormatError(f"{path}: {exc}") from exc
+        return _build_at(path, rep_from_generator_images, group, mats, field)
 
     if kind == "defining":
         if not isinstance(group, CompactGroupHandle):
@@ -236,10 +243,7 @@ def _build_rep(node, group, field, path):
             raise SpecFormatError(f"{path}: 'tensor' needs at least two 'factors'")
         reps = [_build_rep(f, group, field, f"{path}.factors[{i}]")
                 for i, f in enumerate(factors)]
-        out = reps[0]
-        for r in reps[1:]:
-            out = tensor(out, r)
-        return out
+        return _build_at(path, reduce, tensor, reps)
 
     if kind == "dsum":
         terms = node.get("terms")
@@ -247,10 +251,7 @@ def _build_rep(node, group, field, path):
             raise SpecFormatError(f"{path}: 'dsum' needs at least two 'terms'")
         reps = [_build_rep(t, group, field, f"{path}.terms[{i}]")
                 for i, t in enumerate(terms)]
-        out = reps[0]
-        for r in reps[1:]:
-            out = direct_sum(out, r)
-        return out
+        return _build_at(path, reduce, direct_sum, reps)
 
     if kind == "conj":
         if field != "complex":
@@ -267,7 +268,7 @@ def _build_rep(node, group, field, path):
             raise SpecFormatError(f"{path}: 'power' needs a positive integer 'k'")
         if inner is None:
             raise SpecFormatError(f"{path}: 'power' needs an 'inner' node")
-        return tensor_power(_build_rep(inner, group, field, f"{path}.inner"), k)
+        return _build_at(path, tensor_power, _build_rep(inner, group, field, f"{path}.inner"), k)
 
     raise SpecFormatError(f"{path}: unknown construction kind {kind!r}")
 
@@ -505,22 +506,25 @@ def format_sdp(prob) -> str:
 # decomposition bases
 # ---------------------------------------------------------------------------
 
+def format_rows(mat, field: str) -> list:
+    """Each row as 17-digit numbers, a real and an imaginary part per entry
+    over the complex field."""
+    rows = []
+    for row in np.asarray(mat):
+        if field == "complex":
+            vals = [_fmt(x) for v in row for x in (v.real, v.imag)]
+        else:
+            vals = [_fmt(float(v.real)) for v in row]
+        rows.append(" ".join(vals))
+    return rows
+
+
 def format_basis(decomp: IrrepDecomposition, field: str) -> str:
     """Serialize U and the component structure, row-major, 17 digits."""
-    u = decomp.U
-    n = u.shape[0]
-    out = ["BASIS 1", f"FIELD {field}", f"DIM {n}"]
+    out = ["BASIS 1", f"FIELD {field}", f"DIM {decomp.U.shape[0]}"]
     for comp in decomp.components:
         out.append(f"COMPONENT {comp.dimension} {comp.multiplicity} {comp.real_type}")
-    for i in range(n):
-        if field == "complex":
-            vals = []
-            for v in u[i]:
-                vals.append(_fmt(v.real))
-                vals.append(_fmt(v.imag))
-        else:
-            vals = [_fmt(float(v.real)) for v in u[i]]
-        out.append("ROW " + " ".join(vals))
+    out.extend("ROW " + row for row in format_rows(decomp.U, field))
     return "\n".join(out) + "\n"
 
 

@@ -1,6 +1,6 @@
 """Finite permutation groups backed by a deterministic stabilizer chain.
 
-A group is built from generating permutations with a deterministic
+A group is built from generating permutations with the deterministic
 Schreier-Sims procedure.  The chain stores, for each base point, a
 transversal of coset representatives; these give the group order, a
 membership test by sifting, exact uniform sampling, and a factorization
@@ -9,9 +9,14 @@ that the commutant projection uses to average over the whole group at a
 cost proportional to the sum of transversal sizes instead of the group
 order.
 
-Points are 0-based.  Base points are the smallest moved points of the
-successive stabilizer subgroups, in increasing order, so the chain is
-canonical: it does not depend on the order in which generators are given.
+Points are 0-based.  A level of the chain is created at the smallest point
+its first strong generator moves, and levels are only ever inserted in
+base order, never re-rooted or removed.  Each new strong generator
+therefore grows one orbit, which keeps the strong generating set small
+(n generators for S_n).  The base is canonical: the level at point k ends
+up generating the pointwise stabilizer of 0..k-1, so the base points are
+the smallest points moved by the successive stabilizers, whatever the
+order in which generators are given.
 """
 
 from __future__ import annotations
@@ -176,20 +181,13 @@ def evaluate_words(words, gen_values, one, mul, inv):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverses", "built", "verified")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point):
+    def __init__(self, point, gens):
         self.point = point
-        self.gens = []          # strong generators fixing all earlier base points
+        self.gens = gens        # strong generators fixing every point below ``point``
         self.transversal = {}   # orbit point -> (images, word), word maps base point there
         self.inverses = {}      # orbit point -> inverse of its transversal element
-        self.built = 0          # len(gens) when the transversal was last built
-        # (s, u_a, u_b) images of the Schreier generators that sifted to the
-        # identity.  The group below this level only grows, so such a generator
-        # stays a member and is never sifted again.  Keying by images also
-        # skips a generator listed twice, as re-rooting merges levels whose
-        # generator lists overlap.
-        self.verified = set()
 
 
 def _min_moved(images):
@@ -219,7 +217,6 @@ def _build_transversal(lvl, ident):
         frontier = sorted(set(grown))
     lvl.transversal = t
     lvl.inverses = {b: (_inverse_images(p), _word_inv(w)) for b, (p, w) in t.items()}
-    lvl.built = len(lvl.gens)
 
 
 def _sift(levels, wp, start):
@@ -241,44 +238,36 @@ def _sift(levels, wp, start):
 
 
 def _build_chain(degree, gen_words):
-    """Levels of the chain and the number of strong generators."""
+    """Levels of the chain and the number of strong generators.
+
+    Deterministic Schreier-Sims (Seress 2003; Holt, Eick and O'Brien
+    2005, section 4.4).  The level at point k holds the strong generators
+    that fix every point below k.  Levels are only inserted, in base order,
+    so every new strong generator grows one orbit: there are at most
+    sum(|orbit| - 1) of them beyond the given generators.
+    """
     ident = tuple(range(degree))
     levels: list[_Level] = []
 
     def assign(wp, start):
-        """Register a strong generator at the levels it belongs to.
+        """Register a strong generator from level ``start`` on.
 
-        Walks down from ``start`` adding ``wp`` to each level whose base
-        point it fixes, stopping at the first level whose base point it
-        moves (creating that level if needed).  If ``wp`` moves a point
-        smaller than an existing base point, that level is re-rooted at
-        the smaller point and the deeper part of the chain is folded back
-        into it, to keep the base canonical.  Returns the level index at
-        which verification must resume.
+        With m the smallest point ``wp`` moves, it joins every level below
+        m and the level at m, which is inserted if missing; the level takes
+        a copy of the next deeper level's generators, which all fix m.
+        Returns the index of the level at m, where verification resumes.
         """
-        p = _min_moved(wp[0])
+        m = _min_moved(wp[0])
         l = start
-        while True:
-            if l == len(levels):
-                lvl = _Level(p)
-                lvl.gens.append(wp)
-                levels.append(lvl)
-                return l
-            lvl = levels[l]
-            if p < lvl.point:
-                merged = list(lvl.gens)
-                for deeper in levels[l + 1:]:
-                    merged.extend(deeper.gens)
-                merged.append(wp)
-                del levels[l:]
-                nl = _Level(p)
-                nl.gens = merged
-                levels.append(nl)
-                return l
-            lvl.gens.append(wp)
-            if wp[0][lvl.point] != lvl.point:
-                return l
+        while l < len(levels) and levels[l].point < m:
+            levels[l].gens.append(wp)
             l += 1
+        if l < len(levels) and levels[l].point == m:
+            levels[l].gens.append(wp)
+        else:
+            deeper = levels[l].gens if l < len(levels) else []
+            levels.insert(l, _Level(m, [*deeper, wp]))
+        return l
 
     for wp in gen_words:
         if wp[0] != ident:
@@ -286,29 +275,24 @@ def _build_chain(degree, gen_words):
 
     # Verify Schreier's condition level by level, deepest first; a failed
     # sift adds the residue as a new strong generator and resumes at the
-    # deepest level it touched.
+    # level it was added to.  Generators stay few, so a level's transversal
+    # is simply rebuilt at every visit.
     l = len(levels) - 1
     while l >= 0:
         lvl = levels[l]
-        if lvl.built != len(lvl.gens):
-            _build_transversal(lvl, ident)
-        t, inverses, verified = lvl.transversal, lvl.inverses, lvl.verified
+        _build_transversal(lvl, ident)
+        t, inverses = lvl.transversal, lvl.inverses
         residue = None
         for a in sorted(t):
             pa, wa = t[a]
             for ps, ws in lvl.gens:
-                b = ps[a]
-                key = (ps, pa, t[b][0])
-                if key in verified:
-                    continue
-                pv, wv = inverses[b]
+                pv, wv = inverses[ps[a]]
                 sg = itemgetter(*itemgetter(*pa)(ps))(pv)
                 if sg != ident:
                     res = _sift(levels, (sg, _word_mul(wv, _word_mul(ws, wa))), l + 1)
                     if res[0] != ident:
                         residue = res
                         break
-                verified.add(key)
             if residue is not None:
                 break
         if residue is not None:
@@ -363,6 +347,8 @@ class PermutationGroup:
         levels, self.strong_generator_count = _build_chain(
             degree, [(g.images, i) for i, g in enumerate(gens)])
         self.base = tuple(lvl.point for lvl in levels)
+        self._inverses = tuple({b: u for b, (u, _) in lvl.inverses.items()}
+                               for lvl in levels)
         transversals = []
         nodes = []
         for lvl in levels:
@@ -409,19 +395,29 @@ class PermutationGroup:
             n *= len(t)
         return n
 
-    def sift(self, p: Permutation) -> Permutation:
-        """Strip ``p`` through the chain; members reduce to the identity."""
+    def _strip(self, p: Permutation):
+        """Strip ``p`` through the chain.
+
+        Returns the residue's images and the orbit point ``p`` sends each
+        base point to, level by level; the strip stops at the first level
+        whose orbit misses that point.
+        """
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
-        cur = p
-        for point, t in zip(self.base, self.transversals):
-            b = cur(point)
-            if b == point:
-                continue
-            if b not in t:
-                return cur
-            cur = t[b].inverse() * cur
-        return cur
+        cur = p.images
+        points = []
+        for point, inverses in zip(self.base, self._inverses):
+            b = cur[point]
+            if b != point:
+                if b not in inverses:
+                    break
+                cur = itemgetter(*cur)(inverses[b])
+            points.append(b)
+        return cur, points
+
+    def sift(self, p: Permutation) -> Permutation:
+        """Strip ``p`` through the chain; members reduce to the identity."""
+        return Permutation(self._strip(p)[0])
 
     def contains(self, p: Permutation) -> bool:
         return self.sift(p).is_identity()
@@ -435,20 +431,10 @@ class PermutationGroup:
         that ``p`` equals the left-to-right product of the corresponding
         transversal representatives.  Raises ValueError for non-members.
         """
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
-        coords = []
-        cur = p
-        for l, (point, t) in enumerate(zip(self.base, self.transversals)):
-            b = cur(point)
-            if b not in t:
-                raise ValueError(f"{p!r} is not a member of this group")
-            coords.append((l, b))
-            if b != point:
-                cur = t[b].inverse() * cur
-        if not cur.is_identity():
+        residue, points = self._strip(p)
+        if len(points) < len(self.base) or _min_moved(residue) is not None:
             raise ValueError(f"{p!r} is not a member of this group")
-        return coords
+        return list(enumerate(points))
 
     def sample(self, rng) -> Permutation:
         """Exactly uniform random element.

@@ -21,6 +21,8 @@ combinators carry the action along.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .compact import CompactGroupHandle
@@ -311,6 +313,16 @@ def _require_compatible(r1: Representation, r2: Representation, what):
         raise ValueError(f"{what} requires matching fields, got {r1.field} and {r2.field}")
 
 
+def _check_dim(dim, field):
+    """Refuse a dimension whose one n x n matrix exceeds physical memory."""
+    need = dim * dim * np.dtype(_dtype(field)).itemsize
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"dimension {dim} is too large: one {dim} x {dim} {field} matrix "
+                         f"needs {need / 2**30:.3g} GiB, physical memory is "
+                         f"{have / 2**30:.3g} GiB")
+
+
 def _combined_action(r1, r2, dim, combine):
     """Index action of a combination of two representations, if both have one."""
     a1, a2 = r1.index_action, r2.index_action
@@ -324,6 +336,7 @@ def tensor(r1: Representation, r2: Representation) -> Representation:
     """Tensor (Kronecker) product; indices pair row-major as numpy's kron."""
     _require_compatible(r1, r2, "tensor")
     n2 = r2.dim
+    _check_dim(r1.dim * n2, r1.field)
     action = _combined_action(r1, r2, r1.dim * n2,
                               lambda s1, s2: (s1[:, None] * n2 + s2).ravel())
 
@@ -339,6 +352,7 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     """Block-diagonal sum of two representations."""
     _require_compatible(r1, r2, "direct_sum")
     n1, n2 = r1.dim, r2.dim
+    _check_dim(n1 + n2, r1.field)
     dt = _dtype(r1.field)
     action = _combined_action(r1, r2, n1 + n2,
                               lambda s1, s2: np.concatenate([s1, s2 + n1]))

@@ -182,14 +182,17 @@ def rng():
 
 # --- reference stabilizer chain -------------------------------------------
 #
-# The Schreier-Sims builder before it remembered verified Schreier
-# generators: every visit to a level rebuilds its transversal and re-sifts
-# every Schreier generator, inverting transversal elements at each use.
-# Same (images, word) representation and word DAG as repblock.perm.
+# An earlier Schreier-Sims builder, kept as an independent route to the
+# canonical base, the orbits and the order.  When a new strong generator
+# moves a point below an existing base point it re-roots that level and
+# folds the deeper levels into it; every visit to a level rebuilds its
+# transversal and re-sifts every Schreier generator, inverting transversal
+# elements at each use.  Same (images, word) representation and word DAG as
+# repblock.perm.
 
 def reference_build_chain(degree, gen_words):
-    """(levels, strong generator count); each level has .point, .gens and
-    .transversal (orbit point -> (images, word))."""
+    """Levels of the chain; each has .point, .gens and .transversal
+    (orbit point -> (images, word))."""
     from types import SimpleNamespace
 
     from repblock.perm import _min_moved, _word_inv, _word_mul
@@ -283,7 +286,7 @@ def reference_build_chain(degree, gen_words):
             l = assign(residue, l + 1)
         else:
             l -= 1
-    return levels, len({id(s) for lvl in levels for s in lvl.gens})
+    return levels
 
 
 # --- reference parsers ------------------------------------------------------

@@ -292,6 +292,27 @@ def test_decompose_huge_integer_image_exit2(s3_files, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("k", [12, 40])
+def test_decompose_huge_tensor_power_exit2(s3_files, tmp_path, capsys, k):
+    import tracemalloc
+
+    group, _ = s3_files
+    rep = tmp_path / "power.rep"
+    rep.write_text('{"kind": "power", "k": %d, "inner": {"kind": "natural"}}\n' % k)
+    tracemalloc.start()
+    try:
+        code = main(["decompose", str(group), str(rep)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: rep: dimension " in captured.err and "is too large" in captured.err
+    assert captured.out == ""
+    # refused from the dimension: no index array of 3^12 entries (4 MiB) is built
+    assert peak < 8 * 2 ** 20
+
+
 def test_decompose_nan_generator_image_exit2(s3_files, tmp_path, capsys):
     group, _ = s3_files
     rep = tmp_path / "nan.rep"

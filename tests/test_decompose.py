@@ -343,6 +343,19 @@ def test_decompose_invariants(rng):
         assert max(report.component_residuals) <= 1e-8
 
 
+def test_component_bases_are_views_of_u(rng):
+    # multiplicity two and real types: every component is a row slice of U
+    nat = natural_perm_rep(symmetric(4), "real")
+    rep = direct_sum(nat, nat)
+    d = decompose(rep, rng=rng)
+    offset = 0
+    for c in d.components:
+        assert np.shares_memory(c.basis, d.U)
+        assert np.array_equal(c.basis, d.U[offset:offset + c.size])
+        offset += c.size
+    assert offset == rep.dim
+
+
 def test_decompose_seed_stability_s4_natural():
     rep = natural_perm_rep(symmetric(4), "complex")
     seen = {tuple(decompose(rep, rng=np.random.default_rng(k)).dm_multiset())

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -263,25 +264,24 @@ def test_word_dag_simplifies_identity_and_double_inverse():
     assert letters == [(), (1,), (1, -2), (2, -1)]
 
 
-def _letters(words, ngens):
-    from repblock.perm import evaluate_words
-
-    return evaluate_words(words, [(i + 1,) for i in range(ngens)], tuple,
-                          lambda a, b: a + b, lambda w: tuple(-x for x in reversed(w)))
-
-
 def _assert_chain_matches_reference(g):
-    levels, strong = reference_build_chain(
+    """The reference builder fixes what is canonical: base, orbits and order.
+
+    The representatives and their words are the builder's own choice; they
+    only have to be valid.
+    """
+    levels = reference_build_chain(
         g.degree, [(p.images, i) for i, p in enumerate(g.generators)])
     assert g.base == tuple(lvl.point for lvl in levels)
-    assert g.strong_generator_count == strong
-    ngens = len(g.generators)
-    for lvl, t, words in zip(levels, g.transversals, g.transversal_words):
-        assert {b: u.images for b, u in t.items()} == \
-            {b: images for b, (images, _) in lvl.transversal.items()}
-        points = list(lvl.transversal)
-        want = _letters([lvl.transversal[b][1] for b in points], ngens)
-        assert [words[b] for b in points] == want
+    assert [sorted(t) for t in g.transversals] == [sorted(lvl.transversal) for lvl in levels]
+    assert g.order() == math.prod(len(lvl.transversal) for lvl in levels)
+    for l, (point, t, words) in enumerate(zip(g.base, g.transversals, g.transversal_words)):
+        for b, u in t.items():
+            assert u(point) == b
+            assert all(u(earlier) == earlier for earlier in g.base[:l])
+            assert _multiply_out(words[b], g.generators) == u
+    bound = sum(len(t) - 1 for t in g.transversals) + len(g.generators)
+    assert g.strong_generator_count <= bound
 
 
 def _signed_permutations(n):
@@ -329,7 +329,21 @@ def test_chain_matches_reference_builder_random(case):
     _assert_chain_matches_reference(group_of(d, gens))
 
 
-def test_chain_sifts_each_schreier_generator_once(monkeypatch):
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(_permutation_of(d), max_size=4),
+                        st.randoms(use_true_random=False))))
+def test_chain_base_and_orbits_ignore_generator_order(case):
+    d, gens, random = case
+    shuffled = list(gens)
+    random.shuffle(shuffled)
+    g = group_of(d, gens)
+    for other in (group_of(d, gens[::-1]), group_of(d, shuffled)):
+        assert other.base == g.base
+        assert [sorted(t) for t in other.transversals] == [sorted(t) for t in g.transversals]
+
+
+def test_chain_s14_keeps_14_strong_generators(monkeypatch):
     import repblock.perm as perm
 
     calls = [0]
@@ -341,6 +355,12 @@ def test_chain_sifts_each_schreier_generator_once(monkeypatch):
 
     monkeypatch.setattr(perm, "_sift", counted)
     g = symmetric(14)
-    assert g.strong_generator_count == 1027
-    # the builder without the verified-generator memo sifts 27,235
+    assert g.strong_generator_count == 14
+    # the builder that re-rooted its base kept 1,027 and sifted 27,235
     assert calls[0] <= 27_235 // 5
+
+
+def test_chain_s20_strong_generators_stay_linear():
+    g = symmetric(20)
+    assert g.order() == math.factorial(20)
+    assert g.strong_generator_count <= 20
