@@ -79,8 +79,6 @@ def _build_parser():
     common.add_argument("--format", choices=["text", "structured"],
                         default=_env("FORMAT", "text"),
                         help="output format (structured = versioned JSON)")
-    common.add_argument("--threads", type=int, default=_env("THREADS", 1, int),
-                        help="worker threads for independent matrix work")
     common.add_argument("-v", "--verbose", action="count", default=0)
 
     parser = argparse.ArgumentParser(
@@ -143,13 +141,6 @@ def _decompose_config(args):
     return DecomposeConfig(projection=proj, block_tol=args.tol)
 
 
-def _emit(doc, args):
-    if args.format == "structured":
-        print(json.dumps(doc, indent=2))
-    else:
-        raise AssertionError("text output is handled per command")
-
-
 def _report_doc(command, args, extra):
     doc = {"schema_version": SCHEMA_VERSION, "command": command,
            "seed": args.seed, "field": args.field}
@@ -207,7 +198,7 @@ def cmd_decompose(args) -> int:
                                     decomp.diagnostics.component_residuals)],
             "diagnostics": _diag_doc(decomp.diagnostics),
         })
-        _emit(doc, args)
+        print(json.dumps(doc, indent=2))
     else:
         print(f"representation: n={rep.dim}, field={args.field} ({_group_label(rep.group)})")
         print(f"components ({len(decomp.components)}, canonical order):")
@@ -245,7 +236,7 @@ def cmd_blockdiag(args) -> int:
     try:
         blocked = block_diagonalize_sdp(
             decomp, prob, symmetrize_first=args.symmetrize, tol=tol,
-            config=config.projection, rng=rng, threads=max(1, args.threads))
+            config=config.projection, rng=rng)
     except NotInvariantError as exc:
         print(f"invariance check failed: {exc}\n"
               "(re-run with --symmetrize to project the data first)", file=sys.stderr)
@@ -281,7 +272,7 @@ def cmd_blockdiag(args) -> int:
     if args.format == "structured":
         doc = _report_doc("blockdiag", args, {"out": str(outdir), **manifest})
         doc["field"] = blocked.field
-        _emit(doc, args)
+        print(json.dumps(doc, indent=2))
     else:
         sizes = [c.multiplicity for c in blocked.components]
         print(f"block-diagonalized: n={prob.n}, m={prob.m} -> "
@@ -313,7 +304,7 @@ def cmd_verify(args) -> int:
             "diagnostics": _diag_doc(report),
         })
         doc["field"] = basis_field
-        _emit(doc, args)
+        print(json.dumps(doc, indent=2))
     else:
         print(f"verifying basis against n={rep.dim}, field={basis_field}, "
               f"{report.trials} trials, tolerance {report.tolerance:.1e}")
@@ -359,7 +350,7 @@ def cmd_sample_group(args) -> int:
             "spec": args.spec, "count": args.count, "samples": doc_samples})
         if worst is not None:
             doc["max_unitarity_residual"] = worst
-        _emit(doc, args)
+        print(json.dumps(doc, indent=2))
     else:
         if isinstance(group, PermutationGroup):
             for p in samples:

@@ -26,7 +26,7 @@ multiplicity tensored with the identity.
 
 All genericity assumptions hold with probability one but can fail
 numerically; such failures raise :class:`ResampleNeeded` internally and
-the driver restarts with fresh samples up to a configured budget.
+the driver restarts with fresh samples up to ``_MAX_RESAMPLES`` times.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ from .reps import Representation
 
 REAL_TYPES = ("real", "complex", "quaternionic", "not_applicable")
 
+_GAP_TOL = 1e-6        # eigenvalue clusters split at gaps above this (relative to the spectral range)
+_ZERO_TOL = 1e-6       # |F| below this (relative to |Y|) means inequivalent
+_WITNESS_TOL = 1e-3    # acceptance band for the scaled-unitary check of a candidate intertwiner
+_MAX_RESAMPLES = 3     # full restarts allowed on genericity failures
+_VERIFY_TRIALS = 20    # random elements checked before a decomposition is returned
 _CLASSIFY_SAMPLES = 8
 _CLASSIFY_SV_CUTOFF = 1e-6
 # real dimension of the commutant of an irreducible real representation
@@ -57,11 +62,6 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecomposeConfig:
-    gap_tol: float = 1e-6          # eigenvalue clusters split at gaps above this (relative to the spectral range)
-    zero_tol: float = 1e-6         # |F| below this (relative to |Y|) means inequivalent
-    witness_tol: float = 1e-3      # acceptance band for the scaled-unitary check of a candidate intertwiner
-    max_resamples: int = 3         # full restarts allowed on genericity failures
-    verify_trials: int = 20        # random elements checked before a decomposition is returned
     block_tol: float | None = None  # verification tolerance; None = 1e-8 finite, 1e-6 compact
     projection: ProjectionConfig = dataclass_field(default_factory=ProjectionConfig)
 
@@ -144,10 +144,6 @@ class IrrepDecomposition:
     attempts: int = 1
 
     @property
-    def dims(self):
-        return [c.dimension for c in self.components]
-
-    @property
     def multiplicities(self):
         return [c.multiplicity for c in self.components]
 
@@ -155,11 +151,11 @@ class IrrepDecomposition:
         return sorted((c.dimension, c.multiplicity) for c in self.components)
 
 
-def eigsplit(xbar: CommutantSample, gap_tol: float = 1e-6):
+def eigsplit(xbar: CommutantSample):
     """Split a commutant sample's eigenbasis into eigenvalue clusters.
 
     Eigenvalues are sorted ascending and clusters break at every gap
-    larger than ``gap_tol`` times the spectral range.  A cluster whose
+    larger than ``_GAP_TOL`` times the spectral range.  A cluster whose
     internal spread exceeds a tenth of that threshold is neither clearly
     degenerate nor clearly split, which violates the genericity
     assumption; that raises :class:`ResampleNeeded`.
@@ -171,7 +167,7 @@ def eigsplit(xbar: CommutantSample, gap_tol: float = 1e-6):
     # when the whole spectrum collapses to one point (span ~ eps), where a
     # purely relative threshold would shatter the noise into fake clusters.
     scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
-    threshold = gap_tol * span + 1e3 * np.finfo(float).eps * scale
+    threshold = _GAP_TOL * span + 1e3 * np.finfo(float).eps * scale
 
     clusters = []
     start = 0
@@ -193,14 +189,13 @@ def eigsplit(xbar: CommutantSample, gap_tol: float = 1e-6):
     return out
 
 
-def equivalence_test(b1: SubrepBasis, b2: SubrepBasis, xprime: CommutantSample,
-                     zero_tol: float = 1e-6, witness_tol: float = 1e-3):
+def equivalence_test(b1: SubrepBasis, b2: SubrepBasis, xprime: CommutantSample):
     """Decide whether two subrepresentation bases carry equivalent irreps.
 
     Returns an :class:`EquivalenceWitness` or None (inequivalent).  The
     second sample ``xprime`` must be independent of the sample the bases
     came from.  A candidate witness that is neither negligible nor within
-    ``witness_tol`` of a scaled unitary means the eigenspaces were not
+    ``_WITNESS_TOL`` of a scaled unitary means the eigenspaces were not
     clean irrep copies; that raises :class:`ResampleNeeded`.  Whether the
     witness intertwines is left to :func:`verify_decomposition`.
     """
@@ -208,14 +203,14 @@ def equivalence_test(b1: SubrepBasis, b2: SubrepBasis, xprime: CommutantSample,
         return None
     y = xprime.matrix if isinstance(xprime, CommutantSample) else np.asarray(xprime)
     f = b1.rows @ y @ b2.rows.conj().T
-    if np.linalg.norm(f) <= zero_tol * np.linalg.norm(y):
+    if np.linalg.norm(f) <= _ZERO_TOL * np.linalg.norm(y):
         return None
 
     alpha = float(np.linalg.norm(f, 2))
     a = f / alpha
     k = b1.dim
     unit_resid = np.linalg.norm(a.conj().T @ a - np.eye(k)) / max(1.0, np.sqrt(k))
-    if not unit_resid <= witness_tol:
+    if not unit_resid <= _WITNESS_TOL:
         raise ResampleNeeded(
             f"candidate intertwiner is not a scaled unitary (residual {unit_resid:.3e})")
     return EquivalenceWitness(F=f, alpha=alpha)
@@ -332,10 +327,7 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
                 leak[lo:hi, lo:hi] = 0.0
                 d, m = comp.dimension, comp.multiplicity
                 copies = sub.reshape(m, d, m, d)
-                avg = np.trace(copies, axis1=0, axis2=2) / m
-                pattern = np.zeros_like(sub)
-                for a in range(m):
-                    pattern[a * d:(a + 1) * d, a * d:(a + 1) * d] = avg
+                pattern = np.kron(np.eye(m), np.trace(copies, axis1=0, axis2=2) / m)
                 comp_resid[ci] = float(np.maximum(comp_resid[ci],
                                                   np.linalg.norm(sub - pattern) / nrm))
             max_off = float(np.maximum(max_off, np.linalg.norm(leak) / nrm))
@@ -357,14 +349,14 @@ def _decompose_once(rep, cfg, streams, attempt):
     s_xbar, s_xprime, _, s_classify, s_verify = streams
 
     xbar = sample_commutant(rep, cfg.projection, s_xbar)
-    bases = eigsplit(xbar, cfg.gap_tol)
+    bases = eigsplit(xbar)
     xprime = sample_commutant(rep, cfg.projection, s_xprime)
 
     classes = []  # each a list of bases: the lead, then members harmonized to it
     for b in bases:
         matches = []
         for members in classes:
-            w = equivalence_test(members[0], b, xprime, cfg.zero_tol, cfg.witness_tol)
+            w = equivalence_test(members[0], b, xprime)
             if w is not None:
                 matches.append((members, w))
         if len(matches) > 1:
@@ -399,7 +391,7 @@ def _decompose_once(rep, cfg, streams, attempt):
     decomp = IrrepDecomposition(
         U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1)
 
-    report = verify_decomposition(rep, decomp, trials=cfg.verify_trials,
+    report = verify_decomposition(rep, decomp, trials=_VERIFY_TRIALS,
                                   tol=cfg.block_tol, rng=s_verify)
     decomp.diagnostics = report
     if not report.passed:
@@ -413,7 +405,7 @@ def decompose(rep: Representation, config: DecomposeConfig | None = None,
 
     Runs the sample / split / group pipeline, restarting with fresh
     samples when a genericity assumption fails, up to
-    ``config.max_resamples`` restarts.  The returned object carries the
+    ``_MAX_RESAMPLES`` restarts.  The returned object carries the
     unitary change of basis, the (dimension, multiplicity) structure,
     real-field type labels, and the verification report.
     """
@@ -421,7 +413,7 @@ def decompose(rep: Representation, config: DecomposeConfig | None = None,
     if rng is None:
         rng = np.random.default_rng()
     reasons = []
-    for attempt in range(cfg.max_resamples + 1):
+    for attempt in range(_MAX_RESAMPLES + 1):
         streams = rng.spawn(5)
         try:
             return _decompose_once(rep, cfg, streams, attempt)

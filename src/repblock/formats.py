@@ -11,12 +11,12 @@ Representation spec (JSON tree)
     {"kind": "natural"}
     {"kind": "generator-images", "images": [MATRIX, ...]}   one per generator
     {"kind": "defining"}
-    {"kind": "tensor", "factors": [NODE, NODE, ...]}        folded left
-    {"kind": "dsum", "terms": [NODE, NODE, ...]}            folded left
+    {"kind": "tensor", "factors": [NODE, NODE, ...]}        Kronecker product
+    {"kind": "dsum", "terms": [NODE, NODE, ...]}            blocks in order
     {"kind": "conj", "inner": NODE}
     {"kind": "power", "k": K, "inner": NODE}                K-fold tensor power
     MATRIX is a list of rows; an entry is a number (real) or a [re, im]
-    pair (complex field only).
+    pair (complex field only).  A tree nests at most 100 levels deep.
 
 SDP problem (line-oriented text)
     '#' starts a comment; blank lines are ignored.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -65,8 +64,21 @@ class SpecFormatError(ValueError):
         self.line = line
 
 
+_MAX_SPEC_DEPTH = 100  # spec tree levels; far below the interpreter's recursion limit
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _load_json(text, what):
+    """``json.loads``, with invalid or too deeply nested JSON as a SpecFormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise SpecFormatError(f"{what}: JSON nests too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +87,7 @@ def _fmt(v: float) -> str:
 
 def parse_group_spec(text: str):
     """Parse a group spec; returns a PermutationGroup or CompactGroupHandle."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    doc = _load_json(text, "group spec")
     if not isinstance(doc, dict):
         raise SpecFormatError("group spec must be a JSON object")
 
@@ -205,6 +214,9 @@ def _build_at(path, build, *args):
 
 
 def _build_rep(node, group, field, path):
+    # every level below the root adds one ".key" to the path
+    if path.count(".") >= _MAX_SPEC_DEPTH:
+        raise SpecFormatError(f"{path}: spec nests deeper than {_MAX_SPEC_DEPTH} levels")
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecFormatError(f"{path}: expected an object with a 'kind'")
     kind = node["kind"]
@@ -243,7 +255,7 @@ def _build_rep(node, group, field, path):
             raise SpecFormatError(f"{path}: 'tensor' needs at least two 'factors'")
         reps = [_build_rep(f, group, field, f"{path}.factors[{i}]")
                 for i, f in enumerate(factors)]
-        return _build_at(path, reduce, tensor, reps)
+        return _build_at(path, tensor, *reps)
 
     if kind == "dsum":
         terms = node.get("terms")
@@ -251,7 +263,7 @@ def _build_rep(node, group, field, path):
             raise SpecFormatError(f"{path}: 'dsum' needs at least two 'terms'")
         reps = [_build_rep(t, group, field, f"{path}.terms[{i}]")
                 for i, t in enumerate(terms)]
-        return _build_at(path, reduce, direct_sum, reps)
+        return _build_at(path, direct_sum, *reps)
 
     if kind == "conj":
         if field != "complex":
@@ -275,10 +287,7 @@ def _build_rep(node, group, field, path):
 
 def parse_rep_spec(text: str, group, field: str) -> Representation:
     """Build a representation of ``group`` over ``field`` from a spec tree."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    doc = _load_json(text, "rep")
     return _build_rep(doc, group, field, "rep")
 
 

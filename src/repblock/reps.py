@@ -21,7 +21,10 @@ combinators carry the action along.
 
 from __future__ import annotations
 
+import math
 import os
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -306,11 +309,13 @@ def defining_rep(handle: CompactGroupHandle) -> Representation:
     return Representation(handle, handle.dim, field, image, name="defining")
 
 
-def _require_compatible(r1: Representation, r2: Representation, what):
-    if not (r1.group is r2.group or r1.group == r2.group):
-        raise ValueError(f"{what} requires representations of the same group")
-    if r1.field != r2.field:
-        raise ValueError(f"{what} requires matching fields, got {r1.field} and {r2.field}")
+def _require_compatible(reps, what):
+    first = reps[0]
+    for r in reps[1:]:
+        if not (r.group is first.group or r.group == first.group):
+            raise ValueError(f"{what} requires representations of the same group")
+        if r.field != first.field:
+            raise ValueError(f"{what} requires matching fields, got {first.field} and {r.field}")
 
 
 def _check_dim(dim, field):
@@ -323,49 +328,58 @@ def _check_dim(dim, field):
                          f"{have / 2**30:.3g} GiB")
 
 
-def _combined_action(r1, r2, dim, combine):
-    """Index action of a combination of two representations, if both have one."""
-    a1, a2 = r1.index_action, r2.index_action
-    if a1 is None or a2 is None:
+def _combined_action(reps, dim, combine):
+    """Index action of a combination of representations, if every one has one."""
+    actions = [r.index_action for r in reps]
+    if any(a is None for a in actions):
         return None
-    return IndexAction(dim, map(combine, a1.generators, a2.generators),
-                       lambda g: combine(a1.element(g), a2.element(g)))
+    return IndexAction(dim, map(combine, *(a.generators for a in actions)),
+                       lambda g: combine(*(a.element(g) for a in actions)))
 
 
-def tensor(r1: Representation, r2: Representation) -> Representation:
-    """Tensor (Kronecker) product; indices pair row-major as numpy's kron."""
-    _require_compatible(r1, r2, "tensor")
-    n2 = r2.dim
-    _check_dim(r1.dim * n2, r1.field)
-    action = _combined_action(r1, r2, r1.dim * n2,
-                              lambda s1, s2: (s1[:, None] * n2 + s2).ravel())
+def tensor(r1: Representation, *rest: Representation) -> Representation:
+    """Tensor (Kronecker) product of the factors; indices pair row-major as
+    numpy's kron, folded left to right."""
+    reps = (r1, *rest)
+    _require_compatible(reps, "tensor")
+    dim = math.prod(r.dim for r in reps)
+    _check_dim(dim, r1.field)
+
+    def kron_indices(*sigmas):
+        out = sigmas[0]
+        for r, s in zip(rest, sigmas[1:]):
+            out = (out[:, None] * r.dim + s).ravel()
+        return out
 
     def image(g):
-        return np.kron(r1.image(g), r2.image(g))
+        return reduce(np.kron, [r.image(g) for r in reps])
 
-    return Representation(r1.group, r1.dim * n2, r1.field,
-                          image if action is None else None,
-                          name=f"({r1.name} (x) {r2.name})", index_action=action)
+    action = _combined_action(reps, dim, kron_indices)
+    return Representation(r1.group, dim, r1.field, image if action is None else None,
+                          name="(" + " (x) ".join(r.name for r in reps) + ")",
+                          index_action=action)
 
 
-def direct_sum(r1: Representation, r2: Representation) -> Representation:
-    """Block-diagonal sum of two representations."""
-    _require_compatible(r1, r2, "direct_sum")
-    n1, n2 = r1.dim, r2.dim
-    _check_dim(n1 + n2, r1.field)
+def direct_sum(r1: Representation, *rest: Representation) -> Representation:
+    """Block-diagonal sum of the terms, in order."""
+    reps = (r1, *rest)
+    _require_compatible(reps, "direct_sum")
+    offsets = list(accumulate((r.dim for r in reps), initial=0))
+    dim = offsets[-1]
+    _check_dim(dim, r1.field)
     dt = _dtype(r1.field)
-    action = _combined_action(r1, r2, n1 + n2,
-                              lambda s1, s2: np.concatenate([s1, s2 + n1]))
 
     def image(g):
-        m = np.zeros((n1 + n2, n1 + n2), dtype=dt)
-        m[:n1, :n1] = r1.image(g)
-        m[n1:, n1:] = r2.image(g)
+        m = np.zeros((dim, dim), dtype=dt)
+        for r, lo in zip(reps, offsets):
+            m[lo:lo + r.dim, lo:lo + r.dim] = r.image(g)
         return m
 
-    return Representation(r1.group, n1 + n2, r1.field,
-                          image if action is None else None,
-                          name=f"({r1.name} (+) {r2.name})", index_action=action)
+    action = _combined_action(reps, dim, lambda *sigmas: np.concatenate(
+        [s + lo for s, lo in zip(sigmas, offsets)]))
+    return Representation(r1.group, dim, r1.field, image if action is None else None,
+                          name="(" + " (+) ".join(r.name for r in reps) + ")",
+                          index_action=action)
 
 
 def conjugate(r: Representation) -> Representation:
@@ -382,10 +396,7 @@ def conjugate(r: Representation) -> Representation:
 
 
 def tensor_power(r: Representation, k: int) -> Representation:
-    """k-fold tensor power, folded left to right."""
+    """k-fold tensor power: :func:`tensor` of k copies of ``r``."""
     if k < 1:
         raise ValueError("tensor power exponent must be >= 1")
-    out = r
-    for _ in range(k - 1):
-        out = tensor(out, r)
-    return out
+    return tensor(*[r] * k)

@@ -19,7 +19,6 @@ silently.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,9 +190,10 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
 
     With ``symmetrize_first`` the data is group-averaged before
     extraction, so nearly-invariant input is repaired instead of rejected.
-    ``threads`` > 1 extracts the m+1 matrices concurrently; results do not
-    depend on the thread count.
+    ``threads`` accepts only 1: extraction is serial.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
     _check_tol(tol, "tol")
     if prob.n != decomp.U.shape[0]:
         raise ValueError(f"problem size {prob.n} does not match basis size {decomp.U.shape[0]}")
@@ -202,16 +202,7 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
         if decomp.rep is None:
             raise ValueError("symmetrize_first needs a decomposition that kept its representation")
         mats = [symmetrize_matrix(decomp.rep, m, config, rng) for m in mats]
-
-    def extract(m):
-        return _extract_blocks(decomp, m)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(extract, mats))
-    else:
-        results = [extract(m) for m in mats]
-
+    results = [_extract_blocks(decomp, m) for m in mats]
     totals = [total for _, _, total in results]
     worst = float(np.max(totals))  # NaN propagates, where max() would drop it
     if not worst <= tol:

@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repblock import SdpProblem, natural_perm_rep, sample_commutant, sample_gue
+from repblock import cli
 from repblock.cli import main
 from repblock.formats import format_group_spec, format_sdp
 
@@ -313,6 +317,49 @@ def test_decompose_huge_tensor_power_exit2(s3_files, tmp_path, capsys, k):
     assert peak < 8 * 2 ** 20
 
 
+TRIVIAL_GROUP = '{"degree": 1, "generators": []}\n'
+U1_GROUP = '{"compact": "unitary", "dimension": 1}\n'
+
+
+@pytest.mark.parametrize("group_text,rep_doc", [
+    (TRIVIAL_GROUP, {"kind": "power", "k": 1000, "inner": {"kind": "natural"}}),
+    (U1_GROUP, {"kind": "power", "k": 1000, "inner": {"kind": "defining"}}),
+    (TRIVIAL_GROUP, {"kind": "tensor", "factors": [{"kind": "natural"}] * 1500}),
+], ids=["power-trivial", "power-u1", "tensor-1500"])
+def test_decompose_long_factor_lists(tmp_path, capsys, group_text, rep_doc):
+    # one closure per spec node, however many factors it has
+    group, rep = tmp_path / "g.group", tmp_path / "long.rep"
+    group.write_text(group_text)
+    rep.write_text(json.dumps(rep_doc))
+    assert main(["decompose", str(group), str(rep), "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["dimension"], c["multiplicity"]) for c in doc["components"]] == [(1, 1)]
+
+
+def _conj_chain(depth, leaf):
+    return '{"kind": "conj", "inner": ' * depth + leaf + "}" * depth
+
+
+@pytest.mark.parametrize("group_text,rep_text,spots", [
+    ("[" * 100000, NATURAL, ["group spec: JSON nests too deeply to parse"]),
+    # json.loads overflows at this depth where its C recursion shares the
+    # interpreter's limit; elsewhere the spec's nesting bound refuses it
+    (S3_GROUP, _conj_chain(995, NATURAL.strip()),
+     ["rep: JSON nests too deeply to parse",
+      "rep" + ".inner" * 100 + ": spec nests deeper than 100 levels"]),
+    (U2_GROUP, _conj_chain(700, '{"kind": "defining"}'),
+     ["rep" + ".inner" * 100 + ": spec nests deeper than 100 levels"]),
+], ids=["group-brackets", "conj-995-natural", "conj-700-defining"])
+def test_deeply_nested_spec_exit2(tmp_path, capsys, group_text, rep_text, spots):
+    group, rep = tmp_path / "g.group", tmp_path / "deep.rep"
+    group.write_text(group_text)
+    rep.write_text(rep_text)
+    assert main(["decompose", str(group), str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err in [f"error: {spot}\n" for spot in spots]
+    assert captured.out == ""
+
+
 def test_decompose_nan_generator_image_exit2(s3_files, tmp_path, capsys):
     group, _ = s3_files
     rep = tmp_path / "nan.rep"
@@ -366,18 +413,33 @@ def test_blockdiag_compact_group(tmp_path, capsys):
     assert manifest["worst_residual"] <= 1e-6
 
 
-def test_blockdiag_threads_flag_stable_output(s3_files, tmp_path, capsys):
+def test_blockdiag_threads_flag_retired(s3_files, tmp_path, capsys):
     group, rep = s3_files
     sdp = _write_invariant_sdp(tmp_path, m=2, seed=31)
-    base = ["blockdiag", str(sdp), str(group), str(rep), "--seed", "4",
-            "--format", "structured"]
-    assert main([*base, "--out", str(tmp_path / "a"), "--threads", "1"]) == 0
-    one = capsys.readouterr().out
-    assert main([*base, "--out", str(tmp_path / "b"), "--threads", "4"]) == 0
-    two = capsys.readouterr().out
-    assert one.replace(str(tmp_path / "a"), "") == two.replace(str(tmp_path / "b"), "")
-    assert (tmp_path / "a" / "block_000.sdp").read_text() \
-        == (tmp_path / "b" / "block_000.sdp").read_text()
+    assert main(["blockdiag", str(sdp), str(group), str(rep), "--threads", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --threads 4" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_lists_the_shared_flags_and_their_env_mirrors(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shared = re.search(r"Shared flags: (.*?)\.\s", readme, re.S).group(1)
+    documented = {token.split()[0] for token in re.findall(r"`([^`]+)`", shared)}
+    mirrors = []
+    env = cli._env
+    monkeypatch.setattr(cli, "_env", lambda name, *rest: mirrors.append(name) or env(name, *rest))
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    flags = [{a.option_strings[0] for a in p._actions if a.option_strings and a.dest != "help"}
+             for p in commands]
+    assert documented == set.intersection(*flags)
+
+    env_text = re.search(r"environment-variable mirror(.*?)explicit flags win", readme, re.S)
+    assert set(re.findall(r"`REPBLOCK_(\w+)`", env_text.group(1))) == set(mirrors)
+    # each mirror names a flag of some command
+    assert all("--" + name.lower().replace("_", "-") in set.union(*flags) for name in mirrors)
 
 
 def test_sample_group_unitary(capsys):

@@ -35,7 +35,7 @@ def character_multiplicities_natural(group):
 # ---------------------------------------------------------------------------
 
 def test_eigsplit_identity():
-    got = eigsplit(CommutantSample(np.eye(5, dtype=complex), 0.0), 1e-6)
+    got = eigsplit(CommutantSample(np.eye(5, dtype=complex), 0.0))
     assert len(got) == 1 and got[0].dim == 5
     assert np.linalg.norm(got[0].rows @ got[0].rows.conj().T - np.eye(5)) <= 1e-12
 
@@ -43,7 +43,7 @@ def test_eigsplit_identity():
 def test_eigsplit_s3_sample(rng):
     rep = natural_perm_rep(symmetric(3))
     xbar = sample_commutant(rep, rng=rng)
-    bases = eigsplit(xbar, 1e-6)
+    bases = eigsplit(xbar)
     assert sorted(b.dim for b in bases) == [1, 2]
     # cross-check against a direct eigendecomposition
     evals = np.linalg.eigvalsh(xbar.matrix)
@@ -53,7 +53,7 @@ def test_eigsplit_s3_sample(rng):
 
 def test_eigsplit_constructed_gap():
     x = np.diag([1.0, 1.0 + 1e-13, 5.0])
-    bases = eigsplit(CommutantSample(x, 0.0), 1e-6)
+    bases = eigsplit(CommutantSample(x, 0.0))
     assert sorted(b.dim for b in bases) == [1, 2]
     assert bases[0].eigenvalue == pytest.approx(1.0, abs=1e-12)
 
@@ -61,12 +61,12 @@ def test_eigsplit_constructed_gap():
 def test_eigsplit_genericity_guard():
     x = np.diag([0.0, 5e-7, 1.0])
     with pytest.raises(ResampleNeeded):
-        eigsplit(CommutantSample(x, 0.0), 1e-6)
+        eigsplit(CommutantSample(x, 0.0))
 
 
 def test_eigsplit_ascending_order(rng):
     rep = natural_perm_rep(symmetric(4))
-    bases = eigsplit(sample_commutant(rep, rng=rng), 1e-6)
+    bases = eigsplit(sample_commutant(rep, rng=rng))
     evs = [b.eigenvalue for b in bases]
     assert evs == sorted(evs)
 
@@ -81,7 +81,7 @@ def _s3_double_standard(rng):
     std = rep_from_generator_images(g, s3_standard_images(), "real")
     rep = direct_sum(std, std)
     xbar = sample_commutant(rep, rng=rng)
-    bases = eigsplit(xbar, 1e-6)
+    bases = eigsplit(xbar)
     xprime = sample_commutant(rep, rng=rng)
     return rep, bases, xprime
 
@@ -89,7 +89,7 @@ def _s3_double_standard(rng):
 def test_equivalence_self(rng):
     rep = natural_perm_rep(symmetric(3))
     xbar = sample_commutant(rep, rng=rng)
-    bases = eigsplit(xbar, 1e-6)
+    bases = eigsplit(xbar)
     xprime = sample_commutant(rep, rng=rng)
     b2 = [b for b in bases if b.dim == 2][0]
     w = equivalence_test(b2, b2, xprime)
@@ -100,7 +100,7 @@ def test_equivalence_self(rng):
 
 def test_equivalence_dimension_mismatch(rng):
     rep = natural_perm_rep(symmetric(3))
-    bases = eigsplit(sample_commutant(rep, rng=rng), 1e-6)
+    bases = eigsplit(sample_commutant(rep, rng=rng))
     xprime = sample_commutant(rep, rng=rng)
     b1 = [b for b in bases if b.dim == 1][0]
     b2 = [b for b in bases if b.dim == 2][0]
@@ -110,7 +110,7 @@ def test_equivalence_dimension_mismatch(rng):
 def test_equivalence_inequivalent_characters(rng):
     # C4 over C: four mutually inequivalent 1-dim characters
     rep = natural_perm_rep(cyclic(4), "complex")
-    bases = eigsplit(sample_commutant(rep, rng=rng), 1e-6)
+    bases = eigsplit(sample_commutant(rep, rng=rng))
     assert len(bases) == 4
     xprime = sample_commutant(rep, rng=rng)
     for i in range(4):
@@ -375,14 +375,16 @@ def test_fresh_sample_matches_block_pattern(rng):
     assert [b.shape[0] for b in blocks] == [c.multiplicity for c in d.components]
 
 
-def test_decompose_budget_exhaustion(rng):
+def test_decompose_budget_exhaustion(rng, monkeypatch):
     # an impossible witness tolerance turns every equivalence check into a
     # genericity failure, exhausting the restart budget
-    cfg = DecomposeConfig(witness_tol=1e-18, max_resamples=1)
+    dec = importlib.import_module("repblock.decompose")
+    monkeypatch.setattr(dec, "_WITNESS_TOL", 1e-18)
+    monkeypatch.setattr(dec, "_MAX_RESAMPLES", 1)
     g = symmetric(3)
     std = rep_from_generator_images(g, s3_standard_images(), "real")
     with pytest.raises(DecompositionError, match="gave up after 2 attempts") as info:
-        decompose(direct_sum(std, std), cfg, rng=rng)
+        decompose(direct_sum(std, std), rng=rng)
     # every attempt's reason is reported, not only the last
     msg = str(info.value)
     assert "attempt 1: " in msg and "attempt 2: " in msg
@@ -511,6 +513,25 @@ def test_verify_flags_misaligned_copy(rng):
     assert not report.passed
     assert report.unitarity_residual <= 1e-12
     assert any("component copy structure" in f for f in report.failures)
+
+
+def test_verify_copy_residual_matches_block_loop(rng):
+    # the repeated-block pattern np.kron(I_M, avg) gives, bit for bit, the
+    # residual of placing avg on each diagonal block in a loop
+    std = rep_from_generator_images(symmetric(3), s3_standard_images(), "complex")
+    rep = direct_sum(std, std, std)
+    d = decompose(rep, rng=rng)
+    assert d.dm_multiset() == [(2, 3)]
+    d.U = d.U + 1e-9 * rng.standard_normal(d.U.shape)  # a residual that is not 0
+    report = verify_decomposition(rep, d, trials=1, tol=1e-3, rng=np.random.default_rng(5))
+    img = rep.image(rep.random_element(np.random.default_rng(5)))
+    sub = d.U @ img @ d.U.conj().T
+    avg = np.trace(sub.reshape(3, 2, 3, 2), axis1=0, axis2=2) / 3
+    pattern = np.zeros_like(sub)
+    for a in range(3):
+        pattern[2 * a:2 * a + 2, 2 * a:2 * a + 2] = avg
+    want = np.linalg.norm(sub - pattern) / np.linalg.norm(img)
+    assert report.component_residuals == (want,) and want > 0
 
 
 def test_verify_flags_wrong_multiplicity(rng):

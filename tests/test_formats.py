@@ -124,6 +124,20 @@ def test_rep_spec_defining():
     assert rep.field == "complex"
 
 
+def _conj_chain(depth, leaf):
+    return '{"kind": "conj", "inner": ' * depth + leaf + "}" * depth
+
+
+def test_rep_spec_nesting_bound():
+    h = parse_group_spec('{"compact": "unitary", "dimension": 2}')
+    # 100 levels: 99 conj nodes over the leaf
+    rep = parse_rep_spec(_conj_chain(99, '{"kind": "defining"}'), h, "complex")
+    u = np.diag([1j, 1.0])
+    assert np.array_equal(rep.image(u), np.conj(u))
+    with pytest.raises(SpecFormatError) as info:
+        parse_rep_spec(_conj_chain(100, '{"kind": "defining"}'), h, "complex")
+    assert str(info.value) == "rep" + ".inner" * 100 + ": spec nests deeper than 100 levels"
+
 def test_rep_spec_errors():
     g = symmetric(3)
     h = parse_group_spec('{"compact": "unitary", "dimension": 2}')

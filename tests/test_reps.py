@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -213,6 +214,41 @@ def test_tensor_power():
     with pytest.raises(ValueError):
         tensor_power(r, 0)
 
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_factor_lists_match_the_binary_fold(rng):
+    # tensor and direct_sum over a factor list give, bit for bit, the images
+    # and index arrays of folding the two-argument calls left to right
+    g = symmetric(3)
+    nat, nat_r = natural_perm_rep(g, "complex"), natural_perm_rep(g, "real")
+    perms = rep_from_generator_images(g, [perm_matrix(p.images) for p in g.generators],
+                                      "complex")
+    sign = rep_from_generator_images(g, [perm_matrix([1, 0]), np.eye(2)], "complex")
+    std = rep_from_generator_images(g, s3_standard_images(), "complex")
+    std_r = rep_from_generator_images(g, s3_standard_images(), "real")
+    u2 = defining_rep(unitary_group(2))
+    cases = [(nat, sign), (nat, std), (std, nat, perms), (sign, nat, perms), (nat, perms, sign),
+             (nat_r, std_r, nat_r), (u2, conjugate(u2)), (conjugate(u2), u2, u2)]
+    for reps in cases:
+        for combine in (tensor, direct_sum):
+            flat, folded = combine(*reps), functools.reduce(combine, reps)
+            assert flat.dim == folded.dim
+            action, oracle = flat.index_action, folded.index_action
+            assert (action is None) == (oracle is None)
+            if action is not None:
+                assert all(_same_bits(a, b)
+                           for a, b in zip(action.generators, oracle.generators))
+            for _ in range(5):
+                x = reps[0].random_element(rng)
+                assert _same_bits(flat.image(x), folded.image(x))
+                if combine is tensor:  # indices pair row-major, as numpy's kron
+                    want = functools.reduce(np.kron, [r.image(x) for r in reps])
+                    assert _same_bits(flat.image(x), want)
+                if action is not None:
+                    assert _same_bits(action.element(x), oracle.element(x))
 
 def _constructed_reps():
     g3 = symmetric(3)
