@@ -176,13 +176,19 @@ def _note(args, message):
         print(f"# {message}", file=sys.stderr)
 
 
+def _note_decomposition(args, rep, decomp):
+    _note(args, f"decomposed in {decomp.attempts} attempt(s); "
+                f"projection: {projection_path(rep)}")
+    _note(args, f"{decomp.clusters} eigenvalue clusters; {decomp.pairs_tested} candidate "
+                f"pairs tested, {decomp.pairs_equivalent} equivalent")
+
+
 def cmd_decompose(args) -> int:
     rep = _load_rep(args.group_spec, args.rep_spec, args.field)
     _note(args, f"{_group_label(rep.group, chain=True)}; representation dimension {rep.dim}")
     rng = np.random.default_rng(args.seed)
     decomp = decompose(rep, _decompose_config(args), rng=rng)
-    _note(args, f"decomposed in {decomp.attempts} attempt(s); "
-                f"projection: {projection_path(rep)}")
+    _note_decomposition(args, rep, decomp)
 
     if args.emit_basis:
         Path(args.emit_basis).write_text(format_basis(decomp, args.field))
@@ -229,8 +235,7 @@ def cmd_blockdiag(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _decompose_config(args)
     decomp = decompose(rep, config, rng=rng)
-    _note(args, f"decomposed in {decomp.attempts} attempt(s); "
-                f"projection: {projection_path(rep)}")
+    _note_decomposition(args, rep, decomp)
 
     tol = args.tol if args.tol is not None else 1e-6
     try:

@@ -142,6 +142,11 @@ class IrrepDecomposition:
     diagnostics: VerificationReport | None
     rep: Representation | None = None
     attempts: int = 1
+    # equivalence pass of the attempt that succeeded: eigenvalue clusters,
+    # (candidate, class lead) pairs tested, and pairs found equivalent
+    clusters: int = 0
+    pairs_tested: int = 0
+    pairs_equivalent: int = 0
 
     @property
     def multiplicities(self):
@@ -189,21 +194,23 @@ def eigsplit(xbar: CommutantSample):
     return out
 
 
-def equivalence_test(b1: SubrepBasis, b2: SubrepBasis, xprime: CommutantSample):
+def equivalence_test(b1: SubrepBasis, b2: SubrepBasis, y_b2: np.ndarray, y_norm: float):
     """Decide whether two subrepresentation bases carry equivalent irreps.
 
-    Returns an :class:`EquivalenceWitness` or None (inequivalent).  The
-    second sample ``xprime`` must be independent of the sample the bases
-    came from.  A candidate witness that is neither negligible nor within
-    ``_WITNESS_TOL`` of a scaled unitary means the eigenspaces were not
-    clean irrep copies; that raises :class:`ResampleNeeded`.  Whether the
-    witness intertwines is left to :func:`verify_decomposition`.
+    ``y_b2`` is Y b2^dag, the n x dim(b2) strip of a second commutant
+    sample Y, independent of the sample the bases came from, applied to
+    the second basis; ``y_norm`` is the Frobenius norm of Y.  The witness
+    is F = b1 Y b2^dag = b1 y_b2.  Returns an :class:`EquivalenceWitness`
+    or None (inequivalent).  A candidate witness that is neither
+    negligible nor within ``_WITNESS_TOL`` of a scaled unitary means the
+    eigenspaces were not clean irrep copies; that raises
+    :class:`ResampleNeeded`.  Whether the witness intertwines is left to
+    :func:`verify_decomposition`.
     """
     if b1.dim != b2.dim:
         return None
-    y = xprime.matrix if isinstance(xprime, CommutantSample) else np.asarray(xprime)
-    f = b1.rows @ y @ b2.rows.conj().T
-    if np.linalg.norm(f) <= _ZERO_TOL * np.linalg.norm(y):
+    f = b1.rows @ y_b2
+    if np.linalg.norm(f) <= _ZERO_TOL * y_norm:
         return None
 
     alpha = float(np.linalg.norm(f, 2))
@@ -270,8 +277,11 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
 
     For each trial the conjugated image U rho_g U^dag is compared against
     the claimed pattern: zero off the component blocks, and each component
-    an M-fold repetition of a single D x D block.  Norms are relative to
-    the Frobenius norm of rho_g.  A NaN residual fails its check.
+    an M-fold repetition of a single D x D block.  The basis is applied
+    once per trial, G = rho_g U^dag, and component k is read from its
+    column strip G_k: its block is U_k G_k, and its leak is bounded from
+    above (see below) without forming the n x n conjugation.  Norms are
+    relative to the Frobenius norm of rho_g.  A NaN residual fails its check.
 
     For a representation with an index action the commutant dimension is
     also checked exactly: the number of orbitals must equal sum e M^2, with
@@ -311,26 +321,44 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     comp_resid = [0.0] * len(decomp.components)
     if dims_ok:
         offsets = np.cumsum([0] + [c.size for c in decomp.components])
+        v = np.ascontiguousarray(u.conj().T)
+        # Leak of strip k.  The dense strip U G_k holds the block
+        # S_k = U_k G_k on component k and L_k = U_rest G_k off it.  With
+        # V = U^dag and VU = I + E, |E|_2 <= r_U (the unitarity residual),
+        # V U G_k = V_k S_k + V_rest L_k gives V_rest L_k = (G_k - V_k S_k)
+        # + E G_k, and no singular value of V is below sqrt(1 - r_U).  So
+        # |L_k| <= (|G_k - V_k S_k| + r_U |G_k|) / sqrt(1 - r_U) for any
+        # basis: the gate fails closed (inf once r_U >= 1, NaN propagates),
+        # and for a unitary U the bound equals |L_k| to about 1e-13.
+        with np.errstate(divide="ignore"):
+            gain = 1.0 / np.sqrt(np.maximum(np.float64(1.0 - unit_resid), 0.0))
+        buf = np.empty_like(v)
         for _ in range(trials):
             g = rep.random_element(rng)
             if action is None:
                 img = rep.image(g)
                 nrm = float(np.linalg.norm(img))
-                b = u @ img @ u.conj().T
-            else:  # u rho_g gathers the columns of u; |rho_g|_F = sqrt(n)
+                gv = img @ v
+            else:  # rho_g V gathers the rows of V; |rho_g|_F = sqrt(n)
                 nrm = np.sqrt(n)
-                b = u[:, action.element(g)] @ u.conj().T
-            leak = b.copy()
+                gv = np.take(v, np.argsort(action.element(g)), axis=0, out=buf)
+            col_norms = np.linalg.norm(gv, axis=0)
+            leak_sq = 0.0
             for ci, comp in enumerate(decomp.components):
                 lo, hi = offsets[ci], offsets[ci + 1]
-                sub = b[lo:hi, lo:hi]
-                leak[lo:hi, lo:hi] = 0.0
+                strip = gv[:, lo:hi]
+                sub = u[lo:hi] @ strip
+                resid = v[:, lo:hi] @ sub
+                resid -= strip
+                leak_sq += ((np.linalg.norm(resid)
+                             + unit_resid * np.linalg.norm(col_norms[lo:hi])) * gain) ** 2
+                # the copy residual: subtract the mean copy from each diagonal block
                 d, m = comp.dimension, comp.multiplicity
                 copies = sub.reshape(m, d, m, d)
-                pattern = np.kron(np.eye(m), np.trace(copies, axis1=0, axis2=2) / m)
-                comp_resid[ci] = float(np.maximum(comp_resid[ci],
-                                                  np.linalg.norm(sub - pattern) / nrm))
-            max_off = float(np.maximum(max_off, np.linalg.norm(leak) / nrm))
+                diag = np.arange(m)
+                copies[diag, :, diag, :] -= np.trace(copies, axis1=0, axis2=2) / m
+                comp_resid[ci] = float(np.maximum(comp_resid[ci], np.linalg.norm(sub) / nrm))
+            max_off = float(np.maximum(max_off, np.sqrt(leak_sq) / nrm))
         if not max_off <= tol:
             failures.append(f"off-component leakage {max_off:.3e} above {tol:.1e}")
         worst_comp = float(np.max(comp_resid, initial=0.0))
@@ -352,13 +380,23 @@ def _decompose_once(rep, cfg, streams, attempt):
     bases = eigsplit(xbar)
     xprime = sample_commutant(rep, cfg.projection, s_xprime)
 
+    # Y Q^dag once, Q stacking the bases: a test reads its candidate's
+    # column strip instead of multiplying Y again
+    y = xprime.matrix
+    yq = y @ np.vstack([b.rows for b in bases]).conj().T
+    y_norm = float(np.linalg.norm(y))
+    offsets = np.cumsum([0] + [b.dim for b in bases])
+
     classes = []  # each a list of bases: the lead, then members harmonized to it
-    for b in bases:
+    pairs_tested = pairs_equivalent = 0
+    for b, lo in zip(bases, offsets):
         matches = []
         for members in classes:
-            w = equivalence_test(members[0], b, xprime)
+            w = equivalence_test(members[0], b, yq[:, lo:lo + b.dim], y_norm)
+            pairs_tested += 1
             if w is not None:
                 matches.append((members, w))
+        pairs_equivalent += len(matches)
         if len(matches) > 1:
             raise ResampleNeeded(
                 f"a subrepresentation is equivalent to the leads of {len(matches)} classes")
@@ -389,7 +427,8 @@ def _decompose_once(rep, cfg, streams, attempt):
             comp.real_type = real_type
 
     decomp = IrrepDecomposition(
-        U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1)
+        U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1,
+        clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent)
 
     report = verify_decomposition(rep, decomp, trials=_VERIFY_TRIALS,
                                   tol=cfg.block_tol, rng=s_verify)

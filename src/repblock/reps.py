@@ -351,8 +351,20 @@ def tensor(r1: Representation, *rest: Representation) -> Representation:
             out = (out[:, None] * r.dim + s).ravel()
         return out
 
+    # each distinct factor is evaluated once per element, and the 1 x 1
+    # factors multiply as one scalar instead of entering the kron fold
+    distinct = list({id(r): r for r in reps}.values())
+    slot = {id(r): i for i, r in enumerate(distinct)}
+    blocks = [slot[id(r)] for r in reps if r.dim > 1]
+    scalars = [slot[id(r)] for r in reps if r.dim == 1]
+    dt = _dtype(r1.field)
+
     def image(g):
-        return reduce(np.kron, [r.image(g) for r in reps])
+        imgs = [r.image(g) for r in distinct]
+        out = reduce(np.kron, [imgs[i] for i in blocks]) if blocks else np.ones((1, 1), dt)
+        if scalars:
+            out = out * math.prod(imgs[i][0, 0] for i in scalars)
+        return out
 
     action = _combined_action(reps, dim, kron_indices)
     return Representation(r1.group, dim, r1.field, image if action is None else None,

@@ -38,6 +38,8 @@ class NotInvariantError(ValueError):
 def _check_hermitian(m, what):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} has a non-finite entry")
+    if np.array_equal(m, m.conj().T):  # bitwise Hermitian: the residual is 0
+        return
     resid = np.linalg.norm(m - m.conj().T)
     scale = max(1.0, np.linalg.norm(m))
     if not resid <= _HERMITIAN_TOL * scale:  # NaN fails too

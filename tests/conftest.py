@@ -410,3 +410,87 @@ def reference_parse_matrix(rows, field, where):
         for j, v in enumerate(row):
             mat[i, j] = entry(v, f"{where}[{i}][{j}]")
     return mat
+
+
+# --- reference verification -------------------------------------------------
+#
+# The dense verification loop that repblock.decompose.verify_decomposition
+# replaced: each trial forms the full conjugation U rho_g U^dag, zeroes the
+# component blocks to measure the leak, and compares each block with its
+# repeated-copy pattern.  Same gates, messages and random elements.
+
+def reference_verify(rep, decomp, trials, tol, rng):
+    from repblock.decompose import _REAL_TYPE_WEIGHT, VerificationReport
+
+    u = decomp.U
+    n = rep.dim
+    action = rep.index_action
+    failures = []
+
+    dims_ok = sum(c.size for c in decomp.components) == n and u.shape == (n, n)
+    if not dims_ok:
+        failures.append("component sizes do not add up to the dimension")
+
+    unit_resid = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    if not unit_resid <= tol * n:
+        failures.append(f"basis is not unitary (residual {unit_resid:.3e})")
+
+    if action is not None:
+        orbitals = len(action.orbitals()[1])
+        weight = _REAL_TYPE_WEIGHT if rep.field == "real" else {}
+        claimed = sum(weight.get(c.real_type, 1) * c.multiplicity ** 2
+                      for c in decomp.components)
+        if claimed != orbitals:
+            failures.append(f"commutant dimension {claimed} claimed by the components "
+                            f"differs from the {orbitals} orbitals")
+
+    max_off = 0.0
+    comp_resid = [0.0] * len(decomp.components)
+    if dims_ok:
+        offsets = np.cumsum([0] + [c.size for c in decomp.components])
+        for _ in range(trials):
+            g = rep.random_element(rng)
+            if action is None:
+                img = rep.image(g)
+                nrm = float(np.linalg.norm(img))
+                b = u @ img @ u.conj().T
+            else:
+                nrm = np.sqrt(n)
+                b = u[:, action.element(g)] @ u.conj().T
+            leak = b.copy()
+            for ci, comp in enumerate(decomp.components):
+                lo, hi = offsets[ci], offsets[ci + 1]
+                sub = b[lo:hi, lo:hi]
+                leak[lo:hi, lo:hi] = 0.0
+                d, m = comp.dimension, comp.multiplicity
+                copies = sub.reshape(m, d, m, d)
+                pattern = np.kron(np.eye(m), np.trace(copies, axis1=0, axis2=2) / m)
+                comp_resid[ci] = float(np.maximum(comp_resid[ci],
+                                                  np.linalg.norm(sub - pattern) / nrm))
+            max_off = float(np.maximum(max_off, np.linalg.norm(leak) / nrm))
+        if not max_off <= tol:
+            failures.append(f"off-component leakage {max_off:.3e} above {tol:.1e}")
+        worst_comp = float(np.max(comp_resid, initial=0.0))
+        if not worst_comp <= tol:
+            failures.append(f"component copy structure off by {worst_comp:.3e}")
+
+    return VerificationReport(
+        trials=trials, tolerance=tol, unitarity_residual=unit_resid,
+        max_off_component=max_off, component_residuals=tuple(comp_resid),
+        dims_ok=dims_ok, passed=not failures, failures=tuple(failures))
+
+
+def equivalence_pass_order(decomp):
+    """(clusters, pairs tested, pairs equivalent) of the equivalence pass
+    that produced ``decomp``, rebuilt from its components' eigenvalues.
+
+    The pass visits the clusters in ascending eigenvalue order and tests each
+    one against the lead of every component found before it.
+    """
+    owner = sorted((ev, k) for k, c in enumerate(decomp.components) for ev in c.eigenvalues)
+    seen = set()
+    tested = 0
+    for _, k in owner:
+        tested += len(seen)
+        seen.add(k)
+    return len(owner), tested, len(owner) - len(seen)

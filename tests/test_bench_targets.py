@@ -11,9 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import symmetric
+from conftest import equivalence_pass_order, regular_rep, symmetric
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -52,6 +53,29 @@ def test_layer_metrics_reads_the_chain():
     metrics = tracing.layer_metrics(tracing.Tracer(), [group])
     assert metrics["perm.max_word_len"] >= 1
     assert metrics["perm.transversal_total"] == sum(len(t) for t in group.transversals)
+
+
+def test_traced_decompose_counts_pairs_and_one_verification():
+    # decompose.equivalence_calls and decompose.equivalence_yield count the
+    # equivalence_test spans, decompose.verify_s times verify_decomposition:
+    # one call per (candidate, class lead) pair, one verification per run
+    from repblock import decompose
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        d = decompose(regular_rep(symmetric(4)), rng=np.random.default_rng(3))
+    finally:
+        tracer.uninstall()
+    assert d.attempts == 1
+    clusters, pairs, equivalent = equivalence_pass_order(d)
+    assert (clusters, equivalent) == (10, 5)  # S4 irreps 1, 1, 2, 3, 3, each M = D
+    _, calls = tracer.buckets()
+    assert calls["decompose.equivalence"] == pairs == d.pairs_tested
+    assert calls["decompose.verify"] == 1
+    metrics = tracing.layer_metrics(tracer, [])
+    assert metrics["decompose.equivalence_calls"] == pairs
+    assert metrics["decompose.equivalence_yield"] == equivalent / pairs
 
 
 def test_bench_selftest_passes():

@@ -195,6 +195,9 @@ def test_verbose_names_projection_path(tmp_path, capsys, group_text, rep_text, p
     chain = "base length 2, 3 strong generators"
     assert chain not in quiet.err
     assert (chain in loud.err) == (group_text == S3_GROUP)
+    assert "eigenvalue clusters" not in quiet.err
+    assert re.search(r"# \d+ eigenvalue clusters; \d+ candidate pairs tested, \d+ equivalent",
+                     loud.err)
     assert loud.out == quiet.out
 
 
@@ -209,6 +212,8 @@ def test_blockdiag_verbose_names_projection_path(s3_files, tmp_path, capsys):
     loud = capsys.readouterr()
     assert "projection: orbital averaging, 2 orbitals" in loud.err
     assert "degree 3, order 6, base length 2, 3 strong generators" in loud.err
+    # S3 natural: the trivial and the 2-dim irrep, one test between them
+    assert "# 2 eigenvalue clusters; 1 candidate pairs tested, 0 equivalent" in loud.err
     assert loud.out == quiet.out
 
 

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
-                      IsotypicComponent, ProjectionConfig, ResampleNeeded,
+                      IsotypicComponent, ProjectionConfig, Representation, ResampleNeeded,
                       classify_real_type, conjugate, decompose,
                       defining_rep, direct_sum, eigsplit, equivalence_test,
                       group_from_generators, harmonize, natural_perm_rep,
@@ -13,8 +14,8 @@ from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
                       sample_commutant, tensor, tensor_power, unitary_group,
                       verify_decomposition)
 
-from conftest import (closure_with_images, cyclic, perm_matrix, quaternion8,
-                      regular_rep, symmetric)
+from conftest import (closure_with_images, cyclic, equivalence_pass_order, group_of,
+                      perm_matrix, quaternion8, reference_verify, regular_rep, symmetric)
 from test_reps import s3_standard_images
 
 FAST_COMPACT = DecomposeConfig(projection=ProjectionConfig(nu=300))
@@ -86,13 +87,19 @@ def _s3_double_standard(rng):
     return rep, bases, xprime
 
 
+def _y_strip(xprime, b2):
+    """The (Y b2^dag, |Y|) arguments equivalence_test takes for sample Y."""
+    y = xprime.matrix
+    return y @ b2.rows.conj().T, np.linalg.norm(y)
+
+
 def test_equivalence_self(rng):
     rep = natural_perm_rep(symmetric(3))
     xbar = sample_commutant(rep, rng=rng)
     bases = eigsplit(xbar)
     xprime = sample_commutant(rep, rng=rng)
     b2 = [b for b in bases if b.dim == 2][0]
-    w = equivalence_test(b2, b2, xprime)
+    w = equivalence_test(b2, b2, *_y_strip(xprime, b2))
     assert w is not None
     a = w.F / w.alpha
     assert np.linalg.norm(a.conj().T @ a - np.eye(2)) <= 1e-8
@@ -104,7 +111,7 @@ def test_equivalence_dimension_mismatch(rng):
     xprime = sample_commutant(rep, rng=rng)
     b1 = [b for b in bases if b.dim == 1][0]
     b2 = [b for b in bases if b.dim == 2][0]
-    assert equivalence_test(b1, b2, xprime) is None
+    assert equivalence_test(b1, b2, *_y_strip(xprime, b2)) is None
 
 
 def test_equivalence_inequivalent_characters(rng):
@@ -115,13 +122,13 @@ def test_equivalence_inequivalent_characters(rng):
     xprime = sample_commutant(rep, rng=rng)
     for i in range(4):
         for j in range(i):
-            assert equivalence_test(bases[j], bases[i], xprime) is None
+            assert equivalence_test(bases[j], bases[i], *_y_strip(xprime, bases[i])) is None
 
 
 def test_equivalence_multiplicity_two_and_harmonize(rng):
     rep, bases, xprime = _s3_double_standard(rng)
     assert sorted(b.dim for b in bases) == [2, 2]
-    w = equivalence_test(bases[0], bases[1], xprime)
+    w = equivalence_test(bases[0], bases[1], *_y_strip(xprime, bases[1]))
     assert w is not None
 
     aligned = harmonize(bases[1], w)
@@ -147,11 +154,11 @@ def test_harmonize_identity_witness(rng):
 
 def test_harmonize_idempotent(rng):
     rep, bases, xprime = _s3_double_standard(rng)
-    w = equivalence_test(bases[0], bases[1], xprime)
+    w = equivalence_test(bases[0], bases[1], *_y_strip(xprime, bases[1]))
     aligned = harmonize(bases[1], w)
     # a fresh witness against the already-aligned basis is the identity,
     # so harmonizing again moves nothing
-    w2 = equivalence_test(bases[0], aligned, xprime)
+    w2 = equivalence_test(bases[0], aligned, *_y_strip(xprime, aligned))
     again = harmonize(aligned, w2)
     assert np.linalg.norm(again.rows - aligned.rows) <= 1e-10
 
@@ -517,7 +524,8 @@ def test_verify_flags_misaligned_copy(rng):
 
 def test_verify_copy_residual_matches_block_loop(rng):
     # the repeated-block pattern np.kron(I_M, avg) gives, bit for bit, the
-    # residual of placing avg on each diagonal block in a loop
+    # residual of placing avg on each diagonal block in a loop; the strip
+    # form U_k (rho U_k^dag) of the block matches it to roundoff
     std = rep_from_generator_images(symmetric(3), s3_standard_images(), "complex")
     rep = direct_sum(std, std, std)
     d = decompose(rep, rng=rng)
@@ -531,7 +539,9 @@ def test_verify_copy_residual_matches_block_loop(rng):
     for a in range(3):
         pattern[2 * a:2 * a + 2, 2 * a:2 * a + 2] = avg
     want = np.linalg.norm(sub - pattern) / np.linalg.norm(img)
-    assert report.component_residuals == (want,) and want > 0
+    dense = reference_verify(rep, d, trials=1, tol=1e-3, rng=np.random.default_rng(5))
+    assert dense.component_residuals == (want,) and want > 0
+    assert abs(report.component_residuals[0] - want) <= 1e-14
 
 
 def test_verify_flags_wrong_multiplicity(rng):
@@ -559,3 +569,95 @@ def test_verify_flags_wrong_real_type(rng):
     report = verify_decomposition(rep, d, trials=10, rng=rng)
     assert report.failures == (
         "commutant dimension 4 claimed by the components differs from the 5 orbitals",)
+
+
+# ---------------------------------------------------------------------------
+# strip verification and the equivalence pass against dense oracles
+# ---------------------------------------------------------------------------
+
+BASIS_CASES = ("correct", "swap", "rotate", "perturb", "unit-rows", "nan")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2))),
+    st.sampled_from(("complex", "real")), st.booleans(), st.booleans(),
+    st.sampled_from(BASIS_CASES), st.integers(-12, -7), st.integers(0, 2 ** 32 - 1))
+def test_verify_matches_the_dense_oracle(generated, field, doubled, dense, case, exponent,
+                                         seed):
+    n, gens = generated
+    rep = natural_perm_rep(group_of(n, gens), field)
+    if doubled:  # every multiplicity at least 2
+        rep = direct_sum(rep, rep)
+    rng = np.random.default_rng(seed)
+    d = decompose(rep, rng=rng)
+    u = d.U.copy()
+    offsets = np.cumsum([0] + [c.size for c in d.components])
+    if case == "swap":  # a row of the first component trades places with one of the last
+        assume(len(d.components) >= 2)
+        u[[0, offsets[-2]]] = u[[offsets[-2], 0]]
+    elif case == "rotate":  # mixes the first and last row of the largest component
+        k = int(np.argmax(np.diff(offsets)))
+        lo, hi = offsets[k], offsets[k + 1] - 1
+        assume(hi > lo)
+        c, s = math.cos(0.3), math.sin(0.3)
+        u[[lo, hi]] = np.array([[c, -s], [s, c]]) @ u[[lo, hi]]
+    elif case == "perturb":  # off unitarity by 1e-12 to 1e-7
+        u = u + 10.0 ** exponent * rng.standard_normal(u.shape)
+    elif case == "unit-rows":  # rows of norm 1 that are not orthogonal: a 1-dim
+        # component's strip then lies in its own span, and only the
+        # unitarity term of the gate sees its leak
+        u = u + 10.0 ** exponent * rng.standard_normal(u.shape)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    elif case == "nan":
+        u[rng.integers(rep.dim), rng.integers(rep.dim)] = np.nan
+    d.U = u
+    if dense:  # the same images without the index action: the matrix path
+        rep = Representation(rep.group, rep.dim, rep.field, rep.image)
+
+    new = verify_decomposition(rep, d, trials=3, tol=1e-8, rng=np.random.default_rng(seed + 1))
+    old = reference_verify(rep, d, trials=3, tol=1e-8, rng=np.random.default_rng(seed + 1))
+    if math.isnan(old.max_off_component):
+        assert not new.max_off_component <= new.tolerance
+    else:  # never below the dense leak, up to rounding in the two norms; NaN is not below
+        assert not new.max_off_component < old.max_off_component * (1 - 1e-12)
+    np.testing.assert_allclose(new.component_residuals, old.component_residuals,
+                               rtol=0, atol=1e-13)
+    if case == "correct":
+        assert abs(new.max_off_component - old.max_off_component) <= 1e-13
+    assert old.passed or not new.passed
+
+
+def test_equivalence_pass_witnesses_match_dense_products(monkeypatch):
+    dec = importlib.import_module("repblock.decompose")
+    samples, calls = [], []
+
+    def recording_sample(*args, **kwargs):
+        samples.append(real_sample(*args, **kwargs))
+        return samples[-1]
+
+    def recording_test(b1, b2, y_b2, y_norm):
+        calls.append((b1, b2, real_test(b1, b2, y_b2, y_norm)))
+        return calls[-1][2]
+
+    real_sample, real_test = dec.sample_commutant, dec.equivalence_test
+    monkeypatch.setattr(dec, "sample_commutant", recording_sample)
+    monkeypatch.setattr(dec, "equivalence_test", recording_test)
+    d = decompose(regular_rep(symmetric(4), "complex"), rng=np.random.default_rng(7))
+    assert d.attempts == 1 and len(samples) == 2
+    y = samples[1].matrix  # the second sample, which decides equivalence
+    witnesses = [(b1, b2, w) for b1, b2, w in calls if w is not None]
+    assert len(witnesses) == d.pairs_equivalent == 5
+    for b1, b2, w in witnesses:
+        want = b1.rows @ y @ b2.rows.conj().T
+        assert np.linalg.norm(w.F - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_decomposition_counts_its_equivalence_pass(rng):
+    # S3 regular over C: trivial, sign, and two copies of the 2-dim irrep,
+    # each copy its own eigenvalue cluster
+    d = decompose(regular_rep(symmetric(3), "complex"), rng=rng)
+    assert d.dm_multiset() == [(1, 1), (1, 1), (2, 2)]
+    assert (d.clusters, d.pairs_tested, d.pairs_equivalent) == equivalence_pass_order(d)
+    assert d.clusters == 4 and d.pairs_equivalent == 1
+    assert d.pairs_tested in (4, 5, 6)

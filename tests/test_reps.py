@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repblock import (Permutation, PermutationGroup, conjugate, defining_rep, direct_sum,
-                      natural_perm_rep,
+from repblock import (Permutation, PermutationGroup, Representation, conjugate,
+                      defining_rep, direct_sum, natural_perm_rep,
                       rep_from_generator_images, tensor, tensor_power,
                       trivial_rep, unitary_group, orthogonal_group)
 
@@ -249,6 +249,49 @@ def test_factor_lists_match_the_binary_fold(rng):
                     assert _same_bits(flat.image(x), want)
                 if action is not None:
                     assert _same_bits(action.element(x), oracle.element(x))
+
+def test_tensor_without_index_action_evaluates_each_factor_once(monkeypatch):
+    # a power of k 1 x 1 factors: one image of the inner representation per
+    # element, and its k-th power as one scalar, with no kron fold
+    inner = defining_rep(unitary_group(1))
+    images = []
+
+    def counted(u):
+        images.append(u)
+        return inner.image(u)
+
+    once = Representation(inner.group, 1, "complex", counted, name="defining")
+    power = tensor_power(once, 1000)
+    krons = []
+    real_kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda a, b: krons.append(1) or real_kron(a, b))
+    for seed in range(5):
+        u = inner.random_element(np.random.default_rng(seed))
+        got = power.image(u)
+        assert len(images) == seed + 1 and got.shape == (1, 1)
+        assert np.allclose(got, u[0, 0] ** 1000, rtol=1e-12, atol=0)
+    assert krons == []
+
+
+def test_tensor_mixed_factor_lists_match_the_kron_fold():
+    # 1 x 1 factors multiplied in as a scalar give the kron fold's images
+    # up to the order of the scalar products
+    g = cyclic(3)
+    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+    rot = rep_from_generator_images(g, [np.array([[c, -s], [s, c]])], "complex")
+    chi = rep_from_generator_images(g, [np.array([[OMEGA]])], "complex")
+    chi2 = rep_from_generator_images(g, [np.array([[OMEGA ** 2]])], "complex")
+    cases = [(rot, chi), (chi, rot), (chi, chi2, rot, chi, rot, chi2),
+             (rot, rot, chi), (chi, chi, chi2)]
+    for reps in cases:
+        rep = tensor(*reps)
+        assert rep.index_action is None
+        for x in g.elements():
+            want = functools.reduce(np.kron, [r.image(x) for r in reps])
+            got = rep.image(x)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
 
 def _constructed_reps():
     g3 = symmetric(3)

@@ -123,6 +123,27 @@ def test_block_diagonalize_rejects_bad_tolerance(s3_setup, tol):
         block_diagonalize_sdp(decomp, prob, tol=tol)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_hermitian_check_keeps_its_tolerance(rng, field):
+    # a bitwise-Hermitian matrix skips the residual; one Hermitian only to
+    # roundoff still takes the tolerance path and passes, 1e-9 off fails
+    x = rng.standard_normal((6, 6))
+    if field == "complex":
+        x = x + 1j * rng.standard_normal((6, 6))
+    h = x + x.conj().T
+    h /= 2 * np.linalg.norm(h)  # norm 1/2, so the tolerance is 1e-10 absolute
+    SdpProblem(c=h, a=[h], b=[1.0], field=field)
+    near, off = h.copy(), h.copy()
+    near[0, 1] += 1e-14
+    off[0, 1] += 1e-9
+    assert not np.array_equal(near, near.conj().T)
+    SdpProblem(c=near, a=[], b=[], field=field)
+    with pytest.raises(ValueError, match="C is not Hermitian"):
+        SdpProblem(c=off, a=[], b=[], field=field)
+    with pytest.raises(ValueError, match="A_1 is not Hermitian"):
+        SdpProblem(c=h, a=[off], b=[1.0], field=field)
+
+
 def test_sdp_problem_validation(rng):
     c = np.eye(3)
     with pytest.raises(ValueError, match="Hermitian"):
