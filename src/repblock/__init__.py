@@ -7,8 +7,7 @@ to block-diagonalize invariant semidefinite program data.
 """
 
 from .commutant import (CommutantSample, ProjectionConfig, ProjectionError,
-                        partial_average, project_commutant, sample_commutant,
-                        sample_gue)
+                        project_commutant, sample_commutant, sample_gue)
 from .compact import (CompactGroupHandle, haar_orthogonal, haar_unitary,
                       orthogonal_group, unitary_group)
 from .decompose import (DecomposeConfig, DecompositionError,

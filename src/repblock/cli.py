@@ -246,6 +246,7 @@ def cmd_blockdiag(args) -> int:
         print(f"invariance check failed: {exc}\n"
               "(re-run with --symmetrize to project the data first)", file=sys.stderr)
         return EXIT_INVARIANCE
+    _note(args, f"extraction: {blocked.extraction}")
 
     outdir = Path(args.out) if args.out else Path(str(args.sdp) + ".blocks")
     outdir.mkdir(parents=True, exist_ok=True)

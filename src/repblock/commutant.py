@@ -104,17 +104,6 @@ def _conjugation_average(rep, elements, x, hermitize):
     return acc
 
 
-def partial_average(rep: Representation, elements, x) -> np.ndarray:
-    """Average of u x u^dag over the given group elements.
-
-    The accumulator is re-symmetrized so Hermitian input stays Hermitian
-    bit-for-bit despite floating-point non-commutativity.
-    """
-    if len(elements) == 0:
-        raise ValueError("partial_average needs a nonempty element set")
-    return _conjugation_average(rep, elements, x, hermitize=True)
-
-
 def commutation_residual(rep: Representation, x, elements, images=None) -> float:
     """max_g ||x rho_g - rho_g x||_F / ||x||_F over the given elements.
 

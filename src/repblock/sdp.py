@@ -1,6 +1,6 @@
 """Block-diagonalization of invariant semidefinite program data.
 
-An invariant matrix X conjugated into the decomposition basis is
+An invariant matrix conjugated into the decomposition basis is
 block-diagonal per isotypic component, and each component block is a
 small multiplicity-sized matrix repeated along the irrep dimension.  The
 functions here extract those small blocks from C and the constraint
@@ -8,6 +8,28 @@ matrices A_i of a problem (min <C, X> s.t. <A_i, X> = b_i, X >= 0), and
 rebuild full matrices from blocks.  Positive semidefiniteness and the
 weighted trace identity <A, X> = sum_i D_i <A_block_i, X_block_i> carry
 the problem to the reduced form.
+
+Two extractions give the same blocks.  When the representation permutes
+its basis (it has an index action) and the components' M_i^2 add up to
+the number r of orbitals, an invariant matrix is X = sum_c x_c A_c over
+the 0/1 orbital indicators A_c, and its blocks are linear in the orbital
+means x.  :func:`block_diagonalize_sdp` then reads each data matrix once,
+by one bincount, and multiplies its means by a block map T (r x sum M_i^2)
+built once from one representative pair per orbital.  Two gates keep this
+as strict as conjugating every matrix:
+
+* invariance: without ``symmetrize_first`` each matrix must lie within
+  ``tol`` of its orbital means, |X - x[ids]| <= tol |X|; with it, the
+  means are the group average and are used as they are (the blocks are
+  made Hermitian, which is the same as making the average Hermitian);
+* one dense check: a seeded Gaussian combination of the data goes through
+  the dense conjugation below, and must fit the block pattern and agree
+  with the blocks T gives, both to ``tol``.  This catches a basis that
+  does not block the data and checks T against the basis.
+
+Everything else (compact groups, matrix images, and complex or
+quaternionic components over R, where sum M_i^2 < r) conjugates each
+matrix by the basis, U X U^dag, after group-averaging it when asked.
 
 Real-field caveat: a symmetric invariant matrix restricted to a component
 of complex or quaternionic type with multiplicity >= 2 is *not* of the
@@ -29,6 +51,9 @@ from .reps import Representation
 
 _HERMITIAN_TOL = 1e-10
 DEFAULT_INVARIANCE_TOL = 1e-6
+#: Seed of the orbital path's dense check, fixed so that the output does not
+#: depend on the caller's random stream.
+_CHECK_SEED = 20_191_109
 
 
 class NotInvariantError(ValueError):
@@ -101,6 +126,7 @@ class BlockDiagonalizedSdp:
     basis: IrrepDecomposition
     field: str
     residual: float
+    extraction: str = ""  # which extraction ran, and over how many orbitals or products
 
     @property
     def block_sizes(self):
@@ -183,6 +209,116 @@ def reconstruct(decomp: IrrepDecomposition, blocks) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def _orbital_path_applies(decomp) -> bool:
+    """Whether the blocks are linear in the orbital means: sum M_i^2 = r."""
+    rep = decomp.rep
+    if rep is None or rep.index_action is None:
+        return False
+    return sum(c.multiplicity ** 2 for c in decomp.components) == len(
+        rep.index_action.orbitals()[1])
+
+
+def _block_map(decomp, k, l, counts):
+    """T (r x sum M_i^2): the blocks of X = sum_c x_c A_c are x @ T.
+
+    T[c, (i, p, q)] = |c| / D_i sum_d U[(i,p,d), k_c] conj(U[(i,q,d), l_c])
+    for the representative pair (k_c, l_c) of orbital c.  The sum over d is
+    one entry of U_{i,q}^dag U_{i,p}, which commutes with the representation
+    and is therefore constant on every orbital, so one pair stands for all
+    |c| of them.
+    """
+    u = decomp.U
+    n = u.shape[0]
+    cols = []
+    offset = 0
+    for comp in decomp.components:
+        d, m = comp.dimension, comp.multiplicity
+        rows = u[offset:offset + d * m].reshape(m, d, n)
+        pairs = rows[:, :, k].transpose(2, 0, 1) @ rows[:, :, l].conj().transpose(2, 1, 0)
+        cols.append(pairs.reshape(len(counts), m * m) * (counts / d)[:, None])
+        offset += d * m
+    return np.hstack(cols)
+
+
+def _split_blocks(decomp, flat):
+    """Hermitian M x M blocks from the rows of coords @ T."""
+    blocks = []
+    offset = 0
+    for comp in decomp.components:
+        m = comp.multiplicity
+        xi = flat[..., offset:offset + m * m].reshape(flat.shape[:-1] + (m, m))
+        blocks.append((xi + np.swapaxes(xi, -1, -2).conj()) / 2)
+        offset += m * m
+    return blocks
+
+
+def _gate_residuals(residuals, names, tol):
+    worst = float(np.max(residuals))  # NaN propagates, where max() would drop it
+    if not worst <= tol:
+        raise NotInvariantError(
+            f"{names[int(np.argmax(residuals))]} does not fit the invariant block pattern: "
+            f"residual {worst:.3e} above tolerance {tol:.1e}")
+    return worst
+
+
+def _orbital_blocks(decomp, mats, names, symmetrize_first, tol):
+    """Blocks of every matrix from its orbital means; see the module docstring."""
+    ids, counts = decomp.rep.index_action.orbitals()
+    n = decomp.U.shape[0]
+    # orbitals are numbered in order of their first pair, so the running
+    # maximum of the labels first reaches c at the first pair of orbital c
+    k, l = np.divmod(np.searchsorted(np.maximum.accumulate(ids), np.arange(len(counts))), n)
+    coords, norms, invariance = [], [], []
+    for x in mats:
+        flat = np.asarray(x).reshape(-1)
+        means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
+        if np.iscomplexobj(flat):
+            means = means + 1j * (np.bincount(ids, weights=flat.imag,
+                                              minlength=len(counts)) / counts)
+        if not symmetrize_first:
+            invariance.append(float(np.linalg.norm(flat - means[ids])))
+        coords.append(means)
+        norms.append(float(np.linalg.norm(flat)))
+    coords = np.array(coords)
+    norms = np.where(np.array(norms) > 0, norms, 1.0)  # a zero matrix: zero means, zero residual
+    worst = 0.0
+    if symmetrize_first:
+        bad = ~np.all(np.isfinite(coords), axis=1)  # a non-finite entry spoils its mean
+        if bad.any():
+            raise ValueError(f"{names[int(np.argmax(bad))]} has a non-finite entry")
+    else:
+        worst = _gate_residuals(np.array(invariance) / norms, names, tol)
+
+    t = _block_map(decomp, k, l, counts)
+    # one seeded combination z of the data through the dense conjugation
+    g = np.random.default_rng(_CHECK_SEED).standard_normal(len(mats))
+    z = g @ (coords / norms[:, None])
+    dense, per_component, pattern = _extract_blocks(decomp, z[ids].reshape(n, n))
+    z_norm = max(float(np.sqrt(counts @ np.abs(z) ** 2)), np.finfo(float).tiny)
+    mismatch = float(np.sqrt(sum(
+        comp.dimension * np.linalg.norm(a - b) ** 2
+        for comp, a, b in zip(decomp.components, dense, _split_blocks(decomp, z @ t))))) / z_norm
+    if not pattern <= tol:  # NaN fails too
+        raise NotInvariantError(
+            f"the data do not fit the basis's block pattern: residual {pattern:.3e} "
+            f"of a seeded combination above tolerance {tol:.1e}")
+    if not mismatch <= tol:
+        raise NotInvariantError(
+            f"the orbital block map disagrees with the basis by {mismatch:.3e}, "
+            f"above tolerance {tol:.1e}")
+    per_matrix = _split_blocks(decomp, coords @ t)
+    blocks = [[b[j] for b in per_matrix] for j in range(len(mats))]
+    return blocks, per_component, max(worst, pattern, mismatch)
+
+
+def _dense_blocks(decomp, mats, names, tol):
+    results = [_extract_blocks(decomp, m) for m in mats]
+    worst = _gate_residuals([total for _, _, total in results], names, tol)
+    per_component = [max(res[1][ci] for res in results)
+                     for ci in range(len(decomp.components))]
+    return [res[0] for res in results], per_component, worst
+
+
 def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
                           symmetrize_first: bool = False,
                           tol: float = DEFAULT_INVARIANCE_TOL,
@@ -192,6 +328,8 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
 
     With ``symmetrize_first`` the data is group-averaged before
     extraction, so nearly-invariant input is repaired instead of rejected.
+    The module docstring describes the two extractions and when each runs;
+    ``config`` and ``rng`` serve only the dense one's group average.
     ``threads`` accepts only 1: extraction is serial.
     """
     if threads != 1:
@@ -199,29 +337,25 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
     _check_tol(tol, "tol")
     if prob.n != decomp.U.shape[0]:
         raise ValueError(f"problem size {prob.n} does not match basis size {decomp.U.shape[0]}")
+    if symmetrize_first and decomp.rep is None:
+        raise ValueError("symmetrize_first needs a decomposition that kept its representation")
     mats = [prob.c] + list(prob.a)
-    if symmetrize_first:
-        if decomp.rep is None:
-            raise ValueError("symmetrize_first needs a decomposition that kept its representation")
-        mats = [symmetrize_matrix(decomp.rep, m, config, rng) for m in mats]
-    results = [_extract_blocks(decomp, m) for m in mats]
-    totals = [total for _, _, total in results]
-    worst = float(np.max(totals))  # NaN propagates, where max() would drop it
-    if not worst <= tol:
-        bad = ["C"] + [f"A_{i + 1}" for i in range(prob.m)]
-        which = bad[int(np.argmax(totals))]
-        raise NotInvariantError(
-            f"{which} does not fit the invariant block pattern: residual {worst:.3e} "
-            f"above tolerance {tol:.1e}")
+    names = ["C"] + [f"A_{i + 1}" for i in range(prob.m)]
+    if _orbital_path_applies(decomp):
+        blocks, per_component, worst = _orbital_blocks(decomp, mats, names,
+                                                        symmetrize_first, tol)
+        extraction = f"orbital coordinates, {len(decomp.rep.index_action.orbitals()[1])} orbitals"
+    else:
+        if symmetrize_first:
+            mats = [symmetrize_matrix(decomp.rep, m, config, rng) for m in mats]
+        blocks, per_component, worst = _dense_blocks(decomp, mats, names, tol)
+        extraction = f"dense conjugation, {len(mats)} products"
 
-    c_blocks = results[0][0]
-    a_blocks = [res[0] for res in results[1:]]
-    components = []
-    for ci, comp in enumerate(decomp.components):
-        comp_resid = max(res[1][ci] for res in results)
-        components.append(SdpBlockComponent(
-            dimension=comp.dimension, multiplicity=comp.multiplicity,
-            c_block=c_blocks[ci], a_blocks=[ab[ci] for ab in a_blocks],
-            residual=comp_resid))
-    return BlockDiagonalizedSdp(components=components, b=prob.b.copy(),
-                                basis=decomp, field=prob.field, residual=worst)
+    components = [
+        SdpBlockComponent(dimension=comp.dimension, multiplicity=comp.multiplicity,
+                          c_block=blocks[0][ci], a_blocks=[ab[ci] for ab in blocks[1:]],
+                          residual=per_component[ci])
+        for ci, comp in enumerate(decomp.components)]
+    return BlockDiagonalizedSdp(components=components, b=prob.b.copy(), basis=decomp,
+                                field=prob.field, residual=worst,
+                                extraction=extraction)

@@ -529,3 +529,55 @@ def test_usage_error_is_exit_2(capsys):
 
 def test_group_spec_format_helper():
     assert format_group_spec(symmetric(3)).startswith('{"degree": 3')
+
+
+def _compact_invariant_sdp(tmp_path):
+    from repblock import ProjectionConfig, conjugate, defining_rep, tensor, unitary_group
+
+    rep = tensor(defining_rep(unitary_group(2)), conjugate(defining_rep(unitary_group(2))))
+    rng = np.random.default_rng(17)
+    cfg = ProjectionConfig(nu=300)
+    prob = SdpProblem(c=sample_commutant(rep, cfg, rng).matrix,
+                      a=[sample_commutant(rep, cfg, rng).matrix], b=[2.0], field="complex")
+    path = tmp_path / "compact.sdp"
+    path.write_text(format_sdp(prob))
+    return path
+
+
+@pytest.mark.parametrize("case,note", [
+    ("orbital", "# extraction: orbital coordinates, 2 orbitals"),
+    ("compact", "# extraction: dense conjugation, 2 products"),
+])
+def test_blockdiag_verbose_names_the_extraction(tmp_path, capsys, case, note):
+    (tmp_path / "g").write_text(S3_GROUP if case == "orbital" else U2_GROUP)
+    (tmp_path / "r").write_text(NATURAL if case == "orbital" else U2_ADJOINT)
+    sdp = _write_invariant_sdp(tmp_path, m=2) if case == "orbital" else \
+        _compact_invariant_sdp(tmp_path)
+    args = ["blockdiag", str(sdp), str(tmp_path / "g"), str(tmp_path / "r"), "--seed", "4",
+            "--nu", "300", "--symmetrize", "--out", str(tmp_path / "b"),
+            "--format", "structured"]
+    outs = []
+    for extra in ([], [], ["-v"]):
+        assert main(args + extra) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        assert (note in captured.err) == bool(extra)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_blockdiag_complex_type_components_exit4(tmp_path, capsys):
+    # C3 on two regular orbits over R has a complex-type component of
+    # multiplicity 2: the data take the dense path and, though exactly
+    # invariant, do not fit the repeated-block pattern
+    from test_sdp import c3_two_orbit_data
+
+    (tmp_path / "g").write_text('{"degree": 6, "generators": [[1, 2, 0, 4, 5, 3]]}\n')
+    (tmp_path / "r").write_text(NATURAL)
+    sdp = tmp_path / "c3.sdp"
+    sdp.write_text(format_sdp(SdpProblem(c=c3_two_orbit_data(), a=[], b=[], field="real")))
+    assert main(["blockdiag", str(sdp), str(tmp_path / "g"), str(tmp_path / "r"),
+                 "--field", "real", "--out", str(tmp_path / "b"), "-v"]) == 4
+    err = capsys.readouterr().err
+    assert "C does not fit the invariant block pattern" in err
+    assert "# extraction" not in err
+    assert not (tmp_path / "b" / "manifest.json").exists()

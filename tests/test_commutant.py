@@ -5,10 +5,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repblock import (CommutantSample, Permutation, ProjectionConfig,
+from repblock import (CommutantSample, ProjectionConfig,
                       ProjectionError, Representation, conjugate, decompose,
                       defining_rep, direct_sum, group_from_generators,
-                      natural_perm_rep, partial_average, project_commutant,
+                      natural_perm_rep, project_commutant,
                       rep_from_generator_images, sample_commutant, sample_gue,
                       tensor, tensor_power, unitary_group)
 from repblock.commutant import (_RESIDUAL_PROBES, chain_average, commutation_residual,
@@ -59,39 +59,6 @@ def test_sample_gue_moments(rng):
     assert abs(np.var(diag_c) - 0.5) < 0.05
     assert abs(np.var(diag_r) - 1.0) < 0.1
     assert abs(np.mean(np.abs(off_c) ** 2) - 0.5) < 0.05
-
-
-def test_partial_average_identity_set(rng):
-    g = symmetric(3)
-    rep = natural_perm_rep(g)
-    x = sample_gue(3, "complex", rng)
-    out = partial_average(rep, [Permutation.identity(3)], x)
-    assert np.allclose(out, x, atol=1e-14)
-    with pytest.raises(ValueError):
-        partial_average(rep, [], x)
-
-
-def test_partial_average_c2_hand_computed():
-    g = group_of(2, [[1, 0]])
-    rep = natural_perm_rep(g, "complex")
-    a, b, c, d = 1.0, 2.0 + 1j, 2.0 - 1j, -3.0  # Hermitian input
-    x = np.array([[a, b], [c, d]])
-    out = partial_average(rep, list(g.elements()), x)
-    want = np.array([[(a + d) / 2, (b + c) / 2], [(b + c) / 2, (a + d) / 2]])
-    assert np.allclose(out, want, atol=1e-14)
-
-
-def test_partial_average_s3_whole_group(rng):
-    g = symmetric(3)
-    rep = natural_perm_rep(g)
-    x = sample_gue(3, "complex", rng)
-    out = partial_average(rep, list(g.elements()), x)
-    want = brute_reynolds_natural(g, x)
-    assert np.linalg.norm(out - want) <= 1e-12
-    # alpha I + beta J with beta the common off-diagonal value
-    alpha, beta = out[0, 0] - out[0, 1], out[0, 1]
-    model = alpha * np.eye(3) + beta * np.ones((3, 3))
-    assert np.linalg.norm(out - model) <= 1e-12
 
 
 def test_project_finite_trivial_group(rng):

@@ -1,13 +1,23 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from repblock import (NotInvariantError, SdpProblem, block_diagonalize_matrix,
-                      block_diagonalize_sdp, decompose, natural_perm_rep,
+from repblock import (DecomposeConfig, IrrepDecomposition, NotInvariantError,
+                      ProjectionConfig, Representation, SdpProblem,
+                      block_diagonalize_matrix, block_diagonalize_sdp, conjugate,
+                      decompose, defining_rep, direct_sum, natural_perm_rep,
                       reconstruct, sample_commutant, sample_gue,
-                      symmetrize_matrix)
+                      symmetrize_matrix, tensor, unitary_group)
+from repblock.commutant import chain_average, orbital_average
+from repblock.sdp import DEFAULT_INVARIANCE_TOL, _extract_blocks, _orbital_path_applies
 
-from conftest import symmetric
+from conftest import group_of, symmetric
 from test_commutant import brute_reynolds_natural
+
+sdp_mod = importlib.import_module("repblock.sdp")
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +262,229 @@ def test_blocks_stay_hermitian(s4_setup, rng):
     blocks, _ = block_diagonalize_matrix(decomp, x)
     for b in blocks:
         assert np.linalg.norm(b - b.conj().T) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# extraction in orbital coordinates against the dense oracle
+# ---------------------------------------------------------------------------
+
+def _strip_index_action(rep):
+    """The same images without the index action: the dense path."""
+    return Representation(rep.group, rep.dim, rep.field, rep.image)
+
+
+def _invariant_data(rep, count, rng):
+    """Hermitian matrices averaged over their orbitals: exactly invariant."""
+    return [orbital_average(rep, sample_gue(rep.dim, rep.field, rng)) for _ in range(count)]
+
+
+def _dense_oracle(decomp, mats, symmetrize_first):
+    """Blocks and total residual of every matrix, each conjugated by U."""
+    if symmetrize_first:
+        mats = [chain_average(decomp.rep, m) for m in mats]
+    return [_extract_blocks(decomp, m) for m in mats]
+
+
+def _weighted_norm(decomp, blocks):
+    return math.sqrt(sum(c.dimension * np.linalg.norm(b) ** 2
+                         for c, b in zip(decomp.components, blocks)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2))),
+    st.sampled_from(("complex", "real")), st.booleans(), st.booleans(), st.booleans(),
+    st.sampled_from((0.0, 1e-9, 1e-2)), st.integers(0, 2 ** 32 - 1))
+def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, symmetrize,
+                                                   stripped, noise, seed):
+    n, gens = generated
+    rep = natural_perm_rep(group_of(n, gens), field)
+    if doubled:  # every multiplicity at least 2
+        rep = direct_sum(rep, rep)
+    rng = np.random.default_rng(seed)
+    d = decompose(rep, rng=rng)
+    mats = [m + noise * sample_gue(rep.dim, field, rng) for m in _invariant_data(rep, 3, rng)]
+    prob = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field=field)
+    r = len(rep.index_action.orbitals()[1])
+    orbital = not stripped and sum(c.multiplicity ** 2 for c in d.components) == r
+    if stripped:
+        d.rep = _strip_index_action(rep)
+
+    oracle = _dense_oracle(d, mats, symmetrize)
+    rejected = not np.max([total for _, _, total in oracle]) <= DEFAULT_INVARIANCE_TOL
+    event(f"{'orbital' if orbital else 'dense'} path, {'rejected' if rejected else 'accepted'}")
+    if rejected:
+        with pytest.raises(NotInvariantError):
+            block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
+        return
+    blocked = block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
+    assert blocked.extraction.startswith("orbital coordinates") == orbital
+    assert [(c.dimension, c.multiplicity) for c in blocked.components] == \
+        [(c.dimension, c.multiplicity) for c in d.components]
+    assert blocked.residual <= DEFAULT_INVARIANCE_TOL
+    for j, (want, _, _) in enumerate(oracle):
+        got = [c.c_block if j == 0 else c.a_blocks[j - 1] for c in blocked.components]
+        assert all(g.shape == w.shape and g.dtype == w.dtype for g, w in zip(got, want))
+        err = _weighted_norm(d, [g - w for g, w in zip(got, want)])
+        assert err <= 1e-12 * np.linalg.norm(mats[j])
+
+
+@pytest.fixture(scope="module")
+def doubled_s4():
+    natural = natural_perm_rep(symmetric(4), "real")
+    rep = direct_sum(natural, natural)
+    return rep, decompose(rep, rng=np.random.default_rng(404))
+
+
+PLANTED_FAULTS = ("noisy", "swap", "rotate", "nan", "nan-symmetrized")
+
+
+@pytest.mark.parametrize("stripped", [False, True], ids=["orbital", "dense"])
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_planted_faults_fail_both_paths(doubled_s4, fault, stripped):
+    rep, base = doubled_s4
+    rng = np.random.default_rng(7)
+    mats = _invariant_data(rep, 3, rng)
+    d = IrrepDecomposition(U=base.U.copy(), components=base.components, diagnostics=None,
+                           rep=_strip_index_action(rep) if stripped else rep)
+    assert _orbital_path_applies(d) != stripped
+    # without the fault the same data and basis pass
+    block_diagonalize_sdp(d, SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field="real"))
+
+    offsets = np.cumsum([0] + [c.size for c in d.components])
+    if fault == "noisy":  # off the commutant by about 1e-4, without symmetrize_first
+        mats = [m + 1e-4 * sample_gue(rep.dim, "real", rng) for m in mats]
+    elif fault == "swap":  # a row of the first component trades places with one of the last
+        d.U[[0, offsets[-2]]] = d.U[[offsets[-2], 0]]
+    elif fault == "rotate":  # one copy of the largest component rotated within itself
+        k = int(np.argmax(np.diff(offsets)))
+        dim = d.components[k].dimension
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        d.U[offsets[k]:offsets[k] + dim] = q @ d.U[offsets[k]:offsets[k] + dim]
+    prob = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field="real")
+    if fault.startswith("nan"):
+        prob.a[1][0, 0] = np.nan  # past the constructor's checks
+    if fault == "nan-symmetrized":
+        with pytest.raises(ValueError, match="non-finite entry"):
+            block_diagonalize_sdp(d, prob, symmetrize_first=True)
+        return
+    with pytest.raises(NotInvariantError, match="residual nan" if fault == "nan" else None):
+        block_diagonalize_sdp(d, prob)
+    # the dense oracle rejects every one of them too
+    oracle = _dense_oracle(d, [prob.c] + prob.a, False)
+    assert not np.max([total for _, _, total in oracle]) <= DEFAULT_INVARIANCE_TOL
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("map-off", "block map disagrees"),
+    ("map-nan", "block map disagrees .* nan"),
+    ("pattern-off", "block pattern: residual 1.000e-05"),
+    ("pattern-nan", "block pattern: residual nan"),
+])
+def test_orbital_dense_check_fails_closed(doubled_s4, monkeypatch, fault, message):
+    # the data are invariant and the basis blocks them; only the check's own
+    # inputs are spoiled: the block map T, or the dense pattern residual
+    rep, d = doubled_s4
+    mats = _invariant_data(rep, 3, np.random.default_rng(8))
+    prob = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field="real")
+    block_diagonalize_sdp(d, prob)
+    real_map, real_extract = sdp_mod._block_map, sdp_mod._extract_blocks
+    if fault.startswith("map"):
+        spoil = 1 + 1e-5 if fault == "map-off" else np.nan
+        monkeypatch.setattr(sdp_mod, "_block_map", lambda *args: real_map(*args) * spoil)
+    else:
+        total = 1e-5 if fault == "pattern-off" else np.nan
+        monkeypatch.setattr(sdp_mod, "_extract_blocks",
+                            lambda *args: real_extract(*args)[:2] + (total,))
+    with pytest.raises(NotInvariantError, match=message):
+        block_diagonalize_sdp(d, prob)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(sdp_mod, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sdp_mod, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_orbital_path_makes_one_dense_product(doubled_s4, monkeypatch, symmetrize):
+    rep, d = doubled_s4
+    rng = np.random.default_rng(9)
+    mats = [m + 1e-3 * symmetrize * sample_gue(rep.dim, "real", rng)
+            for m in _invariant_data(rep, 20, rng)]
+    prob = SdpProblem(c=mats[0], a=mats[1:], b=np.ones(19), field="real")
+    extracts = _counting(monkeypatch, "_extract_blocks")
+    symmetrizes = _counting(monkeypatch, "symmetrize_matrix")
+    blocked = block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
+    assert (len(extracts), len(symmetrizes)) == (1, 0)
+    r = len(rep.index_action.orbitals()[1])
+    assert blocked.extraction == f"orbital coordinates, {r} orbitals"
+
+    # the same data through matrix images: one conjugation (and one
+    # group average) per matrix
+    dense = IrrepDecomposition(U=d.U, components=d.components, diagnostics=None,
+                               rep=_strip_index_action(rep))
+    extracts.clear()
+    block_diagonalize_sdp(dense, prob, symmetrize_first=symmetrize)
+    assert (len(extracts), len(symmetrizes)) == (20, 20 if symmetrize else 0)
+
+
+def test_compact_sdp_conjugates_every_matrix(monkeypatch):
+    rep = tensor(defining_rep(unitary_group(2)), conjugate(defining_rep(unitary_group(2))))
+    rng = np.random.default_rng(17)
+    cfg = ProjectionConfig(nu=300)
+    d = decompose(rep, DecomposeConfig(projection=cfg), rng=rng)
+    prob = SdpProblem(c=sample_commutant(rep, cfg, rng).matrix,
+                      a=[sample_commutant(rep, cfg, rng).matrix for _ in range(2)],
+                      b=[1.0, 2.0], field="complex")
+    extracts = _counting(monkeypatch, "_extract_blocks")
+    symmetrizes = _counting(monkeypatch, "symmetrize_matrix")
+    blocked = block_diagonalize_sdp(d, prob, symmetrize_first=True, config=cfg, rng=rng)
+    assert (len(extracts), len(symmetrizes)) == (3, 3)
+    assert blocked.extraction == "dense conjugation, 3 products"
+
+
+def test_complex_type_components_keep_the_dense_path():
+    # C3 on two regular orbits over R: [(2, 2, complex), (1, 2, real)], so
+    # sum M^2 = 8 falls short of the 12 orbitals.  Exactly invariant
+    # symmetric data with a non-symmetric circulant coupling does not fit
+    # the repeated-block pattern and is rejected.
+    rep = natural_perm_rep(group_of(6, [[1, 2, 0, 4, 5, 3]]), "real")
+    d = decompose(rep, rng=np.random.default_rng(5))
+    assert sorted((c.dimension, c.multiplicity, c.real_type) for c in d.components) == \
+        [(1, 2, "real"), (2, 2, "complex")]
+    assert not _orbital_path_applies(d)
+    x = c3_two_orbit_data()
+    assert np.linalg.norm(orbital_average(rep, x) - x) == 0.0
+    with pytest.raises(NotInvariantError, match="C does not fit the invariant block pattern"):
+        block_diagonalize_sdp(d, SdpProblem(c=x, a=[], b=[], field="real"))
+
+
+def c3_two_orbit_data():
+    shift = np.roll(np.eye(3), 1, axis=0)
+    coupling = 2.0 * shift + np.eye(3)  # circulant, not symmetric
+    block = np.ones((3, 3)) + np.eye(3)
+    return np.block([[block, coupling], [coupling.T, 2 * block]])
+
+
+@pytest.mark.parametrize("stripped", [False, True], ids=["orbital", "dense"])
+def test_zero_and_tiny_matrices_pass_both_paths(s4_setup, stripped):
+    rep, d = s4_setup
+    if stripped:
+        d = IrrepDecomposition(U=d.U, components=d.components, diagnostics=None,
+                               rep=_strip_index_action(rep))
+    prob = SdpProblem(c=np.ones((4, 4)), a=[np.zeros((4, 4)), 1e-310 * np.eye(4)],
+                      b=[0.0, 1.0], field="complex")
+    blocked = block_diagonalize_sdp(d, prob)
+    assert blocked.extraction.startswith("dense" if stripped else "orbital")
+    assert blocked.residual <= 1e-12
+    for comp in blocked.components:
+        assert np.array_equal(comp.a_blocks[0], np.zeros((comp.multiplicity,) * 2))
+        assert np.allclose(comp.a_blocks[1], 1e-310 * np.eye(comp.multiplicity),
+                           rtol=1e-12, atol=0)
