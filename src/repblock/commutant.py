@@ -140,6 +140,17 @@ def chain_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     return out
 
 
+def orbital_means(rep: Representation, x) -> np.ndarray:
+    """Mean of the entries of x over each orbital of the index action."""
+    ids, counts = rep.index_action.orbitals()
+    flat = np.asarray(x).reshape(-1)
+    means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
+    if np.iscomplexobj(flat):
+        means = means + 1j * (np.bincount(ids, weights=flat.imag,
+                                          minlength=len(counts)) / counts)
+    return means
+
+
 def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     """Exact group average of x for a representation with an index action.
 
@@ -147,13 +158,8 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     orbital, so the group average replaces every entry by the mean of its
     orbital.  O(n^2) once the orbitals are known.
     """
-    ids, counts = rep.index_action.orbitals()
-    flat = np.asarray(x).reshape(-1)
-    means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
-    if np.iscomplexobj(flat):
-        means = means + 1j * (np.bincount(ids, weights=flat.imag,
-                                          minlength=len(counts)) / counts)
-    out = means[ids].reshape(rep.dim, rep.dim)
+    ids, _ = rep.index_action.orbitals()
+    out = orbital_means(rep, x)[ids].reshape(rep.dim, rep.dim)
     if hermitize:
         out = (out + out.conj().T) / 2
     return out

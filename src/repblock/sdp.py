@@ -13,23 +13,30 @@ Two extractions give the same blocks.  When the representation permutes
 its basis (it has an index action) and the components' M_i^2 add up to
 the number r of orbitals, an invariant matrix is X = sum_c x_c A_c over
 the 0/1 orbital indicators A_c, and its blocks are linear in the orbital
-means x.  :func:`block_diagonalize_sdp` then reads each data matrix once,
-by one bincount, and multiplies its means by a block map T (r x sum M_i^2)
-built once from one representative pair per orbital.  Two gates keep this
-as strict as conjugating every matrix:
+means x.  If also r <= n, so that the block map T (r x sum M_i^2 = r x r)
+is no larger than one data matrix, :func:`block_diagonalize_sdp` reads
+each data matrix once, by one bincount, and multiplies its means by T,
+built once from one representative pair per orbital.  Two gates check
+this path:
 
 * invariance: without ``symmetrize_first`` each matrix must lie within
   ``tol`` of its orbital means, |X - x[ids]| <= tol |X|; with it, the
   means are the group average and are used as they are (the blocks are
   made Hermitian, which is the same as making the average Hermitian);
-* one dense check: a seeded Gaussian combination of the data goes through
-  the dense conjugation below, and must fit the block pattern and agree
-  with the blocks T gives, both to ``tol``.  This catches a basis that
-  does not block the data and checks T against the basis.
+* one dense check: the combination z = sum_k g_k x_k / |X_k| of the data,
+  with Gaussian weights g from a fixed seed, goes through the dense
+  conjugation below, and must fit the block pattern and agree with the
+  blocks T gives, both to ``tol`` relative to min(|z|, 1).  This catches
+  a basis that does not block the data and checks T against the basis.
+  The expected square of z's pattern residual is the sum of the squared
+  per-matrix ones, and for a single matrix the gate is at least as strict
+  as the dense one; a defect confined to matrix k is caught once it
+  exceeds tol / |g_k|.
 
-Everything else (compact groups, matrix images, and complex or
-quaternionic components over R, where sum M_i^2 < r) conjugates each
-matrix by the basis, U X U^dag, after group-averaging it when asked.
+Everything else (compact groups, matrix images, complex or quaternionic
+components over R, where sum M_i^2 < r, and more orbitals than points,
+as for small or intransitive groups) conjugates each matrix by the basis,
+U X U^dag, after group-averaging it when asked.
 
 Real-field caveat: a symmetric invariant matrix restricted to a component
 of complex or quaternionic type with multiplicity >= 2 is *not* of the
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import ProjectionConfig, _check_tol, project_commutant
+from .commutant import ProjectionConfig, _check_tol, orbital_means, project_commutant
 from .decompose import IrrepDecomposition
 from .reps import Representation
 
@@ -210,12 +217,13 @@ def reconstruct(decomp: IrrepDecomposition, blocks) -> np.ndarray:
 
 
 def _orbital_path_applies(decomp) -> bool:
-    """Whether the blocks are linear in the orbital means: sum M_i^2 = r."""
+    """Whether the blocks are linear in the orbital means (sum M_i^2 = r)
+    and the block map T, r x r, is no larger than one data matrix (r <= n)."""
     rep = decomp.rep
     if rep is None or rep.index_action is None:
         return False
-    return sum(c.multiplicity ** 2 for c in decomp.components) == len(
-        rep.index_action.orbitals()[1])
+    r = len(rep.index_action.orbitals()[1])
+    return r <= rep.dim and sum(c.multiplicity ** 2 for c in decomp.components) == r
 
 
 def _block_map(decomp, k, l, counts):
@@ -271,10 +279,7 @@ def _orbital_blocks(decomp, mats, names, symmetrize_first, tol):
     coords, norms, invariance = [], [], []
     for x in mats:
         flat = np.asarray(x).reshape(-1)
-        means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
-        if np.iscomplexobj(flat):
-            means = means + 1j * (np.bincount(ids, weights=flat.imag,
-                                              minlength=len(counts)) / counts)
+        means = orbital_means(decomp.rep, flat)
         if not symmetrize_first:
             invariance.append(float(np.linalg.norm(flat - means[ids])))
         coords.append(means)
@@ -293,11 +298,18 @@ def _orbital_blocks(decomp, mats, names, symmetrize_first, tol):
     # one seeded combination z of the data through the dense conjugation
     g = np.random.default_rng(_CHECK_SEED).standard_normal(len(mats))
     z = g @ (coords / norms[:, None])
-    dense, per_component, pattern = _extract_blocks(decomp, z[ids].reshape(n, n))
-    z_norm = max(float(np.sqrt(counts @ np.abs(z) ** 2)), np.finfo(float).tiny)
+    zmat = z[ids].reshape(n, n)
+    dense, per_component, pattern = _extract_blocks(decomp, zmat)
+    # z's residuals are taken relative to min(|z|, 1): absolute once |z| >= 1,
+    # where the expected square of its pattern residual is the sum of the
+    # squared per-matrix ones, and relative below, as for a single matrix
+    z_norm = max(float(np.linalg.norm(zmat)), np.finfo(float).tiny)  # _extract_blocks' scale
+    unit = min(z_norm, 1.0)  # NaN stays NaN
+    pattern *= z_norm / unit
+    per_component = [res * z_norm / unit for res in per_component]
     mismatch = float(np.sqrt(sum(
         comp.dimension * np.linalg.norm(a - b) ** 2
-        for comp, a, b in zip(decomp.components, dense, _split_blocks(decomp, z @ t))))) / z_norm
+        for comp, a, b in zip(decomp.components, dense, _split_blocks(decomp, z @ t))))) / unit
     if not pattern <= tol:  # NaN fails too
         raise NotInvariantError(
             f"the data do not fit the basis's block pattern: residual {pattern:.3e} "

@@ -290,9 +290,9 @@ def _weighted_norm(decomp, blocks):
                          for c, b in zip(decomp.components, blocks)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2))),
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3))),
     st.sampled_from(("complex", "real")), st.booleans(), st.booleans(), st.booleans(),
     st.sampled_from((0.0, 1e-9, 1e-2)), st.integers(0, 2 ** 32 - 1))
 def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, symmetrize,
@@ -306,7 +306,8 @@ def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, sy
     mats = [m + noise * sample_gue(rep.dim, field, rng) for m in _invariant_data(rep, 3, rng)]
     prob = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field=field)
     r = len(rep.index_action.orbitals()[1])
-    orbital = not stripped and sum(c.multiplicity ** 2 for c in d.components) == r
+    orbital = (not stripped and r <= rep.dim
+               and sum(c.multiplicity ** 2 for c in d.components) == r)
     if stripped:
         d.rep = _strip_index_action(rep)
 
@@ -378,7 +379,7 @@ def test_planted_faults_fail_both_paths(doubled_s4, fault, stripped):
 @pytest.mark.parametrize("fault,message", [
     ("map-off", "block map disagrees"),
     ("map-nan", "block map disagrees .* nan"),
-    ("pattern-off", "block pattern: residual 1.000e-05"),
+    ("pattern-off", "block pattern: residual [0-9.e-]+ of a seeded combination"),
     ("pattern-nan", "block pattern: residual nan"),
 ])
 def test_orbital_dense_check_fails_closed(doubled_s4, monkeypatch, fault, message):
@@ -398,6 +399,53 @@ def test_orbital_dense_check_fails_closed(doubled_s4, monkeypatch, fault, messag
                             lambda *args: real_extract(*args)[:2] + (total,))
     with pytest.raises(NotInvariantError, match=message):
         block_diagonalize_sdp(d, prob)
+
+
+@pytest.mark.parametrize("count,relative,rejected", [
+    (1, 0.5, False),   # |z| = |g_0| < 1: relative to |z|, as for one dense matrix
+    (1, 1.5, True),
+    (20, 0.5, True),   # |z| > 2: absolute, so half of tol per unit of |z| fails
+])
+def test_orbital_pattern_gate_scales_with_the_combination(doubled_s4, monkeypatch, count,
+                                                          relative, rejected):
+    # the combination's pattern residual is spoiled to a fixed value relative
+    # to |z|; the gate reads it relative to min(|z|, 1)
+    rep, d = doubled_s4
+    mats = _invariant_data(rep, count, np.random.default_rng(10))
+    prob = SdpProblem(c=mats[0], a=mats[1:], b=np.ones(count - 1), field="real")
+    real_extract = sdp_mod._extract_blocks
+    z_norms = []
+
+    def spoiled(decomp, x):
+        z_norms.append(float(np.linalg.norm(x)))
+        return real_extract(decomp, x)[:2] + (relative * DEFAULT_INVARIANCE_TOL,)
+
+    monkeypatch.setattr(sdp_mod, "_extract_blocks", spoiled)
+    if rejected:
+        with pytest.raises(NotInvariantError, match="block pattern"):
+            block_diagonalize_sdp(d, prob)
+    else:
+        blocked = block_diagonalize_sdp(d, prob)
+        assert blocked.residual == pytest.approx(relative * DEFAULT_INVARIANCE_TOL)
+    assert z_norms[0] < 1 if count == 1 else z_norms[0] > 2
+
+
+@pytest.mark.parametrize("generator", [list(range(12)), [1, 0] + list(range(2, 12))],
+                         ids=["trivial", "transposition"])
+def test_more_orbitals_than_points_keep_the_dense_path(monkeypatch, generator):
+    # sum M^2 = r holds (144 and 122 orbitals), but T would have r^2 > n^2
+    # entries, more than a data matrix
+    rep = natural_perm_rep(group_of(12, [generator]), "complex")
+    d = decompose(rep, rng=np.random.default_rng(12))
+    r = len(rep.index_action.orbitals()[1])
+    assert r > rep.dim and sum(c.multiplicity ** 2 for c in d.components) == r
+    assert not _orbital_path_applies(d)
+    mats = _invariant_data(rep, 3, np.random.default_rng(13))
+    extracts = _counting(monkeypatch, "_extract_blocks")
+    blocked = block_diagonalize_sdp(d, SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0],
+                                                  field="complex"))
+    assert blocked.extraction == "dense conjugation, 3 products"
+    assert len(extracts) == 3
 
 
 def _counting(monkeypatch, name):
