@@ -11,7 +11,7 @@ One ``--seed`` determines every random draw a command makes; the seed is
 split into independent labeled substreams per pipeline stage, so e.g. the
 two commutant samples the decomposer compares are never correlated.
 Every value flag can also be set through an environment variable with the
-``REPBLOCK_`` prefix (``REPBLOCK_SEED``, ``REPBLOCK_NU``, ...); explicit
+``REPBLOCK_`` prefix (``REPBLOCK_SEED``, ``REPBLOCK_TOL``, ...); explicit
 flags win over the environment.
 
 Exit codes: 0 success, 2 spec/parse error, 3 decomposition failure,
@@ -67,10 +67,6 @@ def _build_parser():
     common.add_argument("--field", choices=["real", "complex"],
                         default=_env("FIELD", "complex"),
                         help="scalar field of the representation (default complex)")
-    common.add_argument("--nu", type=int, default=_env("NU", 1000, int),
-                        help="cap on averaging rounds for compact-group projection")
-    common.add_argument("--set-size", type=int, default=_env("SET_SIZE", 3, int),
-                        help="Haar sample set size per averaging round")
     common.add_argument("--commutation-tol", type=float,
                         default=_env("COMMUTATION_TOL", 1e-8, float),
                         help="largest commutation residual accepted from compact projection")
@@ -136,8 +132,7 @@ def _load_rep(group_path, rep_path, field):
 
 
 def _decompose_config(args):
-    proj = ProjectionConfig(nu=args.nu, set_size=args.set_size,
-                            commutation_tol=args.commutation_tol)
+    proj = ProjectionConfig(commutation_tol=args.commutation_tol)
     return DecomposeConfig(projection=proj, block_tol=args.tol)
 
 

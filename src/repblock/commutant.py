@@ -6,10 +6,23 @@ projecting it onto the commutant by group averaging.  For finite groups
 the average is exact: a representation that permutes its basis vectors
 (one with an index action) is averaged within each orbital, the orbit of
 the group on index pairs, at O(n^2) cost; any other is averaged through
-the stabilizer-chain transversal sets.  For compact groups the average is
-iterated over small random sample sets; each round shrinks the part of the
-matrix outside the commutant, so the residual falls geometrically until it
-reaches roundoff, and the iteration stops there.
+the stabilizer-chain transversal sets.
+
+A compact-group representation with a derived action d rho (every one built
+from the defining representation) is projected exactly.  Its commutant is
+the kernel of the Casimir Omega(X) = -sum_j [A_j, [A_j, X]], A_j = d rho(L_j)
+over an orthonormal basis L_j of the Lie algebra: Omega is self-adjoint and
+positive semidefinite, so conjugate gradients on Omega Y = Omega X, started
+at 0, stay in its range and X - Y is the orthogonal projection onto the
+kernel.  CG stops after as many iterations as Omega has distinct nonzero
+eigenvalues on X.  O(d) is not connected: one more average with the image
+of a reflection projects from the commutant of SO(d) onto that of O(d).
+
+Any other compact-group representation, one given by its images alone, is
+averaged iteratively over small random Haar sample sets; each round
+shrinks the part of the matrix outside the commutant, so the residual
+falls geometrically until it reaches roundoff, and the iteration stops
+there.
 
 The conjugation inverse is realized as the conjugate transpose, which is
 exact for unitary representations and keeps Hermitian input Hermitian.
@@ -22,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compact import lie_basis
 from .reps import Representation
 
 #: Commutation tolerance for the exact finite-group projection; anything
@@ -29,6 +43,11 @@ from .reps import Representation
 FINITE_COMMUTATION_TOL = 1e-10
 
 _RESIDUAL_PROBES = 20
+#: CG on the Casimir stops once its residual is this small relative to
+#: Omega X.  Not a stagnation rule: CG residuals are not monotone, and
+#: stopping at the first one that fails to halve can leave a residual of
+#: order one.
+_CG_RTOL = 1e-14
 #: Averaging rounds between two residual checks of the compact projection.
 _CHECK_EVERY = 10
 
@@ -39,13 +58,17 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Knobs of the compact-group iterated projection.
+    """Knobs of the compact-group projection.
 
-    Each round averages over a fresh Haar sample set of size ``set_size``.
-    Every 10 rounds the commutation residual is measured on 20 Haar probes
-    drawn once; averaging stops at the first check that does not halve the
-    previous one, when the residual has reached roundoff, or after ``nu``
-    rounds, a cap.  The result must then be within ``commutation_tol``.
+    ``nu`` and ``set_size`` apply only to a representation without a
+    derived action, which is averaged over Haar samples: each round
+    averages over a fresh sample set of size ``set_size``.  Every 10 rounds
+    the commutation residual is measured on 20 Haar probes drawn once;
+    averaging stops at the first check that does not halve the previous
+    one, when the residual has reached roundoff, or after ``nu`` rounds, a
+    cap.  On both paths the result must then be within
+    ``commutation_tol``: on the Casimir path the residual is measured
+    against the derived action (and the reflection of O(d)).
     """
 
     nu: int = 1000
@@ -167,6 +190,9 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
 
 def projection_path(rep: Representation) -> str:
     """How the commutant projection of ``rep`` averages, and over how much."""
+    if rep.derived is not None:
+        path = f"Casimir kernel, {len(lie_basis(rep.group))} Lie generators"
+        return path + (", one reflection average" if _reflects(rep) else "")
     if not rep.is_finite:
         return "Haar averaging"
     if rep.index_action is not None:
@@ -175,11 +201,94 @@ def projection_path(rep: Representation) -> str:
     return f"stabilizer chain, {total} transversal elements"
 
 
+def _reflects(rep):
+    return rep.group.kind == "orthogonal"
+
+
+def _commutators(derived, y, sign):
+    """The stack [A_j, y_j] (y_0 for a stack of one), A_j = d rho(L_j), for
+    Hermitian (``sign`` 1) or anti-Hermitian (``sign`` -1) matrices y_j.
+
+    A_j is anti-Hermitian, so y A_j = -sign (A_j y)^dag: one left action
+    gives both products, and [A_j, y] keeps the symmetry of y.
+    """
+    ay = derived(y[:, None])[:, 0]
+    return ay + sign * ay.conj().swapaxes(1, 2)
+
+
+def _parts(x):
+    """The Hermitian and the anti-Hermitian part of x, with their signs."""
+    xh = x.conj().T
+    return [((x + xh) / 2, 1), ((x - xh) / 2, -1)]
+
+
+def _casimir_solve(derived, x, sign, cap):
+    """Y solving Omega Y = Omega x by CG from 0, and the iterations run.
+
+    Omega = -sum_j ad(A_j)^2 keeps the symmetry ``sign`` of x, so CG runs
+    in the Hermitian or the anti-Hermitian matrices.
+    """
+    def omega(z):
+        # sum_j [A_j, b_j] = s + sign s^dag with s = sum_j A_j b_j, as in
+        # _commutators, summed before the adjoint is taken
+        s = derived(_commutators(derived, z[None], sign)[:, None])[:, 0].sum(axis=0)
+        return -(s + sign * s.conj().T)
+
+    r = omega(x)
+    y = np.zeros_like(r)
+    p = r.copy()
+    rr = np.vdot(r, r).real
+    stop = (_CG_RTOL * np.sqrt(rr)) ** 2
+    iters = 0
+    while iters < cap and rr > stop:  # NaN stops too
+        w = omega(p)
+        alpha = rr / np.vdot(p, w).real
+        y += alpha * p
+        r -= alpha * w
+        rr, last = np.vdot(r, r).real, rr
+        p = r + (rr / last) * p
+        iters += 1
+    return y, iters
+
+
+def _casimir_projection(rep, x, config, hermitize):
+    """Exact commutant projection through the Casimir kernel, gated.
+
+    The Hermitian and the anti-Hermitian part of x are projected apart (the
+    first alone when ``hermitize``).  CG runs at most n^2 iterations on
+    each, the dimension of the matrix space, within which it ends in exact
+    arithmetic.  The residual is the largest relative commutator with an
+    A_j, or with the reflection's image.
+    """
+    derived = rep.derived
+    out, iters = 0, 0
+    for part, sign in _parts(np.asarray(x))[:1 if hermitize else 2]:
+        y, its = _casimir_solve(derived, part, sign, rep.dim ** 2)
+        out, iters = out + (part - y), iters + its
+    if _reflects(rep):
+        reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
+        u = rep.image(reflection)
+        out = (out + u @ out @ u.conj().T) / 2
+        if hermitize:
+            out = (out + out.conj().T) / 2
+    nx = np.linalg.norm(out)
+    comm = np.linalg.norm(sum(_commutators(derived, part[None], sign)
+                              for part, sign in _parts(out)), axis=(1, 2))
+    resid = float(np.max(comm, initial=0.0)) / nx if nx else 0.0
+    if _reflects(rep):
+        resid = float(np.maximum(resid, commutation_residual(rep, out, [reflection], [u])))
+    if not resid <= config.commutation_tol:  # NaN fails too
+        raise ProjectionError(
+            f"Casimir kernel projection left commutation residual {resid:.3e} above "
+            f"{config.commutation_tol:.1e} after {iters} conjugate-gradient iterations")
+    return out, resid
+
+
 def _project(rep, x, config, rng, hermitize):
     """Group average of x and its commutation residual, gated.
 
-    Exact for finite groups; for compact groups averaging stops as
-    :class:`ProjectionConfig` describes.
+    Exact for finite groups and for compact groups with a derived action;
+    otherwise averaging stops as :class:`ProjectionConfig` describes.
     """
     if rep.is_finite:
         if rep.index_action is not None:
@@ -194,6 +303,8 @@ def _project(rep, x, config, rng, hermitize):
                 "the representation is probably not a homomorphism")
         return out, resid
     config = config or ProjectionConfig()
+    if rep.derived is not None:
+        return _casimir_projection(rep, x, config, hermitize)
     rng = rng or np.random.default_rng()
     handle = rep.group
     probes = [handle.sample(rng) for _ in range(_RESIDUAL_PROBES)]

@@ -4,6 +4,10 @@ Samples are produced by QR-factoring a Ginibre matrix and rescaling the
 columns by the phases (signs, in the real case) of the R diagonal.  The
 rescaling matters: the raw QR of a Gaussian matrix is *not* Haar
 distributed, because LAPACK's sign conventions bias the factor Q.
+
+:func:`lie_basis` gives the Lie algebra u(d) or o(d) of the group, on
+which the representations built from the defining one carry their derived
+action.
 """
 
 from __future__ import annotations
@@ -64,6 +68,26 @@ class CompactGroupHandle:
 
     def __repr__(self):
         return f"CompactGroupHandle({self.kind!r}, dim={self.dim})"
+
+
+def lie_basis(handle: CompactGroupHandle) -> np.ndarray:
+    """Frobenius-orthonormal basis of u(d) or o(d), as a (k, d, d) stack.
+
+    The anti-Hermitian matrices (E_ab - E_ba)/sqrt(2) for a < b span o(d),
+    k = d(d-1)/2; u(d) adds i(E_ab + E_ba)/sqrt(2) for a < b and i E_aa,
+    k = d^2.
+    """
+    d = handle.dim
+    a, b = np.triu_indices(d, 1)
+    pairs = np.arange(len(a))
+    real = handle.kind == "orthogonal"
+    basis = np.zeros((len(a) if real else d * d, d, d), dtype=np.float64 if real else complex)
+    basis[pairs, a, b] = 1 / math.sqrt(2.0)
+    basis[pairs, b, a] = -1 / math.sqrt(2.0)
+    if not real:
+        basis[len(a) + pairs, a, b] = basis[len(a) + pairs, b, a] = 1j / math.sqrt(2.0)
+        basis[2 * len(a) + np.arange(d), np.arange(d), np.arange(d)] = 1j
+    return basis
 
 
 def unitary_group(d: int) -> CompactGroupHandle:

@@ -238,16 +238,7 @@ def _build_rep(node, group, field, path):
     if kind == "defining":
         if not isinstance(group, CompactGroupHandle):
             raise SpecFormatError(f"{path}: 'defining' needs a compact group")
-        rep = defining_rep(group)
-        if rep.field == field:
-            return rep
-        if field == "complex" and rep.field == "real":
-            return Representation(group, rep.dim, "complex",
-                                  lambda g: np.asarray(g, dtype=np.complex128),
-                                  name="defining")
-        raise SpecFormatError(
-            f"{path}: the defining representation of a {group.kind} group is "
-            f"{rep.field}, not {field}")
+        return _build_at(path, defining_rep, group, field)
 
     if kind == "tensor":
         factors = node.get("factors")

@@ -16,7 +16,10 @@ with :func:`tensor`, :func:`direct_sum`, :func:`conjugate` and
 A representation whose images permute the basis vectors carries an
 :class:`IndexAction`: one integer array per element instead of a matrix.
 Its images, products and conjugations are then integer gathers, and the
-combinators carry the action along.
+combinators carry the action along.  A compact-group representation built
+from the defining one carries its derived representation d rho on a basis
+of the Lie algebra the same way, and the commutant projection uses it in
+place of Haar samples.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .compact import CompactGroupHandle
+from .compact import CompactGroupHandle, lie_basis
 from .perm import Permutation, PermutationGroup
 
 _FIELDS = ("real", "complex")
@@ -122,9 +125,19 @@ class Representation:
         ``index_action``.
     index_action : IndexAction or None
         Set when every image permutes the basis vectors.
+    derived : callable or None
+        The derived representation d rho of a compact-group representation,
+        when it is known, on the orthonormal basis L_1..L_k of the Lie
+        algebra that :func:`~repblock.compact.lie_basis` gives.  It takes a
+        stack y of shape (K, P, n, Q), K = 1 or k, and returns the
+        (k, P, n, Q) stack whose j-th entry is (I_P (x) d rho(L_j) (x) I_Q)
+        y_j (y_0 when K = 1).  No d rho(L_j) is formed: the combinators
+        reshape and slice y for their parts.  It must agree with the
+        images; verification against Haar samples catches one that does not.
     """
 
-    def __init__(self, group, dim, field, image_fn, name="rep", index_action=None):
+    def __init__(self, group, dim, field, image_fn, name="rep", index_action=None,
+                 derived=None):
         _check_field(field)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
@@ -135,6 +148,7 @@ class Representation:
         self.field = field
         self._image_fn = image_fn
         self.index_action = index_action
+        self.derived = derived
         self.name = name
 
     @property
@@ -298,15 +312,26 @@ def trivial_rep(group, field="complex") -> Representation:
     return Representation(group, 1, field, lambda g: one.copy(), name="trivial")
 
 
-def defining_rep(handle: CompactGroupHandle) -> Representation:
-    """The defining representation of U(d) or O(d): the sample is the image."""
-    field = "complex" if handle.kind == "unitary" else "real"
+def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
+    """The defining representation of U(d) or O(d): the sample is the image.
+
+    ``field`` defaults to the group's own, complex for U(d) and real for
+    O(d); O(d) may also act on C^d.
+    """
+    own = "complex" if handle.kind == "unitary" else "real"
+    field = field or own
+    _check_field(field)
+    if own == "complex" and field == "real":
+        raise ValueError(f"the defining representation of a {handle.kind} group is "
+                         "complex, not real")
     dt = _dtype(field)
+    basis = lie_basis(handle)[:, None]
 
     def image(u) -> np.ndarray:
         return np.asarray(u, dtype=dt)
 
-    return Representation(handle, handle.dim, field, image, name="defining")
+    return Representation(handle, handle.dim, field, image, name="defining",
+                          derived=lambda y: basis @ y)
 
 
 def _require_compatible(reps, what):
@@ -335,6 +360,11 @@ def _combined_action(reps, dim, combine):
         return None
     return IndexAction(dim, map(combine, *(a.generators for a in actions)),
                        lambda g: combine(*(a.element(g) for a in actions)))
+
+
+def _combined_derived(reps, act):
+    """Derived representation ``act`` of a combination, if every part has one."""
+    return None if any(r.derived is None for r in reps) else act
 
 
 def tensor(r1: Representation, *rest: Representation) -> Representation:
@@ -366,10 +396,22 @@ def tensor(r1: Representation, *rest: Representation) -> Representation:
             out = out * math.prod(imgs[i][0, 0] for i in scalars)
         return out
 
+    def act(y):
+        # d rho = sum over the factors of I (x) d rho_f (x) I: factor f acts on
+        # the middle axis of y's n axis split as (before, dim_f, after)
+        out, before = 0, 1
+        for r in reps:
+            after = dim // (before * r.dim)
+            kk, p, _, q = y.shape
+            part = r.derived(y.reshape(kk, p * before, r.dim, after * q))
+            out = out + part.reshape(-1, p, dim, q)
+            before *= r.dim
+        return out
+
     action = _combined_action(reps, dim, kron_indices)
     return Representation(r1.group, dim, r1.field, image if action is None else None,
                           name="(" + " (x) ".join(r.name for r in reps) + ")",
-                          index_action=action)
+                          index_action=action, derived=_combined_derived(reps, act))
 
 
 def direct_sum(r1: Representation, *rest: Representation) -> Representation:
@@ -387,11 +429,15 @@ def direct_sum(r1: Representation, *rest: Representation) -> Representation:
             m[lo:lo + r.dim, lo:lo + r.dim] = r.image(g)
         return m
 
+    def act(y):
+        return np.concatenate([r.derived(y[:, :, lo:lo + r.dim])
+                               for r, lo in zip(reps, offsets)], axis=2)
+
     action = _combined_action(reps, dim, lambda *sigmas: np.concatenate(
         [s + lo for s, lo in zip(sigmas, offsets)]))
     return Representation(r1.group, dim, r1.field, image if action is None else None,
                           name="(" + " (+) ".join(r.name for r in reps) + ")",
-                          index_action=action)
+                          index_action=action, derived=_combined_derived(reps, act))
 
 
 def conjugate(r: Representation) -> Representation:
@@ -404,7 +450,9 @@ def conjugate(r: Representation) -> Representation:
 
     return Representation(r.group, r.dim, r.field,
                           image if r.index_action is None else None,
-                          name=f"conj({r.name})", index_action=r.index_action)
+                          name=f"conj({r.name})", index_action=r.index_action,
+                          derived=_combined_derived(
+                              [r], lambda y: np.conj(r.derived(np.conj(y)))))
 
 
 def tensor_power(r: Representation, k: int) -> Representation:

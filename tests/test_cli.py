@@ -82,12 +82,12 @@ def test_decompose_failure_exit_code(tmp_path, capsys):
     group.write_text(U2_GROUP)
     rep = tmp_path / "adj.rep"
     rep.write_text(U2_ADJOINT)
-    # one averaging round cannot reach an impossible commutation tolerance
-    code = main(["decompose", str(group), str(rep), "--nu", "1",
-                 "--commutation-tol", "1e-15"])
+    # no projection reaches a commutation tolerance below roundoff
+    code = main(["decompose", str(group), str(rep), "--commutation-tol", "1e-300"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "decomposition failed" in err and "after 1 rounds" in err
+    assert "decomposition failed" in err and "Casimir kernel projection" in err
+    assert re.search(r"after \d+ conjugate-gradient iterations", err)
 
 
 def test_emit_basis_and_verify(s3_files, tmp_path, capsys):
@@ -125,11 +125,16 @@ def test_verify_tight_tolerance_on_compact_basis(tmp_path, capsys):
     rep = tmp_path / "adj.rep"
     rep.write_text(U2_ADJOINT)
     basis = tmp_path / "u.basis"
-    # few enough rounds that the basis carries visible (but in-tolerance)
-    # averaging error: fine at the default tolerance, hopeless at 1e-15
-    assert main(["decompose", str(group), str(rep), "--seed", "5", "--nu", "35",
+    assert main(["decompose", str(group), str(rep), "--seed", "5",
                  "--commutation-tol", "1e-6", "--emit-basis", str(basis)]) == 0
     capsys.readouterr()
+    # the projection is exact, so plant a visible (but in-tolerance) error
+    # in one entry: fine at the default tolerance, hopeless at 1e-15
+    lines = basis.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("ROW"))
+    first, *rest = lines[row].split()[1:]
+    lines[row] = " ".join(["ROW", repr(float(first) + 1e-9), *rest])
+    basis.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(group), str(rep), str(basis), "--seed", "5"]) == 0
     capsys.readouterr()
     code = main(["verify", str(group), str(rep), str(basis), "--seed", "5",
@@ -180,13 +185,13 @@ S3_STANDARD = ('{"kind": "generator-images", "images": [[[1, 0], [0, -1]], '
 @pytest.mark.parametrize("group_text,rep_text,path", [
     (S3_GROUP, NATURAL, "projection: orbital averaging, 2 orbitals"),
     (S3_GROUP, S3_STANDARD, "projection: stabilizer chain, 5 transversal elements"),
-    (U2_GROUP, U2_ADJOINT, "projection: Haar averaging"),
+    (U2_GROUP, U2_ADJOINT, "projection: Casimir kernel, 4 Lie generators"),
 ])
 def test_verbose_names_projection_path(tmp_path, capsys, group_text, rep_text, path):
     (tmp_path / "g").write_text(group_text)
     (tmp_path / "r").write_text(rep_text)
     args = ["decompose", str(tmp_path / "g"), str(tmp_path / "r"), "--seed", "3",
-            "--nu", "100", "--format", "structured"]
+            "--format", "structured"]
     assert main(args) == 0
     quiet = capsys.readouterr()
     assert main(args + ["-v"]) == 0
@@ -411,7 +416,7 @@ def test_blockdiag_compact_group(tmp_path, capsys):
 
     out = tmp_path / "blocks"
     assert main(["blockdiag", str(sdp), str(group), str(rep_file),
-                 "--seed", "3", "--nu", "300", "--out", str(out)]) == 0
+                 "--seed", "3", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(b["dimension"] for b in manifest["blocks"]) == [1, 3]
     assert all(b["size"] == 1 for b in manifest["blocks"])
@@ -554,7 +559,7 @@ def test_blockdiag_verbose_names_the_extraction(tmp_path, capsys, case, note):
     sdp = _write_invariant_sdp(tmp_path, m=2) if case == "orbital" else \
         _compact_invariant_sdp(tmp_path)
     args = ["blockdiag", str(sdp), str(tmp_path / "g"), str(tmp_path / "r"), "--seed", "4",
-            "--nu", "300", "--symmetrize", "--out", str(tmp_path / "b"),
+            "--symmetrize", "--out", str(tmp_path / "b"),
             "--format", "structured"]
     outs = []
     for extra in ([], [], ["-v"]):

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repblock import (CommutantSample, ProjectionConfig,
                       ProjectionError, Representation, conjugate, decompose,
                       defining_rep, direct_sum, group_from_generators,
-                      natural_perm_rep, project_commutant,
+                      natural_perm_rep, orthogonal_group, project_commutant,
                       rep_from_generator_images, sample_commutant, sample_gue,
                       tensor, tensor_power, unitary_group)
 from repblock.commutant import (_RESIDUAL_PROBES, chain_average, commutation_residual,
-                                orbital_average, project_linear)
+                                orbital_average, project_linear, projection_path)
+from repblock.decompose import _VERIFY_TRIALS
 
 from conftest import (alternating4, brute_average, closure, closure_with_images,
                       cyclic, dihedral, group_of, klein4, perm_matrix,
@@ -172,8 +173,10 @@ def test_project_compact_schur_weyl(rng):
 
 
 def test_project_compact_budget_exhaustion(rng):
+    # on the Haar path: a representation given by its images alone
     u2 = defining_rep(unitary_group(2))
-    rep = tensor(u2, u2)
+    inner = tensor(u2, u2)
+    rep, _ = _counting(inner, inner.image)
     x = sample_gue(4, "complex", rng)
     cfg = ProjectionConfig(nu=1, set_size=2, commutation_tol=1e-15)
     with pytest.raises(ProjectionError, match="after 1 rounds"):
@@ -210,6 +213,75 @@ def test_project_compact_nan_image_stops_early(rng):
         project_commutant(rep, np.eye(2), cfg, rng)
     # ten rounds, then one residual check on the fixed probes
     assert calls[0] == 10 * cfg.set_size + _RESIDUAL_PROBES
+
+
+def _casimir_cases():
+    u2, u3 = defining_rep(unitary_group(2)), defining_rep(unitary_group(3))
+    o3 = defining_rep(orthogonal_group(3))
+    return [
+        ("U(1)", defining_rep(unitary_group(1))),
+        ("U(3) (x) U(3)", tensor(u3, u3)),
+        ("U(3)^3", tensor_power(u3, 3)),
+        ("U(2) (x) conj U(2)", tensor(u2, conjugate(u2))),
+        ("U(2) (+) U(2)^2", direct_sum(u2, tensor_power(u2, 2))),
+        ("O(2) over R", defining_rep(orthogonal_group(2))),
+        ("O(3) (+) O(3)^2 over R", direct_sum(o3, tensor_power(o3, 2))),
+    ]
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name,rep", _casimir_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_casimir_projection_matches_the_haar_oracle(name, rep, rng):
+    # the oracle is the same representation given by its images alone
+    oracle, _ = _counting(rep, rep.image)
+    assert projection_path(rep).startswith("Casimir kernel")
+    assert projection_path(oracle) == "Haar averaging"
+    x = sample_gue(rep.dim, rep.field, rng)
+    got = project_commutant(rep, x, rng=rng)
+    want = project_commutant(oracle, x, rng=rng)
+    assert got.residual <= 1e-13
+    assert _rel(got.matrix, want.matrix) <= 1e-12
+    assert np.linalg.norm(got.matrix - got.matrix.conj().T) == 0.0
+
+    z = rng.standard_normal((rep.dim, rep.dim))
+    if rep.field == "complex":
+        z = z + 1j * rng.standard_normal((rep.dim, rep.dim))
+    assert _rel(project_linear(rep, z, rng=rng), project_linear(oracle, z, rng=rng)) <= 1e-12
+
+
+def test_casimir_projection_names_its_path():
+    u3 = defining_rep(unitary_group(3))
+    assert projection_path(tensor(u3, u3)) == "Casimir kernel, 9 Lie generators"
+    assert projection_path(defining_rep(orthogonal_group(3))) == \
+        "Casimir kernel, 3 Lie generators, one reflection average"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_casimir_projection_fails_closed_on_non_finite_input(bad):
+    rep = tensor_power(defining_rep(unitary_group(2)), 2)
+    x = np.eye(4, dtype=complex)
+    x[1, 2] = bad
+    with pytest.raises(ProjectionError, match="Casimir kernel .* after 0 conjugate-gradient"):
+        project_commutant(rep, x)
+    with pytest.raises(ProjectionError, match="Casimir kernel"):
+        project_linear(rep, x)
+
+
+def test_casimir_decompose_draws_images_only_for_verification(rng):
+    inner = tensor_power(defining_rep(unitary_group(3)), 3)
+    calls = [0]
+
+    def image(g):
+        calls[0] += 1
+        return inner.image(g)
+
+    rep = Representation(inner.group, inner.dim, inner.field, image, derived=inner.derived)
+    d = decompose(rep, rng=rng)
+    assert d.dm_multiset() == [(1, 1), (8, 2), (10, 1)]
+    assert calls[0] == _VERIFY_TRIALS * d.attempts
 
 
 def test_project_linear_gates_a_broken_finite_rep(rng):

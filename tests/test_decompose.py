@@ -300,6 +300,44 @@ def test_decompose_o3_tensor_square_real(rng):
     assert got == [(1, 1, "real"), (3, 1, "real"), (5, 1, "real")]
 
 
+def test_o2_defining_is_real_type_through_the_reflection(monkeypatch):
+    # the kernel of the SO(2) Casimir on R^2 is span{I, J}, of complex type;
+    # the reflection average leaves span{I}
+    rep = defining_rep(orthogonal_group(2))
+    d = decompose(rep, rng=np.random.default_rng(0))
+    assert [(c.dimension, c.multiplicity, c.real_type) for c in d.components] == \
+        [(2, 1, "real")]
+    commutant = importlib.import_module("repblock.commutant")
+    monkeypatch.setattr(commutant, "_reflects", lambda rep: False)
+    d = decompose(rep, rng=np.random.default_rng(0))
+    assert [c.real_type for c in d.components] == ["complex"]
+
+
+def test_o3_parity_separates_the_two_spin_one_copies(monkeypatch):
+    # O(3) (+) O(3)^(x2): the vector and the pseudovector (the antisymmetric
+    # square) are equivalent under SO(3) only
+    o3 = defining_rep(orthogonal_group(3))
+    rep = direct_sum(o3, tensor_power(o3, 2))
+    d = decompose(rep, rng=np.random.default_rng(1))
+    got = sorted((c.dimension, c.multiplicity, c.real_type) for c in d.components)
+    assert got == [(1, 1, "real"), (3, 1, "real"), (3, 1, "real"), (5, 1, "real")]
+    commutant = importlib.import_module("repblock.commutant")
+    monkeypatch.setattr(commutant, "_reflects", lambda rep: False)
+    with pytest.raises(DecompositionError, match="verification failed"):
+        decompose(rep, rng=np.random.default_rng(1))
+
+
+def test_derived_action_disagreeing_with_the_images_fails_verification():
+    # conj without the conjugate: conjugated images, the defining derived action
+    u2 = defining_rep(unitary_group(2))
+    wrong = Representation(u2.group, 2, "complex", lambda g: np.conj(g),
+                           derived=u2.derived)
+    with pytest.raises(DecompositionError, match="verification failed"):
+        decompose(tensor(u2, wrong), rng=np.random.default_rng(2))
+    right = decompose(tensor(u2, conjugate(u2)), rng=np.random.default_rng(2))
+    assert right.dm_multiset() == [(1, 1), (3, 1)]
+
+
 def test_classify_projects_shared_seeds_once(monkeypatch):
     # the 8 projected seeds serve all three components of O(3)^(x2); the
     # package attribute repblock.decompose is the function, not the module

@@ -10,6 +10,7 @@ from repblock import (Permutation, PermutationGroup, Representation, conjugate,
                       rep_from_generator_images, tensor, tensor_power,
                       trivial_rep, unitary_group, orthogonal_group)
 
+from repblock.compact import lie_basis
 from repblock.reps import _ChainImages
 
 from conftest import cyclic, group_of, perm_matrix, symmetric
@@ -194,6 +195,64 @@ def test_conjugate(rng):
 
     with pytest.raises(ValueError):
         conjugate(natural_perm_rep(g, "real"))
+
+
+def _exp_skew(a):
+    """exp(a) for an anti-Hermitian a, through the eigenvectors of i a."""
+    w, v = np.linalg.eigh(1j * a)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _derived_cases():
+    u2, u3 = defining_rep(unitary_group(2)), defining_rep(unitary_group(3))
+    o3 = defining_rep(orthogonal_group(3))
+    return [
+        ("U(1)", defining_rep(unitary_group(1))),
+        ("U(3) (x) U(3)", tensor(u3, u3)),
+        ("U(2) (x) conj U(2)", tensor(u2, conjugate(u2))),
+        ("U(2) (+) U(2)^2", direct_sum(u2, tensor_power(u2, 2))),
+        ("(U(2) (+) U(2)^2) (x) conj(U(2))^2",
+         tensor(direct_sum(u2, tensor(u2, u2)), tensor_power(conjugate(u2), 2))),
+        ("O(3) (+) O(3)^2", direct_sum(o3, tensor_power(o3, 2))),
+        ("O(2) on C^2", tensor(defining_rep(orthogonal_group(2), "complex"),
+                               defining_rep(orthogonal_group(2), "complex"))),
+        ("O(1)", defining_rep(orthogonal_group(1))),
+    ]
+
+
+@pytest.mark.parametrize("name,rep", _derived_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_derived_action_is_the_derivative_of_the_images(name, rep, rng):
+    # d rho(L) = (rho(exp tL) - rho(exp -tL)) / 2t + O(t^2), from the images alone
+    basis = lie_basis(rep.group)
+    n = rep.dim
+    dense = rep.derived(np.eye(n)[None, None])[:, 0]
+    assert dense.shape == (len(basis), n, n)
+    t = 1e-5
+    for lie, a in zip(basis, dense):
+        plus, minus = _exp_skew(t * lie), _exp_skew(-t * lie)
+        if rep.group.kind == "orthogonal":
+            plus, minus = plus.real, minus.real
+        slope = (rep.image(plus) - rep.image(minus)) / (2 * t)
+        assert np.linalg.norm(slope - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
+        assert np.linalg.norm(a + a.conj().T) <= 1e-14 * max(1.0, np.linalg.norm(a))
+    # a stack of k inputs is acted on entry by entry, on its middle axis
+    y = rng.standard_normal((len(basis), 2, n, 3))
+    got = rep.derived(y)
+    assert np.allclose(got, np.einsum("jab,jpbq->jpaq", dense, y), atol=1e-12)
+
+
+def test_derived_action_only_where_every_part_has_one():
+    u2 = defining_rep(unitary_group(2))
+    bare = Representation(u2.group, 2, "complex", u2.image)
+    assert bare.derived is None
+    assert tensor(u2, bare).derived is None and direct_sum(bare, u2).derived is None
+    assert conjugate(bare).derived is None
+    assert natural_perm_rep(symmetric(3)).derived is None
+    assert trivial_rep(unitary_group(2)).derived is None
+    assert tensor_power(u2, 3).derived(np.zeros((1, 1, 8, 1))).shape == (4, 1, 8, 1)
+    assert defining_rep(orthogonal_group(4)).derived(np.zeros((1, 1, 4, 1))).shape == (6, 1, 4, 1)
+    with pytest.raises(ValueError, match="complex, not real"):
+        defining_rep(unitary_group(2), "real")
 
 
 def test_combinator_mismatches():
