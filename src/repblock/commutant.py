@@ -251,6 +251,7 @@ def _casimir_solve(derived, x, sign, cap):
     return y, iters
 
 
+@np.errstate(invalid="ignore")  # non-finite input fails the gate, which says so
 def _casimir_projection(rep, x, config, hermitize):
     """Exact commutant projection through the Casimir kernel, gated.
 
