@@ -15,8 +15,10 @@ over an orthonormal basis L_j of the Lie algebra: Omega is self-adjoint and
 positive semidefinite, so conjugate gradients on Omega Y = Omega X, started
 at 0, stay in its range and X - Y is the orthogonal projection onto the
 kernel.  CG stops after as many iterations as Omega has distinct nonzero
-eigenvalues on X.  O(d) is not connected: one more average with the image
-of a reflection projects from the commutant of SO(d) onto that of O(d).
+eigenvalues on X.  The generators are acted on in chunks, so memory does
+not grow with their number.  O(d) is not connected: one more average with
+the image of a reflection projects from the commutant of SO(d) onto that
+of O(d).
 
 Any other compact-group representation, one given by its images alone, is
 averaged iteratively over small random Haar sample sets; each round
@@ -50,6 +52,10 @@ _RESIDUAL_PROBES = 20
 _CG_RTOL = 1e-14
 #: Averaging rounds between two residual checks of the compact projection.
 _CHECK_EVERY = 10
+#: Entries of one stack d rho(L_j) y over a chunk of the Lie generators.
+#: The Casimir path holds a few such stacks at once, so its memory is a
+#: small multiple of max(n^2, this), whatever the number of generators.
+_STACK_ENTRIES = 2 ** 18
 
 
 class ProjectionError(RuntimeError):
@@ -205,14 +211,21 @@ def _reflects(rep):
     return rep.group.kind == "orthogonal"
 
 
-def _commutators(derived, y, sign):
-    """The stack [A_j, y_j] (y_0 for a stack of one), A_j = d rho(L_j), for
-    Hermitian (``sign`` 1) or anti-Hermitian (``sign`` -1) matrices y_j.
+def _chunks(rep):
+    """Slices of the Lie generators, each at most _STACK_ENTRIES / n^2 long."""
+    k, step = len(lie_basis(rep.group)), max(1, _STACK_ENTRIES // rep.dim ** 2)
+    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _commutators(derived, y, sign, gens):
+    """The stack [A_j, y_i] (y_0 for a stack of one), A_j = d rho(L_j) for the
+    i-th j of ``gens``, for Hermitian (``sign`` 1) or anti-Hermitian
+    (``sign`` -1) matrices y_i.
 
     A_j is anti-Hermitian, so y A_j = -sign (A_j y)^dag: one left action
     gives both products, and [A_j, y] keeps the symmetry of y.
     """
-    ay = derived(y[:, None])[:, 0]
+    ay = derived(y[:, None], gens)[:, 0]
     return ay + sign * ay.conj().swapaxes(1, 2)
 
 
@@ -222,16 +235,23 @@ def _parts(x):
     return [((x + xh) / 2, 1), ((x - xh) / 2, -1)]
 
 
-def _casimir_solve(derived, x, sign, cap):
-    """Y solving Omega Y = Omega x by CG from 0, and the iterations run.
+def _casimir_solve(derived, chunks, x, sign, cap):
+    """Y solving Omega Y = Omega x by CG from 0, the iterations run, and
+    whether CG met a direction p of curvature <p, Omega p> <= 0.
 
     Omega = -sum_j ad(A_j)^2 keeps the symmetry ``sign`` of x, so CG runs
-    in the Hermitian or the anti-Hermitian matrices.
+    in the Hermitian or the anti-Hermitian matrices.  It is summed over the
+    ``chunks`` of generators.  Its curvature sum_j ||[A_j, p]||^2 is
+    positive for p in its range; one that is not stops CG at once, as does
+    NaN.  A curvature <= 0 comes from an Omega that is not semidefinite.
     """
     def omega(z):
         # sum_j [A_j, b_j] = s + sign s^dag with s = sum_j A_j b_j, as in
         # _commutators, summed before the adjoint is taken
-        s = derived(_commutators(derived, z[None], sign)[:, None])[:, 0].sum(axis=0)
+        s = np.zeros_like(z)
+        for gens in chunks:
+            b = _commutators(derived, z[None], sign, gens)
+            s = s + derived(b[:, None], gens)[:, 0].sum(axis=0)
         return -(s + sign * s.conj().T)
 
     r = omega(x)
@@ -242,13 +262,16 @@ def _casimir_solve(derived, x, sign, cap):
     iters = 0
     while iters < cap and rr > stop:  # NaN stops too
         w = omega(p)
-        alpha = rr / np.vdot(p, w).real
+        curvature = np.vdot(p, w).real
+        if not curvature > 0:
+            return y, iters, curvature <= 0
+        alpha = rr / curvature
         y += alpha * p
         r -= alpha * w
         rr, last = np.vdot(r, r).real, rr
         p = r + (rr / last) * p
         iters += 1
-    return y, iters
+    return y, iters, False
 
 
 @np.errstate(invalid="ignore")  # non-finite input fails the gate, which says so
@@ -261,27 +284,30 @@ def _casimir_projection(rep, x, config, hermitize):
     arithmetic.  The residual is the largest relative commutator with an
     A_j, or with the reflection's image.
     """
-    derived = rep.derived
-    out, iters = 0, 0
+    derived, chunks = rep.derived, _chunks(rep)
+    out, iters, indefinite = 0, 0, False
     for part, sign in _parts(np.asarray(x))[:1 if hermitize else 2]:
-        y, its = _casimir_solve(derived, part, sign, rep.dim ** 2)
-        out, iters = out + (part - y), iters + its
+        y, its, bent = _casimir_solve(derived, chunks, part, sign, rep.dim ** 2)
+        out, iters, indefinite = out + (part - y), iters + its, indefinite or bent
     if _reflects(rep):
         reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
         u = rep.image(reflection)
         out = (out + u @ out @ u.conj().T) / 2
         if hermitize:
             out = (out + out.conj().T) / 2
-    nx = np.linalg.norm(out)
-    comm = np.linalg.norm(sum(_commutators(derived, part[None], sign)
-                              for part, sign in _parts(out)), axis=(1, 2))
-    resid = float(np.max(comm, initial=0.0)) / nx if nx else 0.0
+    nx, comm = np.linalg.norm(out), 0.0
+    for gens in chunks:
+        c = sum(_commutators(derived, part[None], sign, gens) for part, sign in _parts(out))
+        comm = np.maximum(comm, np.max(np.linalg.norm(c, axis=(1, 2))))  # keeps NaN
+    resid = float(comm) / nx if nx else 0.0
     if _reflects(rep):
         resid = float(np.maximum(resid, commutation_residual(rep, out, [reflection], [u])))
     if not resid <= config.commutation_tol:  # NaN fails too
         raise ProjectionError(
             f"Casimir kernel projection left commutation residual {resid:.3e} above "
-            f"{config.commutation_tol:.1e} after {iters} conjugate-gradient iterations")
+            f"{config.commutation_tol:.1e} after {iters} conjugate-gradient iterations"
+            + ("; CG stopped at a direction of non-positive curvature, so the derived "
+               "action is probably not anti-Hermitian" if indefinite else ""))
     return out, resid
 
 

@@ -128,12 +128,14 @@ class Representation:
     derived : callable or None
         The derived representation d rho of a compact-group representation,
         when it is known, on the orthonormal basis L_1..L_k of the Lie
-        algebra that :func:`~repblock.compact.lie_basis` gives.  It takes a
-        stack y of shape (K, P, n, Q), K = 1 or k, and returns the
-        (k, P, n, Q) stack whose j-th entry is (I_P (x) d rho(L_j) (x) I_Q)
-        y_j (y_0 when K = 1).  No d rho(L_j) is formed: the combinators
-        reshape and slice y for their parts.  It must agree with the
-        images; verification against Haar samples catches one that does not.
+        algebra that :func:`~repblock.compact.lie_basis` gives.  Called as
+        ``derived(y, gens)`` with a slice ``gens`` of the m generators
+        L_j to act by and a stack y of shape (K, P, n, Q), K = 1 or m, it
+        returns the (m, P, n, Q) stack whose i-th entry is
+        (I_P (x) d rho(L_j) (x) I_Q) y_i for the i-th j of ``gens`` (y_0
+        when K = 1).  No d rho(L_j) is formed: the combinators reshape and
+        slice y for their parts.  It must agree with the images;
+        verification against Haar samples catches one that does not.
     """
 
     def __init__(self, group, dim, field, image_fn, name="rep", index_action=None,
@@ -306,10 +308,22 @@ def natural_perm_rep(group: PermutationGroup, field="complex") -> Representation
 
 
 def trivial_rep(group, field="complex") -> Representation:
-    """One-dimensional representation sending everything to [[1]]."""
+    """One-dimensional representation sending everything to [[1]].
+
+    Of a compact group it carries the derived action 0.
+    """
     _check_field(field)
     one = np.ones((1, 1), dtype=_dtype(field))
-    return Representation(group, 1, field, lambda g: one.copy(), name="trivial")
+    derived = None
+    if isinstance(group, CompactGroupHandle):
+        basis = lie_basis(group)
+
+        def derived(y, gens):
+            count = len(range(len(basis))[gens])
+            return np.zeros((count, *y.shape[1:]), dtype=np.result_type(y, basis))
+
+    return Representation(group, 1, field, lambda g: one.copy(), name="trivial",
+                          derived=derived)
 
 
 def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
@@ -331,7 +345,7 @@ def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
         return np.asarray(u, dtype=dt)
 
     return Representation(handle, handle.dim, field, image, name="defining",
-                          derived=lambda y: basis @ y)
+                          derived=lambda y, gens: basis[gens] @ y)
 
 
 def _require_compatible(reps, what):
@@ -396,14 +410,14 @@ def tensor(r1: Representation, *rest: Representation) -> Representation:
             out = out * math.prod(imgs[i][0, 0] for i in scalars)
         return out
 
-    def act(y):
+    def act(y, gens):
         # d rho = sum over the factors of I (x) d rho_f (x) I: factor f acts on
         # the middle axis of y's n axis split as (before, dim_f, after)
         out, before = 0, 1
         for r in reps:
             after = dim // (before * r.dim)
             kk, p, _, q = y.shape
-            part = r.derived(y.reshape(kk, p * before, r.dim, after * q))
+            part = r.derived(y.reshape(kk, p * before, r.dim, after * q), gens)
             out = out + part.reshape(-1, p, dim, q)
             before *= r.dim
         return out
@@ -429,8 +443,8 @@ def direct_sum(r1: Representation, *rest: Representation) -> Representation:
             m[lo:lo + r.dim, lo:lo + r.dim] = r.image(g)
         return m
 
-    def act(y):
-        return np.concatenate([r.derived(y[:, :, lo:lo + r.dim])
+    def act(y, gens):
+        return np.concatenate([r.derived(y[:, :, lo:lo + r.dim], gens)
                                for r, lo in zip(reps, offsets)], axis=2)
 
     action = _combined_action(reps, dim, lambda *sigmas: np.concatenate(
@@ -452,7 +466,7 @@ def conjugate(r: Representation) -> Representation:
                           image if r.index_action is None else None,
                           name=f"conj({r.name})", index_action=r.index_action,
                           derived=_combined_derived(
-                              [r], lambda y: np.conj(r.derived(np.conj(y)))))
+                              [r], lambda y, gens: np.conj(r.derived(np.conj(y), gens))))
 
 
 def tensor_power(r: Representation, k: int) -> Representation:

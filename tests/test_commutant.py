@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from repblock import (CommutantSample, ProjectionConfig,
                       defining_rep, direct_sum, group_from_generators,
                       natural_perm_rep, orthogonal_group, project_commutant,
                       rep_from_generator_images, sample_commutant, sample_gue,
-                      tensor, tensor_power, unitary_group)
-from repblock.commutant import (_RESIDUAL_PROBES, chain_average, commutation_residual,
-                                orbital_average, project_linear, projection_path)
+                      tensor, tensor_power, trivial_rep, unitary_group)
+from repblock.commutant import (_RESIDUAL_PROBES, chain_average,
+                                commutation_residual, orbital_average, project_linear,
+                                projection_path)
 from repblock.decompose import _VERIFY_TRIALS
 
 from conftest import (alternating4, brute_average, closure, closure_with_images,
@@ -226,6 +228,9 @@ def _casimir_cases():
         ("U(2) (+) U(2)^2", direct_sum(u2, tensor_power(u2, 2))),
         ("O(2) over R", defining_rep(orthogonal_group(2))),
         ("O(3) (+) O(3)^2 over R", direct_sum(o3, tensor_power(o3, 2))),
+        ("trivial (+) U(2) (x) trivial", direct_sum(trivial_rep(u2.group),
+                                                   tensor(u2, trivial_rep(u2.group)))),
+        ("trivial (+) O(3) over R", direct_sum(trivial_rep(o3.group, "real"), o3)),
     ]
 
 
@@ -268,6 +273,46 @@ def test_casimir_projection_fails_closed_on_non_finite_input(bad):
         project_commutant(rep, x)
     with pytest.raises(ProjectionError, match="Casimir kernel"):
         project_linear(rep, x)
+
+
+def test_casimir_projection_stops_at_non_positive_curvature():
+    # i L_j is Hermitian, so Omega is negative semidefinite: CG stops at its
+    # first direction rather than running on towards the n^2 cap
+    u2 = defining_rep(unitary_group(2))
+    calls = [0]
+
+    def derived(y, gens):
+        calls[0] += 1
+        return 1j * u2.derived(y, gens)
+
+    rep = tensor_power(Representation(u2.group, 2, "complex", u2.image, derived=derived), 4)
+    with pytest.raises(ProjectionError, match="after 0 conjugate-gradient iterations; "
+                                              "CG stopped at a direction of non-positive"):
+        project_commutant(rep, sample_gue(16, "complex", np.random.default_rng(3)))
+    # per factor: two actions for the right-hand side's Omega, two for the
+    # first direction's, one per part of the gated result
+    assert calls[0] == 4 * (2 + 2 + 2)
+
+
+def test_casimir_projection_memory_is_bounded_in_the_generators(rng):
+    # U(12)^(x2): 144 generators, n = 144, one stack over all of them would
+    # be 48 MiB; the chunks keep every stack within 2^18 entries, 4 MiB
+    rep = tensor_power(defining_rep(unitary_group(12)), 2)
+    x = sample_gue(rep.dim, "complex", rng)
+    tracemalloc.start()
+    try:
+        out = project_commutant(rep, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.residual <= 1e-12
+    assert peak <= 32 * 2 ** 20
+    # Sym^2 and Alt^2 of C^12: the commutant is spanned by I and the swap
+    swap = np.eye(144).reshape(12, 12, 12, 12).transpose(0, 1, 3, 2).reshape(144, 144)
+    coeff, *_ = np.linalg.lstsq(np.stack([np.eye(144).ravel(), swap.ravel()]).T,
+                                out.matrix.ravel(), rcond=None)
+    assert np.linalg.norm(coeff[0] * np.eye(144) + coeff[1] * swap - out.matrix) <= \
+        1e-12 * np.linalg.norm(out.matrix)
 
 
 def test_casimir_decompose_draws_images_only_for_verification(rng):

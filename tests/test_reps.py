@@ -217,6 +217,9 @@ def _derived_cases():
         ("O(2) on C^2", tensor(defining_rep(orthogonal_group(2), "complex"),
                                defining_rep(orthogonal_group(2), "complex"))),
         ("O(1)", defining_rep(orthogonal_group(1))),
+        ("trivial (+) U(2) (x) trivial", direct_sum(trivial_rep(u2.group),
+                                                   tensor(u2, trivial_rep(u2.group)))),
+        ("trivial of O(3) over R", trivial_rep(o3.group, "real")),
     ]
 
 
@@ -225,7 +228,7 @@ def test_derived_action_is_the_derivative_of_the_images(name, rep, rng):
     # d rho(L) = (rho(exp tL) - rho(exp -tL)) / 2t + O(t^2), from the images alone
     basis = lie_basis(rep.group)
     n = rep.dim
-    dense = rep.derived(np.eye(n)[None, None])[:, 0]
+    dense = rep.derived(np.eye(n)[None, None], slice(None))[:, 0]
     assert dense.shape == (len(basis), n, n)
     t = 1e-5
     for lie, a in zip(basis, dense):
@@ -237,8 +240,12 @@ def test_derived_action_is_the_derivative_of_the_images(name, rep, rng):
         assert np.linalg.norm(a + a.conj().T) <= 1e-14 * max(1.0, np.linalg.norm(a))
     # a stack of k inputs is acted on entry by entry, on its middle axis
     y = rng.standard_normal((len(basis), 2, n, 3))
-    got = rep.derived(y)
+    got = rep.derived(y, slice(None))
     assert np.allclose(got, np.einsum("jab,jpbq->jpaq", dense, y), atol=1e-12)
+    # and a slice of the generators acts by those generators alone
+    if len(basis) > 1:
+        part = slice(1, None, 2)
+        assert np.array_equal(rep.derived(y[part], part), got[part])
 
 
 def test_derived_action_only_where_every_part_has_one():
@@ -248,9 +255,13 @@ def test_derived_action_only_where_every_part_has_one():
     assert tensor(u2, bare).derived is None and direct_sum(bare, u2).derived is None
     assert conjugate(bare).derived is None
     assert natural_perm_rep(symmetric(3)).derived is None
-    assert trivial_rep(unitary_group(2)).derived is None
-    assert tensor_power(u2, 3).derived(np.zeros((1, 1, 8, 1))).shape == (4, 1, 8, 1)
-    assert defining_rep(orthogonal_group(4)).derived(np.zeros((1, 1, 4, 1))).shape == (6, 1, 4, 1)
+    assert trivial_rep(symmetric(3)).derived is None
+    assert tensor_power(u2, 3).derived(np.zeros((1, 1, 8, 1)), slice(None)).shape == (4, 1, 8, 1)
+    assert defining_rep(orthogonal_group(4)).derived(
+        np.zeros((1, 1, 4, 1)), slice(None)).shape == (6, 1, 4, 1)
+    # the trivial representation of a compact group: d rho = 0
+    triv = trivial_rep(unitary_group(2)).derived(np.ones((1, 2, 1, 3)), slice(1, 3))
+    assert triv.shape == (2, 2, 1, 3) and not triv.any()
     with pytest.raises(ValueError, match="complex, not real"):
         defining_rep(unitary_group(2), "real")
 
