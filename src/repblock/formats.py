@@ -387,15 +387,17 @@ def _too_large(n, m, lineno):
 
 
 def parse_sdp(text: str) -> SdpProblem:
-    """Parse the sparse SDP text format into a full problem.
+    """Parse the sparse SDP text format into a problem held as its entries.
 
-    Upper-triangle entries are mirrored to the implied conjugate positions;
-    parse errors carry the offending line number.  MATRIX lines are read
-    in batches of a few thousand lines: each field of a batch is converted
-    by one numpy call and every check runs as a mask over the batch.  The
-    first line failing any check, or repeating an earlier (k, i, j) in any
-    batch, is reported with the message a line-by-line reading gives, so
-    errors come out in file order.
+    The checked upper-triangle entries, sorted by (k, i, j), become the
+    problem's storage; no dense matrix is formed.  A header is refused when
+    the address range of one n x n matrix, which the dense extraction and
+    the basis need, cannot be reserved.  Parse errors carry the offending
+    line number.  MATRIX lines are read in batches of a few thousand lines:
+    each field of a batch is converted by one numpy call and every check
+    runs as a mask over the batch.  The first line failing any check, or
+    repeating an earlier (k, i, j) in any batch, is reported with the
+    message a line-by-line reading gives, so errors come out in file order.
     """
     lines = text.splitlines()
     header = None
@@ -466,38 +468,27 @@ def parse_sdp(text: str) -> SdpProblem:
     if bvec is None:
         raise SpecFormatError("missing B line")
 
-    try:
-        mats = [np.zeros((n, n), dtype=dtype) for _ in range(m + 1)]
+    try:  # reserved and released at once: no page is touched
+        np.empty((n, n), dtype=dtype)
     except MemoryError:
         raise _too_large(n, m, header_line) from None
+    values = np.empty(k.size, dtype=dtype)
+    values.real = re
     if field == "complex":
-        values = np.empty(k.size, dtype=np.complex128)
-        values.real, values.imag = re, im
-    else:
-        values = re
-    by_k = np.argsort(k, kind="stable")
-    bounds = np.searchsorted(k[by_k], np.arange(m + 2))
-    for kk, mat in enumerate(mats):
-        sel = by_k[bounds[kk]:bounds[kk + 1]]
-        off = sel[i[sel] != j[sel]]
-        mat[j[off], i[off]] = np.conj(values[off])
-        mat[i[sel], j[sel]] = values[sel]
-    return SdpProblem(c=mats[0], a=mats[1:], b=np.array(bvec), field=field)
+        values.imag = im
+    return SdpProblem._from_entries(n, k[order], i[order], j[order], values[order],
+                                    np.array(bvec), field)
 
 
 def format_sdp(prob) -> str:
-    """Serialize an SdpProblem in the sparse text format (upper triangle)."""
+    """Serialize an SdpProblem in the sparse text format: its nonzero entries."""
     out = [f"{prob.n} {prob.m} {prob.field}"]
-    for k, mat in enumerate([prob.c] + list(prob.a)):
-        for i in range(prob.n):
-            for j in range(i, prob.n):
-                v = complex(mat[i, j])
-                if v == 0:
-                    continue
-                if prob.field == "complex":
-                    out.append(f"MATRIX {k} {i} {j} {_fmt(v.real)} {_fmt(v.imag)}")
-                else:
-                    out.append(f"MATRIX {k} {i} {j} {_fmt(v.real)}")
+    keep = prob.v != 0
+    entries = zip(*(x[keep].tolist() for x in (prob.k, prob.i, prob.j, prob.v)))
+    if prob.field == "complex":
+        out.extend(f"MATRIX {k} {i} {j} {_fmt(v.real)} {_fmt(v.imag)}" for k, i, j, v in entries)
+    else:
+        out.extend(f"MATRIX {k} {i} {j} {_fmt(v)}" for k, i, j, v in entries)
     out.append("B" + "".join(f" {_fmt(v)}" for v in prob.b))
     return "\n".join(out) + "\n"
 

@@ -9,20 +9,30 @@ rebuild full matrices from blocks.  Positive semidefiniteness and the
 weighted trace identity <A, X> = sum_i D_i <A_block_i, X_block_i> carry
 the problem to the reduced form.
 
+:class:`SdpProblem` holds the data as upper-triangle entries (k, i, j, v);
+its ``c``, ``a`` and :meth:`SdpProblem.matrix` accessors build O(n^2)
+dense arrays, which only the dense extraction below uses, one matrix at
+a time.
+
 Two extractions give the same blocks.  When the representation permutes
 its basis (it has an index action) and the components' M_i^2 add up to
 the number r of orbitals, an invariant matrix is X = sum_c x_c A_c over
 the 0/1 orbital indicators A_c, and its blocks are linear in the orbital
 means x.  If also r <= n, so that the block map T (r x sum M_i^2 = r x r)
-is no larger than one data matrix, :func:`block_diagonalize_sdp` reads
-each data matrix once, by one bincount, and multiplies its means by T,
-built once from one representative pair per orbital.  Two gates check
-this path:
+is no larger than one data matrix, :func:`block_diagonalize_sdp` sums the
+orbital means of all matrices from their entries, and each entry's mirror
+(j, i, conj v), by one bincount, and multiplies them by T, built once
+from one representative pair per orbital.  No dense data matrix is
+formed.  Two gates check this path:
 
 * invariance: without ``symmetrize_first`` each matrix must lie within
-  ``tol`` of its orbital means, |X - x[ids]| <= tol |X|; with it, the
-  means are the group average and are used as they are (the blocks are
-  made Hermitian, which is the same as making the average Hermitian);
+  ``tol`` of its orbital means, |X - x[ids]| <= tol |X|, where
+  |X - x[ids]|^2 is summed from the entries as a sum of non-negative
+  terms, sum |v - x_c|^2 over the listed entries plus (|c| - listed_c)
+  |x_c|^2 over the orbitals, each matrix scaled by its largest entry;
+  with it, the means are the group average and are used as they are (the
+  blocks are made Hermitian, which is the same as making the average
+  Hermitian);
 * one dense check: the combination z = sum_k g_k x_k / |X_k| of the data,
   with Gaussian weights g from a fixed seed, goes through the dense
   conjugation below, and must fit the block pattern and agree with the
@@ -35,8 +45,9 @@ this path:
 
 Everything else (compact groups, matrix images, complex or quaternionic
 components over R, where sum M_i^2 < r, and more orbitals than points,
-as for small or intransitive groups) conjugates each matrix by the basis,
-U X U^dag, after group-averaging it when asked.
+as for small or intransitive groups) forms each matrix from its entries
+and conjugates it by the basis, U X U^dag, after group-averaging it when
+asked.
 
 Real-field caveat: a symmetric invariant matrix restricted to a component
 of complex or quaternionic type with multiplicity >= 2 is *not* of the
@@ -52,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import ProjectionConfig, _check_tol, orbital_means, project_commutant
+from .commutant import ProjectionConfig, _check_tol, project_commutant
 from .decompose import IrrepDecomposition
 from .reps import Representation
 
@@ -72,47 +83,95 @@ def _check_hermitian(m, what):
         raise ValueError(f"{what} has a non-finite entry")
     if np.array_equal(m, m.conj().T):  # bitwise Hermitian: the residual is 0
         return
-    resid = np.linalg.norm(m - m.conj().T)
-    scale = max(1.0, np.linalg.norm(m))
-    if not resid <= _HERMITIAN_TOL * scale:  # NaN fails too
-        raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
+    # |m - m^dag| <= tol max(1, |m|), read on m / s for s = max |re|, |im|
+    # (> 0 here) so that no square overflows: |u - u^dag| <= tol |u| or
+    # s |u - u^dag| <= tol, where the product may overflow to inf and fail
+    s = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+    u = m / s
+    resid = float(np.linalg.norm(u - u.conj().T))
+    if not (resid <= _HERMITIAN_TOL * float(np.linalg.norm(u))
+            or resid * s <= _HERMITIAN_TOL):
+        raise ValueError(f"{what} is not Hermitian (residual {resid * s:.3e})")
 
 
-@dataclass
 class SdpProblem:
-    """Data (C, {A_i}, b) of a semidefinite program in primal form."""
+    """Data (C, {A_i}, b) of a semidefinite program in primal form.
 
-    c: np.ndarray
-    a: list
-    b: np.ndarray
-    field: str = "complex"
+    The matrices are held as the upper-triangle entries the text format
+    carries: arrays ``k`` (0 for C, i for A_i), ``i <= j`` and values ``v``
+    (float64 over R, complex128 over C), sorted by (k, i, j).  Entry (i, j)
+    stands for X[i, j] = v and, off the diagonal, X[j, i] = conj(v), so the
+    matrices are Hermitian by construction; unlisted entries are zero.
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c)
-        self.a = [np.asarray(ai) for ai in self.a]
-        self.b = np.asarray(self.b, dtype=float)
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"unknown field {self.field!r}")
-        n = self.c.shape[0]
-        if self.c.shape != (n, n):
+    ``SdpProblem(c=..., a=..., b=..., field=...)`` takes dense matrices,
+    checks each one (square, finite, Hermitian to 1e-10 relative, and real
+    over R) and keeps the nonzero entries of its upper triangle.
+    ``parse_sdp`` hands over its checked entries directly.  :meth:`matrix`,
+    ``c`` and ``a`` build dense n x n arrays, O(n^2) memory each; the block
+    extraction of an index action reads the entries alone.
+    """
+
+    def __init__(self, c, a, b, field: str = "complex"):
+        if field not in ("real", "complex"):
+            raise ValueError(f"unknown field {field!r}")
+        c = np.asarray(c)
+        n = c.shape[0]
+        if c.shape != (n, n):
             raise ValueError("C must be square")
-        _check_hermitian(self.c, "C")
-        for i, ai in enumerate(self.a):
-            if ai.shape != (n, n):
-                raise ValueError(f"A_{i + 1} has shape {ai.shape}, expected {(n, n)}")
-            _check_hermitian(ai, f"A_{i + 1}")
-        if not np.all(np.isfinite(self.b)):
+        mats = [c] + [np.asarray(x) for x in a]
+        names = ["C"] + [f"A_{k}" for k in range(1, len(mats))]
+        for x, what in zip(mats, names):
+            if x.shape != (n, n):
+                raise ValueError(f"{what} has shape {x.shape}, expected {(n, n)}")
+            _check_hermitian(x, what)
+        b = np.asarray(b, dtype=float)
+        if not np.all(np.isfinite(b)):
             raise ValueError("b has a non-finite entry")
-        if len(self.a) != len(self.b):
-            raise ValueError(f"{len(self.a)} constraint matrices but {len(self.b)} b entries")
+        if len(mats) - 1 != len(b):
+            raise ValueError(f"{len(mats) - 1} constraint matrices but {len(b)} b entries")
+        rows, cols = np.triu_indices(n)
+        upper = np.array([x[rows, cols] for x in mats])  # (m + 1) x n(n+1)/2
+        if field == "real":
+            bad = np.any(upper.imag != 0, axis=1)
+            if bad.any():
+                raise ValueError(f"{names[int(np.argmax(bad))]} has an entry with a nonzero "
+                                 f"imaginary part, but the field is real")
+            upper = upper.real
+        upper = upper.astype(np.complex128 if field == "complex" else np.float64)
+        k, t = np.nonzero(upper)  # in (k, i, j) order
+        self._set(n, k, rows[t], cols[t], upper[k, t], b, field)
 
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
+    def _set(self, n, k, i, j, v, b, field):
+        self.n, self.k, self.i, self.j, self.v, self.b, self.field = n, k, i, j, v, b, field
+
+    @classmethod
+    def _from_entries(cls, n, k, i, j, v, b, field):
+        """A problem from entries already checked and sorted, as ``parse_sdp`` makes them."""
+        prob = cls.__new__(cls)
+        prob._set(n, k, i, j, v, b, field)
+        return prob
 
     @property
     def m(self) -> int:
-        return len(self.a)
+        return len(self.b)
+
+    def matrix(self, k: int) -> np.ndarray:
+        """Matrix k (0 for C, i for A_i) as a dense n x n array."""
+        lo, hi = np.searchsorted(self.k, [k, k + 1])
+        i, j, v = self.i[lo:hi], self.j[lo:hi], self.v[lo:hi]
+        out = np.zeros((self.n, self.n), dtype=self.v.dtype)
+        off = i != j
+        out[j[off], i[off]] = v[off].conj()
+        out[i, j] = v
+        return out
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.matrix(0)
+
+    @property
+    def a(self) -> list:
+        return [self.matrix(k) for k in range(1, self.m + 1)]
 
 
 @dataclass
@@ -269,35 +328,62 @@ def _gate_residuals(residuals, names, tol):
     return worst
 
 
-def _orbital_blocks(decomp, mats, names, symmetrize_first, tol):
+def _abs2(x):
+    """|x|^2 entrywise, without the hypot that abs takes for complex x."""
+    return x.real ** 2 + x.imag ** 2
+
+
+def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
     """Blocks of every matrix from its orbital means; see the module docstring."""
     ids, counts = decomp.rep.index_action.orbitals()
-    n = decomp.U.shape[0]
+    n, r, count = prob.n, len(counts), prob.m + 1
     # orbitals are numbered in order of their first pair, so the running
     # maximum of the labels first reaches c at the first pair of orbital c
-    k, l = np.divmod(np.searchsorted(np.maximum.accumulate(ids), np.arange(len(counts))), n)
-    coords, norms, invariance = [], [], []
-    for x in mats:
-        flat = np.asarray(x).reshape(-1)
-        means = orbital_means(decomp.rep, flat)
-        if not symmetrize_first:
-            invariance.append(float(np.linalg.norm(flat - means[ids])))
-        coords.append(means)
-        norms.append(float(np.linalg.norm(flat)))
-    coords = np.array(coords)
-    norms = np.where(np.array(norms) > 0, norms, 1.0)  # a zero matrix: zero means, zero residual
+    k, l = np.divmod(np.searchsorted(np.maximum.accumulate(ids), np.arange(r)), n)
+    # every listed entry v of matrix q at (i, j) and, off the diagonal, its
+    # mirror conj(v) at (j, i), keyed by matrix and orbital; each matrix is
+    # divided by its largest real or imaginary part (1 for none), part by
+    # part, so that no square overflows or underflows
+    scale = np.zeros(count)
+    with np.errstate(invalid="ignore"):  # a NaN propagates, and fails the gates
+        np.maximum.at(scale, prob.k, np.maximum(abs(prob.v.real), abs(prob.v.imag)))
+    scale[scale == 0] = 1.0
+    w = prob.v.copy()
+    w.view(np.float64).reshape(len(w), w.itemsize // 8)[...] /= scale[prob.k, None]
+    off = prob.i != prob.j
+    keys = prob.k * r + ids[prob.i * n + prob.j]
+    mirror_keys = prob.k[off] * r + ids[prob.j[off] * n + prob.i[off]]
+    w_off = w[off]
+    size = count * r
+    sums = (np.bincount(keys, weights=w.real, minlength=size)
+            + np.bincount(mirror_keys, weights=w_off.real, minlength=size))
+    if np.iscomplexobj(w):
+        sums = sums + 1j * (np.bincount(keys, weights=w.imag, minlength=size)
+                            - np.bincount(mirror_keys, weights=w_off.imag, minlength=size))
+    means = sums.reshape(count, r) / counts  # of the scaled matrices
+    norms = np.sqrt(np.bincount(prob.k, weights=_abs2(w) * (1 + off), minlength=count))
+    norms[norms == 0] = 1.0  # a zero matrix: zero means, zero residual
     worst = 0.0
     if symmetrize_first:
-        bad = ~np.all(np.isfinite(coords), axis=1)  # a non-finite entry spoils its mean
+        bad = ~np.all(np.isfinite(means), axis=1)  # a non-finite entry spoils its mean
         if bad.any():
             raise ValueError(f"{names[int(np.argmax(bad))]} has a non-finite entry")
     else:
-        worst = _gate_residuals(np.array(invariance) / norms, names, tol)
+        # |X - x[ids]|^2 as a sum of non-negative terms: the listed entries'
+        # misfit, and |x_c|^2 for every unlisted (zero) entry of orbital c
+        flat = means.reshape(-1)
+        listed = (np.bincount(keys, minlength=size)
+                  + np.bincount(mirror_keys, minlength=size)).reshape(count, r)
+        misfit = (np.bincount(prob.k, weights=_abs2(w - flat[keys]), minlength=count)
+                  + np.bincount(prob.k[off], weights=_abs2(w_off.conj() - flat[mirror_keys]),
+                                minlength=count))
+        unlisted = ((counts - listed) * _abs2(means)).sum(axis=1)
+        worst = _gate_residuals(np.sqrt(misfit + unlisted) / norms, names, tol)
 
     t = _block_map(decomp, k, l, counts)
     # one seeded combination z of the data through the dense conjugation
-    g = np.random.default_rng(_CHECK_SEED).standard_normal(len(mats))
-    z = g @ (coords / norms[:, None])
+    g = np.random.default_rng(_CHECK_SEED).standard_normal(count)
+    z = g @ (means / norms[:, None])
     zmat = z[ids].reshape(n, n)
     dense, per_component, pattern = _extract_blocks(decomp, zmat)
     # z's residuals are taken relative to min(|z|, 1): absolute once |z| >= 1,
@@ -318,13 +404,19 @@ def _orbital_blocks(decomp, mats, names, symmetrize_first, tol):
         raise NotInvariantError(
             f"the orbital block map disagrees with the basis by {mismatch:.3e}, "
             f"above tolerance {tol:.1e}")
-    per_matrix = _split_blocks(decomp, coords @ t)
-    blocks = [[b[j] for b in per_matrix] for j in range(len(mats))]
+    per_matrix = _split_blocks(decomp, (means * scale[:, None]) @ t)
+    blocks = [[b[q] for b in per_matrix] for q in range(count)]
     return blocks, per_component, max(worst, pattern, mismatch)
 
 
-def _dense_blocks(decomp, mats, names, tol):
-    results = [_extract_blocks(decomp, m) for m in mats]
+def _dense_blocks(decomp, prob, names, symmetrize_first, tol, config, rng):
+    """Each matrix formed on its own, group-averaged if asked, conjugated by U."""
+    results = []
+    for q in range(prob.m + 1):
+        x = prob.matrix(q)
+        if symmetrize_first:
+            x = symmetrize_matrix(decomp.rep, x, config, rng)
+        results.append(_extract_blocks(decomp, x))
     worst = _gate_residuals([total for _, _, total in results], names, tol)
     per_component = [max(res[1][ci] for res in results)
                      for ci in range(len(decomp.components))]
@@ -351,17 +443,15 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
         raise ValueError(f"problem size {prob.n} does not match basis size {decomp.U.shape[0]}")
     if symmetrize_first and decomp.rep is None:
         raise ValueError("symmetrize_first needs a decomposition that kept its representation")
-    mats = [prob.c] + list(prob.a)
     names = ["C"] + [f"A_{i + 1}" for i in range(prob.m)]
     if _orbital_path_applies(decomp):
-        blocks, per_component, worst = _orbital_blocks(decomp, mats, names,
+        blocks, per_component, worst = _orbital_blocks(decomp, prob, names,
                                                         symmetrize_first, tol)
         extraction = f"orbital coordinates, {len(decomp.rep.index_action.orbitals()[1])} orbitals"
     else:
-        if symmetrize_first:
-            mats = [symmetrize_matrix(decomp.rep, m, config, rng) for m in mats]
-        blocks, per_component, worst = _dense_blocks(decomp, mats, names, tol)
-        extraction = f"dense conjugation, {len(mats)} products"
+        blocks, per_component, worst = _dense_blocks(decomp, prob, names, symmetrize_first,
+                                                     tol, config, rng)
+        extraction = f"dense conjugation, {prob.m + 1} products"
 
     components = [
         SdpBlockComponent(dimension=comp.dimension, multiplicity=comp.multiplicity,

@@ -294,13 +294,16 @@ def reference_build_chain(degree, gen_words):
 # The line-by-line SDP reader and entry-by-entry image reader that the
 # batched parsers in repblock.formats replaced.  They define the arrays the
 # batched parsers must return and, for malformed input, the line and message
-# of the error.
+# of the error.  The SDP reader returns the dense matrices themselves, as
+# the dense parser built them, with (j, i) set to conj(v) for every listed
+# (i, j): they are not passed through SdpProblem, which keeps only the
+# nonzero upper triangle.
 
 def reference_parse_sdp(text):
     import math
+    from types import SimpleNamespace
 
     from repblock.formats import SpecFormatError
-    from repblock.sdp import SdpProblem
 
     header = None
     entries = {}
@@ -377,7 +380,27 @@ def reference_parse_sdp(text):
         mats[k][i, j] = v
         if i != j:
             mats[k][j, i] = np.conj(v)
-    return SdpProblem(c=mats[0], a=mats[1:], b=np.array(bvec), field=field)
+    return SimpleNamespace(c=mats[0], a=mats[1:], b=np.array(bvec), field=field)
+
+
+def reference_format_sdp(prob):
+    """The dense SDP writer: every upper-triangle slot of every matrix, in
+    (k, i, j) order, zeros skipped."""
+    from repblock.formats import _fmt
+
+    out = [f"{prob.n} {prob.m} {prob.field}"]
+    for k, mat in enumerate([prob.c] + list(prob.a)):
+        for i in range(prob.n):
+            for j in range(i, prob.n):
+                v = complex(mat[i, j])
+                if v == 0:
+                    continue
+                if prob.field == "complex":
+                    out.append(f"MATRIX {k} {i} {j} {_fmt(v.real)} {_fmt(v.imag)}")
+                else:
+                    out.append(f"MATRIX {k} {i} {j} {_fmt(v.real)}")
+    out.append("B" + "".join(f" {_fmt(v)}" for v in prob.b))
+    return "\n".join(out) + "\n"
 
 
 def reference_parse_matrix(rows, field, where):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repblock import formats
 from repblock import (CompactGroupHandle, PermutationGroup, decompose,
@@ -12,7 +12,8 @@ from repblock.formats import (SpecFormatError, format_basis, format_group_spec,
                               format_sdp, parse_basis, parse_group_spec,
                               parse_inline_group, parse_rep_spec, parse_sdp)
 
-from conftest import reference_parse_matrix, reference_parse_sdp, symmetric
+from conftest import (reference_format_sdp, reference_parse_matrix, reference_parse_sdp,
+                      symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +324,8 @@ def _assert_same_sdp(text):
 
 
 _VALUES = st.one_of(
-    st.floats(-1e150, 1e150),  # the Hermitian check squares entries
-    st.sampled_from([0.0, -0.0, 5e-324, 1e150, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1e300, 1 / 3]),
     st.integers(-10**6, 10**6).map(float))
 _SPELLINGS = ["{!r}", "{:.17g}", "{:.3e}", "{:+.1f}", "{:.25g}"]
 
@@ -420,6 +421,48 @@ def test_parse_sdp_longer_than_one_batch(dup):
     if dup is not None:  # repeat line 2 at this line number
         lines.insert(dup - 1, lines[1])
     _assert_same_sdp("\n".join(lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sdp_files())
+def test_format_sdp_matches_the_dense_writer_on_parsed_files(case):
+    # explicit zeros and -0.0 are stored but not written, as the dense writer
+    # skips every zero slot
+    lines, _ = case
+    prob = _outcome(parse_sdp, "\n".join(lines) + "\n")
+    assume(not isinstance(prob, SpecFormatError))  # a short spelling can round to inf
+    assert format_sdp(prob) == reference_format_sdp(prob)
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1 / 3, 5e-324, 1e300, -1.7e308])
+
+
+@st.composite
+def dense_problems(draw):
+    """An SdpProblem from dense Hermitian matrices whose entries include
+    zeros, -0.0 and complex values with one zero part."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    mats = []
+    for _ in range(m + 1):
+        x = np.zeros((n, n), dtype=complex if field == "complex" else float)
+        for i in range(n):
+            for j in range(i, n):
+                v = draw(_PARTS)
+                if field == "complex":
+                    v = complex(v, draw(st.sampled_from([0.0, -0.0])) if i == j else draw(_PARTS))
+                x[i, j], x[j, i] = v, np.conj(v)
+        mats.append(x)
+    return SdpProblem(c=mats[0], a=mats[1:], b=[draw(_PARTS) for _ in range(m)], field=field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_problems())
+def test_format_sdp_matches_the_dense_writer_on_dense_input(prob):
+    text = format_sdp(prob)
+    assert text == reference_format_sdp(prob)
+    back = parse_sdp(text)
+    assert all(np.array_equal(back.matrix(k), prob.matrix(k)) for k in range(prob.m + 1))
 
 
 _ENTRIES = st.one_of(

@@ -1,5 +1,8 @@
 import importlib
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,13 +14,21 @@ from repblock import (DecomposeConfig, IrrepDecomposition, NotInvariantError,
                       decompose, defining_rep, direct_sum, natural_perm_rep,
                       reconstruct, sample_commutant, sample_gue,
                       symmetrize_matrix, tensor, unitary_group)
-from repblock.commutant import chain_average, orbital_average
+from repblock.commutant import chain_average, orbital_average, orbital_means
+from repblock.formats import format_sdp, parse_sdp
 from repblock.sdp import DEFAULT_INVARIANCE_TOL, _extract_blocks, _orbital_path_applies
 
 from conftest import group_of, symmetric
 from test_commutant import brute_reynolds_natural
 
 sdp_mod = importlib.import_module("repblock.sdp")
+
+
+def plant_nan(prob, k, i, j):
+    """NaN in the stored entry (i, j) of matrix k, past the constructor's checks."""
+    at = np.flatnonzero((prob.k == k) & (prob.i == i) & (prob.j == j))
+    assert at.size == 1
+    prob.v[at] = np.nan
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +129,7 @@ def test_block_diagonalize_rejects_noninvariant(s3_setup, rng):
     with pytest.raises(NotInvariantError, match="residual nan"):
         block_diagonalize_matrix(decomp, x)
     prob = SdpProblem(c=np.eye(3), a=[np.eye(3), np.eye(3)], b=[1.0, 2.0], field="complex")
-    prob.a[1][0, 0] = np.nan  # past the constructor's checks
+    plant_nan(prob, 2, 0, 0)
     with pytest.raises(NotInvariantError, match="A_2 .*residual nan"):
         block_diagonalize_sdp(decomp, prob)
 
@@ -173,6 +184,37 @@ def test_sdp_problem_validation(rng):
         SdpProblem(c=c, a=[c], b=[np.nan], field="real")
     p = SdpProblem(c=c, a=[c, 2 * c], b=[1.0, 2.0], field="real")
     assert p.n == 3 and p.m == 2
+
+
+@pytest.mark.parametrize("x", [
+    [[0, 1e300], [-1e300, 0]],        # antisymmetric: both norms overflow when squared
+    [[1e200, 1e200], [3e200, 0]],
+    [[0, 1.7e308], [-1.7e308, 0]],    # the unscaled residual itself is beyond the float range
+], ids=["antisymmetric", "lopsided", "float-max"])
+def test_hermitian_gate_holds_on_huge_entries(x):
+    x = np.array(x)
+    rep = natural_perm_rep(symmetric(2), "real")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow leaks either
+        with pytest.raises(ValueError, match="C is not Hermitian"):
+            SdpProblem(c=x, a=[], b=[], field="real")
+        with pytest.raises(ValueError, match="matrix to symmetrize is not Hermitian"):
+            symmetrize_matrix(rep, x)
+        # the same scale, Hermitian to roundoff, passes
+        near = np.array([[1e300, 2e300], [2e300 * (1 + 2 ** -52), 0]])
+        assert SdpProblem(c=near, a=[], b=[], field="real").c[0, 1] == 2e300
+
+
+def test_real_field_refuses_imaginary_parts():
+    herm = np.array([[1, 2j], [-2j, 1]])
+    with pytest.raises(ValueError, match="C has an entry with a nonzero imaginary part"):
+        SdpProblem(c=herm, a=[], b=[], field="real")
+    with pytest.raises(ValueError, match="A_2 has an entry with a nonzero imaginary part"):
+        SdpProblem(c=np.eye(2), a=[np.eye(2), herm], b=[1.0, 2.0], field="real")
+    # complex arrays whose imaginary parts are zero are real data
+    p = SdpProblem(c=herm.real.astype(complex), a=[], b=[], field="real")
+    assert p.c.dtype == np.float64 and np.array_equal(p.c, np.eye(2))
+    assert format_sdp(p) == "2 0 real\nMATRIX 0 0 0 1\nMATRIX 0 1 1 1\nB\n"
 
 
 def _random_invariant_instance(rep, m, rng):
@@ -290,13 +332,27 @@ def _weighted_norm(decomp, blocks):
                          for c, b in zip(decomp.components, blocks)))
 
 
+def _through_text(prob, rng):
+    """``parse_sdp(format_sdp(prob))``, with explicit zero entries (0 and -0.0,
+    in either part over C) written on some unlisted upper-triangle slots."""
+    lines = format_sdp(prob).splitlines()
+    listed = {tuple(int(t) for t in line.split()[1:4]) for line in lines[1:-1]}
+    free = [(k, i, j) for k in range(prob.m + 1) for i in range(prob.n)
+            for j in range(i, prob.n) if (k, i, j) not in listed]
+    zeros = ["0", "-0.0"] if prob.field == "real" else ["0 0", "-0.0 0", "0 -0.0", "-0 -0"]
+    picks = rng.permutation(len(free))[:8]
+    extra = [f"MATRIX {k} {i} {j} {zeros[t % len(zeros)]}"
+             for t, (k, i, j) in enumerate(free[p] for p in picks)]
+    return parse_sdp("\n".join(lines[:-1] + extra + lines[-1:]) + "\n")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3))),
     st.sampled_from(("complex", "real")), st.booleans(), st.booleans(), st.booleans(),
-    st.sampled_from((0.0, 1e-9, 1e-2)), st.integers(0, 2 ** 32 - 1))
+    st.sampled_from((0.0, 1e-9, 1e-2)), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, symmetrize,
-                                                   stripped, noise, seed):
+                                                   stripped, noise, via_text, seed):
     n, gens = generated
     rep = natural_perm_rep(group_of(n, gens), field)
     if doubled:  # every multiplicity at least 2
@@ -304,7 +360,15 @@ def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, sy
     rng = np.random.default_rng(seed)
     d = decompose(rep, rng=rng)
     mats = [m + noise * sample_gue(rep.dim, field, rng) for m in _invariant_data(rep, 3, rng)]
-    prob = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field=field)
+    if via_text:  # a sparse and an all-zero matrix too, read back from text
+        sparse = orbital_average(rep, np.diag(rng.standard_normal(rep.dim)))
+        sparse[0, 1] += noise  # the rest of its orbital is unlisted
+        sparse[1, 0] += noise
+        mats += [sparse, np.zeros((rep.dim, rep.dim))]
+    prob = SdpProblem(c=mats[0], a=mats[1:], b=np.arange(1.0, len(mats)), field=field)
+    if via_text:
+        prob = _through_text(prob, rng)
+    mats = [prob.matrix(q) for q in range(prob.m + 1)]
     r = len(rep.index_action.orbitals()[1])
     orbital = (not stripped and r <= rep.dim
                and sum(c.multiplicity ** 2 for c in d.components) == r)
@@ -314,11 +378,27 @@ def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, sy
     oracle = _dense_oracle(d, mats, symmetrize)
     rejected = not np.max([total for _, _, total in oracle]) <= DEFAULT_INVARIANCE_TOL
     event(f"{'orbital' if orbital else 'dense'} path, {'rejected' if rejected else 'accepted'}")
+    gated = []
+    real_gate = sdp_mod._gate_residuals
+
+    def recording_gate(residuals, names, tol):
+        gated.append(np.array(residuals, dtype=float))
+        return real_gate(residuals, names, tol)
+
+    with mock.patch.object(sdp_mod, "_gate_residuals", recording_gate):
+        if rejected:
+            with pytest.raises(NotInvariantError):
+                block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
+        else:
+            blocked = block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
+    if orbital and not symmetrize:
+        # the invariance residuals, summed from the entries, against |X - x[ids]| / |X|
+        ids = rep.index_action.orbitals()[0]
+        want = [np.linalg.norm(x.reshape(-1) - orbital_means(rep, x)[ids])
+                / (np.linalg.norm(x) or 1.0) for x in mats]
+        assert np.allclose(gated[0], want, rtol=1e-12, atol=1e-12)
     if rejected:
-        with pytest.raises(NotInvariantError):
-            block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
         return
-    blocked = block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
     assert blocked.extraction.startswith("orbital coordinates") == orbital
     assert [(c.dimension, c.multiplicity) for c in blocked.components] == \
         [(c.dimension, c.multiplicity) for c in d.components]
@@ -362,18 +442,20 @@ def test_planted_faults_fail_both_paths(doubled_s4, fault, stripped):
         dim = d.components[k].dimension
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         d.U[offsets[k]:offsets[k] + dim] = q @ d.U[offsets[k]:offsets[k] + dim]
-    prob = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field="real")
-    if fault.startswith("nan"):
-        prob.a[1][0, 0] = np.nan  # past the constructor's checks
-    if fault == "nan-symmetrized":
-        with pytest.raises(ValueError, match="non-finite entry"):
-            block_diagonalize_sdp(d, prob, symmetrize_first=True)
-        return
-    with pytest.raises(NotInvariantError, match="residual nan" if fault == "nan" else None):
-        block_diagonalize_sdp(d, prob)
-    # the dense oracle rejects every one of them too
-    oracle = _dense_oracle(d, [prob.c] + prob.a, False)
-    assert not np.max([total for _, _, total in oracle]) <= DEFAULT_INVARIANCE_TOL
+    arrays = SdpProblem(c=mats[0], a=mats[1:], b=[1.0, 2.0], field="real")
+    # the same problem from dense arrays and read back from text
+    for prob in (arrays, _through_text(arrays, rng)):
+        if fault.startswith("nan"):
+            plant_nan(prob, 2, 0, 0)
+        if fault == "nan-symmetrized":
+            with pytest.raises(ValueError, match="non-finite entry"):
+                block_diagonalize_sdp(d, prob, symmetrize_first=True)
+            continue
+        with pytest.raises(NotInvariantError, match="residual nan" if fault == "nan" else None):
+            block_diagonalize_sdp(d, prob)
+        # the dense oracle rejects every one of them too
+        oracle = _dense_oracle(d, [prob.c] + prob.a, False)
+        assert not np.max([total for _, _, total in oracle]) <= DEFAULT_INVARIANCE_TOL
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -536,3 +618,69 @@ def test_zero_and_tiny_matrices_pass_both_paths(s4_setup, stripped):
         assert np.array_equal(comp.a_blocks[0], np.zeros((comp.multiplicity,) * 2))
         assert np.allclose(comp.a_blocks[1], 1e-310 * np.eye(comp.multiplicity),
                            rtol=1e-12, atol=0)
+    # a problem without a single stored entry
+    empty = block_diagonalize_sdp(d, SdpProblem(c=np.zeros((4, 4)), a=[], b=[], field="real"))
+    assert empty.residual == 0 and not any(comp.c_block.any() for comp in empty.components)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_orbital_gates_hold_at_extreme_scales(s4_setup, scale):
+    # the squares of these entries underflow or overflow; each matrix is
+    # measured relative to its largest entry instead
+    rep, d = s4_setup
+    x = _invariant_data(rep, 1, np.random.default_rng(14))[0]
+    spike = np.zeros((4, 4))
+    spike[0, 1] = spike[1, 0] = 1e-3 * np.abs(x).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocked = block_diagonalize_sdp(d, SdpProblem(c=scale * x, a=[], b=[]))
+        assert blocked.extraction.startswith("orbital") and blocked.residual <= 1e-12
+        want, _ = block_diagonalize_matrix(d, x)
+        for comp, w in zip(blocked.components, want):
+            assert np.allclose(comp.c_block / scale, w, rtol=1e-12, atol=1e-12)
+        with pytest.raises(NotInvariantError, match="C does not fit"):
+            block_diagonalize_sdp(d, SdpProblem(c=scale * (x + spike), a=[], b=[]))
+
+
+def _terwilliger_text(count):
+    """S8 permuting the coordinates of {0,1}^8 (n = 256) and ``count`` SDP
+    matrices, each the 0/1 indicator of an orbital and its transpose,
+    written as text."""
+    q = 8
+    gens = [[1, 0] + list(range(2, q)), list(range(1, q)) + [0]]
+
+    def act(g, x):  # bit k of x moves to bit g(k)
+        return sum(1 << g[k] for k in range(q) if x >> k & 1)
+
+    rep = natural_perm_rep(group_of(2 ** q, [[act(g, x) for x in range(2 ** q)]
+                                             for g in gens]), "real")
+    ids, _ = rep.index_action.orbitals()
+    n = rep.dim
+    labels = ids.reshape(n, n)
+    lines = [f"{n} {count - 1} real"]
+    for k in range(count):  # orbital k, numbered in order of its first pair
+        rows, cols = np.nonzero((labels == k) | (labels.T == k))
+        upper = rows <= cols
+        lines += [f"MATRIX {k} {i} {j} 1" for i, j in zip(rows[upper], cols[upper])]
+    lines.append("B" + " 1" * (count - 1))
+    return rep, "\n".join(lines) + "\n"
+
+
+def test_orbital_path_forms_no_dense_matrix_per_data_matrix():
+    # 40 matrices of 256 x 256 would take 40 x 512 KiB = 20 MiB as dense
+    # arrays; parsing and extraction together stay below a few n x n arrays
+    # (about 6, for the one dense check of the combination z)
+    rep, text = _terwilliger_text(40)
+    d = decompose(rep, rng=np.random.default_rng(21))
+    assert _orbital_path_applies(d)
+    n_by_n = rep.dim ** 2 * 8
+    tracemalloc.start()
+    try:
+        prob = parse_sdp(text)
+        blocked = block_diagonalize_sdp(d, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prob.m == 39 and blocked.residual <= 1e-10
+    assert blocked.extraction.startswith("orbital coordinates")
+    assert peak <= 8 * n_by_n, f"peak {peak / n_by_n:.1f} n x n arrays"
