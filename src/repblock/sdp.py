@@ -21,7 +21,7 @@ the 0/1 orbital indicators A_c, and its blocks are linear in the orbital
 means x.  If also r <= n, so that the block map T (r x sum M_i^2 = r x r)
 is no larger than one data matrix, :func:`block_diagonalize_sdp` sums the
 orbital means of all matrices from their entries, and each entry's mirror
-(j, i, conj v), by one bincount, and multiplies them by T, built once
+(j, i, conj v), by bincounts over the entries, and multiplies them by T, built once
 from one representative pair per orbital.  No dense data matrix is
 formed.  Two gates check this path:
 
