@@ -94,6 +94,16 @@ def _check_tol(tol, name):
         raise ValueError(f"{name} must be positive and finite, got {tol}")
 
 
+def _pow2_scale(x):
+    """A power of two s near max |re|, |im| of x (1 when x is zero or not
+    finite).  s and 1/s are normal, so x / s is exact on ordinary data: a norm
+    ratio read on it is bit for bit that of x, and no square overflows."""
+    top = max(float(np.max(np.abs(x.real), initial=0.0)),
+              float(np.max(np.abs(x.imag), initial=0.0)))
+    e = math.frexp(top)[1] - 1 if 0 < top < math.inf else 0
+    return math.ldexp(1.0, min(max(e, -1022), 1022))
+
+
 @dataclass(frozen=True)
 class CommutantSample:
     """A generic Hermitian commutant element and its measured residual."""
@@ -139,6 +149,7 @@ def commutation_residual(rep: Representation, x, elements, images=None) -> float
     ``images``, when given, are the images of ``elements``, built once by a
     caller that measures the same elements repeatedly.
     """
+    x = x / _pow2_scale(x)
     nx = np.linalg.norm(x)
     if nx == 0 or len(elements) == 0:
         return 0.0

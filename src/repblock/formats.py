@@ -286,7 +286,7 @@ def parse_rep_spec(text: str, group, field: str) -> Representation:
 # SDP problems
 # ---------------------------------------------------------------------------
 
-_SDP_CHUNK = 4096  # lines per conversion batch; bounds the tokens held at once
+_SDP_CHUNK = 4096  # lines per run; bounds the tokens held at once
 
 
 def _sdp_header(parts, lineno):
@@ -341,44 +341,45 @@ def _sdp_b(parts, lineno, m):
     return bvec
 
 
-def _first_bad_entry(rows, linenos, n, m, field):
-    """(line, error) of the first MATRIX line failing :func:`_sdp_entry`, or None."""
-    for parts, lineno in zip(rows, linenos):
-        try:
-            _sdp_entry(parts, lineno, n, m, field)
-        except SpecFormatError as exc:
-            return lineno, exc
-    return None
+def _sdp_matrix_run(text, linenos, n, m, field):
+    """Entries of a run of MATRIX lines, joined by newlines.
 
-
-def _sdp_columns(rows, linenos, n, m, field):
-    """Convert a batch of MATRIX lines field by field.
-
-    Returns the (k, i, j, re, im) arrays and the (line, error) of the first
-    line that fails a check, or None.  numpy parses each field with Python's
-    own ``int`` and ``float`` rules, so a token converts here exactly when it
-    converts in :func:`_sdp_entry`; an index beyond int64 is out of range,
-    as the header guard keeps n and m below that.  Either failure sends the
-    batch through :func:`_sdp_entry` line by line to name the spot.
+    Returns the (line, k, i, j, re, im) arrays of the lines that pass and the
+    (line, error) of the first line that fails, or None.
     """
-    cols = list(zip(*rows))
-    try:
-        k, i, j = (np.array(c, dtype=np.int64) for c in cols[1:4])
-        re = np.array(cols[4], dtype=np.float64)
-        im = (np.array(cols[5], dtype=np.float64) if field == "complex"
-              else np.zeros_like(re))
-    except (ValueError, OverflowError):
-        error = _first_bad_entry(rows, linenos, n, m, field)
-        if error is None:
-            raise  # numpy refused a field that Python parses
-        return None, error
-    bad = (~(np.isfinite(re) & np.isfinite(im)) | (k < 0) | (k > m)
-           | (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i > j) | ((i == j) & (im != 0)))
-    error = None
-    if bad.any():
-        t = int(np.argmax(bad))
-        error = _first_bad_entry(rows[t:], linenos[t:], n, m, field)
-    return (k, i, j, re, im), error
+    want = 6 if field == "complex" else 5
+    size = len(linenos)
+    toks = text.split()
+    # Every line's first token is MATRIX.  When the text holds no other
+    # "MATRIX", those are the only MATRIX tokens; when they all sit at 0,
+    # want, 2 want, ... and there are want * size tokens, each line holds
+    # exactly want tokens, and field c of every line is toks[c::want].
+    if (len(toks) == want * size and text.count("MATRIX") == size
+            and toks[::want].count("MATRIX") == size):
+        # numpy converts a field with Python's own int and float rules, so a
+        # token converts here exactly when it converts in _sdp_entry; an index
+        # beyond int64 is out of range, as the header guard keeps n and m below that
+        try:
+            k, i, j = (np.array(toks[c::want], dtype=np.int64) for c in (1, 2, 3))
+            re = np.array(toks[4::want], dtype=np.float64)
+            im = np.array(toks[5::want], dtype=np.float64) if want == 6 else np.zeros(size)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            ok = (np.isfinite(re) & np.isfinite(im) & (0 <= k) & (k <= m)
+                  & (0 <= i) & (i <= j) & (j < n) & ((i < j) | (im == 0)))
+            if ok.all():
+                return [linenos, k, i, j, re, im], None
+    # a width, a conversion or a check failed: _sdp_entry words the first bad line
+    rows, error = [], None  # no error: numpy refused a token that Python parses
+    for lineno, line in zip(linenos.tolist(), text.split("\n")):
+        try:
+            rows.append((lineno, *_sdp_entry(line.split(), lineno, n, m, field)))
+        except SpecFormatError as exc:
+            error = (lineno, exc)
+            break
+    return [np.array([row[c] for row in rows], dtype=np.int64 if c < 4 else np.float64)
+            for c in range(6)], error
 
 
 def _too_large(n, m, lineno):
@@ -393,11 +394,11 @@ def parse_sdp(text: str) -> SdpProblem:
     problem's storage; no dense matrix is formed.  A header is refused when
     the address range of one n x n matrix, which the dense extraction and
     the basis need, cannot be reserved.  Parse errors carry the offending
-    line number.  MATRIX lines are read in batches of a few thousand lines:
-    each field of a batch is converted by one numpy call and every check
-    runs as a mask over the batch.  The first line failing any check, or
-    repeating an earlier (k, i, j) in any batch, is reported with the
-    message a line-by-line reading gives, so errors come out in file order.
+    line number.  Lines are read in runs of a few thousand: one split
+    tokenizes a run's MATRIX lines, one numpy call converts each field and
+    every check runs as a mask.  The first line failing any check, or
+    repeating an earlier (k, i, j) in any run, is reported with the message
+    a line-by-line reading gives, so errors come out in file order.
     """
     lines = text.splitlines()
     header = None
@@ -413,41 +414,39 @@ def parse_sdp(text: str) -> SdpProblem:
     dtype = np.complex128 if field == "complex" else np.float64
     if (m + 1) * n * n * np.dtype(dtype).itemsize >= 2 ** 63:
         raise _too_large(n, m, header_line)
-    want = 6 if field == "complex" else 5
 
     bvec = None
-    batches = []  # (line numbers, k, i, j, re, im) of MATRIX lines that passed
+    batches = []  # (lines, k, i, j, re, im) of the MATRIX lines of each run that passed
     error = None  # (line, exception) of the first line that failed
     for start in range(header_line, len(lines), _SDP_CHUNK):
-        rows, linenos = [], []
-        for lineno, raw in enumerate(lines[start:start + _SDP_CHUNK], start=start + 1):
-            parts = raw.split("#", 1)[0].split()
-            if len(parts) == want and parts[0] == "MATRIX":
-                rows.append(parts)
-                linenos.append(lineno)
-                continue
-            if not parts:
-                continue
-            try:
-                if parts[0] == "MATRIX":
-                    _sdp_entry(parts, lineno, n, m, field)
-                elif parts[0] == "B":
-                    if bvec is not None:
-                        raise SpecFormatError("duplicate B line", line=lineno)
-                    bvec = _sdp_b(parts, lineno, m)
-                else:
-                    raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
-            except SpecFormatError as exc:
-                error = (lineno, exc)
-                break
-        if rows:
-            cols, bad = _sdp_columns(rows, linenos, n, m, field)
-            if bad is not None and (error is None or bad[0] < error[0]):
-                error = bad
-            if cols is not None:
-                lines_arr = np.array(linenos, dtype=np.int64)
-                keep = lines_arr < error[0] if error is not None else slice(None)
-                batches.append(tuple(a[keep] for a in (lines_arr, *cols)))
+        run = lines[start:start + _SDP_CHUNK]
+        text = "\n".join(run)
+        if "#" in text:
+            run = [raw.split("#", 1)[0] for raw in run]
+            text = "\n".join(run)
+        linenos = np.arange(start + 1, start + 1 + len(run))
+        if text.count("\nMATRIX ") + text.startswith("MATRIX ") < len(run):
+            body = []  # positions of the lines whose first token is MATRIX
+            for t, raw in enumerate(run):
+                parts = ["MATRIX"] if raw.startswith("MATRIX ") else raw.split()
+                if parts[:1] == ["MATRIX"]:
+                    body.append(t)
+                elif parts:
+                    lineno = start + 1 + t
+                    try:
+                        if parts[0] != "B":
+                            raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
+                        if bvec is not None:
+                            raise SpecFormatError("duplicate B line", line=lineno)
+                        bvec = _sdp_b(parts, lineno, m)
+                    except SpecFormatError as exc:
+                        error = (lineno, exc)
+                        break
+            text, linenos = "\n".join([run[t] for t in body]), linenos[body]
+        cols, failed = _sdp_matrix_run(text, linenos, n, m, field)
+        batches.append(cols)
+        if failed is not None:  # its lines all precede an error found above
+            error = failed
         if error is not None:
             break
 

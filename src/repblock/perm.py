@@ -202,21 +202,33 @@ def _inverse_images(p):
 
 
 def _build_transversal(lvl, ident):
-    """Breadth-first orbit of the base point under the level's generators."""
+    """Breadth-first orbit of the base point under the level's generators.
+
+    Inverses are chained along the orbit, inv(s t_a) = inv(t_a) inv(s), so
+    each generator is inverted once.  Returns the tree edges (a, index of s)
+    that reached a new point b: their Schreier generators inv(t_b) s t_a are
+    the identity by construction.
+    """
+    inv_gens = [itemgetter(*_inverse_images(ps)) for ps, _ in lvl.gens]
     t = {lvl.point: (ident, None)}
+    inv = {lvl.point: ident}
+    tree = set()
     frontier = [lvl.point]
     while frontier:
         grown = []
         for a in frontier:
             pa, wa = t[a]
-            for ps, ws in lvl.gens:
+            for g, (ps, ws) in enumerate(lvl.gens):
                 b = ps[a]
                 if b not in t:
                     t[b] = itemgetter(*pa)(ps), _word_mul(ws, wa)
+                    inv[b] = inv_gens[g](inv[a])
+                    tree.add((a, g))
                     grown.append(b)
         frontier = sorted(set(grown))
     lvl.transversal = t
-    lvl.inverses = {b: (_inverse_images(p), _word_inv(w)) for b, (p, w) in t.items()}
+    lvl.inverses = {b: (inv[b], _word_inv(w)) for b, (_, w) in t.items()}
+    return tree
 
 
 def _sift(levels, wp, start):
@@ -280,12 +292,14 @@ def _build_chain(degree, gen_words):
     l = len(levels) - 1
     while l >= 0:
         lvl = levels[l]
-        _build_transversal(lvl, ident)
+        tree = _build_transversal(lvl, ident)
         t, inverses = lvl.transversal, lvl.inverses
         residue = None
         for a in sorted(t):
             pa, wa = t[a]
-            for ps, ws in lvl.gens:
+            for g, (ps, ws) in enumerate(lvl.gens):
+                if (a, g) in tree:
+                    continue
                 pv, wv = inverses[ps[a]]
                 sg = itemgetter(*itemgetter(*pa)(ps))(pv)
                 if sg != ident:

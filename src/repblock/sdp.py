@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import ProjectionConfig, _check_tol, project_commutant
+from .commutant import ProjectionConfig, _check_tol, _pow2_scale, project_commutant
 from .decompose import IrrepDecomposition
 from .reps import Representation
 
@@ -212,7 +212,8 @@ def _extract_blocks(decomp, x):
     x = np.asarray(x)
     u = decomp.U
     xhat = u @ x @ u.conj().T
-    scale = max(np.linalg.norm(x), np.finfo(float).tiny)
+    s = _pow2_scale(x)  # norms are read on ./s, so no square overflows or underflows
+    scale = max(np.linalg.norm(x / s), np.finfo(float).tiny)
 
     blocks = []
     per_component = []
@@ -228,10 +229,10 @@ def _extract_blocks(decomp, x):
         blocks.append(xi)
         pattern = np.kron(xi, np.eye(d))
         fit[offset:offset + size, offset:offset + size] = pattern
-        per_component.append(float(np.linalg.norm(sub - pattern)) / scale)
+        per_component.append(float(np.linalg.norm((sub - pattern) / s)) / scale)
         offset += size
 
-    total = float(np.linalg.norm(xhat - fit)) / scale
+    total = float(np.linalg.norm((xhat - fit) / s)) / scale
     return blocks, per_component, total
 
 
@@ -389,7 +390,7 @@ def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
     # z's residuals are taken relative to min(|z|, 1): absolute once |z| >= 1,
     # where the expected square of its pattern residual is the sum of the
     # squared per-matrix ones, and relative below, as for a single matrix
-    z_norm = max(float(np.linalg.norm(zmat)), np.finfo(float).tiny)  # _extract_blocks' scale
+    z_norm = max(float(np.linalg.norm(zmat)), np.finfo(float).tiny)
     unit = min(z_norm, 1.0)  # NaN stays NaN
     pattern *= z_norm / unit
     per_component = [res * z_norm / unit for res in per_component]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -332,7 +333,13 @@ _SPELLINGS = ["{!r}", "{:.17g}", "{:.3e}", "{:+.1f}", "{:.25g}"]
 
 @st.composite
 def sdp_files(draw):
-    """A valid SDP file as a list of lines, with its (n, m, field)."""
+    """A valid SDP file as a list of lines, with its (n, m, field).
+
+    Fields may be separated by tabs and lines indented; lines may end in
+    CRLF, or share a list item through a form feed or a line separator,
+    which ``splitlines`` breaks at; the B line may come first; and a file
+    without blank or comment lines keeps its MATRIX lines in one long run.
+    """
     field = draw(st.sampled_from(["real", "complex"]))
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
     slots = [(k, i, j) for k in range(m + 1) for i in range(n) for j in range(i, n)]
@@ -343,26 +350,44 @@ def sdp_files(draw):
 
     body = []
     for k, i, j in keys:
-        line = f"MATRIX {k} {i} {j} {spell(draw(_VALUES))}"
+        fields = [str(k), str(i), str(j), spell(draw(_VALUES))]
         if field == "complex":
-            line += " " + spell(draw(st.sampled_from([0.0, -0.0])) if i == j else draw(_VALUES))
-        body.append(line)
-    body.append("B" + "".join(" " + spell(draw(_VALUES)) for _ in range(m)))
+            fields.append(spell(draw(st.sampled_from([0.0, -0.0])) if i == j
+                                else draw(_VALUES)))
+        sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+        indent = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        body.append(indent + "MATRIX" + sep + sep.join(fields))
+    b_line = "B" + "".join(" " + spell(draw(_VALUES)) for _ in range(m))
     body = draw(st.permutations(body))
+    body.insert(draw(st.one_of(st.just(0), st.integers(0, len(body)))), b_line)
+    gaps = draw(st.booleans())
     lines = ["# generated", f"{n} {m} {field}"]
     for line in body:
-        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# x"]), max_size=1)))
-        lines.append(line + draw(st.sampled_from(["", "  ", " # trailing"])))
-    return lines, (n, m, field)
+        if gaps:
+            lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# x"]),
+                                       max_size=1)))
+            line += draw(st.sampled_from(["", "  ", " # trailing"]))
+        lines.append(line)
+    out = lines[:2]
+    for line in lines[2:]:
+        brk = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\x0c", "\u2028"]))
+        if brk == "\n":
+            out.append(line)
+        elif brk == "\r\n":
+            out[-1] += "\r"
+            out.append(line)
+        else:
+            out[-1] += brk + line
+    return out, (n, m, field)
 
 
 @st.composite
 def mutated_sdp_files(draw):
     lines, (n, m, field) = draw(sdp_files())
-    at = [t for t, line in enumerate(lines) if line.startswith("MATRIX")]
+    at = [t for t, line in enumerate(lines) if line.split("#")[0].split()[:1] == ["MATRIX"]]
     kind = draw(st.sampled_from([
         "token", "nonfinite", "k", "ij", "long index", "lower", "complex diagonal",
-        "duplicate", "fields", "record", "second B"]))
+        "duplicate", "fields", "record", "second B", "MATRIX value", "widths"]))
     if kind in ("duplicate", "second B", "record") or not at:  # insert a line
         if kind == "duplicate" and at:
             src = draw(st.sampled_from(at))
@@ -378,6 +403,11 @@ def mutated_sdp_files(draw):
     if kind == "token":
         parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(
             ["x1", "1.2.3", "0x10", "--1", "1e", "nan(1)", "٣", "1_0", "+2"]))
+    elif kind == "MATRIX value":
+        parts[draw(st.integers(1, len(parts) - 1))] = "MATRIX"
+    elif kind == "widths":  # token counts that add up: only their places differ
+        pair = [" ".join(parts[:-1]), " ".join(parts + ["7"])]
+        return lines[:t] + draw(st.permutations(pair)) + lines[t + 1:]
     elif kind == "nonfinite":
         parts[draw(st.integers(4, len(parts) - 1))] = draw(st.sampled_from(
             ["nan", "-inf", "Infinity", "1e999"]))
@@ -421,6 +451,35 @@ def test_parse_sdp_longer_than_one_batch(dup):
     if dup is not None:  # repeat line 2 at this line number
         lines.insert(dup - 1, lines[1])
     _assert_same_sdp("\n".join(lines))
+
+
+def _complex_sdp_text(n=110, m=4):
+    """A valid complex file of (m + 1) n (n + 1) / 2 MATRIX lines, 30,525 by default."""
+    rng = np.random.default_rng(3)
+    lines = [f"{n} {m} complex"]
+    for k in range(m + 1):
+        for i in range(n):
+            for j in range(i, n):
+                re, im = rng.standard_normal(2)
+                lines.append(f"MATRIX {k} {i} {j} {re:.17g} {0.0 if i == j else im:.17g}")
+    lines.append("B" + " 1" * m)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_sdp_checks_no_valid_line_on_its_own():
+    text = _complex_sdp_text()
+    with mock.patch.object(formats, "_sdp_entry", wraps=formats._sdp_entry) as entry:
+        tracemalloc.start()
+        try:
+            prob = parse_sdp(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert entry.call_count == 0
+    assert prob.k.size == 5 * 110 * 111 // 2
+    # the reader that split every line on its own peaked at 9,439,437 bytes
+    # on this file (Python 3.11, numpy 2.4); the columnar runs may add 10%
+    assert peak <= 1.1 * 9_439_437
 
 
 @settings(max_examples=150, deadline=None)

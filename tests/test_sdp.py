@@ -200,9 +200,13 @@ def test_hermitian_gate_holds_on_huge_entries(x):
             SdpProblem(c=x, a=[], b=[], field="real")
         with pytest.raises(ValueError, match="matrix to symmetrize is not Hermitian"):
             symmetrize_matrix(rep, x)
-        # the same scale, Hermitian to roundoff, passes
+        # the same scale, Hermitian to roundoff, passes, and its group average
+        # is measured without squaring an entry
         near = np.array([[1e300, 2e300], [2e300 * (1 + 2 ** -52), 0]])
         assert SdpProblem(c=near, a=[], b=[], field="real").c[0, 1] == 2e300
+        avg = symmetrize_matrix(rep, near)
+        assert np.allclose(avg, [[5e299, 2e300], [2e300, 5e299]], rtol=1e-15, atol=0)
+        assert np.array_equal(avg, avg.T)
 
 
 def test_real_field_refuses_imaginary_parts():
@@ -640,6 +644,32 @@ def test_orbital_gates_hold_at_extreme_scales(s4_setup, scale):
             assert np.allclose(comp.c_block / scale, w, rtol=1e-12, atol=1e-12)
         with pytest.raises(NotInvariantError, match="C does not fit"):
             block_diagonalize_sdp(d, SdpProblem(c=scale * (x + spike), a=[], b=[]))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_dense_gate_holds_at_extreme_scales(s4_setup, scale):
+    # the dense extraction reads each matrix divided by a power of two near
+    # its largest entry: below about 1e-160 its norms used to underflow to 0
+    # and accept anything, and near 1e300 they overflowed
+    rep, d = s4_setup
+    dense = IrrepDecomposition(U=d.U, components=d.components, diagnostics=None,
+                               rep=_strip_index_action(rep))
+    x = _invariant_data(rep, 1, np.random.default_rng(14))[0]
+    spike = np.zeros((4, 4))
+    spike[0, 1] = spike[1, 0] = 1e-3 * np.abs(x).max()
+    want, _ = block_diagonalize_matrix(d, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks, residual = block_diagonalize_matrix(d, scale * x)
+        assert residual <= 1e-12
+        for got, w in zip(blocks, want):
+            assert np.allclose(got / scale, w, rtol=1e-12, atol=0)
+        blocked = block_diagonalize_sdp(dense, SdpProblem(c=scale * x, a=[], b=[]))
+        assert blocked.extraction.startswith("dense") and blocked.residual <= 1e-12
+        with pytest.raises(NotInvariantError, match="does not fit"):
+            block_diagonalize_matrix(d, scale * (x + spike))
+        with pytest.raises(NotInvariantError, match="C does not fit"):
+            block_diagonalize_sdp(dense, SdpProblem(c=scale * (x + spike), a=[], b=[]))
 
 
 def _terwilliger_text(count):
