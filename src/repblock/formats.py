@@ -420,12 +420,12 @@ def parse_sdp(text: str) -> SdpProblem:
     error = None  # (line, exception) of the first line that failed
     for start in range(header_line, len(lines), _SDP_CHUNK):
         run = lines[start:start + _SDP_CHUNK]
-        text = "\n".join(run)
-        if "#" in text:
+        joined = "\n".join(run)
+        if "#" in joined:
             run = [raw.split("#", 1)[0] for raw in run]
-            text = "\n".join(run)
+            joined = "\n".join(run)
         linenos = np.arange(start + 1, start + 1 + len(run))
-        if text.count("\nMATRIX ") + text.startswith("MATRIX ") < len(run):
+        if joined.count("\nMATRIX ") + joined.startswith("MATRIX ") < len(run):
             body = []  # positions of the lines whose first token is MATRIX
             for t, raw in enumerate(run):
                 parts = ["MATRIX"] if raw.startswith("MATRIX ") else raw.split()
@@ -442,8 +442,8 @@ def parse_sdp(text: str) -> SdpProblem:
                     except SpecFormatError as exc:
                         error = (lineno, exc)
                         break
-            text, linenos = "\n".join([run[t] for t in body]), linenos[body]
-        cols, failed = _sdp_matrix_run(text, linenos, n, m, field)
+            joined, linenos = "\n".join([run[t] for t in body]), linenos[body]
+        cols, failed = _sdp_matrix_run(joined, linenos, n, m, field)
         batches.append(cols)
         if failed is not None:  # its lines all precede an error found above
             error = failed
