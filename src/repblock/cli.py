@@ -36,7 +36,7 @@ from .formats import (SpecFormatError, format_basis, format_rows, format_sdp,
                       parse_basis, parse_group_spec, parse_inline_group,
                       parse_rep_spec, parse_sdp)
 from .perm import PermutationGroup
-from .sdp import NotInvariantError, SdpProblem, block_diagonalize_sdp
+from .sdp import DEFAULT_INVARIANCE_TOL, NotInvariantError, SdpProblem, block_diagonalize_sdp
 
 ENV_PREFIX = "REPBLOCK_"
 SCHEMA_VERSION = 1
@@ -232,7 +232,7 @@ def cmd_blockdiag(args) -> int:
     decomp = decompose(rep, config, rng=rng)
     _note_decomposition(args, rep, decomp)
 
-    tol = args.tol if args.tol is not None else 1e-6
+    tol = args.tol if args.tol is not None else DEFAULT_INVARIANCE_TOL
     try:
         blocked = block_diagonalize_sdp(
             decomp, prob, symmetrize_first=args.symmetrize, tol=tol,

@@ -50,8 +50,11 @@ _RESIDUAL_PROBES = 20
 #: stopping at the first one that fails to halve can leave a residual of
 #: order one.
 _CG_RTOL = 1e-14
-#: Averaging rounds between two residual checks of the compact projection.
+#: Averaging rounds between two residual checks of the Haar loop, the most
+#: rounds it runs, and the Haar samples averaged over in each round.
 _CHECK_EVERY = 10
+_MAX_ROUNDS = 1000
+_SET_SIZE = 3
 #: Entries of one stack d rho(L_j) y over a chunk of the Lie generators.
 #: The Casimir path holds a few such stacks at once, so its memory is a
 #: small multiple of max(n^2, this), whatever the number of generators.
@@ -64,28 +67,20 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Knobs of the compact-group projection.
+    """Gate of the compact-group projection: its commutation residual must
+    be within ``commutation_tol``.
 
-    ``nu`` and ``set_size`` apply only to a representation without a
-    derived action, which is averaged over Haar samples: each round
-    averages over a fresh sample set of size ``set_size``.  Every 10 rounds
-    the commutation residual is measured on 20 Haar probes drawn once;
+    On the Casimir path the residual is measured against the derived action
+    (and the reflection of O(d)).  A representation without a derived
+    action is averaged over Haar samples, 3 fresh ones per round; every 10
+    rounds the residual is measured on 20 Haar probes drawn once, and
     averaging stops at the first check that does not halve the previous
-    one, when the residual has reached roundoff, or after ``nu`` rounds, a
-    cap.  On both paths the result must then be within
-    ``commutation_tol``: on the Casimir path the residual is measured
-    against the derived action (and the reflection of O(d)).
+    one, when the residual has reached roundoff, or after 1000 rounds.
     """
 
-    nu: int = 1000
-    set_size: int = 3
     commutation_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ValueError("nu must be >= 1")
-        if self.set_size < 2:
-            raise ValueError("set_size must be >= 2")
         _check_tol(self.commutation_tol, "commutation_tol")
 
 
@@ -180,17 +175,6 @@ def chain_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     return out
 
 
-def orbital_means(rep: Representation, x) -> np.ndarray:
-    """Mean of the entries of x over each orbital of the index action."""
-    ids, counts = rep.index_action.orbitals()
-    flat = np.asarray(x).reshape(-1)
-    means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
-    if np.iscomplexobj(flat):
-        means = means + 1j * (np.bincount(ids, weights=flat.imag,
-                                          minlength=len(counts)) / counts)
-    return means
-
-
 def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     """Exact group average of x for a representation with an index action.
 
@@ -198,8 +182,13 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     orbital, so the group average replaces every entry by the mean of its
     orbital.  O(n^2) once the orbitals are known.
     """
-    ids, _ = rep.index_action.orbitals()
-    out = orbital_means(rep, x)[ids].reshape(rep.dim, rep.dim)
+    ids, counts = rep.index_action.orbitals()
+    flat = np.asarray(x).reshape(-1)
+    means = np.bincount(ids, weights=flat.real, minlength=len(counts)) / counts
+    if np.iscomplexobj(flat):
+        means = means + 1j * (np.bincount(ids, weights=flat.imag,
+                                          minlength=len(counts)) / counts)
+    out = means[ids].reshape(rep.dim, rep.dim)
     if hermitize:
         out = (out + out.conj().T) / 2
     return out
@@ -349,9 +338,9 @@ def _project(rep, x, config, rng, hermitize):
     probe_images = [rep.image(g) for g in probes]
     out = np.array(x)
     rounds, resid = 0, math.inf
-    while rounds < config.nu:
-        for _ in range(min(_CHECK_EVERY, config.nu - rounds)):
-            t = [handle.sample(rng) for _ in range(config.set_size)]
+    while rounds < _MAX_ROUNDS:
+        for _ in range(min(_CHECK_EVERY, _MAX_ROUNDS - rounds)):
+            t = [handle.sample(rng) for _ in range(_SET_SIZE)]
             out = _conjugation_average(rep, t, out, hermitize)
             rounds += 1
         last, resid = resid, commutation_residual(rep, out, probes, probe_images)

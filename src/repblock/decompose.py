@@ -32,6 +32,7 @@ the driver restarts with fresh samples up to ``_MAX_RESAMPLES`` times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,6 +122,14 @@ class IsotypicComponent:
         return self.dimension * self.multiplicity
 
 
+def isotypic_components(u, parts) -> list:
+    """The components over consecutive blocks of D M rows of ``u``, one per
+    (D, M, fields) of ``parts``, ``fields`` a dict of its other attributes."""
+    offsets = accumulate((d * m for d, m, _ in parts), initial=0)
+    return [IsotypicComponent(d, m, u[lo:lo + d * m], **fields)
+            for (d, m, fields), lo in zip(parts, offsets)]
+
+
 @dataclass
 class VerificationReport:
     trials: int
@@ -154,6 +163,12 @@ class IrrepDecomposition:
 
     def dm_multiset(self):
         return sorted((c.dimension, c.multiplicity) for c in self.components)
+
+    @property
+    def offsets(self) -> list:
+        """Row offsets of the components in U, and the total: component k
+        holds rows offsets[k]:offsets[k + 1]."""
+        return list(accumulate((c.size for c in self.components), initial=0))
 
 
 def eigsplit(xbar: CommutantSample):
@@ -299,7 +314,8 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     action = rep.index_action
     failures = []
 
-    dims_ok = sum(c.size for c in decomp.components) == n and u.shape == (n, n)
+    offsets = decomp.offsets
+    dims_ok = offsets[-1] == n and u.shape == (n, n)
     if not dims_ok:
         failures.append("component sizes do not add up to the dimension")
 
@@ -320,7 +336,6 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     max_off = 0.0
     comp_resid = [0.0] * len(decomp.components)
     if dims_ok:
-        offsets = np.cumsum([0] + [c.size for c in decomp.components])
         v = np.ascontiguousarray(u.conj().T)
         # Leak of strip k.  The dense strip U G_k holds the block
         # S_k = U_k G_k on component k and L_k = U_rest G_k off it.  With
@@ -410,16 +425,9 @@ def _decompose_once(rep, cfg, streams, attempt):
     # leading eigenvalue of the sample that produced the component
     classes.sort(key=lambda members: (-members[0].dim, -len(members), members[0].eigenvalue))
     u = np.vstack([m.rows for members in classes for m in members])
-    components = []
-    offset = 0
-    for members in classes:
-        size = members[0].dim * len(members)
-        components.append(IsotypicComponent(
-            dimension=members[0].dim,
-            multiplicity=len(members),
-            basis=u[offset:offset + size],
-            eigenvalues=tuple(m.eigenvalue for m in members)))
-        offset += size
+    components = isotypic_components(u, [
+        (members[0].dim, len(members), {"eigenvalues": tuple(m.eigenvalue for m in members)})
+        for members in classes])
 
     if rep.field == "real":
         types = classify_real_type(rep, components, s_classify, cfg)

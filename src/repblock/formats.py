@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .compact import CompactGroupHandle
-from .decompose import IrrepDecomposition, IsotypicComponent, REAL_TYPES
+from .decompose import IrrepDecomposition, REAL_TYPES, isotypic_components
 from .perm import Permutation, PermutationGroup
 from .sdp import SdpProblem
 from .reps import (Representation, conjugate, defining_rep, direct_sum,
@@ -72,13 +72,26 @@ def _fmt(v: float) -> str:
 
 
 def _load_json(text, what):
-    """``json.loads``, with invalid or too deeply nested JSON as a SpecFormatError."""
+    """``json.loads``, with invalid or too deeply nested JSON, or a boolean
+    anywhere in it, as a SpecFormatError.  No spec value is a boolean, and
+    Python would take ``true`` and ``false`` for the integers 1 and 0."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError:
         raise SpecFormatError(f"{what}: JSON nests too deeply to parse") from None
+    if "true" in text or "false" in text:  # as every JSON boolean is spelled
+        stack = [(doc, what)]  # depth first in document order, without recursion
+        while stack:
+            node, path = stack.pop()
+            if isinstance(node, bool):
+                raise SpecFormatError(f"{path}: booleans are not spec values")
+            if isinstance(node, dict):
+                stack.extend(reversed([(v, f"{path}.{k}") for k, v in node.items()]))
+            elif isinstance(node, list):
+                stack.extend(reversed([(v, f"{path}[{i}]") for i, v in enumerate(node)]))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +187,8 @@ def _parse_matrix(rows, field, where):
     A matrix of plain numbers, or of [re, im] pairs, converts in one numpy
     call.  Anything else (ragged rows, a bad or non-finite entry, numbers
     mixed with pairs) is read entry by entry, which names the first bad
-    entry in row-major order.
+    entry in row-major order.  Booleans never get here: the JSON loader
+    refuses them.
     """
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise SpecFormatError(f"{where}: expected a list of rows")
@@ -224,7 +238,7 @@ def _build_rep(node, group, field, path):
     if kind == "natural":
         if not isinstance(group, PermutationGroup):
             raise SpecFormatError(f"{path}: 'natural' needs a permutation group")
-        return natural_perm_rep(group, field)
+        return _build_at(path, natural_perm_rep, group, field)
 
     if kind == "generator-images":
         if not isinstance(group, PermutationGroup):
@@ -541,10 +555,14 @@ def parse_basis(text: str):
                 raise SpecFormatError("expected 'BASIS 1' header", line=lineno)
             saw_magic = True
         elif tag == "FIELD":
+            if field is not None:
+                raise SpecFormatError("duplicate FIELD line", line=lineno)
             if len(parts) != 2 or parts[1] not in ("real", "complex"):
                 raise SpecFormatError("FIELD must be real or complex", line=lineno)
             field = parts[1]
         elif tag == "DIM":
+            if n is not None:
+                raise SpecFormatError("duplicate DIM line", line=lineno)
             if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise SpecFormatError("DIM needs a positive integer", line=lineno)
             n = int(parts[1])
@@ -552,9 +570,12 @@ def parse_basis(text: str):
             if len(parts) != 4 or parts[3] not in REAL_TYPES:
                 raise SpecFormatError("COMPONENT needs 'd m real_type'", line=lineno)
             try:
-                comps.append((int(parts[1]), int(parts[2]), parts[3]))
+                d, m = int(parts[1]), int(parts[2])
             except ValueError:
                 raise SpecFormatError("COMPONENT sizes must be integers", line=lineno)
+            if d < 1 or m < 1:
+                raise SpecFormatError("COMPONENT sizes must be positive", line=lineno)
+            comps.append((d, m, {"real_type": parts[3]}))
         elif tag == "ROW":
             if field is None or n is None:
                 raise SpecFormatError("ROW before FIELD/DIM", line=lineno)
@@ -578,15 +599,10 @@ def parse_basis(text: str):
         raise SpecFormatError("missing FIELD or DIM")
     if len(rows) != n:
         raise SpecFormatError(f"expected {n} ROW lines, got {len(rows)}")
-    if sum(d * m for d, m, _ in comps) != n:
-        raise SpecFormatError("component sizes do not add up to DIM")
 
-    dtype = np.complex128 if field == "complex" else np.float64
-    u = np.array(rows, dtype=dtype)
-    components = []
-    offset = 0
-    for d, m, rt in comps:
-        components.append(IsotypicComponent(
-            dimension=d, multiplicity=m, basis=u[offset:offset + d * m], real_type=rt))
-        offset += d * m
-    return field, IrrepDecomposition(U=u, components=components, diagnostics=None)
+    u = np.array(rows, dtype=np.complex128 if field == "complex" else np.float64)
+    decomp = IrrepDecomposition(U=u, components=isotypic_components(u, comps),
+                                diagnostics=None)
+    if decomp.offsets[-1] != n:
+        raise SpecFormatError("component sizes do not add up to DIM")
+    return field, decomp

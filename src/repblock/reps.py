@@ -265,39 +265,33 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
             raise ValueError(f"image {i} has complex entries but field is real")
         _require_unitary(m.astype(_dtype(field)), f"generator image {i}")
 
-    rng = np.random.default_rng(_HOM_CHECK_SEED)
-    pairs = [(g, h, g * h) for g, h in
-             ((group.sample(rng), group.sample(rng)) for _ in range(_HOM_CHECK_PAIRS))]
     sigmas = _permutation_indices(mats)
     if sigmas is not None:
-        # index arrays compose like their matrices: sigma_{gh} = sigma_g[sigma_h]
-        chain = _ChainImages(group, sigmas, lambda: np.arange(n),
-                             lambda a, b: a[b], np.argsort)
-        action = IndexAction(n, sigmas, chain)
-        for g, h, gh in pairs:
-            if not np.array_equal(chain(g)[chain(h)], chain(gh)):
-                raise ValueError("generator images are inconsistent: the permutations "
-                                 "of a random pair do not compose")
-        return Representation(group, n, field, None, name="generator-images",
-                               index_action=action)
-
-    dt = _dtype(field)
-    chain = _ChainImages(group, [m.astype(dt) for m in mats],
-                         lambda: np.eye(n, dtype=dt), np.matmul, lambda m: m.conj().T)
-    rep = Representation(group, n, field, chain, name="generator-images")
-    tol = 1e-8 * n
-    for g, h, gh in pairs:
-        err = np.linalg.norm(rep.image(g) @ rep.image(h) - rep.image(gh))
-        if not err <= tol:
+        # index arrays compose like their matrices, sigma_{gh} = sigma_g[sigma_h],
+        # and are compared exactly
+        mul, tol = (lambda a, b: a[b]), 0
+        chain = _ChainImages(group, sigmas, lambda: np.arange(n), mul, np.argsort)
+    else:
+        dt = _dtype(field)
+        mul, tol = np.matmul, 1e-8 * n
+        chain = _ChainImages(group, [m.astype(dt) for m in mats],
+                             lambda: np.eye(n, dtype=dt), mul, lambda m: m.conj().T)
+    rng = np.random.default_rng(_HOM_CHECK_SEED)
+    for g, h in ((group.sample(rng), group.sample(rng)) for _ in range(_HOM_CHECK_PAIRS)):
+        err = np.linalg.norm(mul(chain(g), chain(h)) - chain(g * h))
+        if not err <= tol:  # NaN fails too
             raise ValueError(
                 f"generator images are inconsistent: homomorphism error {err:.3e} "
                 f"on a random pair (tolerance {tol:.1e})")
-    return rep
+    if sigmas is None:
+        return Representation(group, n, field, chain, name="generator-images")
+    return Representation(group, n, field, None, name="generator-images",
+                          index_action=IndexAction(n, sigmas, chain))
 
 
 def natural_perm_rep(group: PermutationGroup, field="complex") -> Representation:
     """Permutation matrices acting on coordinates: entry (g(k), k) = 1."""
-    _check_field(field)
+    _check_dim(group.degree, field)
 
     def sigma(g: Permutation) -> np.ndarray:
         return np.array(g.images)
@@ -312,7 +306,6 @@ def trivial_rep(group, field="complex") -> Representation:
 
     Of a compact group it carries the derived action 0.
     """
-    _check_field(field)
     one = np.ones((1, 1), dtype=_dtype(field))
     derived = None
     if isinstance(group, CompactGroupHandle):
@@ -334,7 +327,6 @@ def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
     """
     own = "complex" if handle.kind == "unitary" else "real"
     field = field or own
-    _check_field(field)
     if own == "complex" and field == "real":
         raise ValueError(f"the defining representation of a {handle.kind} group is "
                          "complex, not real")

@@ -218,19 +218,17 @@ def _extract_blocks(decomp, x):
     blocks = []
     per_component = []
     fit = np.zeros_like(xhat)
-    offset = 0
-    for comp in decomp.components:
+    offsets = decomp.offsets
+    for comp, lo, hi in zip(decomp.components, offsets, offsets[1:]):
         d, m = comp.dimension, comp.multiplicity
-        size = d * m
-        sub = xhat[offset:offset + size, offset:offset + size]
+        sub = xhat[lo:hi, lo:hi]
         copies = sub.reshape(m, d, m, d)
         xi = np.trace(copies, axis1=1, axis2=3) / d
         xi = (xi + xi.conj().T) / 2
         blocks.append(xi)
         pattern = np.kron(xi, np.eye(d))
-        fit[offset:offset + size, offset:offset + size] = pattern
+        fit[lo:hi, lo:hi] = pattern
         per_component.append(float(np.linalg.norm((sub - pattern) / s)) / scale)
-        offset += size
 
     total = float(np.linalg.norm((xhat - fit) / s)) / scale
     return blocks, per_component, total
@@ -263,14 +261,13 @@ def reconstruct(decomp: IrrepDecomposition, blocks) -> np.ndarray:
         raise ValueError(f"{len(blocks)} blocks for {len(decomp.components)} components")
     n = decomp.U.shape[0]
     xhat = np.zeros((n, n), dtype=decomp.U.dtype)
-    offset = 0
-    for comp, xi in zip(decomp.components, blocks):
+    offsets = decomp.offsets
+    for comp, xi, lo, hi in zip(decomp.components, blocks, offsets, offsets[1:]):
         d, m = comp.dimension, comp.multiplicity
         xi = np.asarray(xi)
         if xi.shape != (m, m):
             raise ValueError(f"block shape {xi.shape} does not match multiplicity {m}")
-        xhat[offset:offset + d * m, offset:offset + d * m] = np.kron(xi, np.eye(d))
-        offset += d * m
+        xhat[lo:hi, lo:hi] = np.kron(xi, np.eye(d))
     u = decomp.U
     out = u.conj().T @ xhat @ u
     return (out + out.conj().T) / 2
@@ -295,16 +292,12 @@ def _block_map(decomp, k, l, counts):
     and is therefore constant on every orbital, so one pair stands for all
     |c| of them.
     """
-    u = decomp.U
-    n = u.shape[0]
     cols = []
-    offset = 0
     for comp in decomp.components:
         d, m = comp.dimension, comp.multiplicity
-        rows = u[offset:offset + d * m].reshape(m, d, n)
+        rows = comp.basis.reshape(m, d, -1)
         pairs = rows[:, :, k].transpose(2, 0, 1) @ rows[:, :, l].conj().transpose(2, 1, 0)
         cols.append(pairs.reshape(len(counts), m * m) * (counts / d)[:, None])
-        offset += d * m
     return np.hstack(cols)
 
 

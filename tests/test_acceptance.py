@@ -102,7 +102,7 @@ def test_criterion_05_u3_tensor_square():
 
         u3 = defining_rep(unitary_group(3))
         rep = tensor(u3, u3)
-        cfg = DecomposeConfig(projection=ProjectionConfig(nu=1000, set_size=3))
+        cfg = DecomposeConfig(projection=ProjectionConfig())
         with time_limit(60.0):
             d = decompose(rep, cfg, rng=np.random.default_rng(6))
         assert sorted(c.dimension for c in d.components) == [3, 6]
@@ -226,7 +226,7 @@ def _stability_cases():
     u3 = defining_rep(unitary_group(3))
     u2 = defining_rep(unitary_group(2))
     q8_group, q8_mats = quaternion8()
-    stated = DecomposeConfig(projection=ProjectionConfig(nu=1000, set_size=3))
+    stated = DecomposeConfig(projection=ProjectionConfig())
     return [
         ("S3 natural", natural_perm_rep(symmetric(3), "complex"), None),
         ("S3 regular", regular_rep(symmetric(3), "complex"), None),

@@ -327,6 +327,93 @@ def test_decompose_huge_tensor_power_exit2(s3_files, tmp_path, capsys, k):
     assert peak < 8 * 2 ** 20
 
 
+def test_decompose_huge_natural_rep_exit2(tmp_path, capsys):
+    import math
+    import os
+    import resource
+    import tracemalloc
+
+    # the smallest degree whose one complex n x n matrix exceeds physical memory
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = math.isqrt(phys // 16) + 1
+    group, rep = tmp_path / "g.group", tmp_path / "r.rep"
+    group.write_text(json.dumps({"degree": n, "generators": [[1, 0] + list(range(2, n))]}))
+    rep.write_text(NATURAL)
+    # should the guard go, the n x n draw fails here instead of taking the memory
+    with open("/proc/self/status") as status:
+        size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size * 1024 + 2 ** 30
+    if limits[1] != resource.RLIM_INFINITY:
+        cap = min(cap, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    tracemalloc.start()
+    try:
+        code = main(["decompose", str(group), str(rep)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: rep: dimension {n} is too large")
+    assert captured.out == ""
+    # refused from the degree: nothing of n^2 entries (at least 500 MiB) is built
+    assert peak < 64 * 2 ** 20
+
+
+C2_GROUP = '{"degree": 2, "generators": [[1, 0]]}\n'
+
+
+@pytest.mark.parametrize("group_text,rep_text,spot", [
+    ('{"compact": "unitary", "dimension": true}', '{"kind": "defining"}',
+     "group spec.dimension"),
+    (S3_GROUP, '{"kind": "power", "k": true, "inner": {"kind": "natural"}}', "rep.k"),
+    ('{"degree": true, "generators": []}', NATURAL, "group spec.degree"),
+    ('{"degree": 3, "generators": [[true, false, 2]]}', NATURAL, "group spec.generators[0][0]"),
+    (C2_GROUP, '{"kind": "generator-images", "images": [[[false, true], [true, false]]]}',
+     "rep.images[0][0][0]"),
+], ids=["dimension", "power", "degree", "generator", "image"])
+def test_decompose_boolean_spec_value_exit2(tmp_path, capsys, group_text, rep_text, spot):
+    group, rep = tmp_path / "g.group", tmp_path / "r.rep"
+    group.write_text(group_text)
+    rep.write_text(rep_text)
+    assert main(["decompose", str(group), str(rep), "--field", "real"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spot}: booleans are not spec values\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("image", ["[[0, 0, 1], [1, 0, 0], [0, 1, 0]]", "[[0, -1], [1, 0]]"],
+                         ids=["permutation", "matrix"])
+def test_decompose_inconsistent_image_exit2(tmp_path, capsys, image):
+    # C2's generator squares to 1; a 3-cycle and a quarter turn do not
+    group, rep = tmp_path / "g.group", tmp_path / "r.rep"
+    group.write_text(C2_GROUP)
+    rep.write_text('{"kind": "generator-images", "images": [%s]}' % image)
+    assert main(["decompose", str(group), str(rep), "--field", "real"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rep: generator images are inconsistent")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lines,spot", [
+    (["COMPONENT -1 -3 not_applicable"], "line 4: COMPONENT sizes must be positive"),
+    (["COMPONENT 0 7 not_applicable"], "line 4: COMPONENT sizes must be positive"),
+    (["FIELD real", "COMPONENT 2 1 not_applicable"], "line 4: duplicate FIELD line"),
+    (["DIM 3", "COMPONENT 2 1 not_applicable"], "line 4: duplicate DIM line"),
+], ids=["negative", "zero", "field-twice", "dim-twice"])
+def test_verify_malformed_basis_exit2(s3_files, tmp_path, capsys, lines, spot):
+    group, rep = s3_files
+    basis = tmp_path / "u.basis"
+    rows = ["ROW 1 0 0", "ROW 0 1 0", "ROW 0 0 1"]
+    basis.write_text("\n".join(["BASIS 1", "FIELD real", "DIM 3", *lines, *rows]) + "\n")
+    assert main(["verify", str(group), str(rep), str(basis)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spot}\n"
+    assert captured.out == ""
+
+
 TRIVIAL_GROUP = '{"degree": 1, "generators": []}\n'
 U1_GROUP = '{"compact": "unitary", "dimension": 1}\n'
 
@@ -396,8 +483,7 @@ def test_blockdiag_structured_deterministic(s3_files, tmp_path, capsys):
 
 
 def test_blockdiag_compact_group(tmp_path, capsys):
-    from repblock import (ProjectionConfig, conjugate, defining_rep, tensor,
-                          unitary_group)
+    from repblock import conjugate, defining_rep, tensor, unitary_group
 
     group = tmp_path / "u2.group"
     group.write_text(U2_GROUP)
@@ -407,9 +493,8 @@ def test_blockdiag_compact_group(tmp_path, capsys):
     rep = tensor(defining_rep(unitary_group(2)),
                  conjugate(defining_rep(unitary_group(2))))
     rng = np.random.default_rng(17)
-    cfg = ProjectionConfig(nu=300)
-    prob = SdpProblem(c=sample_commutant(rep, cfg, rng).matrix,
-                      a=[sample_commutant(rep, cfg, rng).matrix],
+    prob = SdpProblem(c=sample_commutant(rep, rng=rng).matrix,
+                      a=[sample_commutant(rep, rng=rng).matrix],
                       b=[2.0], field="complex")
     sdp = tmp_path / "compact.sdp"
     sdp.write_text(format_sdp(prob))
@@ -537,13 +622,12 @@ def test_group_spec_format_helper():
 
 
 def _compact_invariant_sdp(tmp_path):
-    from repblock import ProjectionConfig, conjugate, defining_rep, tensor, unitary_group
+    from repblock import conjugate, defining_rep, tensor, unitary_group
 
     rep = tensor(defining_rep(unitary_group(2)), conjugate(defining_rep(unitary_group(2))))
     rng = np.random.default_rng(17)
-    cfg = ProjectionConfig(nu=300)
-    prob = SdpProblem(c=sample_commutant(rep, cfg, rng).matrix,
-                      a=[sample_commutant(rep, cfg, rng).matrix], b=[2.0], field="complex")
+    prob = SdpProblem(c=sample_commutant(rep, rng=rng).matrix,
+                      a=[sample_commutant(rep, rng=rng).matrix], b=[2.0], field="complex")
     path = tmp_path / "compact.sdp"
     path.write_text(format_sdp(prob))
     return path

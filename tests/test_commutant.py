@@ -12,7 +12,8 @@ from repblock import (CommutantSample, ProjectionConfig,
                       natural_perm_rep, orthogonal_group, project_commutant,
                       rep_from_generator_images, sample_commutant, sample_gue,
                       tensor, tensor_power, trivial_rep, unitary_group)
-from repblock.commutant import (_RESIDUAL_PROBES, chain_average,
+from repblock import commutant
+from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, chain_average,
                                 commutation_residual, orbital_average, project_linear,
                                 projection_path)
 from repblock.decompose import _VERIFY_TRIALS
@@ -131,10 +132,6 @@ def test_chain_projection_invariants(name, make, rng):
 
 def test_projection_config_validation():
     with pytest.raises(ValueError):
-        ProjectionConfig(nu=0)
-    with pytest.raises(ValueError):
-        ProjectionConfig(set_size=1)
-    with pytest.raises(ValueError):
         ProjectionConfig(commutation_tol=0)
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="commutation_tol"):
@@ -143,8 +140,7 @@ def test_projection_config_validation():
 
 def test_project_compact_identity(rng):
     rep = tensor(defining_rep(unitary_group(2)), defining_rep(unitary_group(2)))
-    cfg = ProjectionConfig(nu=50)
-    out = project_commutant(rep, np.eye(4), cfg, rng)
+    out = project_commutant(rep, np.eye(4), rng=rng)
     assert np.linalg.norm(out.matrix - np.eye(4)) <= 1e-12
     assert out.residual <= 1e-12
 
@@ -152,7 +148,7 @@ def test_project_compact_identity(rng):
 def test_project_compact_u1_scalar(rng):
     rep = defining_rep(unitary_group(1))
     x = np.array([[2.5]])
-    out = project_commutant(rep, x, ProjectionConfig(nu=10), rng)
+    out = project_commutant(rep, x, rng=rng)
     assert np.allclose(out.matrix, x)
 
 
@@ -161,7 +157,7 @@ def test_project_compact_schur_weyl(rng):
     u2 = defining_rep(unitary_group(2))
     rep = tensor(u2, u2)
     x = sample_gue(4, "complex", rng)
-    out = project_commutant(rep, x, ProjectionConfig(nu=1000), rng)
+    out = project_commutant(rep, x, rng=rng)
     assert out.residual <= 1e-8
 
     swap = np.zeros((4, 4))
@@ -174,13 +170,15 @@ def test_project_compact_schur_weyl(rng):
     assert np.linalg.norm(fitted - out.matrix) <= 1e-6
 
 
-def test_project_compact_budget_exhaustion(rng):
+def test_project_compact_budget_exhaustion(rng, monkeypatch):
     # on the Haar path: a representation given by its images alone
     u2 = defining_rep(unitary_group(2))
     inner = tensor(u2, u2)
     rep, _ = _counting(inner, inner.image)
     x = sample_gue(4, "complex", rng)
-    cfg = ProjectionConfig(nu=1, set_size=2, commutation_tol=1e-15)
+    monkeypatch.setattr(commutant, "_MAX_ROUNDS", 1)
+    monkeypatch.setattr(commutant, "_SET_SIZE", 2)
+    cfg = ProjectionConfig(commutation_tol=1e-15)
     with pytest.raises(ProjectionError, match="after 1 rounds"):
         project_commutant(rep, x, cfg, rng)
 
@@ -200,21 +198,19 @@ def test_project_compact_stops_at_roundoff(rng):
     u3 = defining_rep(unitary_group(3))
     inner = tensor(u3, u3)
     rep, calls = _counting(inner, inner.image)
-    cfg = ProjectionConfig()
-    out = project_commutant(rep, sample_gue(9, "complex", rng), cfg, rng)
+    out = project_commutant(rep, sample_gue(9, "complex", rng), rng=rng)
     assert out.residual <= 1e-13
-    # the residual reaches roundoff well before the nu-round cap
-    assert calls[0] <= cfg.nu * cfg.set_size // 5
+    # the residual reaches roundoff well before the round cap
+    assert calls[0] <= _MAX_ROUNDS * _SET_SIZE // 5
 
 
 def test_project_compact_nan_image_stops_early(rng):
     u2 = defining_rep(unitary_group(2))
     rep, calls = _counting(u2, lambda g: np.full((2, 2), np.nan))
-    cfg = ProjectionConfig()
     with pytest.raises(ProjectionError, match="nan above .* after 10 rounds"):
-        project_commutant(rep, np.eye(2), cfg, rng)
+        project_commutant(rep, np.eye(2), rng=rng)
     # ten rounds, then one residual check on the fixed probes
-    assert calls[0] == 10 * cfg.set_size + _RESIDUAL_PROBES
+    assert calls[0] == 10 * _SET_SIZE + _RESIDUAL_PROBES
 
 
 def _casimir_cases():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
-                      IsotypicComponent, ProjectionConfig, Representation, ResampleNeeded,
+                      IsotypicComponent, Representation, ResampleNeeded,
                       classify_real_type, conjugate, decompose,
                       defining_rep, direct_sum, eigsplit, equivalence_test,
                       group_from_generators, harmonize, natural_perm_rep,
@@ -17,8 +17,6 @@ from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
 from conftest import (closure_with_images, cyclic, equivalence_pass_order, group_of,
                       perm_matrix, quaternion8, reference_verify, regular_rep, symmetric)
 from test_reps import s3_standard_images
-
-FAST_COMPACT = DecomposeConfig(projection=ProjectionConfig(nu=300))
 
 
 def character_multiplicities_natural(group):
@@ -220,7 +218,7 @@ def test_decompose_u3_tensor_square(rng):
     anti_rank = round(np.trace((np.eye(9) - swap) / 2))
     assert (sym_rank, anti_rank) == (6, 3)
 
-    d = decompose(rep, FAST_COMPACT, rng=rng)
+    d = decompose(rep, rng=rng)
     assert d.dm_multiset() == [(3, 1), (6, 1)]
     assert d.diagnostics.max_off_component <= 1e-6
 
@@ -233,7 +231,7 @@ def test_decompose_u2_adjoint(rng):
     proj = np.outer(vec_id, vec_id)
     assert round(np.trace(proj)) == 1
 
-    d = decompose(rep, FAST_COMPACT, rng=rng)
+    d = decompose(rep, rng=rng)
     assert d.dm_multiset() == [(1, 1), (3, 1)]
     assert d.diagnostics.max_off_component <= 1e-6
     report = verify_decomposition(rep, d, trials=50, rng=rng)
@@ -278,7 +276,7 @@ def test_decompose_u2_tensor_cube_multiplicity(rng):
     assert rank == 5  # sum of squared multiplicities
 
     rep = tensor_power(defining_rep(unitary_group(2)), 3)
-    d = decompose(rep, FAST_COMPACT, rng=rng)
+    d = decompose(rep, rng=rng)
     assert d.dm_multiset() == [(2, 2), (4, 1)]
     assert sum(c.multiplicity ** 2 for c in d.components) == rank
     assert max(d.diagnostics.component_residuals) <= 1e-6
@@ -295,7 +293,7 @@ def test_decompose_o3_tensor_square_real(rng):
     assert round(np.trace((np.eye(9) - swap) / 2)) == 3
 
     o3 = defining_rep(orthogonal_group(3))
-    d = decompose(tensor(o3, o3), FAST_COMPACT, rng=rng)
+    d = decompose(tensor(o3, o3), rng=rng)
     got = sorted((c.dimension, c.multiplicity, c.real_type) for c in d.components)
     assert got == [(1, 1, "real"), (3, 1, "real"), (5, 1, "real")]
 

@@ -51,6 +51,13 @@ def test_group_spec_errors():
         parse_group_spec('{"compact": "symplectic", "dimension": 2}')
     with pytest.raises(SpecFormatError):
         parse_group_spec('[1, 2]')
+    # Python's bool is an int: each of these would read as 0 or 1
+    for text, spot in [('{"compact": "unitary", "dimension": true}', "group spec.dimension"),
+                       ('{"degree": true, "generators": []}', "group spec.degree"),
+                       ('{"degree": 3, "generators": [[true, false, 2]]}',
+                        r"group spec.generators\[0\]\[0\]")]:
+        with pytest.raises(SpecFormatError, match=f"^{spot}: booleans are not spec values$"):
+            parse_group_spec(text)
 
 
 def test_inline_group():
@@ -73,6 +80,8 @@ def test_rep_spec_natural():
     g = symmetric(3)
     rep = parse_rep_spec('{"kind": "natural"}', g, "complex")
     assert rep.dim == 3 and rep.field == "complex"
+    # a string may spell a boolean
+    assert parse_rep_spec('{"kind": "natural", "note": "true, not false"}', g, "real").dim == 3
 
 
 def test_rep_spec_generator_images():
@@ -156,6 +165,9 @@ def test_rep_spec_errors():
     with pytest.raises(SpecFormatError, match="'k'"):
         parse_rep_spec('{"kind": "power", "k": 0, "inner": {"kind": "natural"}}',
                        g, "complex")
+    with pytest.raises(SpecFormatError, match="^rep.k: booleans are not spec values$"):
+        parse_rep_spec('{"kind": "power", "k": true, "inner": {"kind": "natural"}}',
+                       g, "complex")
     with pytest.raises(SpecFormatError, match="line 1"):
         parse_rep_spec("not json", g, "complex")
 
@@ -176,6 +188,13 @@ BIG = "1" + "0" * 400  # beyond the float range
      r"rep\.images\[0\]\[0\]\[0\]: matrix entry is too large"),
     ("[[1, 0], [0, 1]]", f"[[1, 0], [0, [1, -{BIG}]]]", "complex",
      r"rep\.images\[1\]\[1\]\[1\]: matrix entry is too large"),
+    # booleans, alone, among integers and in a pair
+    ("[[false, true], [true, false]]", "[[1, 0], [0, 1]]", "real",
+     r"^rep\.images\[0\]\[0\]\[0\]: booleans are not spec values$"),
+    ("[[0, 1], [1, 0]]", "[[1, 0], [0, true]]", "real",
+     r"^rep\.images\[1\]\[1\]\[1\]: booleans are not spec values$"),
+    ("[[0, 1], [1, 0]]", "[[[1, 0], [0, 0]], [[0, 0], [1, false]]]", "complex",
+     r"^rep\.images\[1\]\[1\]\[1\]\[1\]: booleans are not spec values$"),
 ])
 def test_rep_spec_nonfinite_image_entries(first, second, field, msg):
     with pytest.raises(SpecFormatError, match=msg):
@@ -292,6 +311,12 @@ def test_basis_roundtrip(field):
     ("BASIS 1\nFIELD real\nDIM 0", "line 3: DIM needs a positive integer"),
     ("BASIS 1\nFIELD real\nDIM ²", "line 3: DIM needs a positive integer"),
     ("BASIS 1\nFIELD real\nDIM 2\nROW 1 0\nROW nan 1", "line 5: ROW value is not finite"),
+    ("BASIS 1\nFIELD real\nDIM 3\nCOMPONENT -1 -3 not_applicable",
+     "line 4: COMPONENT sizes must be positive"),
+    ("BASIS 1\nFIELD real\nDIM 3\nCOMPONENT 0 7 not_applicable",
+     "line 4: COMPONENT sizes must be positive"),
+    ("BASIS 1\nFIELD real\nDIM 1\nFIELD complex\nROW 1 0", "line 4: duplicate FIELD line"),
+    ("BASIS 1\nFIELD real\nDIM 1\nDIM 2\nROW 1", "line 4: duplicate DIM line"),
 ])
 def test_basis_parse_errors(bad, msg):
     with pytest.raises(SpecFormatError, match=msg):
@@ -583,7 +608,9 @@ def _rep_nodes(depth):
         st.fixed_dictionaries({"kind": st.sampled_from(["natural", "defining", "induced", 3])}),
         st.fixed_dictionaries({"kind": st.just("generator-images"),
                                "images": st.lists(st.one_of(st.just([[1]]), st.just([[-1]]),
-                                                            st.just([[0, 1], [1, 0]]), _JSON),
+                                                            st.just([[0, 1], [1, 0]]),
+                                                            st.just([[False, True], [True, False]]),
+                                                            _JSON),
                                                   max_size=3)}),
         _JSON)
     if depth == 0:
@@ -595,16 +622,34 @@ def _rep_nodes(depth):
                                "factors": st.lists(sub, max_size=2),
                                "terms": st.lists(sub, max_size=2)}),
         st.fixed_dictionaries({"kind": st.sampled_from(["conj", "power"]), "inner": sub,
-                               "k": st.one_of(st.integers(-1, 2), st.just("2"), st.just(2.0))}))
+                               "k": st.one_of(st.integers(-1, 2), st.booleans(), st.just("2"),
+                                              st.just(2.0))}))
+
+
+def _holds_bool(doc):
+    if isinstance(doc, dict):
+        return any(map(_holds_bool, doc.values()))
+    return isinstance(doc, bool) or isinstance(doc, list) and any(map(_holds_bool, doc))
+
+
+# integer slots of the group spec, with booleans drawn into them
+_INTS = st.one_of(st.integers(-1, 4), st.booleans())
+_GROUPS = st.one_of(
+    st.fixed_dictionaries({"degree": _INTS, "generators": st.lists(st.lists(_INTS, max_size=4),
+                                                                   max_size=2)}),
+    st.fixed_dictionaries({"compact": st.sampled_from(["unitary", "orthogonal"]),
+                           "dimension": _INTS}))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_JSON.map(json.dumps), st.text(max_size=40)))
+@given(st.one_of(_JSON, _GROUPS).map(json.dumps) | st.text(max_size=40))
 def test_parse_group_spec_fuzz(text):
     try:
         parse_group_spec(text)
     except SpecFormatError:
-        pass
+        return
+    # a spec that parses holds no boolean read as 0 or 1
+    assert not _holds_bool(json.loads(text))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -616,12 +661,14 @@ def test_parse_rep_spec_fuzz(text, group, field):
     try:
         parse_rep_spec(text, g, field)
     except SpecFormatError:
-        pass
+        return
+    assert not _holds_bool(json.loads(text))
 
 
 _BASIS_LINES = st.one_of(
     st.sampled_from(["BASIS 1", "FIELD real", "FIELD complex", "DIM 2", "DIM ²", "DIM 0",
                      "COMPONENT 1 2 real", "COMPONENT 2 1 complex", "COMPONENT -1 -2 real",
+                     "COMPONENT 0 2 real", "COMPONENT 2 0 real", "COMPONENT -1 -1 real",
                      "COMPONENT x 1 real", "ROW 1 0", "ROW 0 1", "ROW 1 0 0 0", "ROW nan 1",
                      "ROW 1e999 0", "# c", "", "FIELD", "DIM", "BASIS"]),
     st.text(max_size=12))
@@ -631,6 +678,7 @@ _BASIS_LINES = st.one_of(
 @given(st.booleans(), st.lists(_BASIS_LINES, max_size=8))
 def test_parse_basis_fuzz(magic, lines):
     try:
-        parse_basis("\n".join(["BASIS 1"] * magic + lines))
+        _, decomp = parse_basis("\n".join(["BASIS 1"] * magic + lines))
     except SpecFormatError:
-        pass
+        return
+    assert all(c.dimension >= 1 and c.multiplicity >= 1 for c in decomp.components)

@@ -272,6 +272,13 @@ def test_combinator_mismatches():
         tensor(natural_perm_rep(g), natural_perm_rep(h))
     with pytest.raises(ValueError):
         direct_sum(natural_perm_rep(g, "real"), natural_perm_rep(g, "complex"))
+    # every constructor refuses an unknown field with the one message
+    for build in (lambda f: natural_perm_rep(g, f), lambda f: trivial_rep(g, f),
+                  lambda f: trivial_rep(unitary_group(2), f),
+                  lambda f: defining_rep(orthogonal_group(2), f),
+                  lambda f: rep_from_generator_images(g, s3_standard_images(), f)):
+        with pytest.raises(ValueError, match="field must be one of"):
+            build("quaternion")
 
 
 def test_tensor_power():

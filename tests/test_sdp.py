@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repblock import (DecomposeConfig, IrrepDecomposition, NotInvariantError,
-                      ProjectionConfig, Representation, SdpProblem,
+from repblock import (IrrepDecomposition, NotInvariantError, Representation, SdpProblem,
                       block_diagonalize_matrix, block_diagonalize_sdp, conjugate,
                       decompose, defining_rep, direct_sum, natural_perm_rep,
                       reconstruct, sample_commutant, sample_gue,
                       symmetrize_matrix, tensor, unitary_group)
-from repblock.commutant import chain_average, orbital_average, orbital_means
+from repblock.commutant import chain_average, orbital_average
 from repblock.formats import format_sdp, parse_sdp
 from repblock.sdp import DEFAULT_INVARIANCE_TOL, _extract_blocks, _orbital_path_applies
 
@@ -397,8 +396,7 @@ def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, sy
             blocked = block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
     if orbital and not symmetrize:
         # the invariance residuals, summed from the entries, against |X - x[ids]| / |X|
-        ids = rep.index_action.orbitals()[0]
-        want = [np.linalg.norm(x.reshape(-1) - orbital_means(rep, x)[ids])
+        want = [np.linalg.norm(x - orbital_average(rep, x, hermitize=False))
                 / (np.linalg.norm(x) or 1.0) for x in mats]
         assert np.allclose(gated[0], want, rtol=1e-12, atol=1e-12)
     if rejected:
@@ -572,14 +570,13 @@ def test_orbital_path_makes_one_dense_product(doubled_s4, monkeypatch, symmetriz
 def test_compact_sdp_conjugates_every_matrix(monkeypatch):
     rep = tensor(defining_rep(unitary_group(2)), conjugate(defining_rep(unitary_group(2))))
     rng = np.random.default_rng(17)
-    cfg = ProjectionConfig(nu=300)
-    d = decompose(rep, DecomposeConfig(projection=cfg), rng=rng)
-    prob = SdpProblem(c=sample_commutant(rep, cfg, rng).matrix,
-                      a=[sample_commutant(rep, cfg, rng).matrix for _ in range(2)],
+    d = decompose(rep, rng=rng)
+    prob = SdpProblem(c=sample_commutant(rep, rng=rng).matrix,
+                      a=[sample_commutant(rep, rng=rng).matrix for _ in range(2)],
                       b=[1.0, 2.0], field="complex")
     extracts = _counting(monkeypatch, "_extract_blocks")
     symmetrizes = _counting(monkeypatch, "symmetrize_matrix")
-    blocked = block_diagonalize_sdp(d, prob, symmetrize_first=True, config=cfg, rng=rng)
+    blocked = block_diagonalize_sdp(d, prob, symmetrize_first=True, rng=rng)
     assert (len(extracts), len(symmetrizes)) == (3, 3)
     assert blocked.extraction == "dense conjugation, 3 products"
 
