@@ -105,7 +105,9 @@ def _build_parser():
     p.add_argument("group_spec")
     p.add_argument("rep_spec")
     p.add_argument("basis", help="basis file written by decompose --emit-basis")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int, default=50,
+                   help="random elements checked (default 50); images that permute "
+                        "the basis are checked on the generators instead, exactly")
 
     p = sub.add_parser("sample-group", parents=[common],
                        help="sample group elements")
@@ -307,8 +309,9 @@ def cmd_verify(args) -> int:
         doc["field"] = basis_field
         print(json.dumps(doc, indent=2))
     else:
+        checked = "trials" if rep.index_action is None else "generators"
         print(f"verifying basis against n={rep.dim}, field={basis_field}, "
-              f"{report.trials} trials, tolerance {report.tolerance:.1e}")
+              f"{report.trials} {checked}, tolerance {report.tolerance:.1e}")
         print(f"unitarity residual:        {report.unitarity_residual:.3e}")
         print(f"max off-component:         {report.max_off_component:.3e}")
         for i, r in enumerate(report.component_residuals):

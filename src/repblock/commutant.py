@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compact import lie_basis
-from .reps import Representation
+from .reps import ProjectionError, Representation
 
 #: Commutation tolerance for the exact finite-group projection; anything
 #: above this indicates a broken representation rather than roundoff.
@@ -59,10 +59,6 @@ _SET_SIZE = 3
 #: The Casimir path holds a few such stacks at once, so its memory is a
 #: small multiple of max(n^2, this), whatever the number of generators.
 _STACK_ENTRIES = 2 ** 18
-
-
-class ProjectionError(RuntimeError):
-    """Raised when a projected matrix fails its commutation tolerance."""
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,8 @@ def _conjugation_average(rep, elements, x, hermitize):
     field_dtype = np.complex128 if rep.field == "complex" else np.float64
     acc = np.zeros(x.shape, dtype=np.result_type(x.dtype, field_dtype))
     for g in elements:
-        acc += rep.conjugate_by(g, x)
+        u = rep.image(g)
+        acc += u @ x @ u.conj().T
     acc /= len(elements)
     if hermitize:
         acc = (acc + acc.conj().T) / 2
@@ -150,12 +147,8 @@ def commutation_residual(rep: Representation, x, elements, images=None) -> float
         return 0.0
     worst = 0.0
     for k, g in enumerate(elements):
-        if rep.index_action is None:
-            u = rep.image(g) if images is None else images[k]
-            diff = x @ u - u @ x
-        else:  # a gather, and ||u x u^dag - x|| = ||x u - u x|| for unitary u
-            diff = rep.conjugate_by(g, x) - x
-        worst = float(np.maximum(worst, np.linalg.norm(diff) / nx))  # keeps NaN
+        u = rep.image(g) if images is None else images[k]
+        worst = float(np.maximum(worst, np.linalg.norm(x @ u - u @ x) / nx))  # keeps NaN
     return worst
 
 
@@ -311,6 +304,7 @@ def _casimir_projection(rep, x, config, hermitize):
     return out, resid
 
 
+@np.errstate(invalid="ignore", over="ignore")  # non-finite results fail the gate
 def _project(rep, x, config, rng, hermitize):
     """Group average of x and its commutation residual, gated.
 
@@ -319,15 +313,18 @@ def _project(rep, x, config, rng, hermitize):
     """
     if rep.is_finite:
         if rep.index_action is not None:
+            # the labels were checked against every generator when built, so
+            # the average commutes exactly unless the input is not finite
             out = orbital_average(rep, x, hermitize)
+            resid = 0.0 if np.isfinite(out).all() else math.nan
         else:
             out = chain_average(rep, x, hermitize)
-        # commuting with the generators' images means commuting with the group
-        resid = commutation_residual(rep, out, rep.group.generators)
+            # commuting with the generators' images means commuting with the group
+            resid = commutation_residual(rep, out, rep.group.generators)
         if not resid <= FINITE_COMMUTATION_TOL:  # NaN fails too
             raise ProjectionError(
-                f"finite projection left commutation residual {resid:.3e}; "
-                "the representation is probably not a homomorphism")
+                f"finite projection left commutation residual {resid:.3e}; the input is "
+                "not finite or the representation is probably not a homomorphism")
         return out, resid
     config = config or ProjectionConfig()
     if rep.derived is not None:

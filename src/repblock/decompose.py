@@ -16,8 +16,9 @@ samples:
    have entrywise equal images, or starts a new class.
 
 The intertwiners are not probed on group elements: verification checks
-every component's repeated-block pattern on random elements, and a wrong
-grouping or alignment fails there.
+every component's repeated-block pattern, on the generators of an index
+action and on random elements otherwise, and a wrong grouping or alignment
+fails there.
 
 The assembled change of basis puts group images into block-diagonal form
 with each isotypic component a multiplicity-fold repetition of one irrep
@@ -46,7 +47,7 @@ _GAP_TOL = 1e-6        # eigenvalue clusters split at gaps above this (relative 
 _ZERO_TOL = 1e-6       # |F| below this (relative to |Y|) means inequivalent
 _WITNESS_TOL = 1e-3    # acceptance band for the scaled-unitary check of a candidate intertwiner
 _MAX_RESAMPLES = 3     # full restarts allowed on genericity failures
-_VERIFY_TRIALS = 20    # random elements checked before a decomposition is returned
+_VERIFY_TRIALS = 20    # random elements verified when there is no index action to check exactly
 _CLASSIFY_SAMPLES = 8
 _CLASSIFY_SV_CUTOFF = 1e-6
 # real dimension of the commutant of an irreducible real representation
@@ -288,19 +289,31 @@ def classify_real_type(rep: Representation, components, rng=None,
 def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
                          trials: int = 50, tol: float | None = None,
                          rng=None) -> VerificationReport:
-    """Check a decomposition against random group elements.
+    """Check a decomposition on the generators, or on random group elements.
 
-    For each trial the conjugated image U rho_g U^dag is compared against
-    the claimed pattern: zero off the component blocks, and each component
-    an M-fold repetition of a single D x D block.  The basis is applied
-    once per trial, G = rho_g U^dag, and component k is read from its
-    column strip G_k: its block is U_k G_k, and its leak is bounded from
+    For each checked image rho_g the conjugation U rho_g U^dag is compared
+    against the claimed pattern: zero off the component blocks, and each
+    component an M-fold repetition of a single D x D block.  The basis is
+    applied once per image, G = rho_g U^dag, and component k is read from
+    its column strip G_k: its block is U_k G_k, and its leak is bounded from
     above (see below) without forming the n x n conjugation.  Norms are
     relative to the Frobenius norm of rho_g.  A NaN residual fails its check.
 
-    For a representation with an index action the commutant dimension is
-    also checked exactly: the number of orbitals must equal sum e M^2, with
-    e = 1 over C and e = 1, 2, 4 for real, complex, quaternionic type over R.
+    An index action is checked on its generators' index arrays, exactly: the
+    matrices U^dag (+_i I_M_i (x) B_i) U form a *-algebra, and every index
+    array the library forms is a product of the generators' arrays and their
+    inverses (the chain and the combinators follow words over the generators).
+    So if U is unitary and every generator's image lies in the algebra, every
+    image does; a generator residual eps bounds that of a word of length L by
+    about L eps.  Whether the chain's evaluation of generator images is a
+    homomorphism is checked when the representation is built, not here.  Any
+    other representation is checked on ``trials`` random (uniform or Haar)
+    elements.  For an index action the report's ``trials`` is the number
+    of generators.
+
+    For an index action the commutant dimension is also checked exactly: the
+    number of orbitals must equal sum e M^2, with e = 1 over C and e = 1, 2, 4
+    for real, complex, quaternionic type over R.
     """
     if tol is None:
         tol = 1e-8 if rep.is_finite else 1e-6
@@ -312,6 +325,10 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     u = decomp.U
     n = rep.dim
     action = rep.index_action
+    if action is None:
+        images = (rep.image(rep.random_element(rng)) for _ in range(trials))
+    else:
+        images, trials = action.generators, len(action.generators)
     failures = []
 
     offsets = decomp.offsets
@@ -348,15 +365,13 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
         with np.errstate(divide="ignore"):
             gain = 1.0 / np.sqrt(np.maximum(np.float64(1.0 - unit_resid), 0.0))
         buf = np.empty_like(v)
-        for _ in range(trials):
-            g = rep.random_element(rng)
+        for img in images:
             if action is None:
-                img = rep.image(g)
                 nrm = float(np.linalg.norm(img))
                 gv = img @ v
             else:  # rho_g V gathers the rows of V; |rho_g|_F = sqrt(n)
                 nrm = np.sqrt(n)
-                gv = np.take(v, np.argsort(action.element(g)), axis=0, out=buf)
+                gv = np.take(v, np.argsort(img), axis=0, out=buf)
             col_norms = np.linalg.norm(gv, axis=0)
             leak_sq = 0.0
             for ci, comp in enumerate(decomp.components):
@@ -387,8 +402,9 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
 
 
 def _decompose_once(rep, cfg, streams, attempt):
-    # five streams, the third unused: a stream's seed depends on its spawn
-    # position, so dropping one would change the output of every seed
+    # five streams, the third unused and the fifth only for random verification:
+    # a stream's seed depends on its spawn position, so dropping one would
+    # change the output of every seed
     s_xbar, s_xprime, _, s_classify, s_verify = streams
 
     xbar = sample_commutant(rep, cfg.projection, s_xbar)

@@ -15,11 +15,11 @@ with :func:`tensor`, :func:`direct_sum`, :func:`conjugate` and
 
 A representation whose images permute the basis vectors carries an
 :class:`IndexAction`: one integer array per element instead of a matrix.
-Its images, products and conjugations are then integer gathers, and the
-combinators carry the action along.  A compact-group representation built
-from the defining one carries its derived representation d rho on a basis
-of the Lie algebra the same way, and the commutant projection uses it in
-place of Haar samples.
+Its images and products are then integer gathers, and the combinators
+carry the action along.  A compact-group representation built from the
+defining one carries its derived representation d rho on a basis of the
+Lie algebra the same way, and the commutant projection uses it in place
+of Haar samples.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ def _check_field(field):
         raise ValueError(f"field must be one of {_FIELDS}, got {field!r}")
 
 
+class ProjectionError(RuntimeError):
+    """Raised when a commutant projection fails its gate."""
+
+
 class IndexAction:
     """A permutation action on basis indices: rho(g) e_k = e_{sigma_g(k)}.
 
@@ -70,37 +74,45 @@ class IndexAction:
         0/1 indicator matrices span the commutant.  Returns ``(ids,
         counts)``: ``ids[i * n + j]`` numbers the orbital of (i, j) from 0,
         in order of its smallest pair.  Computed on first use by label
-        propagation over the generators, then kept.
+        propagation over the generators, checked exactly (each generator's
+        move of the pairs must keep every label, or :class:`ProjectionError`
+        is raised), then kept.
         """
         if self._orbitals is None:
             n = self.dim
-            lab = np.arange(n * n)
             moves = [(s[:, None] * n + s).ravel() for s in self.generators]
-            while True:
-                done = True
-                for move in moves:
-                    ends = lab[move]
-                    if np.array_equal(ends, lab):
-                        continue
-                    done = False
-                    # every label is a root (its own label); hook the roots
-                    # of both ends of each edge (p, move[p]) to the smaller
-                    # one, then let every label jump to its new root.  One
-                    # end would do, as every edge lies on a cycle of the
-                    # move, but labels then travel long cycles several times
-                    # slower.
-                    low = np.minimum(lab, ends)
-                    hooked = lab.copy()
-                    np.minimum.at(hooked, lab, low)
-                    np.minimum.at(hooked, ends, low)
-                    lab = hooked[hooked]
-                    while not np.array_equal(lab, hooked):
-                        hooked, lab = lab, lab[lab]
-                if done:
-                    break
-            _, ids, counts = np.unique(lab, return_inverse=True, return_counts=True)
+            _, ids, counts = np.unique(_propagate_labels(np.arange(n * n), moves),
+                                       return_inverse=True, return_counts=True)
+            if not all(np.array_equal(ids[move], ids) for move in moves):
+                raise ProjectionError("orbital labels are not invariant under the generators")
             self._orbitals = (ids, counts)
         return self._orbitals
+
+
+def _propagate_labels(lab, moves):
+    """Merge the labels ``lab`` along every move until each move keeps
+    every label; a label ends as the smallest of its orbit."""
+    while True:
+        done = True
+        for move in moves:
+            ends = lab[move]
+            if np.array_equal(ends, lab):
+                continue
+            done = False
+            # every label is a root (its own label); hook the roots of both
+            # ends of each edge (p, move[p]) to the smaller one, then let
+            # every label jump to its new root.  One end would do, as every
+            # edge lies on a cycle of the move, but labels then travel long
+            # cycles several times slower.
+            low = np.minimum(lab, ends)
+            hooked = lab.copy()
+            np.minimum.at(hooked, lab, low)
+            np.minimum.at(hooked, ends, low)
+            lab = hooked[hooked]
+            while not np.array_equal(lab, hooked):
+                hooked, lab = lab, lab[lab]
+        if done:
+            return lab
 
 
 def _perm_matrix(sigma, dtype):
@@ -161,14 +173,6 @@ class Representation:
         if self._image_fn is None:
             return _perm_matrix(self.index_action.element(g), _dtype(self.field))
         return self._image_fn(g)
-
-    def conjugate_by(self, g, x) -> np.ndarray:
-        """rho(g) x rho(g)^dag; a row and column gather for an index action."""
-        if self.index_action is None:
-            u = self.image(g)
-            return u @ x @ u.conj().T
-        inv = np.argsort(self.index_action.element(g))
-        return x[np.ix_(inv, inv)]
 
     def random_element(self, rng):
         """Uniform (finite) or Haar (compact) random group element."""
@@ -355,8 +359,7 @@ def _check_dim(dim, field):
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"dimension {dim} is too large: one {dim} x {dim} {field} matrix "
-                         f"needs {need / 2**30:.3g} GiB, physical memory is "
-                         f"{have / 2**30:.3g} GiB")
+                         f"needs {need:,} bytes, physical memory is {have:,} bytes")
 
 
 def _combined_action(reps, dim, combine):

@@ -438,9 +438,10 @@ def reference_parse_matrix(rows, field, where):
 # --- reference verification -------------------------------------------------
 #
 # The dense verification loop that repblock.decompose.verify_decomposition
-# replaced: each trial forms the full conjugation U rho_g U^dag, zeroes the
-# component blocks to measure the leak, and compares each block with its
-# repeated-copy pattern.  Same gates, messages and random elements.
+# replaced: each checked image forms the full conjugation U rho_g U^dag,
+# zeroes the component blocks to measure the leak, and compares each block
+# with its repeated-copy pattern.  Same gates, messages and checked images:
+# the generators of an index action, else the same random elements.
 
 def reference_verify(rep, decomp, trials, tol, rng):
     from repblock.decompose import _REAL_TYPE_WEIGHT, VerificationReport
@@ -448,6 +449,10 @@ def reference_verify(rep, decomp, trials, tol, rng):
     u = decomp.U
     n = rep.dim
     action = rep.index_action
+    if action is None:
+        images = (rep.image(rep.random_element(rng)) for _ in range(trials))
+    else:
+        images, trials = action.generators, len(action.generators)
     failures = []
 
     dims_ok = sum(c.size for c in decomp.components) == n and u.shape == (n, n)
@@ -471,15 +476,13 @@ def reference_verify(rep, decomp, trials, tol, rng):
     comp_resid = [0.0] * len(decomp.components)
     if dims_ok:
         offsets = np.cumsum([0] + [c.size for c in decomp.components])
-        for _ in range(trials):
-            g = rep.random_element(rng)
+        for img in images:
             if action is None:
-                img = rep.image(g)
                 nrm = float(np.linalg.norm(img))
                 b = u @ img @ u.conj().T
-            else:
+            else:  # img is the index array sigma of a generator
                 nrm = np.sqrt(n)
-                b = u[:, action.element(g)] @ u.conj().T
+                b = u[:, img] @ u.conj().T
             leak = b.copy()
             for ci, comp in enumerate(decomp.components):
                 lo, hi = offsets[ci], offsets[ci + 1]

@@ -99,6 +99,11 @@ def test_emit_basis_and_verify(s3_files, tmp_path, capsys):
     assert main(["verify", str(group), str(rep), str(basis), "--seed", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # a permutation action is checked on its 2 generators, whatever --trials says
+    assert "n=3, field=complex, 2 generators, tolerance" in out
+    assert main(["verify", str(group), str(rep), str(basis), "--trials", "7",
+                 "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["trials"] == 2
 
     # corrupt one row: unitarity breaks, exit 5
     lines = basis.read_text().splitlines()
@@ -136,7 +141,7 @@ def test_verify_tight_tolerance_on_compact_basis(tmp_path, capsys):
     lines[row] = " ".join(["ROW", repr(float(first) + 1e-9), *rest])
     basis.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(group), str(rep), str(basis), "--seed", "5"]) == 0
-    capsys.readouterr()
+    assert "50 trials" in capsys.readouterr().out
     code = main(["verify", str(group), str(rep), str(basis), "--seed", "5",
                  "--tol", "1e-15"])
     assert code == 5
@@ -670,3 +675,14 @@ def test_blockdiag_complex_type_components_exit4(tmp_path, capsys):
     assert "C does not fit the invariant block pattern" in err
     assert "# extraction" not in err
     assert not (tmp_path / "b" / "manifest.json").exists()
+
+
+def test_decompose_planted_orbital_label_exit3(s3_files, monkeypatch, capsys):
+    from test_commutant import _plant_a_wrong_label
+    _plant_a_wrong_label(monkeypatch)
+    group, rep = s3_files
+    assert main(["decompose", str(group), str(rep)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("decomposition failed: orbital labels are not invariant "
+                            "under the generators\n")
+    assert captured.out == ""

@@ -13,6 +13,7 @@ from repblock import (CommutantSample, ProjectionConfig,
                       rep_from_generator_images, sample_commutant, sample_gue,
                       tensor, tensor_power, trivial_rep, unitary_group)
 from repblock import commutant
+import repblock.reps as reps_mod
 from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, chain_average,
                                 commutation_residual, orbital_average, project_linear,
                                 projection_path)
@@ -340,6 +341,56 @@ def test_project_linear_gates_a_broken_finite_rep(rng):
     rep = Representation(g, 2, "complex", image)
     with pytest.raises(ProjectionError, match="not a homomorphism"):
         project_linear(rep, rng.standard_normal((2, 2)))
+
+
+def _plant_a_wrong_label(monkeypatch):
+    # pair (0, 1) gets an orbital of its own, which no generator that moves
+    # point 0 or 1 keeps
+    propagate = reps_mod._propagate_labels
+
+    def planted(lab, moves):
+        out = propagate(lab, moves).copy()
+        out[1] = out.max() + 1
+        return out
+
+    monkeypatch.setattr(reps_mod, "_propagate_labels", planted)
+
+
+def test_orbital_gate_refuses_a_planted_label(monkeypatch, rng):
+    _plant_a_wrong_label(monkeypatch)
+    rep = natural_perm_rep(symmetric(3))
+    for project in (project_commutant, project_linear):
+        with pytest.raises(ProjectionError, match="orbital labels are not invariant"):
+            project(rep, sample_gue(3, "complex", rng))
+    with pytest.raises(ProjectionError, match="orbital labels are not invariant"):
+        decompose(rep, rng=rng)
+    # the commutation gate that the label check replaced refuses them too
+    moves = [(s[:, None] * 3 + s).ravel() for s in rep.index_action.generators]
+    _, ids, counts = np.unique(reps_mod._propagate_labels(np.arange(9), moves),
+                               return_inverse=True, return_counts=True)
+    rep.index_action._orbitals = (ids, counts)
+    out = orbital_average(rep, sample_gue(3, "complex", rng))
+    assert commutation_residual(rep, out, rep.group.generators) > 1e-3
+
+
+@pytest.mark.parametrize("bad", [(np.nan, np.nan), (np.inf, np.inf), (np.inf, -np.inf)])
+@pytest.mark.parametrize("images", [False, True])
+def test_finite_gate_refuses_non_finite_input(bad, images, rng):
+    # C3 on 3 points: (0, 1) and (1, 0) lie in two orbitals that the
+    # Hermitian part adds, so +inf and -inf meet there
+    c3 = group_of(3, [[1, 2, 0]])
+    rep = natural_perm_rep(c3, "real")
+    if images:  # the same images without the index action: the chain path
+        rep = Representation(c3, 3, "real", rep.image)
+    x = sample_gue(3, "real", rng)
+    assert project_commutant(rep, x).residual <= 1e-15
+    x[0, 1], x[1, 0] = bad
+    for project in (project_commutant, project_linear):
+        with pytest.raises(ProjectionError, match="residual nan; the input is not finite"):
+            project(rep, x)
+    # the commutation gate, which the orbital path no longer runs, refuses it too
+    with np.errstate(invalid="ignore"):
+        assert not commutation_residual(rep, x, rep.group.generators) <= 1.0
 
 
 def test_sample_commutant_trivial_group_returns_raw_gue():

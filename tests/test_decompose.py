@@ -6,13 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
-                      IsotypicComponent, Representation, ResampleNeeded,
+                      IsotypicComponent, PermutationGroup, Representation, ResampleNeeded,
                       classify_real_type, conjugate, decompose,
                       defining_rep, direct_sum, eigsplit, equivalence_test,
                       group_from_generators, harmonize, natural_perm_rep,
                       orthogonal_group, rep_from_generator_images,
                       sample_commutant, tensor, tensor_power, unitary_group,
                       verify_decomposition)
+
+from repblock.reps import IndexAction
 
 from conftest import (closure_with_images, cyclic, equivalence_pass_order, group_of,
                       perm_matrix, quaternion8, reference_verify, regular_rep, symmetric)
@@ -662,6 +664,127 @@ def test_verify_matches_the_dense_oracle(generated, field, doubled, dense, case,
     if case == "correct":
         assert abs(new.max_off_component - old.max_off_component) <= 1e-13
     assert old.passed or not new.passed
+
+
+# ---------------------------------------------------------------------------
+# the generator check of an index action against a check over the whole group
+# ---------------------------------------------------------------------------
+
+def _small_index_rep(n, gens, relabel, field, kind):
+    group = group_of(n, gens)
+    nat = natural_perm_rep(group, field)
+    # the natural images conjugated by a fixed relabeling: generator images
+    # that are permutation matrices, evaluated through the chain
+    p = perm_matrix(relabel)
+    images = rep_from_generator_images(
+        group, [p @ perm_matrix(g.images) @ p.T for g in group.generators], field)
+    return {"natural": lambda: nat, "images": lambda: images,
+            "tensor": lambda: tensor(nat, images),
+            "direct_sum": lambda: direct_sum(images, nat),
+            "conjugate": lambda: conjugate(direct_sum(nat, images))}[kind]()
+
+
+def _with_generators(rep, sigmas):
+    """``rep`` with the index arrays ``sigmas`` as its action's generators."""
+    action = IndexAction(rep.dim, sigmas, rep.index_action.element)
+    return Representation(rep.group, rep.dim, rep.field, None, index_action=action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2),
+    st.permutations(range(n)))),
+    st.sampled_from(("complex", "real")),
+    st.sampled_from(("natural", "images", "tensor", "direct_sum", "conjugate")),
+    st.sampled_from(("correct", "swap", "rotate", "multiplicity", "nan")),
+    st.integers(0, 2 ** 32 - 1))
+def test_generator_check_agrees_with_the_whole_group(generated, field, kind, fault, seed):
+    n, gens, relabel = generated
+    must_fail = fault in ("multiplicity", "nan")
+    if kind == "conjugate":
+        field = "complex"
+    rep = _small_index_rep(n, gens, relabel, field, kind)
+    assert rep.index_action is not None
+    rng = np.random.default_rng(seed)
+    d = decompose(rep, rng=rng)
+    u = d.U.copy()
+    offsets = d.offsets
+    if fault == "swap":  # a row of the first component trades places with one of the last
+        assume(len(d.components) >= 2)
+        u[[0, offsets[-2]]] = u[[offsets[-2], 0]]
+    elif fault == "rotate":  # by 1e-3, the first and last row of the component of
+        # most copies: two copies of an irrep of dimension 2 or more then differ
+        k = max(range(len(d.components)),
+                key=lambda k: (d.components[k].multiplicity, d.components[k].size))
+        lo, hi = offsets[k], offsets[k + 1] - 1
+        assume(hi > lo)
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        u[[lo, hi]] = np.array([[c, -s], [s, c]]) @ u[[lo, hi]]
+        must_fail = min(d.components[k].multiplicity, d.components[k].dimension) >= 2
+    elif fault == "multiplicity":  # one copy split off its component
+        k = next((k for k, c in enumerate(d.components) if c.multiplicity >= 2), None)
+        assume(k is not None)
+        c = d.components[k]
+        d.components[k:k + 1] = [
+            IsotypicComponent(c.dimension, 1, c.basis[:c.dimension], c.real_type),
+            IsotypicComponent(c.dimension, c.multiplicity - 1, c.basis[c.dimension:],
+                              c.real_type)]
+    elif fault == "nan":
+        u[rng.integers(rep.dim), rng.integers(rep.dim)] = np.nan
+    d.U = u
+
+    gen = verify_decomposition(rep, d, tol=1e-8)
+    # the same check with every group element among the generators
+    elements = [rep.index_action.element(g) for g in rep.group.elements()]
+    whole = verify_decomposition(_with_generators(rep, elements), d, tol=1e-8)
+    assert (gen.trials, whole.trials) == (len(rep.group.generators), len(elements))
+    assert gen.passed == whole.passed
+    if fault == "correct":
+        assert gen.passed
+    if must_fail:
+        assert not gen.passed
+    # the generators are among the elements: each generator residual is one
+    # of the whole group's, computed alike
+    assert not gen.max_off_component > whole.max_off_component
+    assert not np.any(np.array(gen.component_residuals) > whole.component_residuals)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build", [
+    lambda: natural_perm_rep(symmetric(5)),
+    lambda: regular_rep(symmetric(3), "real"),
+    lambda: tensor_power(natural_perm_rep(cyclic(4), "real"), 2),
+])
+def test_decompose_draws_no_verification_samples(monkeypatch, build, seed):
+    dec = importlib.import_module("repblock.decompose")
+    rep = build()
+    calls = [0]
+    sample = PermutationGroup.sample
+
+    def counting_sample(group, rng):
+        calls[0] += 1
+        return sample(group, rng)
+
+    monkeypatch.setattr(PermutationGroup, "sample", counting_sample)
+    d = decompose(rep, rng=np.random.default_rng(seed))
+    assert calls[0] == 0
+    assert d.diagnostics.trials == len(rep.group.generators)
+
+    # verification forced back onto random elements drawn from its own
+    # stream, next to the generators: the same U, so the streams that feed U
+    # did not move
+    verify = dec.verify_decomposition
+
+    def on_random_elements(rep, decomp, trials, tol, rng):
+        drawn = [rep.index_action.element(rep.random_element(rng)) for _ in range(trials)]
+        forced = _with_generators(rep, rep.index_action.generators + tuple(drawn))
+        return verify(forced, decomp, trials=trials, tol=tol, rng=rng)
+
+    monkeypatch.setattr(dec, "verify_decomposition", on_random_elements)
+    forced = decompose(rep, rng=np.random.default_rng(seed))
+    assert calls[0] == dec._VERIFY_TRIALS * forced.attempts
+    assert forced.attempts == d.attempts
+    assert forced.U.tobytes() == d.U.tobytes()
 
 
 def test_equivalence_pass_witnesses_match_dense_products(monkeypatch):

@@ -11,6 +11,7 @@ from repblock import (Permutation, PermutationGroup, Representation, conjugate,
                       trivial_rep, unitary_group, orthogonal_group)
 
 from repblock.compact import lie_basis
+import repblock.reps as reps_mod
 from repblock.reps import _ChainImages
 
 from conftest import cyclic, group_of, perm_matrix, symmetric
@@ -98,9 +99,6 @@ def test_index_action_agrees_with_images(rng):
             sigma = rep.index_action.element(x)
             assert np.array_equal(rep.image(x), want(perm_matrix(x.images)))
             assert np.array_equal(rep.image(x), perm_matrix(sigma))
-            m = rng.standard_normal((rep.dim, rep.dim))
-            u = rep.image(x)
-            assert np.array_equal(rep.conjugate_by(x, m), u @ m @ u.T)
         for p, sigma in zip(g.generators, rep.index_action.generators):
             assert np.array_equal(rep.index_action.element(p), sigma)
 
@@ -497,3 +495,19 @@ def test_transversal_images_cost_one_product_per_reachable_node():
             assert chain._transversal_image(level, b).tolist() == list(u.images)
     # a left fold along the expanded words would take about 10^5 products
     assert calls[0] <= len(reachable) < 500
+
+
+@pytest.mark.parametrize("field, itemsize", [("complex", 16), ("real", 8)])
+def test_dimension_guard_at_the_boundary_names_the_excess(monkeypatch, field, itemsize):
+    # physical memory of exactly one n x n matrix: n passes, n + 1 is refused,
+    # and the message shows the two byte counts apart
+    n = 300
+    sizes = {"SC_PAGE_SIZE": itemsize, "SC_PHYS_PAGES": n * n}
+    monkeypatch.setattr(reps_mod.os, "sysconf", sizes.__getitem__)
+    assert natural_perm_rep(group_of(n, [[1, 0] + list(range(2, n))]), field).dim == n
+    need, have = (n + 1) ** 2 * itemsize, n * n * itemsize
+    with pytest.raises(ValueError) as err:
+        natural_perm_rep(group_of(n + 1, [[1, 0] + list(range(2, n + 1))]), field)
+    assert str(err.value) == (
+        f"dimension {n + 1} is too large: one {n + 1} x {n + 1} {field} matrix "
+        f"needs {need:,} bytes, physical memory is {have:,} bytes")
