@@ -5,8 +5,9 @@ Gaussian unitary ensemble (orthogonal ensemble over the reals) and
 projecting it onto the commutant by group averaging.  For finite groups
 the average is exact: a representation that permutes its basis vectors
 (one with an index action) is averaged within each orbital, the orbit of
-the group on index pairs, at O(n^2) cost; any other is averaged through
-the stabilizer-chain transversal sets.
+the group on index pairs, at O(n^2) cost, and sampled with one Gaussian
+per orbital and no seed; any other is averaged through the stabilizer-chain
+transversal sets.
 
 A compact-group representation with a derived action d rho (every one built
 from the defining representation) is projected exactly.  Its commutant is
@@ -185,6 +186,18 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     if hermitize:
         out = (out + out.conj().T) / 2
     return out
+
+
+def orbital_sample(rep: Representation, rng, hermitize=True) -> np.ndarray:
+    """The orbital average of a GUE/GOE seed (of an i.i.d. Gaussian matrix
+    unless ``hermitize``) as r normals and a gather: an orbital c's mean of
+    i.i.d. standard entries is N(0, 1/|c|).  Of the trivial group, the seed."""
+    ids, counts = rep.index_action.orbitals()
+    g = rng.standard_normal(len(counts))
+    if rep.field == "complex":
+        g = (g + 1j * rng.standard_normal(len(counts))) / math.sqrt(2.0)
+    out = (g / np.sqrt(counts))[ids].reshape(rep.dim, rep.dim)
+    return (out + out.conj().T) / 2 if hermitize else out
 
 
 def projection_path(rep: Representation) -> str:
@@ -373,8 +386,11 @@ def project_linear(rep: Representation, x, config: ProjectionConfig = None,
 
 def sample_commutant(rep: Representation, config: ProjectionConfig = None,
                      rng=None) -> CommutantSample:
-    """Generic Hermitian commutant sample: GUE/GOE seed, then projection."""
+    """Generic Hermitian commutant sample: GUE/GOE seed, then projection; for
+    an index action the same law drawn by :func:`orbital_sample`, exactly."""
     if rng is None:
         rng = np.random.default_rng()
+    if rep.index_action is not None:
+        return CommutantSample(orbital_sample(rep, rng), 0.0)
     seed = sample_gue(rep.dim, rep.field, rng)
     return project_commutant(rep, seed, config, rng)

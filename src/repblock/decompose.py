@@ -38,7 +38,7 @@ from itertools import accumulate
 import numpy as np
 
 from .commutant import (CommutantSample, ProjectionConfig, _check_tol,
-                        project_linear, sample_commutant)
+                        orbital_sample, project_linear, sample_commutant)
 from .reps import Representation
 
 REAL_TYPES = ("real", "complex", "quaternionic", "not_applicable")
@@ -261,15 +261,22 @@ def classify_real_type(rep: Representation, components, rng=None,
     1, 2 or 4 corresponds to real, complex or quaternionic type.  Symmetric
     seeds would not do: the symmetric part of the commutant is
     one-dimensional for all three types.  The projected seeds are shared
-    by all components.
+    by all components; an index action draws them in orbital coordinates,
+    and none when its components' M^2 add up to its r orbitals: once
+    verification checks that every image is U^T (+_i I_M_i (x) B_i) U, the
+    commutant holds the algebra of U^T (+_i X_i (x) I_D_i) U, X_i real, of
+    dimension sum M^2 = r, so equals it, and every type is real.
     """
     if rep.field != "real":
         raise ValueError("real-type classification applies to real representations")
     if rng is None:
         rng = np.random.default_rng()
     cfg = config or DecomposeConfig()
-    projected = [project_linear(rep, rng.standard_normal((rep.dim, rep.dim)),
-                                cfg.projection, rng)
+    action = rep.index_action
+    if action and sum(c.multiplicity ** 2 for c in components) == len(action.orbitals()[1]):
+        return ["real"] * len(components)
+    projected = [orbital_sample(rep, rng, hermitize=False) if action else
+                 project_linear(rep, rng.standard_normal((rep.dim, rep.dim)), cfg.projection, rng)
                  for _ in range(_CLASSIFY_SAMPLES)]
     mapping = {1: "real", 2: "complex", 4: "quaternionic"}
     types = []
@@ -312,8 +319,9 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     of generators.
 
     For an index action the commutant dimension is also checked exactly: the
-    number of orbitals must equal sum e M^2, with e = 1 over C and e = 1, 2, 4
-    for real, complex, quaternionic type over R.
+    number r of orbitals must equal sum e M^2, with e = 1 over C and e = 1, 2, 4
+    for real, complex, quaternionic type over R.  If sum M^2 = r, the pattern
+    check proves every type real (:func:`classify_real_type` reads them so).
     """
     if tol is None:
         tol = 1e-8 if rep.is_finite else 1e-6
@@ -402,28 +410,29 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
 
 
 def _decompose_once(rep, cfg, streams, attempt):
-    # five streams, the third unused and the fifth only for random verification:
-    # a stream's seed depends on its spawn position, so dropping one would
-    # change the output of every seed
-    s_xbar, s_xprime, _, s_classify, s_verify = streams
+    # the last stream is used only for random verification
+    s_xbar, s_xprime, s_classify, s_verify = streams
 
     xbar = sample_commutant(rep, cfg.projection, s_xbar)
     bases = eigsplit(xbar)
     xprime = sample_commutant(rep, cfg.projection, s_xprime)
 
-    # Y Q^dag once, Q stacking the bases: a test reads its candidate's
-    # column strip instead of multiplying Y again
+    # Y Q^dag once, over the bases that follow one of their dimension (no other
+    # meets a lead it could match): a test reads its candidate's column strip
     y = xprime.matrix
-    yq = y @ np.vstack([b.rows for b in bases]).conj().T
+    dims = [b.dim for b in bases]
+    later = [k for k, d in enumerate(dims) if dims.index(d) < k]
+    cols = dict(zip(later, accumulate((dims[k] for k in later), initial=0)))
+    yq = y @ np.vstack([bases[k].rows for k in later]).conj().T if later else None
     y_norm = float(np.linalg.norm(y))
-    offsets = np.cumsum([0] + [b.dim for b in bases])
 
     classes = []  # each a list of bases: the lead, then members harmonized to it
     pairs_tested = pairs_equivalent = 0
-    for b, lo in zip(bases, offsets):
+    for k, b in enumerate(bases):
+        strip = yq[:, cols[k]:cols[k] + b.dim] if k in cols else None
         matches = []
         for members in classes:
-            w = equivalence_test(members[0], b, yq[:, lo:lo + b.dim], y_norm)
+            w = equivalence_test(members[0], b, strip, y_norm)
             pairs_tested += 1
             if w is not None:
                 matches.append((members, w))
@@ -477,7 +486,7 @@ def decompose(rep: Representation, config: DecomposeConfig | None = None,
         rng = np.random.default_rng()
     reasons = []
     for attempt in range(_MAX_RESAMPLES + 1):
-        streams = rng.spawn(5)
+        streams = rng.spawn(4)
         try:
             return _decompose_once(rep, cfg, streams, attempt)
         except ResampleNeeded as exc:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -495,15 +496,13 @@ def parse_sdp(text: str) -> SdpProblem:
 
 def format_sdp(prob) -> str:
     """Serialize an SdpProblem in the sparse text format: its nonzero entries."""
-    out = [f"{prob.n} {prob.m} {prob.field}"]
     keep = prob.v != 0
-    entries = zip(*(x[keep].tolist() for x in (prob.k, prob.i, prob.j, prob.v)))
-    if prob.field == "complex":
-        out.extend(f"MATRIX {k} {i} {j} {_fmt(v.real)} {_fmt(v.imag)}" for k, i, j, v in entries)
-    else:
-        out.extend(f"MATRIX {k} {i} {j} {_fmt(v)}" for k, i, j, v in entries)
-    out.append("B" + "".join(f" {_fmt(v)}" for v in prob.b))
-    return "\n".join(out) + "\n"
+    vals = [prob.v.real, prob.v.imag] if prob.field == "complex" else [prob.v]
+    cols = [x[keep].tolist() for x in [prob.k, prob.i, prob.j] + vals]
+    line = "MATRIX %d %d %d" + " %.17g" * len(vals) + "\n"  # "%.17g" % x is _fmt(x)
+    body = (line * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
+    return (f"{prob.n} {prob.m} {prob.field}\n" + body
+            + ("B" + " %.17g" * len(prob.b) + "\n") % tuple(prob.b.tolist()))
 
 
 # ---------------------------------------------------------------------------

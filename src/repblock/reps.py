@@ -81,8 +81,9 @@ class IndexAction:
         if self._orbitals is None:
             n = self.dim
             moves = [(s[:, None] * n + s).ravel() for s in self.generators]
-            _, ids, counts = np.unique(_propagate_labels(np.arange(n * n), moves),
-                                       return_inverse=True, return_counts=True)
+            lab = _propagate_labels(np.arange(n * n), moves)
+            sizes = np.bincount(lab)  # np.unique's ids and counts, without its sort
+            ids, counts = np.cumsum(sizes > 0)[lab] - 1, sizes[sizes > 0]
             if not all(np.array_equal(ids[move], ids) for move in moves):
                 raise ProjectionError("orbital labels are not invariant under the generators")
             self._orbitals = (ids, counts)

@@ -120,17 +120,20 @@ class SdpProblem:
             raise ValueError("C must be square")
         mats = [c] + [np.asarray(x) for x in a]
         names = ["C"] + [f"A_{k}" for k in range(1, len(mats))]
-        for x, what in zip(mats, names):
-            if x.shape != (n, n):
-                raise ValueError(f"{what} has shape {x.shape}, expected {(n, n)}")
-            _check_hermitian(x, what)
+        stack = np.array(mats) if all(x.shape == (n, n) for x in mats) else None
+        if stack is None or not (np.isfinite(stack).all()
+                                 and np.array_equal(stack, stack.conj().swapaxes(1, 2))):
+            for x, what in zip(mats, names):  # within tolerance, or the first failure
+                if x.shape != (n, n):
+                    raise ValueError(f"{what} has shape {x.shape}, expected {(n, n)}")
+                _check_hermitian(x, what)
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
             raise ValueError("b has a non-finite entry")
         if len(mats) - 1 != len(b):
             raise ValueError(f"{len(mats) - 1} constraint matrices but {len(b)} b entries")
         rows, cols = np.triu_indices(n)
-        upper = np.array([x[rows, cols] for x in mats])  # (m + 1) x n(n+1)/2
+        upper = stack[:, rows, cols]  # (m + 1) x n(n+1)/2
         if field == "real":
             bad = np.any(upper.imag != 0, axis=1)
             if bad.any():

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repblock import (CommutantSample, ProjectionConfig,
                       ProjectionError, Representation, conjugate, decompose,
@@ -15,8 +16,8 @@ from repblock import (CommutantSample, ProjectionConfig,
 from repblock import commutant
 import repblock.reps as reps_mod
 from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, chain_average,
-                                commutation_residual, orbital_average, project_linear,
-                                projection_path)
+                                commutation_residual, orbital_average, orbital_sample,
+                                project_linear, projection_path)
 from repblock.decompose import _VERIFY_TRIALS
 
 from conftest import (alternating4, brute_average, closure, closure_with_images,
@@ -424,6 +425,44 @@ def test_sample_commutant_c4_circulant(rng):
     assert np.linalg.norm(got - want) <= 1e-12
 
 
+def _c3_with_fixed_points(field):
+    # C3 on {0, 1, 2} fixing 3 and 4: orbitals of 1 and 3 pairs, some their
+    # own transpose and some not
+    return natural_perm_rep(group_of(5, [[1, 2, 0, 3, 4]]), field)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("build", [
+    _c3_with_fixed_points,
+    lambda field: natural_perm_rep(regular_group(symmetric(3)), field),
+    lambda field: tensor_power(natural_perm_rep(dihedral(4), field), 2)])
+def test_orbital_sample_is_a_hermitian_commutant_element(build, field, rng):
+    rep = build(field)
+    for hermitize in (True, False):
+        x = orbital_sample(rep, rng, hermitize)
+        assert x.dtype == (complex if field == "complex" else float)
+        assert commutation_residual(rep, x, rep.group.generators) <= 1e-14
+        assert np.array_equal(x, x.conj().T) == hermitize
+    s = sample_commutant(rep, rng=rng)
+    assert s.residual == 0.0 and np.array_equal(s.matrix, s.matrix.conj().T)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_orbital_sample_moments_match_projected_seeds(field):
+    # the second moment of every orbital's entry, over 3000 draws of each
+    rep = _c3_with_fixed_points(field)
+    ids, counts = rep.index_action.orbitals()
+    first = np.unique(ids, return_index=True)[1]  # one pair per orbital
+    rng = np.random.default_rng(2024)
+    draws = 3000
+    got = np.array([orbital_sample(rep, rng).reshape(-1)[first] for _ in range(draws)])
+    want = np.array([orbital_average(rep, sample_gue(5, field, rng)).reshape(-1)[first]
+                     for _ in range(draws)])
+    got, want = np.mean(np.abs(got) ** 2, axis=0), np.mean(np.abs(want) ** 2, axis=0)
+    assert len(counts) == 11 and set(counts.tolist()) == {1, 3}
+    np.testing.assert_allclose(got, want, rtol=0.1)
+
+
 def test_project_dispatch(rng):
     g = symmetric(3)
     rep = natural_perm_rep(g)
@@ -562,6 +601,26 @@ def test_orbital_labels_against_brute_force():
     for orbit in orbits:
         assert len({int(ids[p]) for p in orbit}) == 1
         assert counts[ids[min(orbit)]] == len(orbit)
+
+
+def _numbered(lab):
+    """orbitals() on labels ``lab`` of a group without generators, which no
+    move refuses, so only their numbering acts."""
+    with mock.patch.object(reps_mod, "_propagate_labels", lambda *_: lab):
+        return natural_perm_rep(group_of(math.isqrt(lab.size), [])).index_action.orbitals()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.integers(0, 4 * n * n), min_size=n * n, max_size=n * n)))
+# S3's labels with _plant_a_wrong_label's label, one above every root
+@example([0, 2, 1, 1, 0, 1, 1, 1, 0])
+def test_orbital_ids_number_labels_as_np_unique(labels):
+    lab = np.array(labels)
+    ids, counts = _numbered(lab)
+    _, want_ids, want_counts = np.unique(lab, return_inverse=True, return_counts=True)
+    assert ids.dtype == want_ids.dtype and counts.dtype == want_counts.dtype
+    assert np.array_equal(ids, want_ids) and np.array_equal(counts, want_counts)
 
 
 @settings(max_examples=40, deadline=None)

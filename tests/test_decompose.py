@@ -480,6 +480,55 @@ def test_classify_quaternion_rep(rng):
     assert d.components[0].real_type == "quaternionic"
 
 
+@pytest.mark.parametrize("build, want", [
+    (lambda: natural_perm_rep(cyclic(3), "real"), ["complex", "real"]),
+    (lambda: natural_perm_rep(cyclic(5), "real"), ["complex", "complex", "real"]),
+    # Q8's regular action, then its 4 x 4 images, which permute no basis
+    (lambda: natural_perm_rep(quaternion8()[0], "real"), ["quaternionic"] + ["real"] * 4),
+    (lambda: rep_from_generator_images(*quaternion8(), "real"), ["quaternionic"])])
+def test_real_types_below_the_orbital_count_draw_seeds(build, want, monkeypatch, rng):
+    # sum M^2 < r, or no index action: the types need the 8 projected seeds,
+    # drawn in orbital coordinates for an index action
+    dec = importlib.import_module("repblock.decompose")
+    drawn = {"orbital_sample": 0, "project_linear": 0}
+    for name in drawn:
+        def counted(*args, name=name, real=getattr(dec, name), **kwargs):
+            drawn[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(dec, name, counted)
+    rep = build()
+    d = decompose(rep, rng=rng)
+    assert [c.real_type for c in d.components] == want
+    seeds = "project_linear" if rep.index_action is None else "orbital_sample"
+    assert drawn[seeds] == sum(drawn.values()) == dec._CLASSIFY_SAMPLES * d.attempts
+
+
+def _without_index_action(rep):
+    """``rep`` with its images alone: classification projects n x n seeds."""
+    return Representation(rep.group, rep.dim, rep.field, rep.image)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2),
+    st.permutations(range(n)))),
+    st.sampled_from(("natural", "images", "tensor", "direct_sum")),
+    st.integers(0, 2 ** 32 - 1))
+def test_real_types_from_the_orbital_count_match_the_seed_path(generated, kind, seed):
+    rep = _small_index_rep(*generated, "real", kind)
+    d = decompose(rep, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    types = classify_real_type(rep, d.components, rng)
+    # the seed path, on the same components, is the oracle
+    want = classify_real_type(_without_index_action(rep), d.components,
+                              np.random.default_rng(seed))
+    assert types == want == [c.real_type for c in d.components]
+    shortcut = sum(m * m for m in d.multiplicities) == len(rep.index_action.orbitals()[1])
+    assert (rng.bit_generator.state == state) == shortcut
+    assert set(types) == {"real"} or not shortcut
+
+
 def test_classify_requires_real_field(rng):
     rep = natural_perm_rep(cyclic(4), "complex")
     d = decompose(rep, rng=rng)

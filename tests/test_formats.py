@@ -518,7 +518,7 @@ def test_format_sdp_matches_the_dense_writer_on_parsed_files(case):
     assert format_sdp(prob) == reference_format_sdp(prob)
 
 
-_PARTS = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1 / 3, 5e-324, 1e300, -1.7e308])
+_PARTS = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1 / 3, 5e-324, 1e-300, 1e300, 5e300, -1.7e308])
 
 
 @st.composite

@@ -164,6 +164,32 @@ def test_hermitian_check_keeps_its_tolerance(rng, field):
         SdpProblem(c=h, a=[off], b=[1.0], field=field)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("order, message", [
+    (["near", "off", "nan"], "A_1 is not Hermitian"),
+    (["h", "near", "nan", "off"], "A_2 has a non-finite entry"),
+    (["nan", "h", "small"], "C has a non-finite entry"),
+    (["h", "h", "small", "off"], "A_2 has shape"),
+    (["near", "h", "near"], None)])
+def test_sdp_problem_names_the_first_bad_matrix(order, message, field, rng):
+    # one test on the stack finds a fault anywhere; the first bad matrix, in
+    # the order given, is the one named
+    x = rng.standard_normal((4, 4))
+    if field == "complex":
+        x = x + 1j * rng.standard_normal((4, 4))
+    h = (x + x.conj().T) / 4
+    mats = {"h": h, "near": h.copy(), "off": h.copy(), "nan": h.copy(), "small": np.eye(3)}
+    mats["near"][0, 1] += 1e-15  # not bitwise Hermitian, within tolerance
+    mats["off"][0, 1] += 1e-6
+    mats["nan"][2, 3] = np.nan
+    c, *a = [mats[k] for k in order]
+    if message is None:
+        assert SdpProblem(c=c, a=a, b=[1.0] * len(a), field=field).m == len(a)
+    else:
+        with pytest.raises(ValueError, match=message):
+            SdpProblem(c=c, a=a, b=[1.0] * len(a), field=field)
+
+
 def test_sdp_problem_validation(rng):
     c = np.eye(3)
     with pytest.raises(ValueError, match="Hermitian"):
