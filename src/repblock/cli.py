@@ -106,8 +106,8 @@ def _build_parser():
     p.add_argument("rep_spec")
     p.add_argument("basis", help="basis file written by decompose --emit-basis")
     p.add_argument("--trials", type=int, default=50,
-                   help="random elements checked (default 50); images that permute "
-                        "the basis are checked on the generators instead, exactly")
+                   help="Haar-random elements checked for a compact group (default 50); "
+                        "a finite group is checked on its generators, exactly")
 
     p = sub.add_parser("sample-group", parents=[common],
                        help="sample group elements")
@@ -309,7 +309,7 @@ def cmd_verify(args) -> int:
         doc["field"] = basis_field
         print(json.dumps(doc, indent=2))
     else:
-        checked = "trials" if rep.index_action is None else "generators"
+        checked = "generators" if rep.is_finite else "trials"
         print(f"verifying basis against n={rep.dim}, field={basis_field}, "
               f"{report.trials} {checked}, tolerance {report.tolerance:.1e}")
         print(f"unitarity residual:        {report.unitarity_residual:.3e}")

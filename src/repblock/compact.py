@@ -18,34 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _shape(d, size):
+def _shape(d):
     if d <= 0:
         raise ValueError(f"dimension must be positive, got {d}")
-    return (d, d) if size is None else (size, d, d)
+    return d, d
 
 
-def haar_unitary(d: int, rng, size=None) -> np.ndarray:
-    """Haar-random d x d unitary matrix, or a stack of ``size`` of them.
-
-    A stack is QR-factored in one batched call.  It reads the random
-    stream in another order than ``size`` separate draws, so its values
-    differ from theirs, but not its distribution.
-    """
-    shape = _shape(d, size)
+def haar_unitary(d: int, rng) -> np.ndarray:
+    """Haar-random d x d unitary matrix."""
+    shape = _shape(d)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))[..., None, :]
+    return q * (diag / np.abs(diag))
 
 
-def haar_orthogonal(d: int, rng, size=None) -> np.ndarray:
-    """Haar-random d x d real orthogonal matrix, or a stack of ``size`` of them."""
-    shape = _shape(d, size)
-    a = rng.standard_normal(shape)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.where(diag >= 0, 1.0, -1.0)[..., None, :]
+def haar_orthogonal(d: int, rng) -> np.ndarray:
+    """Haar-random d x d real orthogonal matrix."""
+    q, r = np.linalg.qr(rng.standard_normal(_shape(d)))
+    return q * np.where(np.diagonal(r) >= 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ samples:
    have entrywise equal images, or starts a new class.
 
 The intertwiners are not probed on group elements: verification checks
-every component's repeated-block pattern, on the generators of an index
-action and on random elements otherwise, and a wrong grouping or alignment
-fails there.
+every component's repeated-block pattern, on the generators of a finite
+group and on Haar-random elements of a compact one, and a wrong grouping or
+alignment fails there.
 
 The assembled change of basis puts group images into block-diagonal form
 with each isotypic component a multiplicity-fold repetition of one irrep
@@ -47,7 +47,7 @@ _GAP_TOL = 1e-6        # eigenvalue clusters split at gaps above this (relative 
 _ZERO_TOL = 1e-6       # |F| below this (relative to |Y|) means inequivalent
 _WITNESS_TOL = 1e-3    # acceptance band for the scaled-unitary check of a candidate intertwiner
 _MAX_RESAMPLES = 3     # full restarts allowed on genericity failures
-_VERIFY_TRIALS = 20    # random elements verified when there is no index action to check exactly
+_VERIFY_TRIALS = 20    # Haar-random elements verified for a compact group
 _CLASSIFY_SAMPLES = 8
 _CLASSIFY_SV_CUTOFF = 1e-6
 # real dimension of the commutant of an irreducible real representation
@@ -296,7 +296,7 @@ def classify_real_type(rep: Representation, components, rng=None,
 def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
                          trials: int = 50, tol: float | None = None,
                          rng=None) -> VerificationReport:
-    """Check a decomposition on the generators, or on random group elements.
+    """Check a decomposition on the generators, or on Haar-random elements.
 
     For each checked image rho_g the conjugation U rho_g U^dag is compared
     against the claimed pattern: zero off the component blocks, and each
@@ -306,17 +306,19 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     above (see below) without forming the n x n conjugation.  Norms are
     relative to the Frobenius norm of rho_g.  A NaN residual fails its check.
 
-    An index action is checked on its generators' index arrays, exactly: the
-    matrices U^dag (+_i I_M_i (x) B_i) U form a *-algebra, and every index
-    array the library forms is a product of the generators' arrays and their
-    inverses (the chain and the combinators follow words over the generators).
-    So if U is unitary and every generator's image lies in the algebra, every
-    image does; a generator residual eps bounds that of a word of length L by
-    about L eps.  Whether the chain's evaluation of generator images is a
-    homomorphism is checked when the representation is built, not here.  Any
-    other representation is checked on ``trials`` random (uniform or Haar)
-    elements.  For an index action the report's ``trials`` is the number
-    of generators.
+    A finite representation is checked on its generators' images (index
+    arrays for an index action), exactly: the matrices U^dag (+_i I_M_i (x)
+    B_i) U form a *-algebra, and every image the library forms is a product
+    of the generators' images and their inverses (the chain and the
+    combinators follow words over the generators).  So if U is unitary and
+    every generator's image lies in the algebra, every image does; a
+    generator residual eps bounds that of a word of length L by about L eps.
+    That the chain's evaluation of generator images is a homomorphism is
+    checked exactly when the representation is built
+    (:func:`~repblock.reps.rep_from_generator_images`), not here.  The report's
+    ``trials`` is then the number of generators, and ``trials`` and ``rng``
+    serve a compact group only, which is checked on ``trials`` Haar-random
+    elements.
 
     For an index action the commutant dimension is also checked exactly: the
     number r of orbitals must equal sum e M^2, with e = 1 over C and e = 1, 2, 4
@@ -333,10 +335,13 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     u = decomp.U
     n = rep.dim
     action = rep.index_action
-    if action is None:
-        images = (rep.image(rep.random_element(rng)) for _ in range(trials))
-    else:
+    if action is not None:
         images, trials = action.generators, len(action.generators)
+    elif rep.is_finite:
+        gens = rep.group.generators
+        images, trials = (rep.image(x) for x in gens), len(gens)
+    else:
+        images = (rep.image(rep.group.sample(rng)) for _ in range(trials))
     failures = []
 
     offsets = decomp.offsets
@@ -410,7 +415,7 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
 
 
 def _decompose_once(rep, cfg, streams, attempt):
-    # the last stream is used only for random verification
+    # the last stream is used only to verify a compact group
     s_xbar, s_xprime, s_classify, s_verify = streams
 
     xbar = sample_commutant(rep, cfg.projection, s_xbar)

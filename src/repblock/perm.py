@@ -69,17 +69,13 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
         p, q = self._images, other._images
-        out = object.__new__(Permutation)
-        out._images = tuple(p[x] for x in q)
-        return out
+        return _trusted(tuple(p[x] for x in q))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._images)
         for i, j in enumerate(self._images):
             inv[j] = i
-        out = object.__new__(Permutation)
-        out._images = tuple(inv)
-        return out
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self._images))
@@ -249,6 +245,13 @@ def _sift(levels, wp, start):
     return p, w
 
 
+def _trusted(images):
+    """A Permutation of images the chain already knows to be one."""
+    p = object.__new__(Permutation)
+    p._images = images
+    return p
+
+
 def _build_chain(degree, gen_words):
     """Levels of the chain and the number of strong generators.
 
@@ -341,6 +344,12 @@ class PermutationGroup:
         the original generators (see :func:`evaluate_words`).
         :meth:`transversal_images` evaluates them under any generator
         images, which carries a representation along the chain.
+    strong_generators : tuple of tuple of Permutation
+        One tuple per level: the strong generators that fix ``base[:i]``
+        and generate the stabilizer of those points, so ``base[i]``'s orbit
+        under them is ``transversals[i]``.  With the transversals they give
+        the chain's Schreier relators (see
+        :func:`~repblock.reps.rep_from_generator_images`).
     strong_generator_count : int
         Size of the strong generating set the chain was built from.
     """
@@ -361,6 +370,8 @@ class PermutationGroup:
         levels, self.strong_generator_count = _build_chain(
             degree, [(g.images, i) for i, g in enumerate(gens)])
         self.base = tuple(lvl.point for lvl in levels)
+        self.strong_generators = tuple(tuple(_trusted(imgs) for imgs, _ in lvl.gens)
+                                       for lvl in levels)
         self._inverses = tuple({b: u for b, (u, _) in lvl.inverses.items()}
                                for lvl in levels)
         transversals = []
@@ -368,9 +379,7 @@ class PermutationGroup:
         for lvl in levels:
             tmap, wmap = {}, {}
             for point, (imgs, word) in lvl.transversal.items():
-                q = object.__new__(Permutation)
-                q._images = imgs
-                tmap[point] = q
+                tmap[point] = _trusted(imgs)
                 wmap[point] = word
             transversals.append(tmap)
             nodes.append(wmap)

@@ -8,7 +8,9 @@ Finite-group representations are built either from the permutation action
 itself (:func:`natural_perm_rep`) or from one unitary matrix per generator
 (:func:`rep_from_generator_images`); the image of an arbitrary element is
 then assembled by sifting it through the stabilizer chain and multiplying
-precomputed transversal images.  Compact-group representations start from
+precomputed transversal images.  Generator images are accepted exactly when
+that evaluation is a homomorphism extending them, which the chain's
+Schreier relators decide.  Compact-group representations start from
 the defining representation (the sample *is* the matrix) and are combined
 with :func:`tensor`, :func:`direct_sum`, :func:`conjugate` and
 :func:`tensor_power`.
@@ -36,8 +38,7 @@ from .perm import Permutation, PermutationGroup
 
 _FIELDS = ("real", "complex")
 _UNITARY_TOL = 1e-8
-_HOM_CHECK_PAIRS = 20
-_HOM_CHECK_SEED = 0x5EED  # only used to validate user-supplied generator images
+_HOM_CHECK_SEED = 0x5EED  # draws the probe block that checks generator images
 
 
 def _dtype(field):
@@ -175,10 +176,6 @@ class Representation:
             return _perm_matrix(self.index_action.element(g), _dtype(self.field))
         return self._image_fn(g)
 
-    def random_element(self, rng):
-        """Uniform (finite) or Haar (compact) random group element."""
-        return self.group.sample(rng)
-
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dim}, field={self.field})"
 
@@ -225,6 +222,32 @@ class _ChainImages:
             return self._one()
         return out
 
+    def apply(self, points, x):
+        """Row r of the stack ``x`` times the image of the member whose chain
+        points (:func:`_chain_points`) are row r of ``points``, for every r;
+        one product per level and orbit point serves all rows that share it."""
+        for level in reversed(range(points.shape[1])):
+            column = points[:, level]
+            for b in np.unique(column):
+                if b != self.group.base[level]:
+                    rows = column == b
+                    x[rows] = self._mul(self._transversal_image(level, int(b)), x[rows])
+        return x
+
+
+def _chain_points(group: PermutationGroup, perms):
+    """The points :meth:`PermutationGroup.factorize` gives for every member
+    in the rows of the integer array ``perms``, one column per level."""
+    d = group.degree
+    points = np.empty((len(perms), len(group.base)), dtype=np.intp)
+    for level, (point, transversal) in enumerate(zip(group.base, group.transversals)):
+        inverses = np.zeros((d, d), dtype=np.intp)
+        for b, u in transversal.items():
+            inverses[b, u.images] = np.arange(d)
+        points[:, level] = perms[:, point]
+        perms = np.take_along_axis(inverses[points[:, level]], perms, axis=1)
+    return points
+
 
 def _require_unitary(mat, what):
     n = mat.shape[0]
@@ -245,14 +268,70 @@ def _permutation_indices(mats):
     return out
 
 
+def _check_relators(group, chain, gens, probe, mul, tol):
+    """Raise ValueError unless conditions 1 and 2 of :func:`rep_from_generator_images`
+    hold: one row per check, rho_hat(x) P against x's image times P (the
+    identity applied to it), then rho_hat(s) T_l(a) P against rho_hat(s u_a) P."""
+    relators = [(level, j, s, a, u) for level, (strong, orbit) in
+                enumerate(zip(group.strong_generators, group.transversals))
+                for j, s in enumerate(strong) for a, u in orbit.items()]
+    blocks = {(level, a): mul(chain._transversal_image(level, a), probe)
+              for level, orbit in enumerate(group.transversals) for a in orbit}
+    xs = np.array([x.images for x in group.generators])
+    ss, us = (np.array([r[k].images for r in relators], dtype=np.intp).reshape(-1, group.degree)
+              for k in (2, 4))
+    left, right = np.split(_chain_points(group, np.concatenate([
+        xs, ss, np.broadcast_to(np.arange(group.degree), xs.shape),
+        np.take_along_axis(ss, us, axis=1)])), 2)
+    lhs = chain.apply(left, np.stack([probe] * len(xs) + [blocks[r[0], r[3]] for r in relators]))
+    rhs = chain.apply(right, np.stack([mul(m, probe) for m in gens] + [probe] * len(relators)))
+    err = np.linalg.norm((lhs - rhs).reshape(len(lhs), -1), axis=1)
+    for r in np.flatnonzero(~(err <= tol))[:1]:  # NaN fails too
+        if r < len(xs):
+            what = f"the chain evaluates generator {r} off its image"
+        else:
+            level, j, _, a, _ = relators[r - len(xs)]
+            what = (f"the relator of strong generator {j} of level {level} at orbit "
+                    f"point {a} is off")
+        raise ValueError(f"generator images are inconsistent: {what} by {err[r]:.3e} "
+                         f"(tolerance {tol:.1e})")
+
+
 def rep_from_generator_images(group: PermutationGroup, images, field="complex") -> Representation:
     """Representation of a finite group given by one unitary image per generator.
 
-    The images are spot-checked for consistency: on random pairs (g, h),
-    image(g) @ image(h) must match image(g*h).  This probabilistic check is
-    all that is required; no presentation of the group is needed.  When
-    every image is exactly a permutation matrix, the representation gets
-    an :class:`IndexAction` and the check compares index arrays exactly.
+    The image of g is rho_hat(g) = T_0(a_0) ... T_{k-1}(a_{k-1}), the product of
+    the transversal images of g's normal form g = u_{a_0} ... u_{a_{k-1}}, each
+    T_l(a) the value of u_a's word over the generators.  The images are
+    accepted if and only if rho_hat is a homomorphism that extends them, which
+    holds exactly when
+
+    1. rho_hat(x) equals the given image for every generator x, identities
+       included, and
+    2. rho_hat(s) T_l(a) = rho_hat(s u_a) for every level l, every strong
+       generator s of that level and every orbit point a of it (the chain's
+       Schreier relators; Sims' presentation, see Seress, *Permutation Group
+       Algorithms*, 2003, and Holt, Eick and O'Brien, *Handbook of
+       Computational Group Theory*, 2005).
+
+    Both hold for a homomorphism extending the images: rho_hat(u_a) = T_l(a),
+    as u_a's normal form is itself.  Conversely, let G_l be the group of level
+    l's strong generators, so G_l = union of u_a G_{l+1}, and suppose rho_hat
+    is a homomorphism on G_{l+1} (true for the deepest, trivial level).  The
+    normal form gives rho_hat(u_a h) = T_l(a) rho_hat(h) for h in G_{l+1}, so
+    rho_hat(x h) = rho_hat(x) rho_hat(h) for any x in G_l.  With 2, for
+    g = u_a h, rho_hat(s g) = rho_hat(s u_a) rho_hat(h) = rho_hat(s) rho_hat(g).
+    Every element of the finite group G_l is a product of its strong
+    generators, and rho_hat(1) = I, so rho_hat is a homomorphism on G_l; at
+    l = 0 on the group, and by 1 it extends the images.  No other
+    homomorphism does: any one maps u_a to T_l(a).
+
+    When every image is exactly a permutation matrix the representation gets
+    an :class:`IndexAction`, and both sides are index arrays compared exactly.
+    Otherwise both sides are applied, right to left, to one fixed n x 4
+    Gaussian block P, so no n x n product is formed; a difference D that is
+    not 0 leaves D P = 0 with probability zero, and E|D P|_F^2 = 4 |D|_F^2, so
+    the tolerance 2e-8 n on |D P|_F reads as 1e-8 n on |D|_F.
     """
     _check_field(field)
     if len(images) != len(group.generators):
@@ -272,22 +351,17 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
 
     sigmas = _permutation_indices(mats)
     if sigmas is not None:
-        # index arrays compose like their matrices, sigma_{gh} = sigma_g[sigma_h],
-        # and are compared exactly
-        mul, tol = (lambda a, b: a[b]), 0
-        chain = _ChainImages(group, sigmas, lambda: np.arange(n), mul, np.argsort)
+        # index arrays compose like their matrices, sigma_{gh} = sigma_g[sigma_h]
+        gens, probe, tol, mul = sigmas, np.arange(n), 0, (lambda a, b: a[b])
+        chain = _ChainImages(group, gens, lambda: np.arange(n), mul, np.argsort)
     else:
         dt = _dtype(field)
-        mul, tol = np.matmul, 1e-8 * n
-        chain = _ChainImages(group, [m.astype(dt) for m in mats],
-                             lambda: np.eye(n, dtype=dt), mul, lambda m: m.conj().T)
-    rng = np.random.default_rng(_HOM_CHECK_SEED)
-    for g, h in ((group.sample(rng), group.sample(rng)) for _ in range(_HOM_CHECK_PAIRS)):
-        err = np.linalg.norm(mul(chain(g), chain(h)) - chain(g * h))
-        if not err <= tol:  # NaN fails too
-            raise ValueError(
-                f"generator images are inconsistent: homomorphism error {err:.3e} "
-                f"on a random pair (tolerance {tol:.1e})")
+        gens, tol, mul = [m.astype(dt) for m in mats], 2e-8 * n, np.matmul
+        probe = np.random.default_rng(_HOM_CHECK_SEED).standard_normal((n, 4)).astype(dt)
+        chain = _ChainImages(group, gens, lambda: np.eye(n, dtype=dt), mul,
+                             lambda m: m.conj().T)
+
+    _check_relators(group, chain, gens, probe, mul, tol)
     if sigmas is None:
         return Representation(group, n, field, chain, name="generator-images")
     return Representation(group, n, field, None, name="generator-images",

@@ -441,7 +441,7 @@ def reference_parse_matrix(rows, field, where):
 # replaced: each checked image forms the full conjugation U rho_g U^dag,
 # zeroes the component blocks to measure the leak, and compares each block
 # with its repeated-copy pattern.  Same gates, messages and checked images:
-# the generators of an index action, else the same random elements.
+# the generators of a finite group, else the same Haar-random elements.
 
 def reference_verify(rep, decomp, trials, tol, rng):
     from repblock.decompose import _REAL_TYPE_WEIGHT, VerificationReport
@@ -449,10 +449,12 @@ def reference_verify(rep, decomp, trials, tol, rng):
     u = decomp.U
     n = rep.dim
     action = rep.index_action
-    if action is None:
-        images = (rep.image(rep.random_element(rng)) for _ in range(trials))
-    else:
+    if action is not None:
         images, trials = action.generators, len(action.generators)
+    elif rep.is_finite:
+        images, trials = [rep.image(x) for x in rep.group.generators], len(rep.group.generators)
+    else:
+        images = (rep.image(rep.group.sample(rng)) for _ in range(trials))
     failures = []
 
     dims_ok = sum(c.size for c in decomp.components) == n and u.shape == (n, n)

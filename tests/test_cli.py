@@ -389,16 +389,31 @@ def test_decompose_boolean_spec_value_exit2(tmp_path, capsys, group_text, rep_te
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("image", ["[[0, 0, 1], [1, 0, 0], [0, 1, 0]]", "[[0, -1], [1, 0]]"],
-                         ids=["permutation", "matrix"])
-def test_decompose_inconsistent_image_exit2(tmp_path, capsys, image):
+S4_FOUR_GENERATORS = ('{"degree": 4, "generators": '
+                      '[[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2], [1, 2, 3, 0]]}\n')
+
+
+@pytest.mark.parametrize("group_text,images,named", [
     # C2's generator squares to 1; a 3-cycle and a quarter turn do not
+    (C2_GROUP, "[[[0, 0, 1], [1, 0, 0], [0, 1, 0]]]", None),
+    (C2_GROUP, "[[[0, -1], [1, 0]]]", None),
+    # an identity generator maps to I, not to -I or to the swap
+    ('{"degree": 2, "generators": [[1, 0], [0, 1]]}\n',
+     "[[[0, 1], [1, 0]], [[-1, 0], [0, -1]]]", 1),
+    ('{"degree": 2, "generators": [[1, 0], [0, 1]]}\n',
+     "[[[0, 1], [1, 0]], [[0, 1], [1, 0]]]", 1),
+    # -1 on three transpositions forces -1 on the 4-cycle, their product
+    (S4_FOUR_GENERATORS, "[[[-1]], [[-1]], [[-1]], [[1]]]", 3),
+], ids=["permutation", "matrix", "identity-minus", "identity-swap", "s4-sign"])
+def test_decompose_inconsistent_image_exit2(tmp_path, capsys, group_text, images, named):
     group, rep = tmp_path / "g.group", tmp_path / "r.rep"
-    group.write_text(C2_GROUP)
-    rep.write_text('{"kind": "generator-images", "images": [%s]}' % image)
+    group.write_text(group_text)
+    rep.write_text('{"kind": "generator-images", "images": %s}' % images)
     assert main(["decompose", str(group), str(rep), "--field", "real"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: rep: generator images are inconsistent")
+    if named is not None:
+        assert f"the chain evaluates generator {named} off its image" in captured.err
     assert captured.out == ""
 
 

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_equivalence_multiplicity_two_and_harmonize(rng):
     assert np.linalg.norm(aligned.rows @ aligned.rows.conj().T - np.eye(2)) <= 1e-12
     # transported images now agree entrywise with the first block
     for _ in range(10):
-        p = rep.random_element(rng)
+        p = rep.group.sample(rng)
         u = rep.image(p)
         s1 = bases[0].rows @ u @ bases[0].rows.conj().T
         s2 = aligned.rows @ u @ aligned.rows.conj().T
@@ -515,7 +516,7 @@ def _without_index_action(rep):
     st.sampled_from(("natural", "images", "tensor", "direct_sum")),
     st.integers(0, 2 ** 32 - 1))
 def test_real_types_from_the_orbital_count_match_the_seed_path(generated, kind, seed):
-    rep = _small_index_rep(*generated, "real", kind)
+    rep = _small_rep(*generated, "real", kind)
     d = decompose(rep, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     state = rng.bit_generator.state
@@ -618,15 +619,17 @@ def test_verify_copy_residual_matches_block_loop(rng):
     d = decompose(rep, rng=rng)
     assert d.dm_multiset() == [(2, 3)]
     d.U = d.U + 1e-9 * rng.standard_normal(d.U.shape)  # a residual that is not 0
-    report = verify_decomposition(rep, d, trials=1, tol=1e-3, rng=np.random.default_rng(5))
-    img = rep.image(rep.random_element(np.random.default_rng(5)))
-    sub = d.U @ img @ d.U.conj().T
-    avg = np.trace(sub.reshape(3, 2, 3, 2), axis1=0, axis2=2) / 3
-    pattern = np.zeros_like(sub)
-    for a in range(3):
-        pattern[2 * a:2 * a + 2, 2 * a:2 * a + 2] = avg
-    want = np.linalg.norm(sub - pattern) / np.linalg.norm(img)
-    dense = reference_verify(rep, d, trials=1, tol=1e-3, rng=np.random.default_rng(5))
+    report = verify_decomposition(rep, d, tol=1e-3)
+    want = 0.0  # the worst over the generators, the images checked
+    for x in rep.group.generators:
+        img = rep.image(x)
+        sub = d.U @ img @ d.U.conj().T
+        avg = np.trace(sub.reshape(3, 2, 3, 2), axis1=0, axis2=2) / 3
+        pattern = np.zeros_like(sub)
+        for a in range(3):
+            pattern[2 * a:2 * a + 2, 2 * a:2 * a + 2] = avg
+        want = max(want, np.linalg.norm(sub - pattern) / np.linalg.norm(img))
+    dense = reference_verify(rep, d, trials=1, tol=1e-3, rng=None)
     assert dense.component_residuals == (want,) and want > 0
     assert abs(report.component_residuals[0] - want) <= 1e-14
 
@@ -719,7 +722,7 @@ def test_verify_matches_the_dense_oracle(generated, field, doubled, dense, case,
 # the generator check of an index action against a check over the whole group
 # ---------------------------------------------------------------------------
 
-def _small_index_rep(n, gens, relabel, field, kind):
+def _small_rep(n, gens, relabel, field, kind):
     group = group_of(n, gens)
     nat = natural_perm_rep(group, field)
     # the natural images conjugated by a fixed relabeling: generator images
@@ -727,10 +730,24 @@ def _small_index_rep(n, gens, relabel, field, kind):
     p = perm_matrix(relabel)
     images = rep_from_generator_images(
         group, [p @ perm_matrix(g.images) @ p.T for g in group.generators], field)
+
+    def dense_images(sign):
+        # the natural images times a sign character, in a fixed dense basis:
+        # generator images that take the matrix path
+        q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+        return rep_from_generator_images(group, [
+            sign(g) * q @ perm_matrix(g.images) @ q.T for g in group.generators], field)
+
+    def parity(g):
+        return (-1) ** sum(a > b for a, b in itertools.combinations(g.images, 2))
+
     return {"natural": lambda: nat, "images": lambda: images,
             "tensor": lambda: tensor(nat, images),
             "direct_sum": lambda: direct_sum(images, nat),
-            "conjugate": lambda: conjugate(direct_sum(nat, images))}[kind]()
+            "conjugate": lambda: conjugate(direct_sum(nat, images)),
+            "dense": lambda: dense_images(lambda g: 1),
+            "signed": lambda: dense_images(parity),
+            "dense_tensor": lambda: tensor(nat, dense_images(parity))}[kind]()
 
 
 def _with_generators(rep, sigmas):
@@ -739,21 +756,33 @@ def _with_generators(rep, sigmas):
     return Representation(rep.group, rep.dim, rep.field, None, index_action=action)
 
 
+def _with_every_element(rep):
+    """``rep`` with every element of its group among the generators checked."""
+    elements = list(rep.group.elements())
+    if rep.index_action is not None:
+        return _with_generators(rep, [rep.index_action.element(g) for g in elements])
+    group = PermutationGroup(rep.group.degree, elements)
+    return Representation(group, rep.dim, rep.field, rep.image)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2),
     st.permutations(range(n)))),
     st.sampled_from(("complex", "real")),
-    st.sampled_from(("natural", "images", "tensor", "direct_sum", "conjugate")),
+    st.sampled_from(("natural", "images", "tensor", "direct_sum", "conjugate",
+                     "dense", "signed", "dense_tensor")),
     st.sampled_from(("correct", "swap", "rotate", "multiplicity", "nan")),
     st.integers(0, 2 ** 32 - 1))
 def test_generator_check_agrees_with_the_whole_group(generated, field, kind, fault, seed):
     n, gens, relabel = generated
-    must_fail = fault in ("multiplicity", "nan")
     if kind == "conjugate":
         field = "complex"
-    rep = _small_index_rep(n, gens, relabel, field, kind)
-    assert rep.index_action is not None
+    rep = _small_rep(n, gens, relabel, field, kind)
+    assert (rep.index_action is None) == (kind in ("dense", "signed", "dense_tensor"))
+    # a split component keeps the block pattern on every element; only the
+    # orbital count of an index action sees it
+    must_fail = fault == "nan" or fault == "multiplicity" and rep.index_action is not None
     rng = np.random.default_rng(seed)
     d = decompose(rep, rng=rng)
     u = d.U.copy()
@@ -784,9 +813,8 @@ def test_generator_check_agrees_with_the_whole_group(generated, field, kind, fau
 
     gen = verify_decomposition(rep, d, tol=1e-8)
     # the same check with every group element among the generators
-    elements = [rep.index_action.element(g) for g in rep.group.elements()]
-    whole = verify_decomposition(_with_generators(rep, elements), d, tol=1e-8)
-    assert (gen.trials, whole.trials) == (len(rep.group.generators), len(elements))
+    whole = verify_decomposition(_with_every_element(rep), d, tol=1e-8)
+    assert (gen.trials, whole.trials) == (len(rep.group.generators), rep.group.order())
     assert gen.passed == whole.passed
     if fault == "correct":
         assert gen.passed
@@ -825,7 +853,7 @@ def test_decompose_draws_no_verification_samples(monkeypatch, build, seed):
     verify = dec.verify_decomposition
 
     def on_random_elements(rep, decomp, trials, tol, rng):
-        drawn = [rep.index_action.element(rep.random_element(rng)) for _ in range(trials)]
+        drawn = [rep.index_action.element(rep.group.sample(rng)) for _ in range(trials)]
         forced = _with_generators(rep, rep.index_action.generators + tuple(drawn))
         return verify(forced, decomp, trials=trials, tol=tol, rng=rng)
 
@@ -834,6 +862,26 @@ def test_decompose_draws_no_verification_samples(monkeypatch, build, seed):
     assert calls[0] == dec._VERIFY_TRIALS * forced.attempts
     assert forced.attempts == d.attempts
     assert forced.U.tobytes() == d.U.tobytes()
+
+
+@pytest.mark.parametrize("images", [
+    lambda g: s3_standard_images(),
+    lambda g: [perm_matrix(p.images) for p in g.generators],
+    lambda g: [-perm_matrix(g.generators[0].images), perm_matrix(g.generators[1].images)],
+], ids=["dense", "permutation", "signed"])
+def test_finite_reps_are_decided_and_verified_without_sampling(monkeypatch, images):
+    # the relator check and the generator check read no random element
+    def refuse(group, rng):
+        raise AssertionError("a finite group was sampled")
+
+    monkeypatch.setattr(PermutationGroup, "sample", refuse)
+    g = symmetric(3)
+    rep = rep_from_generator_images(g, images(g), "real")
+    rep = direct_sum(rep, natural_perm_rep(g, "real"))
+    d = decompose(rep, rng=np.random.default_rng(0))
+    assert d.diagnostics.trials == len(g.generators)
+    report = verify_decomposition(rep, d, trials=7, rng=np.random.default_rng(1))
+    assert report.passed and report.trials == len(g.generators)
 
 
 def test_equivalence_pass_witnesses_match_dense_products(monkeypatch):

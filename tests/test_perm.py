@@ -310,6 +310,32 @@ def test_chain_matches_reference_builder(make):
         assert g.order() == 2 ** 5 * 120
 
 
+def _assert_strong_generators(g):
+    """Level l's strong generators fix base[:l], move base[l] over its whole
+    orbit, and generate the stabilizer of base[:l]: a group built from them
+    alone has the order of the transversals from level l down."""
+    assert len(g.strong_generators) == len(g.base)
+    for l, (gens, t) in enumerate(zip(g.strong_generators, g.transversals)):
+        assert all(isinstance(s, Permutation) and s.degree == g.degree for s in gens)
+        assert all(s(b) == b for s in gens for b in g.base[:l])
+        orbit, frontier = {g.base[l]}, [g.base[l]]
+        while frontier:
+            frontier = [s(a) for a in frontier for s in gens if s(a) not in orbit]
+            orbit.update(frontier)
+        assert orbit == set(t)
+        assert PermutationGroup(g.degree, gens).order() == \
+            math.prod(len(u) for u in g.transversals[l:])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symmetric(8), lambda: symmetric(14), alternating4, klein4,
+    lambda: dihedral(6), lambda: quaternion8()[0], lambda: _signed_permutations(4),
+    lambda: group_of(3, []), lambda: group_of(3, [[0, 1, 2]]),
+], ids=["S8", "S14", "A4", "V4", "D6", "Q8", "B4", "empty", "identity"])
+def test_strong_generators_generate_each_stabilizer(make):
+    _assert_strong_generators(make())
+
+
 def _permutation_of(d):
     swaps = st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=3)
 
@@ -326,7 +352,9 @@ def _permutation_of(d):
     lambda d: st.tuples(st.just(d), st.lists(_permutation_of(d), max_size=4))))
 def test_chain_matches_reference_builder_random(case):
     d, gens = case
-    _assert_chain_matches_reference(group_of(d, gens))
+    g = group_of(d, gens)
+    _assert_chain_matches_reference(g)
+    _assert_strong_generators(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repblock import (Permutation, PermutationGroup, Representation, conjugate,
                       defining_rep, direct_sum, natural_perm_rep,
@@ -14,7 +15,7 @@ from repblock.compact import lie_basis
 import repblock.reps as reps_mod
 from repblock.reps import _ChainImages
 
-from conftest import cyclic, group_of, perm_matrix, symmetric
+from conftest import closure_with_images, cyclic, group_of, perm_matrix, symmetric
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -71,6 +72,16 @@ def test_generator_images_errors():
     # permutation images are checked exactly: a 3-cycle cannot square to 1
     with pytest.raises(ValueError, match="inconsistent"):
         rep_from_generator_images(c2, [perm_matrix((1, 2, 0))], "real")
+    # an identity generator must map to I, as a matrix or as a permutation
+    c2_with_identity = group_of(2, [[1, 0], [0, 1]])
+    for ident_image in (-np.eye(2), perm_matrix((1, 0))):
+        with pytest.raises(ValueError, match="inconsistent: the chain evaluates generator 1 "):
+            rep_from_generator_images(c2_with_identity, [perm_matrix((1, 0)), ident_image],
+                                      "real")
+    # -1 on the transpositions makes the 4-cycle, a product of three, -1 as well
+    s4 = group_of(4, [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2], [1, 2, 3, 0]])
+    with pytest.raises(ValueError, match="inconsistent: the chain evaluates generator 3 "):
+        rep_from_generator_images(s4, [-np.eye(1)] * 3 + [np.eye(1)], "real")
 
 
 def test_index_action_agrees_with_images(rng):
@@ -119,17 +130,17 @@ def test_natural_rep_examples():
 def test_defining_rep(rng):
     u2 = defining_rep(unitary_group(2))
     assert u2.field == "complex"
-    g = u2.random_element(rng)
+    g = u2.group.sample(rng)
     assert np.allclose(u2.image(g), g)
     assert np.linalg.norm(g.conj().T @ g - np.eye(2)) <= 1e-12
 
     u1 = defining_rep(unitary_group(1))
-    z = u1.random_element(rng)
+    z = u1.group.sample(rng)
     assert abs(abs(z[0, 0]) - 1) <= 1e-12
 
     o3 = defining_rep(orthogonal_group(3))
     assert o3.field == "real"
-    assert not np.iscomplexobj(o3.image(o3.random_element(rng)))
+    assert not np.iscomplexobj(o3.image(o3.group.sample(rng)))
 
 
 def test_tensor_with_trivial_is_identity_map(rng):
@@ -146,7 +157,7 @@ def test_tensor_compact(rng):
     u2 = defining_rep(unitary_group(2))
     t = tensor(u2, u2)
     assert t.dim == 4
-    g = t.random_element(rng)
+    g = t.group.sample(rng)
     m = t.image(g)
     assert np.linalg.norm(m.conj().T @ m - np.eye(4)) <= 1e-12
     assert np.allclose(m, np.kron(g, g))
@@ -184,11 +195,11 @@ def test_conjugate(rng):
     assert np.allclose(conjugate(nat).image(p), nat.image(p))  # real entries
 
     u1 = defining_rep(unitary_group(1))
-    z = u1.random_element(rng)
+    z = u1.group.sample(rng)
     assert np.allclose(conjugate(u1).image(z), 1 / u1.image(z))
 
     u2 = defining_rep(unitary_group(2))
-    w = u2.random_element(rng)
+    w = u2.group.sample(rng)
     assert np.allclose(conjugate(conjugate(u2)).image(w), u2.image(w))
 
     with pytest.raises(ValueError):
@@ -317,7 +328,7 @@ def test_factor_lists_match_the_binary_fold(rng):
                 assert all(_same_bits(a, b)
                            for a, b in zip(action.generators, oracle.generators))
             for _ in range(5):
-                x = reps[0].random_element(rng)
+                x = reps[0].group.sample(rng)
                 assert _same_bits(flat.image(x), folded.image(x))
                 if combine is tensor:  # indices pair row-major, as numpy's kron
                     want = functools.reduce(np.kron, [r.image(x) for r in reps])
@@ -341,7 +352,7 @@ def test_tensor_without_index_action_evaluates_each_factor_once(monkeypatch):
     real_kron = np.kron
     monkeypatch.setattr(np, "kron", lambda a, b: krons.append(1) or real_kron(a, b))
     for seed in range(5):
-        u = inner.random_element(np.random.default_rng(seed))
+        u = inner.group.sample(np.random.default_rng(seed))
         got = power.image(u)
         assert len(images) == seed + 1 and got.shape == (1, 1)
         assert np.allclose(got, u[0, 0] ** 1000, rtol=1e-12, atol=0)
@@ -399,7 +410,7 @@ def test_homomorphism_and_unitarity_invariants(name, rep, rng):
     ident, product = _identity_and_product(rep)
     assert np.linalg.norm(rep.image(ident) - eye) <= 1e-10
     for _ in range(50):
-        g, h = rep.random_element(rng), rep.random_element(rng)
+        g, h = rep.group.sample(rng), rep.group.sample(rng)
         ig, ih = rep.image(g), rep.image(h)
         assert np.linalg.norm(ig @ ih - rep.image(product(g, h))) <= 1e-10 * n
         assert np.linalg.norm(ig.conj().T @ ig - eye) <= 1e-10
@@ -469,6 +480,53 @@ def test_dag_transversal_images_match_word_fold(case):
                 want = _fold(word, sigmas, np.argsort, lambda a, b: a[b],
                              np.arange(rep.dim))
                 assert np.array_equal(rep.index_action.element(u), want)
+
+
+# ---------------------------------------------------------------------------
+# the relator check against a brute-force homomorphism test
+# ---------------------------------------------------------------------------
+
+# small groups by generators: S4 with a redundant one, C2 x S3 on 2 + 3 points
+_RELATOR_GROUPS = {
+    "S3": (3, [[1, 0, 2], [1, 2, 0]]),
+    "S4": (4, [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2], [1, 2, 3, 0]]),
+    "D4": (4, [[1, 2, 3, 0], [3, 2, 1, 0]]),
+    "A4": (4, [[1, 2, 0, 3], [1, 0, 3, 2]]),
+    "C2xS3": (5, [[1, 0, 2, 3, 4], [0, 1, 3, 2, 4], [0, 1, 3, 4, 2]]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_RELATOR_GROUPS)), st.integers(1, 2), st.booleans(),
+       st.booleans(), st.booleans(), st.data())
+def test_relator_check_agrees_with_brute_force(name, dim, signed, dense, extra, data):
+    degree, gens = _RELATOR_GROUPS[name]
+    gens = [list(p) for p in gens]
+    if extra:  # a redundant generator, the product of two others, and the identity
+        gens.insert(data.draw(st.integers(0, len(gens))),
+                    [gens[0][x] for x in gens[-1]])
+        gens.insert(data.draw(st.integers(0, len(gens))), list(range(degree)))
+    # signed permutation images: all signs + give permutation matrices, which
+    # take the index path unless conjugated into a dense basis
+    mats = [perm_matrix(data.draw(st.permutations(range(dim)))) * data.draw(
+        st.lists(st.sampled_from((1, -1) if signed else (1,)), min_size=dim, max_size=dim))
+        for _ in gens]
+    c, s = math.cos(0.7), math.sin(0.7)
+    q = np.array([[c, -s], [s, c]]) if dim == 2 and dense else np.eye(dim)
+    try:
+        table = closure_with_images(degree, gens, mats)
+    except AssertionError:
+        table = None
+    group = group_of(degree, gens)
+    try:
+        rep = rep_from_generator_images(group, [q @ m @ q.T for m in mats], "real")
+    except ValueError as err:
+        assert "generator images are inconsistent" in str(err)
+        rep = None
+    assert (rep is None) == (table is None)
+    if rep is not None:
+        for g in group.elements():
+            assert np.linalg.norm(q.T @ rep.image(g) @ q - table[g.images]) <= 1e-12
 
 
 def test_transversal_images_cost_one_product_per_reachable_node():
