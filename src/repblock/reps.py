@@ -268,10 +268,11 @@ def _permutation_indices(mats):
     return out
 
 
-def _check_relators(group, chain, gens, probe, mul, tol):
+def _check_relators(group, chain, probe, tol):
     """Raise ValueError unless conditions 1 and 2 of :func:`rep_from_generator_images`
     hold: one row per check, rho_hat(x) P against x's image times P (the
     identity applied to it), then rho_hat(s) T_l(a) P against rho_hat(s u_a) P."""
+    mul = chain._mul
     relators = [(level, j, s, a, u) for level, (strong, orbit) in
                 enumerate(zip(group.strong_generators, group.transversals))
                 for j, s in enumerate(strong) for a, u in orbit.items()]
@@ -284,7 +285,7 @@ def _check_relators(group, chain, gens, probe, mul, tol):
         xs, ss, np.broadcast_to(np.arange(group.degree), xs.shape),
         np.take_along_axis(ss, us, axis=1)])), 2)
     lhs = chain.apply(left, np.stack([probe] * len(xs) + [blocks[r[0], r[3]] for r in relators]))
-    rhs = chain.apply(right, np.stack([mul(m, probe) for m in gens] + [probe] * len(relators)))
+    rhs = chain.apply(right, np.stack([mul(m, probe) for m in chain._gen] + [probe] * len(relators)))
     err = np.linalg.norm((lhs - rhs).reshape(len(lhs), -1), axis=1)
     for r in np.flatnonzero(~(err <= tol))[:1]:  # NaN fails too
         if r < len(xs):
@@ -352,16 +353,15 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
     sigmas = _permutation_indices(mats)
     if sigmas is not None:
         # index arrays compose like their matrices, sigma_{gh} = sigma_g[sigma_h]
-        gens, probe, tol, mul = sigmas, np.arange(n), 0, (lambda a, b: a[b])
-        chain = _ChainImages(group, gens, lambda: np.arange(n), mul, np.argsort)
+        probe, tol = np.arange(n), 0
+        chain = _ChainImages(group, sigmas, lambda: np.arange(n), lambda a, b: a[b], np.argsort)
     else:
         dt = _dtype(field)
-        gens, tol, mul = [m.astype(dt) for m in mats], 2e-8 * n, np.matmul
         probe = np.random.default_rng(_HOM_CHECK_SEED).standard_normal((n, 4)).astype(dt)
-        chain = _ChainImages(group, gens, lambda: np.eye(n, dtype=dt), mul,
-                             lambda m: m.conj().T)
-
-    _check_relators(group, chain, gens, probe, mul, tol)
+        tol = 2e-8 * n
+        chain = _ChainImages(group, [m.astype(dt) for m in mats],
+                             lambda: np.eye(n, dtype=dt), np.matmul, lambda m: m.conj().T)
+    _check_relators(group, chain, probe, tol)
     if sigmas is None:
         return Representation(group, n, field, chain, name="generator-images")
     return Representation(group, n, field, None, name="generator-images",
