@@ -69,7 +69,8 @@ def _build_parser():
                         help="scalar field of the representation (default complex)")
     common.add_argument("--commutation-tol", type=float,
                         default=_env("COMMUTATION_TOL", 1e-8, float),
-                        help="largest commutation residual accepted from compact projection")
+                        help="largest relative commutator accepted from compact projection; "
+                             "the Casimir path bounds it through the spectral gap")
     common.add_argument("--tol", type=float, default=_env("TOL", None, float),
                         help="verification / invariance tolerance override")
     common.add_argument("--format", choices=["text", "structured"],

@@ -11,15 +11,29 @@ transversal sets.
 
 A compact-group representation with a derived action d rho (every one built
 from the defining representation) is projected exactly.  Its commutant is
-the kernel of the Casimir Omega(X) = -sum_j [A_j, [A_j, X]], A_j = d rho(L_j)
-over an orthonormal basis L_j of the Lie algebra: Omega is self-adjoint and
+the kernel of the Casimir Omega(X) = -sum_j [A_j, [A_j, X]] = 2 K(X) - CX - XC,
+A_j = d rho(L_j) over the orthonormal basis L_j of the Lie algebra,
+K(X) = sum_j A_j X A_j and C = K(I).  K is read from the tree of combinators
+that built the representation, pair by pair of its leaves, through Brauer's
+identities (Ann. of Math. 38, 1937; :func:`_pair`).  Omega is self-adjoint and
 positive semidefinite, so conjugate gradients on Omega Y = Omega X, started
-at 0, stay in its range and X - Y is the orthogonal projection onto the
-kernel.  CG stops after as many iterations as Omega has distinct nonzero
-eigenvalues on X.  The generators are acted on in chunks, so memory does
-not grow with their number.  O(d) is not connected: one more average with
-the image of a reflection projects from the commutant of SO(d) onto that
-of O(d).
+at 0, stay in its range and X - Y is the orthogonal projection PX onto the
+kernel, after as many iterations as Omega has distinct nonzero eigenvalues
+on X.  O(d) is not connected: one more average with the image of a
+reflection projects from the commutant of SO(d) onto that of O(d).
+
+The gate reads Omega's spectral gap.  On a constituent of End(V) of highest
+weight lambda, Omega is the Casimir value c(lambda) (Fulton and Harris,
+*Representation Theory*, Lecture 25), and c(lambda) >= lambda_1 for
+lambda != 0, with lambda_1 = d on U(d) and (d - 1)/2 on O(d).  On U(d),
+c = sum_i lambda_i^2 + sum_{i<j} (lambda_i - lambda_j), no term negative: a
+constant lambda = m gives d m^2; otherwise some lambda_k > lambda_{k+1}, so
+each of the k(d - k) >= d - 1 pairs i <= k < j adds at least 1, and
+sum_i lambda_i^2 >= 1.  On SO(d), c = sum_{i <= d/2} (lambda_i^2 + lambda_i
+(d - 2i)) / 2, lambda_1 >= ... >= |lambda_{d/2}|, no term negative, and
+|lambda_1| >= 1 (lambda_1 < 0 only when d = 2), so c >= (1 + d - 2) / 2.
+With r the largest number of leaves on one tensor path, ||A_j||_2 <= r and
+||[A_j, X]|| = ||[A_j, X - PX]|| <= 2 r ||X - PX|| <= 2 r ||Omega X|| / lambda_1.
 
 Any other compact-group representation, one given by its images alone, is
 averaged iteratively over small random Haar sample sets; each round
@@ -56,10 +70,6 @@ _CG_RTOL = 1e-14
 _CHECK_EVERY = 10
 _MAX_ROUNDS = 1000
 _SET_SIZE = 3
-#: Entries of one stack d rho(L_j) y over a chunk of the Lie generators.
-#: The Casimir path holds a few such stacks at once, so its memory is a
-#: small multiple of max(n^2, this), whatever the number of generators.
-_STACK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,9 @@ class ProjectionConfig:
     """Gate of the compact-group projection: its commutation residual must
     be within ``commutation_tol``.
 
-    On the Casimir path the residual is measured against the derived action
-    (and the reflection of O(d)).  A representation without a derived
+    On the Casimir path the residual bounds the largest relative commutator
+    with a d rho(L_j) through the Casimir's spectral gap (and the reflection
+    of O(d)).  A representation without a derived
     action is averaged over Haar samples, 3 fresh ones per round; every 10
     rounds the residual is measured on 20 Haar probes drawn once, and
     averaging stops at the first check that does not halve the previous
@@ -217,49 +228,74 @@ def _reflects(rep):
     return rep.group.kind == "orthogonal"
 
 
-def _chunks(rep):
-    """Slices of the Lie generators, each at most _STACK_ENTRIES / n^2 long."""
-    k, step = len(lie_basis(rep.group)), max(1, _STACK_ENTRIES // rep.dim ** 2)
-    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
-
-
-def _commutators(derived, y, sign, gens):
-    """The stack [A_j, y_i] (y_0 for a stack of one), A_j = d rho(L_j) for the
-    i-th j of ``gens``, for Hermitian (``sign`` 1) or anti-Hermitian
-    (``sign`` -1) matrices y_i.
-
-    A_j is anti-Hermitian, so y A_j = -sign (A_j y)^dag: one left action
-    gives both products, and [A_j, y] keeps the symmetry of y.
+def _pair(a, b, x, out, axes, unitary):
+    """Add sum_j d rho_a(L_j) X d rho_b(L_j) to ``out``, for the trees ``a``
+    and ``b`` (:class:`~repblock.reps.Derived`) on the row axis ``axes[0]``
+    and the column axis ``axes[1]`` of x.  A tensor node sums over its parts,
+    each on its axis split into (before, dim, after), and a sum node acts
+    blockwise, so ``out`` stays a view.  Two leaves give -tr(X) I over the
+    pair of axes on u(d) (sum_j L_j (x) L_j = -SWAP), the pair's transpose
+    T(X) when one is conjugated (conj L_j = -L_j^T), and (T(X) - tr(X) I) / 2
+    on o(d) (sum_j L_j (x) L_j = (sum_ab E_ab (x) E_ab - SWAP) / 2); two
+    one-dimensional trees give -charge_a charge_b X on u(1), 0 on o(1).
     """
-    ay = derived(y[:, None], gens)[:, 0]
-    return ay + sign * ay.conj().swapaxes(1, 2)
+    if not (a.leaves and b.leaves):
+        return
+    if a.dim == b.dim == 1:
+        if unitary:
+            out -= a.charge * b.charge * x
+        return
+    if a.kind == b.kind == "leaf":
+        if unitary and a.conj != b.conj:
+            out += x.swapaxes(*axes)
+            return
+        diagonal = [slice(None)] * x.ndim
+        diagonal[axes[0]] = diagonal[axes[1]] = np.arange(a.dim)
+        trace = x.trace(axis1=axes[0], axis2=axes[1])
+        if not unitary:
+            out += x.swapaxes(*axes) / 2
+            trace = trace / 2
+        # an axis always lies between the two, so the diagonal's axis leads
+        out[tuple(diagonal)] -= trace
+        return
+    side = 0 if a.kind != "leaf" and a.dim > 1 else 1
+    node, axis = (a, b)[side], axes[side]
+    lo, before = 0, 1
+    for p in node.parts:
+        pair = (p, b) if side == 0 else (a, p)
+        if node.kind == "sum":
+            block = (slice(None),) * axis + (slice(lo, lo + p.dim),)
+            _pair(*pair, x[block], out[block], axes, unitary)
+        elif p.leaves:
+            shape = x.shape[:axis] + (before, p.dim, -1) + x.shape[axis + 1:]
+            split = (axis + 1, axes[1] + 2) if side == 0 else (axes[0], axis + 1)
+            _pair(*pair, x.reshape(shape), out.reshape(shape), split, unitary)
+        lo, before = lo + p.dim, before * p.dim
 
 
-def _parts(x):
-    """The Hermitian and the anti-Hermitian part of x, with their signs."""
-    xh = x.conj().T
-    return [((x + xh) / 2, 1), ((x - xh) / 2, -1)]
+def lie_contraction(rep: Representation, x) -> np.ndarray:
+    """K(X) = sum_j A_j X A_j, A_j = d rho(L_j), read from ``rep.derived``
+    by one pair contraction of the tree with itself, O(r^2 n^2) for r leaves."""
+    n = rep.dim
+    x = np.asarray(x)
+    out = np.zeros(x.shape, np.result_type(x, float))
+    _pair(rep.derived, rep.derived, x.reshape(1, n, 1, 1, n, 1), out.reshape(1, n, 1, 1, n, 1),
+          (1, 4), rep.group.kind == "unitary")
+    return out
 
 
-def _casimir_solve(derived, chunks, x, sign, cap):
-    """Y solving Omega Y = Omega x by CG from 0, the iterations run, and
-    whether CG met a direction p of curvature <p, Omega p> <= 0.
+def _casimir(rep):
+    """Omega(X) = 2 K(X) - C X - X C, C = K(I)."""
+    c = lie_contraction(rep, np.eye(rep.dim))
+    return lambda x: 2 * lie_contraction(rep, x) - c @ x - x @ c
 
-    Omega = -sum_j ad(A_j)^2 keeps the symmetry ``sign`` of x, so CG runs
-    in the Hermitian or the anti-Hermitian matrices.  It is summed over the
-    ``chunks`` of generators.  Its curvature sum_j ||[A_j, p]||^2 is
-    positive for p in its range; one that is not stops CG at once, as does
-    NaN.  A curvature <= 0 comes from an Omega that is not semidefinite.
+
+def _casimir_solve(omega, x, cap):
+    """Y solving Omega Y = Omega x by CG from 0, and the iterations run.
+
+    The curvature <p, Omega p> of a direction p in the range of the
+    positive semidefinite Omega is positive; NaN stops CG at once.
     """
-    def omega(z):
-        # sum_j [A_j, b_j] = s + sign s^dag with s = sum_j A_j b_j, as in
-        # _commutators, summed before the adjoint is taken
-        s = np.zeros_like(z)
-        for gens in chunks:
-            b = _commutators(derived, z[None], sign, gens)
-            s = s + derived(b[:, None], gens)[:, 0].sum(axis=0)
-        return -(s + sign * s.conj().T)
-
     r = omega(x)
     y = np.zeros_like(r)
     p = r.copy()
@@ -270,50 +306,45 @@ def _casimir_solve(derived, chunks, x, sign, cap):
         w = omega(p)
         curvature = np.vdot(p, w).real
         if not curvature > 0:
-            return y, iters, curvature <= 0
+            break
         alpha = rr / curvature
         y += alpha * p
         r -= alpha * w
         rr, last = np.vdot(r, r).real, rr
         p = r + (rr / last) * p
         iters += 1
-    return y, iters, False
+    return y, iters
 
 
 @np.errstate(invalid="ignore")  # non-finite input fails the gate, which says so
 def _casimir_projection(rep, x, config, hermitize):
     """Exact commutant projection through the Casimir kernel, gated.
 
-    The Hermitian and the anti-Hermitian part of x are projected apart (the
-    first alone when ``hermitize``).  CG runs at most n^2 iterations on
-    each, the dimension of the matrix space, within which it ends in exact
-    arithmetic.  The residual is the largest relative commutator with an
-    A_j, or with the reflection's image.
+    CG runs at most n^2 iterations, the dimension of the matrix space,
+    within which it ends in exact arithmetic.  The residual is the bound
+    2 r ||Omega X|| / (lambda_1 ||X||) on max_j ||[A_j, X]|| / ||X|| (0 on
+    o(1) = 0), or the relative commutator with the reflection's image.
     """
-    derived, chunks = rep.derived, _chunks(rep)
-    out, iters, indefinite = 0, 0, False
-    for part, sign in _parts(np.asarray(x))[:1 if hermitize else 2]:
-        y, its, bent = _casimir_solve(derived, chunks, part, sign, rep.dim ** 2)
-        out, iters, indefinite = out + (part - y), iters + its, indefinite or bent
+    x, omega = np.asarray(x), _casimir(rep)
+    y, iters = _casimir_solve(omega, x, rep.dim ** 2)
+    out = x - y
     if _reflects(rep):
         reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
         u = rep.image(reflection)
         out = (out + u @ out @ u.conj().T) / 2
-        if hermitize:
-            out = (out + out.conj().T) / 2
-    nx, comm = np.linalg.norm(out), 0.0
-    for gens in chunks:
-        c = sum(_commutators(derived, part[None], sign, gens) for part, sign in _parts(out))
-        comm = np.maximum(comm, np.max(np.linalg.norm(c, axis=(1, 2))))  # keeps NaN
-    resid = float(comm) / nx if nx else 0.0
+    if hermitize:
+        out = (out + out.conj().T) / 2
+    d = rep.group.dim
+    gap = d if rep.group.kind == "unitary" else (d - 1) / 2
+    scale = 2 * rep.derived.leaves / gap if gap else 0.0
+    nx = np.linalg.norm(out)
+    resid = scale * float(np.linalg.norm(omega(out))) / nx if nx else 0.0
     if _reflects(rep):
         resid = float(np.maximum(resid, commutation_residual(rep, out, [reflection], [u])))
     if not resid <= config.commutation_tol:  # NaN fails too
         raise ProjectionError(
             f"Casimir kernel projection left commutation residual {resid:.3e} above "
-            f"{config.commutation_tol:.1e} after {iters} conjugate-gradient iterations"
-            + ("; CG stopped at a direction of non-positive curvature, so the derived "
-               "action is probably not anti-Hermitian" if indefinite else ""))
+            f"{config.commutation_tol:.1e} after {iters} conjugate-gradient iterations")
     return out, resid
 
 

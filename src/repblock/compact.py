@@ -5,9 +5,9 @@ columns by the phases (signs, in the real case) of the R diagonal.  The
 rescaling matters: the raw QR of a Gaussian matrix is *not* Haar
 distributed, because LAPACK's sign conventions bias the factor Q.
 
-:func:`lie_basis` gives the Lie algebra u(d) or o(d) of the group, on
-which the representations built from the defining one carry their derived
-action.
+:func:`lie_basis` gives an orthonormal basis of the Lie algebra u(d) or
+o(d), the one the commutant projection's Casimir sums over and its tests
+check Brauer's identities on.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ A representation whose images permute the basis vectors carries an
 :class:`IndexAction`: one integer array per element instead of a matrix.
 Its images and products are then integer gathers, and the combinators
 carry the action along.  A compact-group representation built from the
-defining one carries its derived representation d rho on a basis of the
-Lie algebra the same way, and the commutant projection uses it in place
-of Haar samples.
+defining one carries its derived representation d rho the same way, as
+the tree of combinators that built it (:class:`Derived`), and the
+commutant projection reads its Casimir from that tree in place of Haar
+samples.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .compact import CompactGroupHandle, lie_basis
+from .compact import CompactGroupHandle
 from .perm import Permutation, PermutationGroup
 
 _FIELDS = ("real", "complex")
@@ -124,6 +125,34 @@ def _perm_matrix(sigma, dtype):
     return m
 
 
+class Derived:
+    """The derived representation d rho of a compact-group representation,
+    as the tree of combinators that built it from the defining one.
+
+    ``kind`` is ``"leaf"``, the defining representation of U(d) or O(d),
+    entrywise conjugated when ``conj``; ``"zero"``, the trivial one, whose
+    d rho is 0; or ``"tensor"`` or ``"sum"`` of ``parts``, in order.
+    ``leaves`` is the largest number of leaves on one tensor path, so
+    ||d rho(L)||_2 <= leaves ||L||_2.  ``charge`` counts the leaves, -1 for
+    a conjugated one: a one-dimensional tree of U(1) has d rho(i) = i charge.
+    """
+
+    def __init__(self, kind, dim, parts=(), conj=False):
+        self.kind, self.dim, self.parts, self.conj = kind, dim, tuple(parts), conj
+        counts = [p.leaves for p in self.parts]
+        self.leaves = (1 if kind == "leaf" else sum(counts) if kind == "tensor"
+                       else max(counts, default=0))
+        self.charge = (-1 if conj else 1) if kind == "leaf" else sum(p.charge for p in self.parts)
+
+    def conjugate(self) -> Derived:
+        """The tree of the entrywise conjugate: every leaf's flag flipped.
+        A part shared by several slots, as in a tensor power, is walked once."""
+        if self.kind == "leaf":
+            return Derived("leaf", self.dim, conj=not self.conj)
+        flipped = {id(p): p.conjugate() for p in self.parts}
+        return Derived(self.kind, self.dim, [flipped[id(p)] for p in self.parts])
+
+
 class Representation:
     """A unitary representation, exposed as an image oracle.
 
@@ -139,17 +168,11 @@ class Representation:
         ``index_action``.
     index_action : IndexAction or None
         Set when every image permutes the basis vectors.
-    derived : callable or None
-        The derived representation d rho of a compact-group representation,
-        when it is known, on the orthonormal basis L_1..L_k of the Lie
-        algebra that :func:`~repblock.compact.lie_basis` gives.  Called as
-        ``derived(y, gens)`` with a slice ``gens`` of the m generators
-        L_j to act by and a stack y of shape (K, P, n, Q), K = 1 or m, it
-        returns the (m, P, n, Q) stack whose i-th entry is
-        (I_P (x) d rho(L_j) (x) I_Q) y_i for the i-th j of ``gens`` (y_0
-        when K = 1).  No d rho(L_j) is formed: the combinators reshape and
-        slice y for their parts.  It must agree with the images;
-        verification against Haar samples catches one that does not.
+    derived : Derived or None
+        The derived representation d rho of a compact-group representation
+        built from the defining one, as the tree of combinators that built
+        it.  It must agree with the images; verification against Haar
+        samples catches one that does not.
     """
 
     def __init__(self, group, dim, field, image_fn, name="rep", index_action=None,
@@ -386,14 +409,7 @@ def trivial_rep(group, field="complex") -> Representation:
     Of a compact group it carries the derived action 0.
     """
     one = np.ones((1, 1), dtype=_dtype(field))
-    derived = None
-    if isinstance(group, CompactGroupHandle):
-        basis = lie_basis(group)
-
-        def derived(y, gens):
-            count = len(range(len(basis))[gens])
-            return np.zeros((count, *y.shape[1:]), dtype=np.result_type(y, basis))
-
+    derived = Derived("zero", 1) if isinstance(group, CompactGroupHandle) else None
     return Representation(group, 1, field, lambda g: one.copy(), name="trivial",
                           derived=derived)
 
@@ -410,13 +426,12 @@ def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
         raise ValueError(f"the defining representation of a {handle.kind} group is "
                          "complex, not real")
     dt = _dtype(field)
-    basis = lie_basis(handle)[:, None]
 
     def image(u) -> np.ndarray:
         return np.asarray(u, dtype=dt)
 
     return Representation(handle, handle.dim, field, image, name="defining",
-                          derived=lambda y, gens: basis[gens] @ y)
+                          derived=Derived("leaf", handle.dim))
 
 
 def _require_compatible(reps, what):
@@ -446,9 +461,10 @@ def _combined_action(reps, dim, combine):
                        lambda g: combine(*(a.element(g) for a in actions)))
 
 
-def _combined_derived(reps, act):
-    """Derived representation ``act`` of a combination, if every part has one."""
-    return None if any(r.derived is None for r in reps) else act
+def _combined_derived(reps, kind, dim):
+    """Derived representation of a combination, if every part has one."""
+    parts = [r.derived for r in reps]
+    return None if any(p is None for p in parts) else Derived(kind, dim, parts)
 
 
 def tensor(r1: Representation, *rest: Representation) -> Representation:
@@ -480,22 +496,10 @@ def tensor(r1: Representation, *rest: Representation) -> Representation:
             out = out * math.prod(imgs[i][0, 0] for i in scalars)
         return out
 
-    def act(y, gens):
-        # d rho = sum over the factors of I (x) d rho_f (x) I: factor f acts on
-        # the middle axis of y's n axis split as (before, dim_f, after)
-        out, before = 0, 1
-        for r in reps:
-            after = dim // (before * r.dim)
-            kk, p, _, q = y.shape
-            part = r.derived(y.reshape(kk, p * before, r.dim, after * q), gens)
-            out = out + part.reshape(-1, p, dim, q)
-            before *= r.dim
-        return out
-
     action = _combined_action(reps, dim, kron_indices)
     return Representation(r1.group, dim, r1.field, image if action is None else None,
                           name="(" + " (x) ".join(r.name for r in reps) + ")",
-                          index_action=action, derived=_combined_derived(reps, act))
+                          index_action=action, derived=_combined_derived(reps, "tensor", dim))
 
 
 def direct_sum(r1: Representation, *rest: Representation) -> Representation:
@@ -513,15 +517,11 @@ def direct_sum(r1: Representation, *rest: Representation) -> Representation:
             m[lo:lo + r.dim, lo:lo + r.dim] = r.image(g)
         return m
 
-    def act(y, gens):
-        return np.concatenate([r.derived(y[:, :, lo:lo + r.dim], gens)
-                               for r, lo in zip(reps, offsets)], axis=2)
-
     action = _combined_action(reps, dim, lambda *sigmas: np.concatenate(
         [s + lo for s, lo in zip(sigmas, offsets)]))
     return Representation(r1.group, dim, r1.field, image if action is None else None,
                           name="(" + " (+) ".join(r.name for r in reps) + ")",
-                          index_action=action, derived=_combined_derived(reps, act))
+                          index_action=action, derived=_combined_derived(reps, "sum", dim))
 
 
 def conjugate(r: Representation) -> Representation:
@@ -535,8 +535,7 @@ def conjugate(r: Representation) -> Representation:
     return Representation(r.group, r.dim, r.field,
                           image if r.index_action is None else None,
                           name=f"conj({r.name})", index_action=r.index_action,
-                          derived=_combined_derived(
-                              [r], lambda y, gens: np.conj(r.derived(np.conj(y), gens))))
+                          derived=None if r.derived is None else r.derived.conjugate())
 
 
 def tensor_power(r: Representation, k: int) -> Representation:

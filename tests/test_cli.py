@@ -453,6 +453,19 @@ def test_decompose_long_factor_lists(tmp_path, capsys, group_text, rep_doc):
     assert [(c["dimension"], c["multiplicity"]) for c in doc["components"]] == [(1, 1)]
 
 
+def test_decompose_o1_defining_over_r(tmp_path, capsys):
+    # O(1) has no Lie generators: the Casimir part of the projection and of
+    # its gate is 0, and the reflection average alone projects
+    group, rep = tmp_path / "o1.group", tmp_path / "defining.rep"
+    group.write_text('{"compact": "orthogonal", "dimension": 1}\n')
+    rep.write_text('{"kind": "defining"}\n')
+    assert main(["decompose", str(group), str(rep), "--field", "real",
+                 "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["dimension"], c["multiplicity"], c["real_type"])
+            for c in doc["components"]] == [(1, 1, "real")]
+
+
 def _conj_chain(depth, leaf):
     return '{"kind": "conj", "inner": ' * depth + leaf + "}" * depth
 

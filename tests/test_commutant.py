@@ -273,28 +273,72 @@ def test_casimir_projection_fails_closed_on_non_finite_input(bad):
         project_linear(rep, x)
 
 
-def test_casimir_projection_stops_at_non_positive_curvature():
-    # i L_j is Hermitian, so Omega is negative semidefinite: CG stops at its
-    # first direction rather than running on towards the n^2 cap
-    u2 = defining_rep(unitary_group(2))
-    calls = [0]
+@pytest.mark.parametrize("rep", [
+    defining_rep(orthogonal_group(1)),
+    defining_rep(unitary_group(1)),
+    direct_sum(trivial_rep(unitary_group(3)), trivial_rep(unitary_group(3)))],
+    ids=["O(1) over R", "U(1)", "trivial parts only"])
+def test_casimir_gate_without_lie_generators_or_leaves(rep, rng):
+    # o(1) = 0 has no spectral gap, and a tree of trivial parts no leaves:
+    # Omega is 0, the commutant is every matrix, and the gate reads 0.0
+    # without dividing by lambda_1 = 0
+    x = sample_gue(rep.dim, rep.field, rng)
+    got = project_commutant(rep, x)
+    assert got.residual == 0.0 and np.array_equal(got.matrix, x)
+    assert np.array_equal(project_linear(rep, x), x)
+    x[0, 0] = np.nan
+    with pytest.raises(ProjectionError, match="residual nan"):
+        project_commutant(rep, x)
 
-    def derived(y, gens):
-        calls[0] += 1
-        return 1j * u2.derived(y, gens)
 
-    rep = tensor_power(Representation(u2.group, 2, "complex", u2.image, derived=derived), 4)
-    with pytest.raises(ProjectionError, match="after 0 conjugate-gradient iterations; "
-                                              "CG stopped at a direction of non-positive"):
-        project_commutant(rep, sample_gue(16, "complex", np.random.default_rng(3)))
-    # per factor: two actions for the right-hand side's Omega, two for the
-    # first direction's, one per part of the gated result
-    assert calls[0] == 4 * (2 + 2 + 2)
+def _gap_cases():
+    u2, u3 = defining_rep(unitary_group(2)), defining_rep(unitary_group(3))
+    return [
+        pytest.param(lambda field: tensor_power(u2, 2), "complex", id="U(2)^2"),
+        pytest.param(lambda field: tensor_power(u3, 2), "complex", id="U(3)^2"),
+        pytest.param(lambda field: tensor_power(u2, 3), "complex", id="U(2)^3"),
+        pytest.param(lambda field: tensor(u2, conjugate(u2)), "complex", id="U(2) (x) conj U(2)"),
+        pytest.param(lambda field: direct_sum(u3, trivial_rep(u3.group)), "complex",
+                     id="U(3) (+) trivial"),
+        pytest.param(lambda field: tensor_power(defining_rep(orthogonal_group(3), field), 2),
+                     "real", id="O(3)^2 over R"),
+        pytest.param(lambda field: tensor_power(defining_rep(orthogonal_group(2), field), 2),
+                     "real", id="O(2)^2 over R"),
+        pytest.param(lambda field: direct_sum(defining_rep(orthogonal_group(4), field),
+                                              trivial_rep(orthogonal_group(4), field)),
+                     "real", id="O(4) (+) trivial over R"),
+    ]
+
+
+@pytest.mark.parametrize("build,field", _gap_cases())
+def test_casimir_spectral_gap_and_kernel_by_brute_force(build, field):
+    # Omega as an n^2 x n^2 matrix: positive semidefinite, its smallest
+    # nonzero eigenvalue at least lambda_1 = d on U(d), (d - 1)/2 on O(d),
+    # the bound the gate divides by
+    rep = build(field)
+    n, group = rep.dim, rep.group
+    omega = commutant._casimir(rep)
+    mat = np.stack([omega(e).ravel() for e in np.eye(n * n).reshape(-1, n, n)], axis=1)
+    assert np.allclose(mat, mat.conj().T, atol=1e-12)
+    w, v = np.linalg.eigh(mat)
+    assert w.min() >= -1e-9
+    gap = group.dim if group.kind == "unitary" else (group.dim - 1) / 2
+    assert w[w > 1e-9].min() >= gap - 1e-9
+    # the kernel is the commutant of SO(d) or U(d); O(d) then averages with
+    # a reflection (on O(2)^2, 6 dimensions down to 3).  Its dimension is
+    # sum M^2 of the decomposition over C
+    kernel = v[:, w <= 1e-9].T.reshape(-1, n, n)
+    if group.kind == "orthogonal":
+        u = rep.image(np.diag([-1.0] + [1.0] * (group.dim - 1)))
+        kernel = (kernel + u @ kernel @ u.T) / 2
+    dims = decompose(build("complex"), rng=np.random.default_rng(0)).dm_multiset()
+    assert np.linalg.matrix_rank(kernel.reshape(len(kernel), -1), tol=1e-9) == \
+        sum(m * m for _, m in dims)
 
 
 def test_casimir_projection_memory_is_bounded_in_the_generators(rng):
     # U(12)^(x2): 144 generators, n = 144, one stack over all of them would
-    # be 48 MiB; the chunks keep every stack within 2^18 entries, 4 MiB
+    # be 48 MiB; the pair contraction holds a few n x n matrices, 0.3 MiB each
     rep = tensor_power(defining_rep(unitary_group(12)), 2)
     x = sample_gue(rep.dim, "complex", rng)
     tracemalloc.start()

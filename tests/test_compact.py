@@ -3,6 +3,7 @@ import pytest
 
 from repblock import (CompactGroupHandle, haar_orthogonal, haar_unitary,
                       orthogonal_group, unitary_group)
+from repblock.compact import lie_basis
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
@@ -91,3 +92,24 @@ def test_handles(rng):
     o = orthogonal_group(3).sample(rng)
     assert o.shape == (3, 3) and not np.iscomplexobj(o)
     assert unitary_group(2) == CompactGroupHandle("unitary", 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_brauer_identities_of_the_lie_basis(d):
+    # the identities the Casimir's pair contraction reads: on u(d),
+    # sum L (x) L = -SWAP, sum L^2 = -d I and, for a conjugated factor, the
+    # partial transpose sum conj(L) (x) L = sum_ab E_ab (x) E_ab; on o(d),
+    # sum L (x) L = (sum_ab E_ab (x) E_ab - SWAP) / 2 and sum L^2 = -(d-1)/2 I
+    eye = np.eye(d)
+    swap = np.einsum("ad,cb->acbd", eye, eye).reshape(d * d, d * d)
+    ptrans = np.einsum("ac,bd->acbd", eye, eye).reshape(d * d, d * d)
+
+    def pairs(left, right):
+        return np.einsum("jab,jcd->acbd", left, right).reshape(d * d, d * d)
+
+    u, o = lie_basis(unitary_group(d)), lie_basis(orthogonal_group(d))
+    assert np.allclose(pairs(u, u), -swap, atol=1e-14)
+    assert np.allclose(np.einsum("jab,jbc->ac", u, u), -d * eye, atol=1e-14)
+    assert np.allclose(pairs(u.conj(), u), ptrans, atol=1e-14)
+    assert np.allclose(pairs(o, o), (ptrans - swap) / 2, atol=1e-14)
+    assert np.allclose(np.einsum("jab,jbc->ac", o, o), -(d - 1) / 2 * eye, atol=1e-14)

@@ -11,6 +11,7 @@ from repblock import (Permutation, PermutationGroup, Representation, conjugate,
                       rep_from_generator_images, tensor, tensor_power,
                       trivial_rep, unitary_group, orthogonal_group)
 
+from repblock.commutant import lie_contraction
 from repblock.compact import lie_basis
 import repblock.reps as reps_mod
 from repblock.reps import _ChainImages
@@ -213,10 +214,11 @@ def _exp_skew(a):
 
 
 def _derived_cases():
-    u2, u3 = defining_rep(unitary_group(2)), defining_rep(unitary_group(3))
+    u1, u2, u3 = (defining_rep(unitary_group(d)) for d in (1, 2, 3))
     o3 = defining_rep(orthogonal_group(3))
     return [
-        ("U(1)", defining_rep(unitary_group(1))),
+        ("U(1)", u1),
+        ("U(1) (x) conj U(1) (+) U(1)", direct_sum(tensor(u1, conjugate(u1)), u1)),
         ("U(3) (x) U(3)", tensor(u3, u3)),
         ("U(2) (x) conj U(2)", tensor(u2, conjugate(u2))),
         ("U(2) (+) U(2)^2", direct_sum(u2, tensor_power(u2, 2))),
@@ -234,27 +236,21 @@ def _derived_cases():
 
 @pytest.mark.parametrize("name,rep", _derived_cases(), ids=lambda v: v if isinstance(v, str) else "")
 def test_derived_action_is_the_derivative_of_the_images(name, rep, rng):
-    # d rho(L) = (rho(exp tL) - rho(exp -tL)) / 2t + O(t^2), from the images alone
-    basis = lie_basis(rep.group)
-    n = rep.dim
-    dense = rep.derived(np.eye(n)[None, None], slice(None))[:, 0]
-    assert dense.shape == (len(basis), n, n)
-    t = 1e-5
-    for lie, a in zip(basis, dense):
+    # d rho(L) = (rho(exp tL) - rho(exp -tL)) / 2t + O(t^2), from the images
+    # alone; the pair contraction of the tree must give sum_j A_j X A_j
+    n, t = rep.dim, 1e-5
+    slopes = []
+    for lie in lie_basis(rep.group):
         plus, minus = _exp_skew(t * lie), _exp_skew(-t * lie)
         if rep.group.kind == "orthogonal":
             plus, minus = plus.real, minus.real
-        slope = (rep.image(plus) - rep.image(minus)) / (2 * t)
-        assert np.linalg.norm(slope - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
-        assert np.linalg.norm(a + a.conj().T) <= 1e-14 * max(1.0, np.linalg.norm(a))
-    # a stack of k inputs is acted on entry by entry, on its middle axis
-    y = rng.standard_normal((len(basis), 2, n, 3))
-    got = rep.derived(y, slice(None))
-    assert np.allclose(got, np.einsum("jab,jpbq->jpaq", dense, y), atol=1e-12)
-    # and a slice of the generators acts by those generators alone
-    if len(basis) > 1:
-        part = slice(1, None, 2)
-        assert np.array_equal(rep.derived(y[part], part), got[part])
+        slopes.append((rep.image(plus) - rep.image(minus)) / (2 * t))
+    x = rng.standard_normal((n, n))
+    if rep.field == "complex":
+        x = x + 1j * rng.standard_normal((n, n))
+    want = sum((a @ x @ a for a in slopes), np.zeros((n, n)))
+    scale = max(1.0, sum(np.linalg.norm(a) ** 2 for a in slopes)) * np.linalg.norm(x)
+    assert np.linalg.norm(lie_contraction(rep, x) - want) <= 1e-8 * scale
 
 
 def test_derived_action_only_where_every_part_has_one():
@@ -265,12 +261,13 @@ def test_derived_action_only_where_every_part_has_one():
     assert conjugate(bare).derived is None
     assert natural_perm_rep(symmetric(3)).derived is None
     assert trivial_rep(symmetric(3)).derived is None
-    assert tensor_power(u2, 3).derived(np.zeros((1, 1, 8, 1)), slice(None)).shape == (4, 1, 8, 1)
-    assert defining_rep(orthogonal_group(4)).derived(
-        np.zeros((1, 1, 4, 1)), slice(None)).shape == (6, 1, 4, 1)
-    # the trivial representation of a compact group: d rho = 0
-    triv = trivial_rep(unitary_group(2)).derived(np.ones((1, 2, 1, 3)), slice(1, 3))
-    assert triv.shape == (2, 2, 1, 3) and not triv.any()
+    # leaves on one tensor path; conjugation flips the leaves' flags
+    assert tensor_power(u2, 3).derived.leaves == 3
+    assert direct_sum(u2, tensor_power(u2, 2)).derived.leaves == 2
+    assert [p.conj for p in conjugate(tensor(u2, conjugate(u2))).derived.parts] == [True, False]
+    # the trivial representation of a compact group: d rho = 0, no leaves
+    triv = trivial_rep(unitary_group(2)).derived
+    assert triv.kind == "zero" and triv.leaves == 0
     with pytest.raises(ValueError, match="complex, not real"):
         defining_rep(unitary_group(2), "real")
 
