@@ -50,22 +50,27 @@ EXIT_VERIFY = 5
 _INLINE_GROUP = re.compile(r"^(unitary|orthogonal):\d+$")
 
 
-def _env(name, default, cast=str):
+def _env(name, default, cast=str, choices=None):
+    """A flag's default from the environment; argparse checks no default's choices."""
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
+        if choices is None or value in choices:
+            return value
     except ValueError:
-        raise SpecFormatError(f"invalid {ENV_PREFIX}{name}={raw!r}")
+        pass
+    raise SpecFormatError(f"invalid {ENV_PREFIX}{name}={raw!r}")
 
 
 def _build_parser():
+    fields, formats = ("real", "complex"), ("text", "structured")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=_env("SEED", 0, int),
                         help="seed for all randomized behavior (default 0)")
-    common.add_argument("--field", choices=["real", "complex"],
-                        default=_env("FIELD", "complex"),
+    common.add_argument("--field", choices=fields,
+                        default=_env("FIELD", "complex", str, fields),
                         help="scalar field of the representation (default complex)")
     common.add_argument("--commutation-tol", type=float,
                         default=_env("COMMUTATION_TOL", 1e-8, float),
@@ -73,8 +78,8 @@ def _build_parser():
                              "the Casimir path bounds it through the spectral gap")
     common.add_argument("--tol", type=float, default=_env("TOL", None, float),
                         help="verification / invariance tolerance override")
-    common.add_argument("--format", choices=["text", "structured"],
-                        default=_env("FORMAT", "text"),
+    common.add_argument("--format", choices=formats,
+                        default=_env("FORMAT", "text", str, formats),
                         help="output format (structured = versioned JSON)")
     common.add_argument("-v", "--verbose", action="count", default=0)
 
@@ -96,7 +101,7 @@ def _build_parser():
     p.add_argument("group_spec")
     p.add_argument("rep_spec")
     p.add_argument("--symmetrize", action="store_true",
-                   default=bool(int(_env("SYMMETRIZE", "0"))),
+                   default=_env("SYMMETRIZE", "0", str, ("0", "1")) == "1",
                    help="group-average the data before extraction")
     p.add_argument("--out", metavar="DIR", default=None,
                    help="output directory (default: <sdp>.blocks)")

@@ -180,9 +180,12 @@ def eigsplit(xbar: CommutantSample):
     internal spread exceeds a tenth of that threshold is neither clearly
     degenerate nor clearly split, which violates the genericity
     assumption; that raises :class:`ResampleNeeded`.
+    Each basis is eigh's eigenvectors as rows, orthonormal already: a QR
+    would only flip their signs, which no decision and no block reads.
     """
     x = np.asarray(xbar.matrix if isinstance(xbar, CommutantSample) else xbar)
     evals, evecs = np.linalg.eigh(x)
+    vh = evecs.conj().T
     span = float(evals[-1] - evals[0])
     # The additive term keeps the threshold above eigenvalue roundoff even
     # when the whole spectrum collapses to one point (span ~ eps), where a
@@ -190,23 +193,16 @@ def eigsplit(xbar: CommutantSample):
     scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
     threshold = _GAP_TOL * span + 1e3 * np.finfo(float).eps * scale
 
-    clusters = []
-    start = 0
-    for i in range(len(evals) - 1):
-        if evals[i + 1] - evals[i] > threshold:
-            clusters.append((start, i + 1))
-            start = i + 1
-    clusters.append((start, len(evals)))
-
+    gaps = np.flatnonzero(np.diff(evals) > threshold) + 1  # first index of each new cluster
+    cuts = [0, *gaps.tolist(), len(evals)]
     out = []
-    for lo, hi in clusters:
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         spread = float(evals[hi - 1] - evals[lo])
         if spread > threshold / 10:
             raise ResampleNeeded(
                 f"ambiguous eigenvalue cluster: spread {spread:.3e} vs gap threshold "
                 f"{threshold:.3e}")
-        q, _ = np.linalg.qr(evecs[:, lo:hi])
-        out.append(SubrepBasis(rows=q.conj().T, eigenvalue=float(np.mean(evals[lo:hi]))))
+        out.append(SubrepBasis(rows=vh[lo:hi], eigenvalue=float(np.mean(evals[lo:hi]))))
     return out
 
 
@@ -324,6 +320,8 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     number r of orbitals must equal sum e M^2, with e = 1 over C and e = 1, 2, 4
     for real, complex, quaternionic type over R.  If sum M^2 = r, the pattern
     check proves every type real (:func:`classify_real_type` reads them so).
+    Without an index action there is no such count: a component split into two
+    components of one irrep passes, and only the equivalence pass decides M.
     """
     if tol is None:
         tol = 1e-8 if rep.is_finite else 1e-6

@@ -50,7 +50,7 @@ from .compact import CompactGroupHandle
 from .decompose import IrrepDecomposition, REAL_TYPES, isotypic_components
 from .perm import Permutation, PermutationGroup
 from .sdp import SdpProblem
-from .reps import (Representation, conjugate, defining_rep, direct_sum,
+from .reps import (Representation, _check_dim, conjugate, defining_rep, direct_sum,
                    natural_perm_rep, rep_from_generator_images, tensor,
                    tensor_power)
 
@@ -397,23 +397,19 @@ def _sdp_matrix_run(text, linenos, n, m, field):
             for c in range(6)], error
 
 
-def _too_large(n, m, lineno):
-    return SpecFormatError(f"{m + 1} matrices of size {n}x{n} do not fit in memory",
-                           line=lineno)
-
-
 def parse_sdp(text: str) -> SdpProblem:
     """Parse the sparse SDP text format into a problem held as its entries.
 
     The checked upper-triangle entries, sorted by (k, i, j), become the
-    problem's storage; no dense matrix is formed.  A header is refused when
-    the address range of one n x n matrix, which the dense extraction and
-    the basis need, cannot be reserved.  Parse errors carry the offending
-    line number.  Lines are read in runs of a few thousand: one split
-    tokenizes a run's MATRIX lines, one numpy call converts each field and
-    every check runs as a mask.  The first line failing any check, or
-    repeating an earlier (k, i, j) in any run, is reported with the message
-    a line-by-line reading gives, so errors come out in file order.
+    problem's storage; no dense matrix is formed.  A header is refused before
+    any entry is read when one n x n matrix, which the basis and the dense
+    extraction need, exceeds physical memory, the representation builders'
+    rule (``reps._check_dim``).  Parse errors carry the offending line number.
+    Lines are read in runs of a few thousand: one split tokenizes a run's
+    MATRIX lines, one numpy call converts each field and every check runs as
+    a mask.  The first line failing any check, or repeating an earlier
+    (k, i, j) in any run, is reported with the message a line-by-line reading
+    gives, so errors come out in file order.
     """
     lines = text.splitlines()
     header = None
@@ -427,8 +423,12 @@ def parse_sdp(text: str) -> SdpProblem:
         raise SpecFormatError("empty SDP file", line=1)
     n, m, field = header
     dtype = np.complex128 if field == "complex" else np.float64
-    if (m + 1) * n * n * np.dtype(dtype).itemsize >= 2 ** 63:
-        raise _too_large(n, m, header_line)
+    if (m + 1) * n * n * np.dtype(dtype).itemsize >= 2 ** 63:  # keeps the int64 keys exact
+        raise SpecFormatError("header sizes are too large for 64-bit entry keys", line=header_line)
+    try:
+        _check_dim(n, field)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc), line=header_line) from None
 
     bvec = None
     batches = []  # (lines, k, i, j, re, im) of the MATRIX lines of each run that passed
@@ -482,10 +482,6 @@ def parse_sdp(text: str) -> SdpProblem:
     if bvec is None:
         raise SpecFormatError("missing B line")
 
-    try:  # reserved and released at once: no page is touched
-        np.empty((n, n), dtype=dtype)
-    except MemoryError:
-        raise _too_large(n, m, header_line) from None
     values = np.empty(k.size, dtype=dtype)
     values.real = re
     if field == "complex":

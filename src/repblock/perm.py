@@ -72,20 +72,14 @@ class Permutation:
         return _trusted(tuple(p[x] for x in q))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._images)
-        for i, j in enumerate(self._images):
-            inv[j] = i
-        return _trusted(tuple(inv))
+        return _trusted(_inverse_images(self._images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self._images))
 
     def smallest_moved(self):
         """Smallest point not fixed, or None for the identity."""
-        for i, j in enumerate(self._images):
-            if i != j:
-                return i
-        return None
+        return _min_moved(self._images)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self._images == other._images
@@ -194,7 +188,10 @@ def _min_moved(images):
 
 
 def _inverse_images(p):
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
 
 
 def _build_transversal(lvl, ident):

@@ -350,12 +350,13 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
     l = 0 on the group, and by 1 it extends the images.  No other
     homomorphism does: any one maps u_a to T_l(a).
 
-    When every image is exactly a permutation matrix the representation gets
-    an :class:`IndexAction`, and both sides are index arrays compared exactly.
-    Otherwise both sides are applied, right to left, to one fixed n x 4
-    Gaussian block P, so no n x n product is formed; a difference D that is
-    not 0 leaves D P = 0 with probability zero, and E|D P|_F^2 = 4 |D|_F^2, so
-    the tolerance 2e-8 n on |D P|_F reads as 1e-8 n on |D|_F.
+    When every image is exactly a permutation matrix, and so orthogonal, the
+    representation gets an :class:`IndexAction`, and both sides are index
+    arrays compared exactly.  Otherwise each image must pass the unitarity
+    check m^dag m = I, and both sides are applied, right to left, to one fixed
+    n x 4 Gaussian block P, so no n x n product is formed; a difference D that
+    is not 0 leaves D P = 0 with probability zero, and E|D P|_F^2 = 4 |D|_F^2,
+    so the tolerance 2e-8 n on |D P|_F reads as 1e-8 n on |D|_F.
     """
     _check_field(field)
     if len(images) != len(group.generators):
@@ -371,7 +372,6 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
             raise ValueError(f"image {i} has shape {m.shape}, expected {(n, n)}")
         if field == "real" and np.iscomplexobj(m) and np.abs(m.imag).max() > 0:
             raise ValueError(f"image {i} has complex entries but field is real")
-        _require_unitary(m.astype(_dtype(field)), f"generator image {i}")
 
     sigmas = _permutation_indices(mats)
     if sigmas is not None:
@@ -380,10 +380,13 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
         chain = _ChainImages(group, sigmas, lambda: np.arange(n), lambda a, b: a[b], np.argsort)
     else:
         dt = _dtype(field)
+        mats = [m.astype(dt) for m in mats]
+        for i, m in enumerate(mats):
+            _require_unitary(m, f"generator image {i}")
         probe = np.random.default_rng(_HOM_CHECK_SEED).standard_normal((n, 4)).astype(dt)
         tol = 2e-8 * n
-        chain = _ChainImages(group, [m.astype(dt) for m in mats],
-                             lambda: np.eye(n, dtype=dt), np.matmul, lambda m: m.conj().T)
+        chain = _ChainImages(group, mats, lambda: np.eye(n, dtype=dt), np.matmul,
+                             lambda m: m.conj().T)
     _check_relators(group, chain, probe, tol)
     if sigmas is None:
         return Representation(group, n, field, chain, name="generator-images")

@@ -290,13 +290,25 @@ def test_out_of_range_flag_exit2(s3_files, tmp_path, capsys, command, flag, valu
 def test_blockdiag_oversized_sdp_exit2(s3_files, tmp_path, capsys):
     group, rep = s3_files
     sdp = tmp_path / "huge.sdp"
-    sdp.write_text("2000000 1 real\nB 1\n")  # two 29 TiB matrices: allocation fails at once
+    sdp.write_text("2000000 1 real\nB 1\n")  # one 29 TiB matrix exceeds physical memory
     out = tmp_path / "blocks"
     assert main(["blockdiag", str(sdp), str(group), str(rep), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "line 1: 2 matrices of size 2000000x2000000 do not fit in memory" in captured.err
+    assert ("line 1: dimension 2000000 is too large: one 2000000 x 2000000 real matrix "
+            "needs 32,000,000,000,000 bytes") in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_non_unitary_image_after_a_permutation_exit2(s3_files, tmp_path, capsys):
+    group, _ = s3_files
+    rep = tmp_path / "bad.rep"
+    rep.write_text('{"kind": "generator-images", "images": '
+                   '[[[0, 1], [1, 0]], [[2, 0], [0, 2]]]}\n')
+    assert main(["decompose", str(group), str(rep), "--field", "real"]) == 2
+    captured = capsys.readouterr()
+    assert "generator image 1 is not unitary" in captured.err
+    assert captured.out == ""
 
 
 def test_decompose_huge_integer_image_exit2(s3_files, tmp_path, capsys):
@@ -643,6 +655,20 @@ def test_bad_env_value(s3_files, capsys, monkeypatch):
     group, rep = s3_files
     monkeypatch.setenv("REPBLOCK_SEED", "not-an-int")
     assert main(["decompose", str(group), str(rep)]) == 2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("SYMMETRIZE", "yes"), ("SYMMETRIZE", "2"), ("FORMAT", "xml"),
+    ("FORMAT", "structued"), ("FIELD", "quaternion"),
+])
+def test_bad_env_mirror_exits_2_naming_it(s3_files, capsys, monkeypatch, name, value):
+    # argparse checks no default against its flag's choices
+    group, rep = s3_files
+    monkeypatch.setenv("REPBLOCK_" + name, value)
+    assert main(["decompose", str(group), str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: invalid REPBLOCK_{name}={value!r}")
+    assert captured.out == ""
 
 
 def test_usage_error_is_exit_2(capsys):

@@ -66,6 +66,27 @@ def test_eigsplit_genericity_guard():
         eigsplit(CommutantSample(x, 0.0))
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_eigsplit_bases_are_eighs_eigenvectors(field, rng):
+    # S4 on pairs: clusters of dimension 1 to 3, some repeated
+    xbar = sample_commutant(tensor_power(natural_perm_rep(symmetric(4), field), 2), rng=rng)
+    bases = eigsplit(xbar)
+    assert max(b.dim for b in bases) > 1
+    evecs = np.linalg.eigh(xbar.matrix)[1]
+    lo = 0
+    for b in bases:
+        cols = evecs[:, lo:lo + b.dim]
+        lo += b.dim
+        assert b.rows.tobytes() == cols.conj().T.tobytes()
+        assert np.linalg.norm(b.rows @ b.rows.conj().T - np.eye(b.dim)) <= 1e-14
+        # a QR of orthonormal columns only flips signs: its R is diagonal
+        q = np.linalg.qr(cols)[0].conj().T
+        signs = np.sign(np.sum(q * b.rows.conj(), axis=1).real)
+        assert np.abs(signs).min() == 1
+        assert np.abs(q - signs[:, None] * b.rows).max() <= 1e-14
+    assert lo == xbar.matrix.shape[0]
+
+
 def test_eigsplit_ascending_order(rng):
     rep = natural_perm_rep(symmetric(4))
     bases = eigsplit(sample_commutant(rep, rng=rng))
@@ -407,6 +428,46 @@ def test_decompose_seed_stability_s4_natural():
     seen = {tuple(decompose(rep, rng=np.random.default_rng(k)).dm_multiset())
             for k in range(20)}
     assert seen == {((1, 1), (3, 1))}
+
+
+def _s4_dense_images():
+    g = symmetric(4)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    return rep_from_generator_images(
+        g, [q @ perm_matrix(p.images) @ q.T for p in g.generators], "real")
+
+
+# Recorded with each cluster's basis QR-factorized, which only flips signs: a
+# change that keeps every decision of decompose keeps these.  Per shape:
+# (D, M) multiset, real types, clusters, equivalent pairs, and the pairs
+# tested at seeds 0, 1, 2 (the eigenvalue order, and so the pass order,
+# follows the seed); every decomposition took one attempt.
+_S4_PAIRS = [(1, 2), (2, 1), (3, 1), (3, 3)]
+_PINNED_DECISIONS = {
+    "S4 natural^2": (lambda: tensor_power(natural_perm_rep(symmetric(4)), 2),
+                     _S4_PAIRS, ["not_applicable"] * 4, 7, 3, [16, 18, 15]),
+    "C5 natural over R": (lambda: natural_perm_rep(cyclic(5), "real"),
+                          [(1, 1), (2, 1), (2, 1)], ["complex", "complex", "real"], 3, 0,
+                          [3, 3, 3]),
+    "S4 dense^2 over R": (lambda: tensor_power(_s4_dense_images(), 2),
+                          _S4_PAIRS, ["real"] * 4, 7, 3, [18, 14, 13]),
+    "U(3)^3": (lambda: tensor_power(defining_rep(unitary_group(3)), 3),
+               [(1, 1), (8, 2), (10, 1)], ["not_applicable"] * 3, 4, 1, [6, 5, 6]),
+    "O(3)^2 over R": (lambda: tensor_power(defining_rep(orthogonal_group(3)), 2),
+                      [(1, 1), (3, 1), (5, 1)], ["real"] * 3, 3, 0, [3, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("shape", list(_PINNED_DECISIONS))
+def test_decisions_are_pinned(shape):
+    build, dm, types, clusters, equivalent, tested = _PINNED_DECISIONS[shape]
+    rep = build()
+    for seed, pairs in enumerate(tested):
+        d = decompose(rep, rng=np.random.default_rng(seed))
+        assert d.dm_multiset() == dm
+        assert [c.real_type for c in d.components] == types
+        assert (d.attempts, d.clusters, d.pairs_tested, d.pairs_equivalent) == (
+            1, clusters, pairs, equivalent)
 
 
 def test_fresh_sample_matches_block_pattern(rng):

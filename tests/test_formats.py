@@ -260,12 +260,16 @@ def test_sdp_parse_errors(bad, msg):
         parse_sdp(bad)
 
 
-@pytest.mark.parametrize("header", [
-    "2000000 1 real",   # two 29 TiB matrices: the allocation fails at once
-    "10000000000 0 complex",  # beyond any address space: refused before allocating
+@pytest.mark.parametrize("header, msg", [
+    # one 29 TiB matrix exceeds physical memory: the representation builders' rule
+    pytest.param("2000000 1 real", r"line 2: dimension 2000000 is too large: "
+                 r"one 2000000 x 2000000 real matrix needs", id="2000000 1 real"),
+    # (m + 1) n^2 positions beyond the 64-bit entry keys
+    pytest.param("10000000000 0 complex", "line 2: header sizes are too large for 64-bit "
+                 "entry keys", id="10000000000 0 complex"),
 ])
-def test_sdp_oversized_header_names_header_line(header):
-    with pytest.raises(SpecFormatError, match=r"line 2: .* do not fit in memory"):
+def test_sdp_oversized_header_names_header_line(header, msg):
+    with pytest.raises(SpecFormatError, match=msg):
         parse_sdp("# too big\n" + header + "\nB" + " 1" * int(header.split()[1]) + "\n")
 
 

@@ -85,6 +85,28 @@ def test_generator_images_errors():
         rep_from_generator_images(s4, [-np.eye(1)] * 3 + [np.eye(1)], "real")
 
 
+def test_permutation_images_skip_the_unitarity_product(monkeypatch):
+    # a matrix of exact 0s and 1s with one 1 per row and column is orthogonal
+    # exactly, so only images on the matrix path form m^dag m
+    checked = []
+    require = reps_mod._require_unitary
+    monkeypatch.setattr(reps_mod, "_require_unitary",
+                        lambda m, what: checked.append(what) or require(m, what))
+    g = symmetric(3)
+    perms = rep_from_generator_images(g, [perm_matrix(p.images) for p in g.generators], "real")
+    assert perms.index_action is not None and checked == []
+    # one rotation sends every image to the matrix path: the swap reflects
+    # across the diagonal, which inverts the rotation as (0 1) does (0 1 2)
+    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+    mixed = rep_from_generator_images(g, [perm_matrix((1, 0)), np.array([[c, -s], [s, c]])],
+                                      "real")
+    assert mixed.index_action is None
+    assert checked == ["generator image 0", "generator image 1"]
+    for bad in (2 * np.eye(3), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match=r"^generator image 1 is not unitary"):
+            rep_from_generator_images(g, [perm_matrix((1, 0, 2)), bad], "real")
+
+
 def test_index_action_agrees_with_images(rng):
     g = symmetric(3)
     nat = natural_perm_rep(g, "complex")
