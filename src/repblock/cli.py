@@ -64,10 +64,17 @@ def _env(name, default, cast=str, choices=None):
     raise SpecFormatError(f"invalid {ENV_PREFIX}{name}={raw!r}")
 
 
+def non_negative(raw):
+    """An integer >= 0, as numpy takes a seed; argparse names it in its error."""
+    if int(raw) < 0:
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _build_parser():
     fields, formats = ("real", "complex"), ("text", "structured")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env("SEED", 0, int),
+    common.add_argument("--seed", type=non_negative, default=_env("SEED", 0, non_negative),
                         help="seed for all randomized behavior (default 0)")
     common.add_argument("--field", choices=fields,
                         default=_env("FIELD", "complex", str, fields),
@@ -352,8 +359,6 @@ def cmd_sample_group(args) -> int:
                                     for row in u])
             else:
                 doc_samples.append([[float(v) for v in row] for row in u])
-        if not samples:
-            worst = 0.0
 
     if args.format == "structured":
         doc = _report_doc("sample-group", args, {

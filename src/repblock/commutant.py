@@ -1,8 +1,8 @@
 """Sampling generic elements of the commutant algebra of a representation.
 
-A commutant sample is obtained by drawing a Hermitian matrix from the
-Gaussian unitary ensemble (orthogonal ensemble over the reals) and
-projecting it onto the commutant by group averaging.  For finite groups
+A commutant sample is the Hermitian part of an i.i.d. Gaussian matrix
+projected onto the commutant by group averaging, so the projection of a
+GUE (GOE over the reals) matrix.  For finite groups
 the average is exact: a representation that permutes its basis vectors
 (one with an index action) is averaged within each orbital, the orbit of
 the group on index pairs, at O(n^2) cost, and sampled with one Gaussian
@@ -79,11 +79,11 @@ class ProjectionConfig:
 
     On the Casimir path the residual bounds the largest relative commutator
     with a d rho(L_j) through the Casimir's spectral gap (and the reflection
-    of O(d)).  A representation without a derived
-    action is averaged over Haar samples, 3 fresh ones per round; every 10
-    rounds the residual is measured on 20 Haar probes drawn once, and
-    averaging stops at the first check that does not halve the previous
-    one, when the residual has reached roundoff, or after 1000 rounds.
+    of O(d)).  A representation without a derived action is averaged over
+    Haar samples, 3 fresh ones per round; every 10 rounds the residual is
+    measured on 20 Haar probes drawn once, and averaging stops at the first
+    check that does not halve the previous one, when the residual has
+    reached roundoff, or after 1000 rounds.
     """
 
     commutation_tol: float = 1e-8
@@ -109,28 +109,30 @@ def _pow2_scale(x):
 
 @dataclass(frozen=True)
 class CommutantSample:
-    """A generic Hermitian commutant element and its measured residual."""
+    """A generic Hermitian commutant element and its measured residual.
+    Over R, ``whole`` is the projected seed, whose symmetric part is
+    ``matrix`` and whose antisymmetric part gives the real types; None over
+    C, where that part is i times a Hermitian commutant element."""
 
     matrix: np.ndarray
     residual: float
+    whole: np.ndarray | None = None
+
+
+def _gaussian(n, field, rng):
+    """An n x n matrix of i.i.d. standard (complex) normals."""
+    if field not in ("real", "complex"):
+        raise ValueError(f"unknown field {field!r}")
+    a = rng.standard_normal((n, n))
+    return a if field == "real" else (a + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
 
 
 def sample_gue(n: int, field="complex", rng=None) -> np.ndarray:
-    """Hermitian matrix from the GUE (GOE for the real field).
-
-    The distribution is invariant under unitary (orthogonal) conjugation,
-    which is what makes the projected sample generic in the commutant.
-    """
+    """Hermitian matrix from the GUE (GOE for the real field), whose law is
+    invariant under unitary (orthogonal) conjugation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    if field == "complex":
-        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    elif field == "real":
-        a = rng.standard_normal((n, n))
-    else:
-        raise ValueError(f"unknown field {field!r}")
+    a = _gaussian(n, field, rng if rng is not None else np.random.default_rng())
     return (a + a.conj().T) / 2
 
 
@@ -199,16 +201,15 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     return out
 
 
-def orbital_sample(rep: Representation, rng, hermitize=True) -> np.ndarray:
-    """The orbital average of a GUE/GOE seed (of an i.i.d. Gaussian matrix
-    unless ``hermitize``) as r normals and a gather: an orbital c's mean of
-    i.i.d. standard entries is N(0, 1/|c|).  Of the trivial group, the seed."""
+def orbital_sample(rep: Representation, rng) -> np.ndarray:
+    """The orbital average of an i.i.d. Gaussian matrix as r normals and a
+    gather: an orbital c's mean of i.i.d. standard entries is N(0, 1/|c|).
+    Of the trivial group, the matrix itself."""
     ids, counts = rep.index_action.orbitals()
     g = rng.standard_normal(len(counts))
     if rep.field == "complex":
         g = (g + 1j * rng.standard_normal(len(counts))) / math.sqrt(2.0)
-    out = (g / np.sqrt(counts))[ids].reshape(rep.dim, rep.dim)
-    return (out + out.conj().T) / 2 if hermitize else out
+    return (g / np.sqrt(counts))[ids].reshape(rep.dim, rep.dim)
 
 
 def projection_path(rep: Representation) -> str:
@@ -290,11 +291,12 @@ def _casimir(rep):
     return lambda x: 2 * lie_contraction(rep, x) - c @ x - x @ c
 
 
-def _casimir_solve(omega, x, cap):
+def _casimir_solve(omega, x, cap, gap):
     """Y solving Omega Y = Omega x by CG from 0, and the iterations run.
 
-    The curvature <p, Omega p> of a direction p in the range of the
-    positive semidefinite Omega is positive; NaN stops CG at once.
+    A direction p in Omega's range has curvature <p, Omega p> >= gap |p|^2.
+    Below half that, roundoff has left p mostly in the kernel (x commutes
+    already), and a step would move x there: CG stops, as NaN stops it.
     """
     r = omega(x)
     y = np.zeros_like(r)
@@ -305,7 +307,7 @@ def _casimir_solve(omega, x, cap):
     while iters < cap and rr > stop:  # NaN stops too
         w = omega(p)
         curvature = np.vdot(p, w).real
-        if not curvature > 0:
+        if not curvature > gap / 2 * np.vdot(p, p).real:
             break
         alpha = rr / curvature
         y += alpha * p
@@ -326,7 +328,9 @@ def _casimir_projection(rep, x, config, hermitize):
     o(1) = 0), or the relative commutator with the reflection's image.
     """
     x, omega = np.asarray(x), _casimir(rep)
-    y, iters = _casimir_solve(omega, x, rep.dim ** 2)
+    d = rep.group.dim
+    gap = d if rep.group.kind == "unitary" else (d - 1) / 2
+    y, iters = _casimir_solve(omega, x, rep.dim ** 2, gap)
     out = x - y
     if _reflects(rep):
         reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
@@ -334,8 +338,6 @@ def _casimir_projection(rep, x, config, hermitize):
         out = (out + u @ out @ u.conj().T) / 2
     if hermitize:
         out = (out + out.conj().T) / 2
-    d = rep.group.dim
-    gap = d if rep.group.kind == "unitary" else (d - 1) / 2
     scale = 2 * rep.derived.leaves / gap if gap else 0.0
     nx = np.linalg.norm(out)
     resid = scale * float(np.linalg.norm(omega(out))) / nx if nx else 0.0
@@ -406,22 +408,23 @@ def project_commutant(rep: Representation, x, config: ProjectionConfig = None,
 
 def project_linear(rep: Representation, x, config: ProjectionConfig = None,
                    rng=None) -> np.ndarray:
-    """Projection of an arbitrary (not necessarily Hermitian) matrix.
-
-    Same averaging and residual gate as :func:`project_commutant`, without
-    Hermitian symmetrization; used to probe the full commutant algebra,
-    e.g. when measuring its dimension.
-    """
+    """Projection of an arbitrary (not necessarily Hermitian) matrix: the
+    averaging and gate of :func:`project_commutant`, without the Hermitian part."""
     return _project(rep, x, config, rng, hermitize=False)[0]
 
 
 def sample_commutant(rep: Representation, config: ProjectionConfig = None,
                      rng=None) -> CommutantSample:
-    """Generic Hermitian commutant sample: GUE/GOE seed, then projection; for
-    an index action the same law drawn by :func:`orbital_sample`, exactly."""
+    """Generic Hermitian commutant sample: the Hermitian part of a Gaussian
+    seed's projection P, gated as :func:`project_linear` gates it; for an
+    index action P(seed) is drawn by :func:`orbital_sample`, exactly.  P
+    commutes with the adjoint, so the sample is P of a GUE/GOE matrix."""
     if rng is None:
         rng = np.random.default_rng()
     if rep.index_action is not None:
-        return CommutantSample(orbital_sample(rep, rng), 0.0)
-    seed = sample_gue(rep.dim, rep.field, rng)
-    return project_commutant(rep, seed, config, rng)
+        whole, resid = orbital_sample(rep, rng), 0.0
+    else:
+        whole, resid = _project(rep, _gaussian(rep.dim, rep.field, rng), config, rng,
+                                hermitize=False)
+    return CommutantSample((whole + whole.conj().T) / 2, resid,
+                           whole if rep.field == "real" else None)

@@ -37,8 +37,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .commutant import (CommutantSample, ProjectionConfig, _check_tol,
-                        orbital_sample, project_linear, sample_commutant)
+from .commutant import (CommutantSample, ProjectionConfig, _check_tol, _pow2_scale,
+                        sample_commutant)
 from .reps import Representation
 
 REAL_TYPES = ("real", "complex", "quaternionic", "not_applicable")
@@ -48,7 +48,6 @@ _ZERO_TOL = 1e-6       # |F| below this (relative to |Y|) means inequivalent
 _WITNESS_TOL = 1e-3    # acceptance band for the scaled-unitary check of a candidate intertwiner
 _MAX_RESAMPLES = 3     # full restarts allowed on genericity failures
 _VERIFY_TRIALS = 20    # Haar-random elements verified for a compact group
-_CLASSIFY_SAMPLES = 8
 _CLASSIFY_SV_CUTOFF = 1e-6
 # real dimension of the commutant of an irreducible real representation
 _REAL_TYPE_WEIGHT = {"real": 1, "complex": 2, "quaternionic": 4}
@@ -245,43 +244,45 @@ def harmonize(b2: SubrepBasis, witness: EquivalenceWitness) -> SubrepBasis:
     return SubrepBasis(rows=witness.transform @ b2.rows, eigenvalue=b2.eigenvalue)
 
 
-def classify_real_type(rep: Representation, components, rng=None,
-                       config: DecomposeConfig | None = None) -> list:
+def classify_real_type(rep: Representation, components, samples) -> list:
     """Division-algebra type of each real isotypic component's irrep.
 
-    Measures the dimension of the commutant algebra of one irrep copy:
-    generic (full, non-symmetric) Gaussian matrices are projected onto the
-    commutant of the whole representation and compressed to the copy's
-    basis B as B P(X) B^T, and the rank of their span is taken.  The
-    compression maps the commutant onto the copy's commutant, so dimension
-    1, 2 or 4 corresponds to real, complex or quaternionic type.  Symmetric
-    seeds would not do: the symmetric part of the commutant is
-    one-dimensional for all three types.  The projected seeds are shared
-    by all components; an index action draws them in orbital coordinates,
-    and none when its components' M^2 add up to its r orbitals: once
-    verification checks that every image is U^T (+_i I_M_i (x) B_i) U, the
-    commutant holds the algebra of U^T (+_i X_i (x) I_D_i) U, X_i real, of
-    dimension sum M^2 = r, so equals it, and every type is real.
+    Nothing is projected or drawn.  The two ``samples`` are the whole
+    projected seeds X of the decomposition (``CommutantSample.whole``), each
+    compressed to the component's lead copy B as C = B X B^T.  The rank of
+    {I, C, C', CC'} is the dimension e = 1, 2 or 4 of the copy's commutant
+    E, a division algebra: real, complex or quaternionic type.
+
+    Proof: X = S + A, S the Hermitian sample and A the projection of its
+    seed's antisymmetric part, independent of S and so of the bases.
+    Compression maps the commutant onto E, so B S B^T is a real scalar (as
+    E's symmetric elements are) and a = B A B^T a nondegenerate Gaussian on
+    Im E.  So span{I, C, C', CC'} = span{1, a, a', aa'} is R, C (a != 0) or
+    H (aa' = -a.a' + a x a', and a x a' != 0 is outside span{1, a, a'}).
+    The same compressions span each E, which real SDP blocks of complex and
+    quaternionic type need.
+
+    An index action whose M^2 add up to its r orbitals reads no sample: once
+    verification checks every image is U^T (+_i I_M_i (x) B_i) U, the
+    commutant holds the r-dimensional algebra U^T (+_i X_i (x) I_D_i) U, X_i
+    real, so equals it, and every type is real.
     """
     if rep.field != "real":
         raise ValueError("real-type classification applies to real representations")
-    if rng is None:
-        rng = np.random.default_rng()
-    cfg = config or DecomposeConfig()
     action = rep.index_action
     if action and sum(c.multiplicity ** 2 for c in components) == len(action.orbitals()[1]):
         return ["real"] * len(components)
-    projected = [orbital_sample(rep, rng, hermitize=False) if action else
-                 project_linear(rep, rng.standard_normal((rep.dim, rep.dim)), cfg.projection, rng)
-                 for _ in range(_CLASSIFY_SAMPLES)]
-    mapping = {1: "real", 2: "complex", 4: "quaternionic"}
+    mapping = {e: name for name, e in _REAL_TYPE_WEIGHT.items()}
     types = []
     for component in components:
-        block = np.ascontiguousarray(component.basis[:component.dimension])
-        rows = [(block @ p @ block.T).reshape(-1) for p in projected]
-        svals = np.linalg.svd(np.array(rows), compute_uv=False)
-        if svals[0] == 0:
-            raise ResampleNeeded("all classification samples projected to zero")
+        block = component.basis[:component.dimension]
+        # each scaled by a power of two first, so no square overflows
+        c, c2 = (y / _pow2_scale(y) for y in (block @ x @ block.T for x in samples))
+        rows = np.stack([np.eye(len(block)), c, c2, c @ c2]).reshape(4, -1)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if not np.all((0 < norms) & (norms < np.inf)):  # NaN fails too
+            raise ResampleNeeded(f"classification samples compressed to norms {norms.ravel()}")
+        svals = np.linalg.svd(rows / norms, compute_uv=False)
         rank = int(np.sum(svals > _CLASSIFY_SV_CUTOFF * svals[0]))
         if rank not in mapping:
             raise ResampleNeeded(f"commutant dimension estimate {rank} is not 1, 2 or 4")
@@ -413,23 +414,54 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
 
 
 def _decompose_once(rep, cfg, streams, attempt):
-    # the last stream is used only to verify a compact group
-    s_xbar, s_xprime, s_classify, s_verify = streams
+    # the third stream is unused; the last, which verifies a compact group, keeps its seed
+    s_xbar, s_xprime, _, s_verify = streams
 
     xbar = sample_commutant(rep, cfg.projection, s_xbar)
     bases = eigsplit(xbar)
+    # once read, each Hermitian sample gives way to its whole element (None over C)
+    xbar = xbar.whole
     xprime = sample_commutant(rep, cfg.projection, s_xprime)
+    classes, pairs_tested, pairs_equivalent = _equivalence_pass(bases, xprime.matrix)
+    xprime = xprime.whole
 
+    # canonical order: big irreps first, then high multiplicity, then by the
+    # leading eigenvalue of the sample that produced the component
+    classes.sort(key=lambda members: (-members[0].dim, -len(members), members[0].eigenvalue))
+    u = np.vstack([m.rows for members in classes for m in members])
+    components = isotypic_components(u, [
+        (members[0].dim, len(members), {"eigenvalues": tuple(m.eigenvalue for m in members)})
+        for members in classes])
+
+    if rep.field == "real":
+        types = classify_real_type(rep, components, (xbar, xprime))
+        for comp, real_type in zip(components, types):
+            comp.real_type = real_type
+
+    decomp = IrrepDecomposition(
+        U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1,
+        clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent)
+
+    report = verify_decomposition(rep, decomp, trials=_VERIFY_TRIALS,
+                                  tol=cfg.block_tol, rng=s_verify)
+    decomp.diagnostics = report
+    if not report.passed:
+        raise ResampleNeeded("verification failed: " + "; ".join(report.failures))
+    return decomp
+
+
+def _equivalence_pass(bases, y):
+    """The bases in classes by the second sample Y, each the lead and then its
+    members harmonized to it; and the pairs tested and found equivalent."""
     # Y Q^dag once, over the bases that follow one of their dimension (no other
     # meets a lead it could match): a test reads its candidate's column strip
-    y = xprime.matrix
     dims = [b.dim for b in bases]
     later = [k for k, d in enumerate(dims) if dims.index(d) < k]
     cols = dict(zip(later, accumulate((dims[k] for k in later), initial=0)))
     yq = y @ np.vstack([bases[k].rows for k in later]).conj().T if later else None
     y_norm = float(np.linalg.norm(y))
 
-    classes = []  # each a list of bases: the lead, then members harmonized to it
+    classes = []
     pairs_tested = pairs_equivalent = 0
     for k, b in enumerate(bases):
         strip = yq[:, cols[k]:cols[k] + b.dim] if k in cols else None
@@ -448,30 +480,7 @@ def _decompose_once(rep, cfg, streams, attempt):
             members.append(harmonize(b, w))
         else:
             classes.append([b])
-
-    # canonical order: big irreps first, then high multiplicity, then by the
-    # leading eigenvalue of the sample that produced the component
-    classes.sort(key=lambda members: (-members[0].dim, -len(members), members[0].eigenvalue))
-    u = np.vstack([m.rows for members in classes for m in members])
-    components = isotypic_components(u, [
-        (members[0].dim, len(members), {"eigenvalues": tuple(m.eigenvalue for m in members)})
-        for members in classes])
-
-    if rep.field == "real":
-        types = classify_real_type(rep, components, s_classify, cfg)
-        for comp, real_type in zip(components, types):
-            comp.real_type = real_type
-
-    decomp = IrrepDecomposition(
-        U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1,
-        clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent)
-
-    report = verify_decomposition(rep, decomp, trials=_VERIFY_TRIALS,
-                                  tol=cfg.block_tol, rng=s_verify)
-    decomp.diagnostics = report
-    if not report.passed:
-        raise ResampleNeeded("verification failed: " + "; ".join(report.failures))
-    return decomp
+    return classes, pairs_tested, pairs_equivalent
 
 
 def decompose(rep: Representation, config: DecomposeConfig | None = None,

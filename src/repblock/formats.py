@@ -4,8 +4,6 @@ Group spec (JSON, one object per file)
     Permutation group:   {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
     Compact group:       {"compact": "unitary", "dimension": 3}
                          kinds: "unitary" | "orthogonal"
-    Writers emit one canonical line; canonical output round-trips
-    bit-exactly through the parser.
 
 Representation spec (JSON tree)
     {"kind": "natural"}
@@ -131,18 +129,6 @@ def parse_group_spec(text: str):
         except ValueError as exc:
             raise SpecFormatError(f"generator {gi}: {exc}") from exc
     return PermutationGroup(degree, perms)
-
-
-def format_group_spec(group) -> str:
-    """Canonical one-line group spec (bit-exact round trip)."""
-    if isinstance(group, CompactGroupHandle):
-        doc = {"compact": group.kind, "dimension": group.dim}
-    elif isinstance(group, PermutationGroup):
-        doc = {"degree": group.degree,
-               "generators": [list(g.images) for g in group.generators]}
-    else:
-        raise TypeError(f"not a group: {group!r}")
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
 
 
 def parse_inline_group(token: str):

@@ -77,10 +77,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self._images))
 
-    def smallest_moved(self):
-        """Smallest point not fixed, or None for the identity."""
-        return _min_moved(self._images)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self._images == other._images
 

@@ -370,7 +370,7 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
     for i, m in enumerate(mats):
         if m.shape != (n, n):
             raise ValueError(f"image {i} has shape {m.shape}, expected {(n, n)}")
-        if field == "real" and np.iscomplexobj(m) and np.abs(m.imag).max() > 0:
+        if field == "real" and np.iscomplexobj(m) and np.any(m.imag != 0):  # NaN too
             raise ValueError(f"image {i} has complex entries but field is real")
 
     sigmas = _permutation_indices(mats)
@@ -380,7 +380,7 @@ def rep_from_generator_images(group: PermutationGroup, images, field="complex") 
         chain = _ChainImages(group, sigmas, lambda: np.arange(n), lambda a, b: a[b], np.argsort)
     else:
         dt = _dtype(field)
-        mats = [m.astype(dt) for m in mats]
+        mats = [(m.real if field == "real" else m).astype(dt) for m in mats]
         for i, m in enumerate(mats):
             _require_unitary(m, f"generator image {i}")
         probe = np.random.default_rng(_HOM_CHECK_SEED).standard_normal((n, 4)).astype(dt)

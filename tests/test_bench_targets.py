@@ -85,3 +85,27 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "11/11 self-tests passed" in proc.stdout, proc.stdout
+
+
+def test_traced_real_decompose_projects_two_samples_and_classifies_once():
+    # O(3)^(x2) over R has no index action: each attempt makes two
+    # commutant.project spans and one decompose.classify span, and no
+    # projection runs inside classification
+    from repblock import decompose, defining_rep, orthogonal_group, tensor
+
+    o3 = defining_rep(orthogonal_group(3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        d = decompose(tensor(o3, o3), rng=np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    _, calls = tracer.buckets()
+    assert calls["commutant.project"] == 2 * d.attempts
+    assert calls["decompose.classify"] == d.attempts
+    names = [span[0] for span in tracer.spans]
+    for k, (name, _, _, parent) in enumerate(tracer.spans):
+        if name == "commutant.project":
+            while parent >= 0:
+                assert names[parent] != "decompose.classify", k
+                parent = tracer.spans[parent][3]

@@ -9,7 +9,7 @@ import pytest
 from repblock import SdpProblem, natural_perm_rep, sample_commutant, sample_gue
 from repblock import cli
 from repblock.cli import main
-from repblock.formats import format_group_spec, format_sdp
+from repblock.formats import format_sdp
 
 from conftest import symmetric
 
@@ -659,7 +659,7 @@ def test_bad_env_value(s3_files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, value", [
     ("SYMMETRIZE", "yes"), ("SYMMETRIZE", "2"), ("FORMAT", "xml"),
-    ("FORMAT", "structued"), ("FIELD", "quaternion"),
+    ("FORMAT", "structued"), ("FIELD", "quaternion"), ("SEED", "-1"),
 ])
 def test_bad_env_mirror_exits_2_naming_it(s3_files, capsys, monkeypatch, name, value):
     # argparse checks no default against its flag's choices
@@ -671,13 +671,18 @@ def test_bad_env_mirror_exits_2_naming_it(s3_files, capsys, monkeypatch, name, v
     assert captured.out == ""
 
 
+def test_negative_seed_flag_exits_2_naming_it(s3_files, capsys):
+    # numpy takes no negative seed; the flag is refused before it is asked
+    group, rep = s3_files
+    assert main(["decompose", str(group), str(rep), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: invalid non_negative value: '-1'" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_error_is_exit_2(capsys):
     assert main(["decompose"]) == 2
     assert main(["no-such-command"]) == 2
-
-
-def test_group_spec_format_helper():
-    assert format_group_spec(symmetric(3)).startswith('{"degree": 3')
 
 
 def _compact_invariant_sdp(tmp_path):

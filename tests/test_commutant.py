@@ -15,7 +15,7 @@ from repblock import (CommutantSample, ProjectionConfig,
                       tensor, tensor_power, trivial_rep, unitary_group)
 from repblock import commutant
 import repblock.reps as reps_mod
-from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, chain_average,
+from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, _gaussian, chain_average,
                                 commutation_residual, orbital_average, orbital_sample,
                                 project_linear, projection_path)
 from repblock.decompose import _VERIFY_TRIALS
@@ -262,6 +262,21 @@ def test_casimir_projection_names_its_path():
         "Casimir kernel, 3 Lie generators, one reflection average"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: tensor(defining_rep(unitary_group(2)), conjugate(defining_rep(unitary_group(2)))),
+    lambda: tensor_power(defining_rep(orthogonal_group(3)), 2)], ids=["U(2) adjoint", "O(3)^2"])
+def test_casimir_projection_keeps_commuting_input(build):
+    # CG on Omega Y = Omega X with X commuting already sees roundoff alone;
+    # a step along a direction mostly in the kernel would move X there (by
+    # 1e15 |X| on one of these samples), so CG stops at curvature below
+    # half the gap
+    rep = build()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x = sample_commutant(rep, rng=rng).matrix
+        assert _rel(project_commutant(rep, x).matrix, x) <= 1e-13
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_casimir_projection_fails_closed_on_non_finite_input(bad):
     rep = tensor_power(defining_rep(unitary_group(2)), 2)
@@ -481,14 +496,18 @@ def _c3_with_fixed_points(field):
     lambda field: natural_perm_rep(regular_group(symmetric(3)), field),
     lambda field: tensor_power(natural_perm_rep(dihedral(4), field), 2)])
 def test_orbital_sample_is_a_hermitian_commutant_element(build, field, rng):
+    # the projected seed is a commutant element, not Hermitian; the sample is
+    # its Hermitian part, drawn from the same stream, and keeps it over R
     rep = build(field)
-    for hermitize in (True, False):
-        x = orbital_sample(rep, rng, hermitize)
-        assert x.dtype == (complex if field == "complex" else float)
-        assert commutation_residual(rep, x, rep.group.generators) <= 1e-14
-        assert np.array_equal(x, x.conj().T) == hermitize
+    state = rng.bit_generator.state
+    x = orbital_sample(rep, rng)
+    assert x.dtype == (complex if field == "complex" else float)
+    assert commutation_residual(rep, x, rep.group.generators) <= 1e-14
+    assert not np.array_equal(x, x.conj().T)
+    rng.bit_generator.state = state
     s = sample_commutant(rep, rng=rng)
-    assert s.residual == 0.0 and np.array_equal(s.matrix, s.matrix.conj().T)
+    assert s.residual == 0.0 and np.array_equal(s.matrix, (x + x.conj().T) / 2)
+    assert np.array_equal(s.whole, x) if field == "real" else s.whole is None
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -500,8 +519,8 @@ def test_orbital_sample_moments_match_projected_seeds(field):
     rng = np.random.default_rng(2024)
     draws = 3000
     got = np.array([orbital_sample(rep, rng).reshape(-1)[first] for _ in range(draws)])
-    want = np.array([orbital_average(rep, sample_gue(5, field, rng)).reshape(-1)[first]
-                     for _ in range(draws)])
+    want = np.array([orbital_average(rep, _gaussian(5, field, rng), hermitize=False)
+                     .reshape(-1)[first] for _ in range(draws)])
     got, want = np.mean(np.abs(got) ** 2, axis=0), np.mean(np.abs(want) ** 2, axis=0)
     assert len(counts) == 11 and set(counts.tolist()) == {1, 3}
     np.testing.assert_allclose(got, want, rtol=0.1)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import itertools
 import math
 
@@ -360,23 +361,47 @@ def test_derived_action_disagreeing_with_the_images_fails_verification():
     assert right.dm_multiset() == [(1, 1), (3, 1)]
 
 
-def test_classify_projects_shared_seeds_once(monkeypatch):
-    # the 8 projected seeds serve all three components of O(3)^(x2); the
-    # package attribute repblock.decompose is the function, not the module
+def _count_projections(monkeypatch):
+    """Calls of the two commutant projections, with those made inside
+    classification apart; the package attribute repblock.decompose is the
+    function, not the module."""
     dec = importlib.import_module("repblock.decompose")
+    com = importlib.import_module("repblock.commutant")
+    calls = {"samples": 0, "projections": 0, "in_classify": 0}
+    inside = [False]
 
-    calls = [0]
-    inner = dec.project_linear
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            calls["in_classify"] += inside[0]
+            return real(*args, **kwargs)
+        return wrapper
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
+    def classify(*args, real=dec.classify_real_type):
+        inside[0] = True
+        try:
+            return real(*args)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(dec, "project_linear", counting)
+    monkeypatch.setattr(dec, "sample_commutant", counted("samples", dec.sample_commutant))
+    for name in ("_project", "orbital_sample"):
+        monkeypatch.setattr(com, name, counted("projections", getattr(com, name)))
+    monkeypatch.setattr(dec, "classify_real_type", classify)
+    return calls
+
+
+def test_classify_projects_shared_seeds_once(monkeypatch):
+    # the two samples' seeds are projected once and classify all three
+    # components of O(3)^(x2); classification takes no generator and projects
+    # nothing
+    assert list(inspect.signature(classify_real_type).parameters) == [
+        "rep", "components", "samples"]
+    calls = _count_projections(monkeypatch)
     o3 = defining_rep(orthogonal_group(3))
     d = decompose(tensor(o3, o3), rng=np.random.default_rng(0))
     assert len(d.components) == 3 and d.attempts == 1
-    assert calls[0] == 8
+    assert calls == {"samples": 2, "projections": 2, "in_classify": 0}
 
 
 def test_decompose_c4_real_types(rng):
@@ -549,25 +574,23 @@ def test_classify_quaternion_rep(rng):
     (lambda: natural_perm_rep(quaternion8()[0], "real"), ["quaternionic"] + ["real"] * 4),
     (lambda: rep_from_generator_images(*quaternion8(), "real"), ["quaternionic"])])
 def test_real_types_below_the_orbital_count_draw_seeds(build, want, monkeypatch, rng):
-    # sum M^2 < r, or no index action: the types need the 8 projected seeds,
-    # drawn in orbital coordinates for an index action
-    dec = importlib.import_module("repblock.decompose")
-    drawn = {"orbital_sample": 0, "project_linear": 0}
-    for name in drawn:
-        def counted(*args, name=name, real=getattr(dec, name), **kwargs):
-            drawn[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(dec, name, counted)
-    rep = build()
-    d = decompose(rep, rng=rng)
+    # sum M^2 < r, or no index action: the types are read from the two
+    # samples' seeds, two per attempt, and classification draws none
+    calls = _count_projections(monkeypatch)
+    d = decompose(build(), rng=rng)
     assert [c.real_type for c in d.components] == want
-    seeds = "project_linear" if rep.index_action is None else "orbital_sample"
-    assert drawn[seeds] == sum(drawn.values()) == dec._CLASSIFY_SAMPLES * d.attempts
+    assert calls == {"samples": 2 * d.attempts, "projections": 2 * d.attempts,
+                     "in_classify": 0}
 
 
-def _without_index_action(rep):
-    """``rep`` with its images alone: classification projects n x n seeds."""
-    return Representation(rep.group, rep.dim, rep.field, rep.image)
+def _copy_types(rep, components):
+    """Each component's real type from the brute-force commutant of its lead
+    copy's generator images."""
+    names = {1: "real", 2: "complex", 4: "quaternionic"}
+    gens = rep.group.generators
+    return [names[brute_real_commutant_dim(
+        [c.basis[:c.dimension] @ rep.image(g) @ c.basis[:c.dimension].T for g in gens])]
+        for c in components]
 
 
 @settings(max_examples=30, deadline=None)
@@ -577,25 +600,70 @@ def _without_index_action(rep):
     st.sampled_from(("natural", "images", "tensor", "direct_sum")),
     st.integers(0, 2 ** 32 - 1))
 def test_real_types_from_the_orbital_count_match_the_seed_path(generated, kind, seed):
+    # the orbital count's shortcut and the samples alike give the types of
+    # the brute-force copy commutant
     rep = _small_rep(*generated, "real", kind)
     d = decompose(rep, rng=np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    types = classify_real_type(rep, d.components, rng)
-    # the seed path, on the same components, is the oracle
-    want = classify_real_type(_without_index_action(rep), d.components,
-                              np.random.default_rng(seed))
-    assert types == want == [c.real_type for c in d.components]
+    types = [c.real_type for c in d.components]
+    assert types == _copy_types(rep, d.components)
     shortcut = sum(m * m for m in d.multiplicities) == len(rep.index_action.orbitals()[1])
-    assert (rng.bit_generator.state == state) == shortcut
     assert set(types) == {"real"} or not shortcut
+
+
+def _q8_twice():
+    images = rep_from_generator_images(*quaternion8(), "real")
+    return direct_sum(images, images)
+
+
+def _dense(rep, seed):
+    """``rep``'s generator images in a random orthogonal basis."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((rep.dim, rep.dim)))[0]
+    return rep_from_generator_images(
+        rep.group, [q @ rep.image(g) @ q.T for g in rep.group.generators], "real")
+
+
+_REPEATED_TYPES = {
+    "C5 + C5": (lambda: direct_sum(*[natural_perm_rep(cyclic(5), "real")] * 2),
+                [(1, 2), (2, 2), (2, 2)], {"complex", "real"}),
+    "Q8 images + Q8 images": (_q8_twice, [(4, 2)], {"quaternionic"}),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(_REPEATED_TYPES)), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_real_types_of_repeated_complex_and_quaternionic_copies(shape, dense, seed):
+    # multiplicity 2 of complex and quaternionic type: the lead copy's
+    # compressions read the type, as the brute-force copy commutant does
+    build, dm, types = _REPEATED_TYPES[shape]
+    rep = _dense(build(), seed) if dense else build()
+    d = decompose(rep, rng=np.random.default_rng(seed))
+    assert d.dm_multiset() == dm
+    got = [c.real_type for c in d.components]
+    assert set(got) == types and got == _copy_types(rep, d.components)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: natural_perm_rep(cyclic(5), "real"), ["complex", "complex", "real"]),
+    (lambda: _dense(_q8_twice(), 3), ["quaternionic"])])
+def test_real_types_do_not_read_the_samples_scale(build, want, rng):
+    # the compressions are normalized by a power of two first: scaling both
+    # samples by 2^500 or 2^-500 keeps the types, and a NaN fails closed
+    rep = build()
+    d = decompose(rep, rng=rng)
+    samples = [sample_commutant(rep, rng=rng).whole for _ in range(2)]
+    assert classify_real_type(rep, d.components, samples) == want
+    for e in (500, -500):
+        assert classify_real_type(rep, d.components, [s * 2.0 ** e for s in samples]) == want
+    samples[1][0, 0] = np.nan
+    with pytest.raises(ResampleNeeded, match="compressed to norms"):
+        classify_real_type(rep, d.components, samples)
 
 
 def test_classify_requires_real_field(rng):
     rep = natural_perm_rep(cyclic(4), "complex")
     d = decompose(rep, rng=rng)
     with pytest.raises(ValueError):
-        classify_real_type(rep, d.components, rng)
+        classify_real_type(rep, d.components, [sample_commutant(rep, rng=rng).matrix] * 2)
 
 
 # ---------------------------------------------------------------------------

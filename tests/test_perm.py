@@ -37,9 +37,6 @@ def test_permutation_basics():
     assert p.inverse().images == (1, 2, 0)
     assert not p.is_identity()
     assert identity(3).is_identity()
-    assert p.smallest_moved() == 0
-    assert identity(5).smallest_moved() is None
-    assert Permutation([0, 1, 3, 2]).smallest_moved() == 2
 
 
 def test_group_from_generators_examples():

@@ -54,6 +54,23 @@ def test_generator_images_c3_omega():
     assert np.allclose(rep.image(gen * gen), img @ img)
 
 
+def test_real_field_takes_the_real_part_of_complex_dtype_images():
+    # a permutation matrix and a rotation with zero imaginary parts are real
+    # images; a nonzero or NaN imaginary part is refused by its index
+    g = symmetric(3)
+    perm = rep_from_generator_images(
+        g, [perm_matrix(x.images).astype(complex) for x in g.generators], "real")
+    assert perm.index_action is not None
+    std = [m.astype(complex) for m in s3_standard_images()]
+    rep = rep_from_generator_images(g, std, "real")
+    assert rep.image(g.generators[1]).dtype == float
+    assert np.array_equal(rep.image(g.generators[1]), s3_standard_images()[1])
+    for bad in (1e-300j, complex(0, np.nan)):
+        images = [std[0], std[1] + bad]
+        with pytest.raises(ValueError, match="image 1 has complex entries"):
+            rep_from_generator_images(g, images, "real")
+
+
 def test_generator_images_errors():
     g = symmetric(3)
     with pytest.raises(ValueError, match="images"):
