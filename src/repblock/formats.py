@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -64,10 +65,6 @@ class SpecFormatError(ValueError):
 
 
 _MAX_SPEC_DEPTH = 100  # spec tree levels; far below the interpreter's recursion limit
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _load_json(text, what):
@@ -287,7 +284,7 @@ def parse_rep_spec(text: str, group, field: str) -> Representation:
 # SDP problems
 # ---------------------------------------------------------------------------
 
-_SDP_CHUNK = 4096  # lines per run; bounds the tokens held at once
+_SDP_CHUNK = 4096  # lines per run; one reader call over a whole file peaks higher
 
 
 def _sdp_header(parts, lineno):
@@ -342,38 +339,38 @@ def _sdp_b(parts, lineno, m):
     return bvec
 
 
-def _sdp_matrix_run(text, linenos, n, m, field):
-    """Entries of a run of MATRIX lines, joined by newlines.
+def _sdp_matrix_run(lines, linenos, n, m, field):
+    """Entries of a run of lines whose first token is exactly MATRIX.
 
-    Returns the (line, k, i, j, re, im) arrays of the lines that pass and the
-    (line, error) of the first line that fails, or None.
+    One call of numpy's C text reader converts the run and every check runs
+    as a mask.  Returns the (line, k, i, j, re, im) arrays of the lines that
+    pass and the (line, error) of the first line that fails, or None.
     """
-    want = 6 if field == "complex" else 5
-    size = len(linenos)
-    toks = text.split()
-    # Every line's first token is MATRIX.  When the text holds no other
-    # "MATRIX", those are the only MATRIX tokens; when they all sit at 0,
-    # want, 2 want, ... and there are want * size tokens, each line holds
-    # exactly want tokens, and field c of every line is toks[c::want].
-    if (len(toks) == want * size and text.count("MATRIX") == size
-            and toks[::want].count("MATRIX") == size):
-        # numpy converts a field with Python's own int and float rules, so a
-        # token converts here exactly when it converts in _sdp_entry; an index
-        # beyond int64 is out of range, as the header guard keeps n and m below that
-        try:
-            k, i, j = (np.array(toks[c::want], dtype=np.int64) for c in (1, 2, 3))
-            re = np.array(toks[4::want], dtype=np.float64)
-            im = np.array(toks[5::want], dtype=np.float64) if want == 6 else np.zeros(size)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            ok = (np.isfinite(re) & np.isfinite(im) & (0 <= k) & (k <= m)
-                  & (0 <= i) & (i <= j) & (j < n) & ((i < j) | (im == 0)))
-            if ok.all():
-                return [linenos, k, i, j, re, im], None
+    # the 6-byte tag would cut MATRIXX to MATRIX: the caller passes no other record
+    floats = ["re", "im"] if field == "complex" else ["re"]
+    dtype = ([("tag", "S6")] + [(c, np.int64) for c in ["k", "i", "j"]]
+             + [(c, np.float64) for c in floats])
+    try:
+        # The reader splits on str.split's whitespace, refuses a line of the
+        # wrong width and converts with Python's float parser.  It refuses
+        # some tokens that int and float accept (1_0, non-ASCII digits, an
+        # index beyond int64), and an older numpy may only warn about a float
+        # in an integer field: either leaves the run to _sdp_entry below.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        pass
+    else:
+        k, i, j, re = (cols[c] for c in ["k", "i", "j", "re"])
+        im = cols["im"] if field == "complex" else np.zeros(len(lines))
+        ok = (np.isfinite(re) & np.isfinite(im) & (0 <= k) & (k <= m)
+              & (0 <= i) & (i <= j) & (j < n) & ((i < j) | (im == 0)))
+        if ok.all():
+            return [linenos, k, i, j, re, im], None
     # a width, a conversion or a check failed: _sdp_entry words the first bad line
     rows, error = [], None  # no error: numpy refused a token that Python parses
-    for lineno, line in zip(linenos.tolist(), text.split("\n")):
+    for lineno, line in zip(linenos.tolist(), lines):
         try:
             rows.append((lineno, *_sdp_entry(line.split(), lineno, n, m, field)))
         except SpecFormatError as exc:
@@ -391,11 +388,12 @@ def parse_sdp(text: str) -> SdpProblem:
     any entry is read when one n x n matrix, which the basis and the dense
     extraction need, exceeds physical memory, the representation builders'
     rule (``reps._check_dim``).  Parse errors carry the offending line number.
-    Lines are read in runs of a few thousand: one split tokenizes a run's
-    MATRIX lines, one numpy call converts each field and every check runs as
-    a mask.  The first line failing any check, or repeating an earlier
-    (k, i, j) in any run, is reported with the message a line-by-line reading
-    gives, so errors come out in file order.
+    Lines are read in runs of a few thousand: one call of numpy's C text
+    reader converts a run's MATRIX lines and every check runs as a mask.  A
+    run the reader refuses or a mask fails is read again line by line, so the
+    first line failing any check, or repeating an earlier (k, i, j) in any
+    run, is reported with the message a line-by-line reading gives, and
+    errors come out in file order.
     """
     lines = text.splitlines()
     header = None
@@ -443,8 +441,8 @@ def parse_sdp(text: str) -> SdpProblem:
                     except SpecFormatError as exc:
                         error = (lineno, exc)
                         break
-            joined, linenos = "\n".join([run[t] for t in body]), linenos[body]
-        cols, failed = _sdp_matrix_run(joined, linenos, n, m, field)
+            run, linenos = [run[t] for t in body], linenos[body]
+        cols, failed = _sdp_matrix_run(run, linenos, n, m, field)
         batches.append(cols)
         if failed is not None:  # its lines all precede an error found above
             error = failed
@@ -481,7 +479,7 @@ def format_sdp(prob) -> str:
     keep = prob.v != 0
     vals = [prob.v.real, prob.v.imag] if prob.field == "complex" else [prob.v]
     cols = [x[keep].tolist() for x in [prob.k, prob.i, prob.j] + vals]
-    line = "MATRIX %d %d %d" + " %.17g" * len(vals) + "\n"  # "%.17g" % x is _fmt(x)
+    line = "MATRIX %d %d %d" + " %.17g" * len(vals) + "\n"  # "%.17g" % x is f"{x:.17g}"
     body = (line * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
     return (f"{prob.n} {prob.m} {prob.field}\n" + body
             + ("B" + " %.17g" * len(prob.b) + "\n") % tuple(prob.b.tolist()))
@@ -494,14 +492,11 @@ def format_sdp(prob) -> str:
 def format_rows(mat, field: str) -> list:
     """Each row as 17-digit numbers, a real and an imaginary part per entry
     over the complex field."""
-    rows = []
-    for row in np.asarray(mat):
-        if field == "complex":
-            vals = [_fmt(x) for v in row for x in (v.real, v.imag)]
-        else:
-            vals = [_fmt(float(v.real)) for v in row]
-        rows.append(" ".join(vals))
-    return rows
+    mat = np.asarray(mat)
+    # a complex row viewed as doubles interleaves the real and imaginary parts
+    vals = np.ascontiguousarray(mat, dtype=complex).view(float) if field == "complex" else mat.real
+    line = " ".join(["%.17g"] * vals.shape[1])
+    return [line % tuple(row) for row in vals.tolist()]
 
 
 def format_basis(decomp: IrrepDecomposition, field: str) -> str:

@@ -397,8 +397,11 @@ class PermutationGroup:
         """The representatives as letter tuples, expanded from the DAG on first use.
 
         Letter +i is generator i-1, -i its inverse, leftmost applied last.
-        Kept for the benchmark's word-length metric only, and to be
-        retired with it: the library evaluates :attr:`transversal_nodes`.
+        The expansion has no bound while the DAG stays small: three random
+        generators of S_12 can give words of a million letters, and of S_30
+        exhaust memory.  Kept for the benchmark's word-length metric only,
+        and to be retired with it: the library evaluates
+        :attr:`transversal_nodes`.
         """
         letters = [(i + 1,) for i in range(len(self.generators))]
         return tuple(self.transversal_images(

@@ -383,11 +383,22 @@ def reference_parse_sdp(text):
     return SimpleNamespace(c=mats[0], a=mats[1:], b=np.array(bvec), field=field)
 
 
+def reference_format_rows(mat, field):
+    """The per-entry basis writer: each entry formatted on its own, a real
+    and an imaginary part per entry over the complex field."""
+    rows = []
+    for row in np.asarray(mat):
+        if field == "complex":
+            vals = [f"{x:.17g}" for v in row for x in (v.real, v.imag)]
+        else:
+            vals = [f"{float(v.real):.17g}" for v in row]
+        rows.append(" ".join(vals))
+    return rows
+
+
 def reference_format_sdp(prob):
     """The dense SDP writer: every upper-triangle slot of every matrix, in
     (k, i, j) order, zeros skipped."""
-    from repblock.formats import _fmt
-
     out = [f"{prob.n} {prob.m} {prob.field}"]
     for k, mat in enumerate([prob.c] + list(prob.a)):
         for i in range(prob.n):
@@ -396,10 +407,10 @@ def reference_format_sdp(prob):
                 if v == 0:
                     continue
                 if prob.field == "complex":
-                    out.append(f"MATRIX {k} {i} {j} {_fmt(v.real)} {_fmt(v.imag)}")
+                    out.append(f"MATRIX {k} {i} {j} {v.real:.17g} {v.imag:.17g}")
                 else:
-                    out.append(f"MATRIX {k} {i} {j} {_fmt(v.real)}")
-    out.append("B" + "".join(f" {_fmt(v)}" for v in prob.b))
+                    out.append(f"MATRIX {k} {i} {j} {v.real:.17g}")
+    out.append("B" + "".join(f" {v:.17g}" for v in prob.b))
     return "\n".join(out) + "\n"
 
 
