@@ -191,6 +191,7 @@ def _note_decomposition(args, rep, decomp):
                 f"projection: {projection_path(rep)}")
     _note(args, f"{decomp.clusters} eigenvalue clusters; {decomp.pairs_tested} candidate "
                 f"pairs tested, {decomp.pairs_equivalent} equivalent")
+    _note(args, f"arithmetic: {decomp.arithmetic}")
 
 
 def cmd_decompose(args) -> int:

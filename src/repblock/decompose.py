@@ -25,6 +25,22 @@ with each isotypic component a multiplicity-fold repetition of one irrep
 block, and puts invariant matrices into blocks of size multiplicity x
 multiplicity tensored with the identity.
 
+A permutation action over C runs in real arithmetic when every constituent
+is of real type.  Its images are real, Hom_C = Hom_R (x) C, and an irrep of
+real type stays irreducible over C, so the decomposition of its real twin
+(the same index action over R) is then one over C.  The real commutant is
+the sum of M_M_i(K_i), K_i = R, C or H, with the transpose as its
+involution.  The transpose permutes the orbitals, so its trace on the
+commutant is the number s of self-paired orbitals (O^T = O), and it equals
+dim Sym - dim Skew = sum_real M - 2 sum_quaternionic M (the Frobenius-Schur
+count).  A generic symmetric sample has one eigenvalue cluster per copy,
+sum M in all: so clusters = s exactly when no component is of complex or
+quaternionic type.  The twin is sampled only when r <= s^2, as the real
+route has r = sum M^2 <= (sum M)^2 = s^2, and kept only when the clusters of
+its first sample, counted on the eigenvalues alone, number s; otherwise the
+complex route draws what it draws without the twin.  A type other than real
+then read from the twin is a genericity failure.
+
 All genericity assumptions hold with probability one but can fail
 numerically; such failures raise :class:`ResampleNeeded` internally and
 the driver restarts with fresh samples up to ``_MAX_RESAMPLES`` times.
@@ -32,6 +48,7 @@ the driver restarts with fresh samples up to ``_MAX_RESAMPLES`` times.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate
 
@@ -144,7 +161,12 @@ class VerificationReport:
 
 @dataclass
 class IrrepDecomposition:
-    """Change of basis U with the ordered isotypic components it exposes."""
+    """Change of basis U with the ordered isotypic components it exposes.
+
+    Over C, U may be real-valued (in complex128): a permutation action whose
+    components are all of real type is decomposed in real arithmetic, and
+    ``arithmetic`` says so.
+    """
 
     U: np.ndarray
     components: list
@@ -156,6 +178,7 @@ class IrrepDecomposition:
     clusters: int = 0
     pairs_tested: int = 0
     pairs_equivalent: int = 0
+    arithmetic: str = ""  # the field the samples were drawn over, and why
 
     @property
     def multiplicities(self):
@@ -169,6 +192,19 @@ class IrrepDecomposition:
         """Row offsets of the components in U, and the total: component k
         holds rows offsets[k]:offsets[k + 1]."""
         return list(accumulate((c.size for c in self.components), initial=0))
+
+
+def _cuts(evals):
+    """The first index of each eigenvalue cluster of an ascending spectrum
+    and, last, its length; and the gap threshold the clusters split at."""
+    span = float(evals[-1] - evals[0])
+    # The additive term keeps the threshold above eigenvalue roundoff even
+    # when the whole spectrum collapses to one point (span ~ eps), where a
+    # purely relative threshold would shatter the noise into fake clusters.
+    scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
+    threshold = _GAP_TOL * span + 1e3 * np.finfo(float).eps * scale
+    gaps = np.flatnonzero(np.diff(evals) > threshold) + 1
+    return [0, *gaps.tolist(), len(evals)], threshold
 
 
 def eigsplit(xbar: CommutantSample):
@@ -185,15 +221,7 @@ def eigsplit(xbar: CommutantSample):
     x = np.asarray(xbar.matrix if isinstance(xbar, CommutantSample) else xbar)
     evals, evecs = np.linalg.eigh(x)
     vh = evecs.conj().T
-    span = float(evals[-1] - evals[0])
-    # The additive term keeps the threshold above eigenvalue roundoff even
-    # when the whole spectrum collapses to one point (span ~ eps), where a
-    # purely relative threshold would shatter the noise into fake clusters.
-    scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
-    threshold = _GAP_TOL * span + 1e3 * np.finfo(float).eps * scale
-
-    gaps = np.flatnonzero(np.diff(evals) > threshold) + 1  # first index of each new cluster
-    cuts = [0, *gaps.tolist(), len(evals)]
+    cuts, threshold = _cuts(evals)
     out = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         spread = float(evals[hi - 1] - evals[lo])
@@ -413,15 +441,40 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
         dims_ok=dims_ok, passed=not failures, failures=tuple(failures))
 
 
+def _real_twin(rep):
+    """The real twin of a complex representation with an index action and
+    its s self-paired orbitals, when its r orbitals are at most s^2 (else
+    None, and s = 0 when there is no index action over C)."""
+    action = rep.index_action
+    if rep.field != "complex" or action is None:
+        return None, 0
+    ids, counts = action.orbitals()
+    k, l = action.representatives()
+    s = int(np.count_nonzero(ids[l * rep.dim + k] == np.arange(len(counts))))
+    if len(counts) > s * s:
+        return None, s
+    return Representation(rep.group, rep.dim, "real", None, rep.name, action), s
+
+
 def _decompose_once(rep, cfg, streams, attempt):
     # the third stream is unused; the last, which verifies a compact group, keeps its seed
     s_xbar, s_xprime, _, s_verify = streams
 
-    xbar = sample_commutant(rep, cfg.projection, s_xbar)
+    target, arithmetic, xbar = rep, rep.field, None
+    twin, s = _real_twin(rep)
+    if twin is not None:
+        # from a copy, so that the complex route draws what it draws without the
+        # twin; the eigenvalues alone count the clusters, at half eigh's cost
+        sample = sample_commutant(twin, cfg.projection, copy.deepcopy(s_xbar))
+        if len(_cuts(np.linalg.eigvalsh(sample.matrix))[0]) - 1 == s:
+            target, xbar = twin, sample
+            arithmetic = f"real: every component of real type, {s} self-paired orbitals"
+    if xbar is None:
+        xbar = sample_commutant(rep, cfg.projection, s_xbar)
     bases = eigsplit(xbar)
     # once read, each Hermitian sample gives way to its whole element (None over C)
     xbar = xbar.whole
-    xprime = sample_commutant(rep, cfg.projection, s_xprime)
+    xprime = sample_commutant(target, cfg.projection, s_xprime)
     classes, pairs_tested, pairs_equivalent = _equivalence_pass(bases, xprime.matrix)
     xprime = xprime.whole
 
@@ -429,24 +482,30 @@ def _decompose_once(rep, cfg, streams, attempt):
     # leading eigenvalue of the sample that produced the component
     classes.sort(key=lambda members: (-members[0].dim, -len(members), members[0].eigenvalue))
     u = np.vstack([m.rows for members in classes for m in members])
-    components = isotypic_components(u, [
-        (members[0].dim, len(members), {"eigenvalues": tuple(m.eigenvalue for m in members)})
-        for members in classes])
+    parts = [(members[0].dim, len(members), {"eigenvalues": tuple(m.eigenvalue for m in members)})
+             for members in classes]
+    components = isotypic_components(u, parts)
 
-    if rep.field == "real":
-        types = classify_real_type(rep, components, (xbar, xprime))
+    if target.field == "real":
+        types = classify_real_type(target, components, (xbar, xprime))
+        if target is not rep and types != ["real"] * len(types):
+            raise ResampleNeeded(f"{len(bases)} clusters over R, but the types read {types}")
         for comp, real_type in zip(components, types):
             comp.real_type = real_type
 
     decomp = IrrepDecomposition(
-        U=u, components=components, diagnostics=None, rep=rep, attempts=attempt + 1,
-        clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent)
+        U=u, components=components, diagnostics=None, rep=target, attempts=attempt + 1,
+        clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent,
+        arithmetic=arithmetic)
 
-    report = verify_decomposition(rep, decomp, trials=_VERIFY_TRIALS,
+    report = verify_decomposition(target, decomp, trials=_VERIFY_TRIALS,
                                   tol=cfg.block_tol, rng=s_verify)
     decomp.diagnostics = report
     if not report.passed:
         raise ResampleNeeded("verification failed: " + "; ".join(report.failures))
+    if target is not rep:  # the twin's verified basis, as the complex one
+        decomp.U = u.astype(np.complex128)
+        decomp.components, decomp.rep = isotypic_components(decomp.U, parts), rep
     return decomp
 
 

@@ -67,7 +67,7 @@ class IndexAction:
         self.dim = dim
         self.generators = tuple(generators)
         self.element = element
-        self._orbitals = None
+        self._orbitals = self._representatives = None
 
     def orbitals(self):
         """Orbital label of every index pair and the size of every orbital.
@@ -90,6 +90,16 @@ class IndexAction:
                 raise ProjectionError("orbital labels are not invariant under the generators")
             self._orbitals = (ids, counts)
         return self._orbitals
+
+    def representatives(self):
+        """The first pair (k_c, l_c) of every orbital c, as two index arrays,
+        kept after first use.  Orbitals are numbered in order of their first
+        pair, so the running maximum of the labels first reaches c there."""
+        if self._representatives is None:
+            ids, counts = self.orbitals()
+            first = np.searchsorted(np.maximum.accumulate(ids), np.arange(len(counts)))
+            self._representatives = np.divmod(first, self.dim)
+        return self._representatives
 
 
 def _propagate_labels(lab, moves):

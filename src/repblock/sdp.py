@@ -334,9 +334,7 @@ def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
     """Blocks of every matrix from its orbital means; see the module docstring."""
     ids, counts = decomp.rep.index_action.orbitals()
     n, r, count = prob.n, len(counts), prob.m + 1
-    # orbitals are numbered in order of their first pair, so the running
-    # maximum of the labels first reaches c at the first pair of orbital c
-    k, l = np.divmod(np.searchsorted(np.maximum.accumulate(ids), np.arange(r)), n)
+    k, l = decomp.rep.index_action.representatives()
     # every listed entry v of matrix q at (i, j) and, off the diagonal, its
     # mirror conj(v) at (j, i), keyed by matrix and orbital; each matrix is
     # divided by its largest real or imaginary part (1 for none), part by

@@ -718,6 +718,38 @@ def test_blockdiag_verbose_names_the_extraction(tmp_path, capsys, case, note):
     assert outs[0] == outs[1] == outs[2]
 
 
+C3_GROUP = '{"degree": 3, "generators": [[1, 2, 0]]}\n'
+
+
+@pytest.mark.parametrize("command", ["decompose", "blockdiag"])
+@pytest.mark.parametrize("group_text,field,note", [
+    # S3 natural: both orbitals are self-paired, and both irreps of real type
+    (S3_GROUP, "complex", "# arithmetic: real: every component of real type, "
+                          "2 self-paired orbitals"),
+    # C3 natural: 3 orbitals, of which only the diagonal is self-paired
+    (C3_GROUP, "complex", "# arithmetic: complex"),
+    (S3_GROUP, "real", "# arithmetic: real"),
+])
+def test_verbose_names_the_arithmetic(tmp_path, capsys, command, group_text, field, note):
+    (tmp_path / "g").write_text(group_text)
+    (tmp_path / "r").write_text(NATURAL)
+    files = [str(tmp_path / "g"), str(tmp_path / "r")]
+    if command == "blockdiag":
+        c = np.eye(3) if field == "real" else np.eye(3, dtype=complex)
+        sdp = tmp_path / "eye.sdp"
+        sdp.write_text(format_sdp(SdpProblem(c=c, a=[np.ones_like(c)], b=[1.0], field=field)))
+        files = [str(sdp), *files, "--out", str(tmp_path / "b")]
+    args = [command, *files, "--field", field, "--seed", "6", "--format", "structured"]
+    outs = []
+    for extra in ([], ["-v"]):
+        assert main(args + extra) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        lines = [line for line in captured.err.splitlines() if "arithmetic" in line]
+        assert lines == ([note] if extra else [])
+    assert outs[0] == outs[1]
+
+
 def test_blockdiag_complex_type_components_exit4(tmp_path, capsys):
     # C3 on two regular orbits over R has a complex-type component of
     # multiplicity 2: the data take the dense path and, though exactly
