@@ -47,7 +47,12 @@ Everything else (compact groups, matrix images, complex or quaternionic
 components over R, where sum M_i^2 < r, and more orbitals than points,
 as for small or intransitive groups) forms each matrix from its entries
 and conjugates it by the basis, U X U^dag, after group-averaging it when
-asked.
+asked.  A U with no nonzero imaginary part (float64, or the complex128 of
+the real route) conjugates in real arithmetic, U Re X U^T + i U Im X U^T,
+the second product skipped when Im X is zero, and the orbital path sums
+entries with no nonzero imaginary part as real numbers; the blocks keep the
+dtype of U X U^dag, and can differ from the complex product in their last
+digits and signed zeros.
 
 Real-field caveat: a symmetric invariant matrix restricted to a component
 of complex or quaternionic type with multiplicity >= 2 is *not* of the
@@ -210,11 +215,29 @@ def symmetrize_matrix(rep: Representation, x, config: ProjectionConfig = None,
     return project_commutant(rep, x, config, rng).matrix
 
 
+def _real_valued(a):
+    """A real copy of a when a has no nonzero imaginary part (a NaN counts as
+    one), else a; a copy, as the strided view ``a.real`` would miss BLAS."""
+    return a.real.copy() if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _conjugate(u, x):
+    """U X U^dag; for a real-valued U in real arithmetic, U Re X U^T + i U Im X U^T,
+    the second product skipped (and the result real) when Im X is zero."""
+    u = _real_valued(u)
+    if np.iscomplexobj(u):
+        return u @ x @ u.conj().T
+    x = _real_valued(x)
+    if not np.iscomplexobj(x):
+        return u @ x @ u.T
+    return (u @ np.ascontiguousarray(x.real) @ u.T
+            + 1j * (u @ np.ascontiguousarray(x.imag) @ u.T))
+
+
 def _extract_blocks(decomp, x):
     """Blocks, per-component pattern residuals, and the total residual."""
     x = np.asarray(x)
-    u = decomp.U
-    xhat = u @ x @ u.conj().T
+    xhat = _conjugate(decomp.U, x)
     s = _pow2_scale(x)  # norms are read on ./s, so no square overflows or underflows
     scale = max(np.linalg.norm(x / s), np.finfo(float).tiny)
 
@@ -228,7 +251,7 @@ def _extract_blocks(decomp, x):
         copies = sub.reshape(m, d, m, d)
         xi = np.trace(copies, axis1=1, axis2=3) / d
         xi = (xi + xi.conj().T) / 2
-        blocks.append(xi)
+        blocks.append(xi.astype(np.result_type(decomp.U, x), copy=False))
         pattern = np.kron(xi, np.eye(d))
         fit[lo:hi, lo:hi] = pattern
         per_component.append(float(np.linalg.norm((sub - pattern) / s)) / scale)
@@ -263,7 +286,7 @@ def reconstruct(decomp: IrrepDecomposition, blocks) -> np.ndarray:
     if len(blocks) != len(decomp.components):
         raise ValueError(f"{len(blocks)} blocks for {len(decomp.components)} components")
     n = decomp.U.shape[0]
-    xhat = np.zeros((n, n), dtype=decomp.U.dtype)
+    xhat = np.zeros((n, n), dtype=np.result_type(decomp.U, *map(np.asarray, blocks)))
     offsets = decomp.offsets
     for comp, xi, lo, hi in zip(decomp.components, blocks, offsets, offsets[1:]):
         d, m = comp.dimension, comp.multiplicity
@@ -271,8 +294,7 @@ def reconstruct(decomp: IrrepDecomposition, blocks) -> np.ndarray:
         if xi.shape != (m, m):
             raise ValueError(f"block shape {xi.shape} does not match multiplicity {m}")
         xhat[lo:hi, lo:hi] = np.kron(xi, np.eye(d))
-    u = decomp.U
-    out = u.conj().T @ xhat @ u
+    out = _conjugate(decomp.U.conj().T, xhat).astype(xhat.dtype, copy=False)
     return (out + out.conj().T) / 2
 
 
@@ -298,7 +320,7 @@ def _block_map(decomp, k, l, counts):
     cols = []
     for comp in decomp.components:
         d, m = comp.dimension, comp.multiplicity
-        rows = comp.basis.reshape(m, d, -1)
+        rows = _real_valued(comp.basis).reshape(m, d, -1)
         pairs = rows[:, :, k].transpose(2, 0, 1) @ rows[:, :, l].conj().transpose(2, 1, 0)
         cols.append(pairs.reshape(len(counts), m * m) * (counts / d)[:, None])
     return np.hstack(cols)
@@ -343,7 +365,7 @@ def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
     with np.errstate(invalid="ignore"):  # a NaN propagates, and fails the gates
         np.maximum.at(scale, prob.k, np.maximum(abs(prob.v.real), abs(prob.v.imag)))
     scale[scale == 0] = 1.0
-    w = prob.v.copy()
+    w = _real_valued(prob.v).copy()
     w.view(np.float64).reshape(len(w), w.itemsize // 8)[...] /= scale[prob.k, None]
     off = prob.i != prob.j
     keys = prob.k * r + ids[prob.i * n + prob.j]
@@ -378,7 +400,7 @@ def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
     t = _block_map(decomp, k, l, counts)
     # one seeded combination z of the data through the dense conjugation
     g = np.random.default_rng(_CHECK_SEED).standard_normal(count)
-    z = g @ (means / norms[:, None])
+    z = _real_valued(g @ (means / norms[:, None]))
     zmat = z[ids].reshape(n, n)
     dense, per_component, pattern = _extract_blocks(decomp, zmat)
     # z's residuals are taken relative to min(|z|, 1): absolute once |z| >= 1,
@@ -399,7 +421,8 @@ def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
         raise NotInvariantError(
             f"the orbital block map disagrees with the basis by {mismatch:.3e}, "
             f"above tolerance {tol:.1e}")
-    per_matrix = _split_blocks(decomp, (means * scale[:, None]) @ t)
+    coords = (means * scale[:, None]) @ t  # real means and T: cast as the dense path's blocks
+    per_matrix = _split_blocks(decomp, coords.astype(np.result_type(coords, decomp.U)))
     blocks = [[b[q] for b in per_matrix] for q in range(count)]
     return blocks, per_component, max(worst, pattern, mismatch)
 
