@@ -196,7 +196,8 @@ def _note_decomposition(args, rep, decomp):
 
 def cmd_decompose(args) -> int:
     rep = _load_rep(args.group_spec, args.rep_spec, args.field)
-    _note(args, f"{_group_label(rep.group, chain=True)}; representation dimension {rep.dim}")
+    if args.verbose:  # the label reads the stabilizer chain, which may not be built yet
+        _note(args, f"{_group_label(rep.group, chain=True)}; representation dimension {rep.dim}")
     rng = np.random.default_rng(args.seed)
     decomp = decompose(rep, _decompose_config(args), rng=rng)
     _note_decomposition(args, rep, decomp)
@@ -241,8 +242,9 @@ def cmd_blockdiag(args) -> int:
         raise SpecFormatError(
             f"SDP size {prob.n} does not match representation dimension {rep.dim}")
 
-    _note(args, f"{_group_label(rep.group, chain=True)}; SDP n={prob.n}, m={prob.m}, "
-                f"field {prob.field}")
+    if args.verbose:
+        _note(args, f"{_group_label(rep.group, chain=True)}; SDP n={prob.n}, m={prob.m}, "
+                    f"field {prob.field}")
     rng = np.random.default_rng(args.seed)
     config = _decompose_config(args)
     decomp = decompose(rep, config, rng=rng)

@@ -318,6 +318,8 @@ def classify_real_type(rep: Representation, components, samples) -> list:
     return types
 
 
+# a non-finite basis gives NaN residuals (inf * 0), which the gates refuse, not a warning
+@np.errstate(invalid="ignore", over="ignore")
 def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
                          trials: int = 50, tol: float | None = None,
                          rng=None) -> VerificationReport:

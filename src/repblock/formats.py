@@ -362,8 +362,9 @@ def _sdp_matrix_run(lines, linenos, n, m, field):
     except (ValueError, Warning):
         pass
     else:
-        k, i, j, re = (cols[c] for c in ["k", "i", "j", "re"])
-        im = cols["im"] if field == "complex" else np.zeros(len(lines))
+        # contiguous copies: views would keep the whole record array, tag included
+        k, i, j, re = (cols[c].copy() for c in ["k", "i", "j", "re"])
+        im = cols["im"].copy() if field == "complex" else np.zeros(len(lines))
         ok = (np.isfinite(re) & np.isfinite(im) & (0 <= k) & (k <= m)
               & (0 <= i) & (i <= j) & (j < n) & ((i < j) | (im == 0)))
         if ok.all():
@@ -449,9 +450,11 @@ def parse_sdp(text: str) -> SdpProblem:
         if error is not None:
             break
 
+    del lines  # the runs' columns hold all that is read from here on
     lines_arr, k, i, j, re, im = (np.concatenate([b[c] for b in batches])
                                   if batches else np.zeros(0, dtype=np.int64)
                                   for c in range(6))
+    del batches
     key = (k * n + i) * n + j
     order = np.argsort(key, kind="stable")  # equal keys stay in file order
     repeat = order[1:][key[order][1:] == key[order][:-1]]

@@ -1,13 +1,13 @@
 """Finite permutation groups backed by a deterministic stabilizer chain.
 
-A group is built from generating permutations with the deterministic
-Schreier-Sims procedure.  The chain stores, for each base point, a
-transversal of coset representatives; these give the group order, a
-membership test by sifting, exact uniform sampling, and a factorization
-of the group into a cartesian product of small sets (one per base point)
-that the commutant projection uses to average over the whole group at a
-cost proportional to the sum of transversal sizes instead of the group
-order.
+A group's chain is built from its generating permutations with the
+deterministic Schreier-Sims procedure, on first use.  The chain stores,
+for each base point, a transversal of coset representatives; these give
+the group order, a membership test by sifting, exact uniform sampling,
+and a factorization of the group into a cartesian product of small sets
+(one per base point) that the commutant projection uses to average over
+the whole group at a cost proportional to the sum of transversal sizes
+instead of the group order.
 
 Points are 0-based.  A level of the chain is created at the smallest point
 its first strong generator moves, and levels are only ever inserted in
@@ -296,9 +296,11 @@ def _build_chain(degree, gen_words):
             for g, (ps, ws) in enumerate(lvl.gens):
                 if (a, g) in tree:
                     continue
-                pv, wv = inverses[ps[a]]
-                sg = itemgetter(*itemgetter(*pa)(ps))(pv)
-                if sg != ident:
+                b = ps[a]
+                spa = itemgetter(*pa)(ps)
+                if spa != t[b][0]:  # inv(t_b) s t_a is not the identity
+                    pv, wv = inverses[b]
+                    sg = itemgetter(*spa)(pv)
                     res = _sift(levels, (sg, _word_mul(wv, _word_mul(ws, wa))), l + 1)
                     if res[0] != ident:
                         residue = res
@@ -314,12 +316,23 @@ def _build_chain(degree, gen_words):
     return levels, len(strong)
 
 
+# What the chain sets on the group when it is built (see PermutationGroup).
+_CHAIN_ATTRIBUTES = frozenset({"base", "strong_generators", "strong_generator_count",
+                               "transversals", "transversal_nodes", "_inverses", "_orbits"})
+
+
 class PermutationGroup:
     """Permutation group with a deterministic stabilizer chain.
 
-    Instances are immutable once constructed and safe to share across
-    threads; random-number state is owned by callers and passed into
-    :meth:`sample`.
+    The constructor only checks the generators.  The chain is built once,
+    by the first read of an attribute below other than ``degree`` and
+    ``generators``, or of a method that needs it (:meth:`order`,
+    :meth:`sample`, :meth:`factorize`, :meth:`sift`, ...), so a caller that
+    reads only the generators, as an index action does, never pays for
+    Schreier-Sims.  The build is deterministic: threads that race on the
+    first read may each build it, and every one gets the same chain.
+    Instances are otherwise immutable and safe to share across threads;
+    random-number state is owned by callers and passed into :meth:`sample`.
 
     Attributes
     ----------
@@ -360,8 +373,16 @@ class PermutationGroup:
         self.degree = degree
         self.generators = gens
 
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: the chain's attributes until it is built
+        if name not in _CHAIN_ATTRIBUTES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build()
+        return vars(self)[name]
+
+    def _build(self):
         levels, self.strong_generator_count = _build_chain(
-            degree, [(g.images, i) for i, g in enumerate(gens)])
+            self.degree, [(g.images, i) for i, g in enumerate(self.generators)])
         self.base = tuple(lvl.point for lvl in levels)
         self.strong_generators = tuple(tuple(_trusted(imgs) for imgs, _ in lvl.gens)
                                        for lvl in levels)

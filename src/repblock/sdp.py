@@ -221,6 +221,8 @@ def _real_valued(a):
     return a.real.copy() if np.iscomplexobj(a) and not a.imag.any() else a
 
 
+# a non-finite U or X gives NaN (inf * 0), which the gates refuse, not a warning
+@np.errstate(invalid="ignore", over="ignore")
 def _conjugate(u, x):
     """U X U^dag; for a real-valued U in real arithmetic, U Re X U^T + i U Im X U^T,
     the second product skipped (and the result real) when Im X is zero."""

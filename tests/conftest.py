@@ -180,6 +180,21 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The degree of every stabilizer chain built from here on, in order."""
+    from repblock import perm
+
+    built, build = [], perm._build_chain
+
+    def counted(degree, gen_words):
+        built.append(degree)
+        return build(degree, gen_words)
+
+    monkeypatch.setattr(perm, "_build_chain", counted)
+    return built
+
+
 # --- reference stabilizer chain -------------------------------------------
 #
 # An earlier Schreier-Sims builder, kept as an independent route to the

@@ -55,6 +55,19 @@ def test_layer_metrics_reads_the_chain():
     assert metrics["perm.transversal_total"] == sum(len(t) for t in group.transversals)
 
 
+def test_layer_metrics_builds_an_unread_chain(chain_builds):
+    # a job whose representation never reads the chain hands layer_metrics an
+    # unbuilt group: the perm metrics build it and read what a built one gives
+    built, unread = symmetric(6), symmetric(6)
+    built.order()
+    assert chain_builds == [6]
+    perm_metrics = [{k: v for k, v in tracing.layer_metrics(tracing.Tracer(), [g]).items()
+                     if k.startswith("perm.")} for g in (built, unread)]
+    assert chain_builds == [6, 6]
+    assert perm_metrics[0] == perm_metrics[1]
+    assert perm_metrics[0]["perm.transversal_total"] == 6 + 5 + 4 + 3 + 2
+
+
 def test_traced_decompose_counts_pairs_and_one_verification():
     # decompose.equivalence_calls and decompose.equivalence_yield count the
     # equivalence_test spans, decompose.verify_s times verify_decomposition:

@@ -777,3 +777,61 @@ def test_decompose_planted_orbital_label_exit3(s3_files, monkeypatch, capsys):
     assert captured.err == ("decomposition failed: orbital labels are not invariant "
                             "under the generators\n")
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer chain is built only where it is read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def s4xc2_regular_files(tmp_path):
+    """SDP, group and rep files of S4 x C2 in its left-regular action (n = 48),
+    natural over C, with invariant data; every irrep is of real type."""
+    from conftest import cyclic, regular_group
+    from test_real_route import direct_product
+
+    group = regular_group(direct_product(symmetric(4), cyclic(2)))
+    rep = natural_perm_rep(group, "complex")
+    rng = np.random.default_rng(12)
+    prob = SdpProblem(c=sample_commutant(rep, rng=rng).matrix, a=[np.eye(48)], b=[1.0],
+                      field="complex")
+    (tmp_path / "x.sdp").write_text(format_sdp(prob))
+    (tmp_path / "g").write_text(json.dumps({"degree": 48, "generators": [
+        list(p.images) for p in group.generators]}))
+    (tmp_path / "r").write_text(NATURAL)
+    return [str(tmp_path / name) for name in ("x.sdp", "g", "r")]
+
+
+def test_blockdiag_pipeline_builds_no_stabilizer_chain(s4xc2_regular_files, chain_builds):
+    # an index action reads only the generators' index arrays, from the
+    # orbitals to the blocks
+    from repblock import block_diagonalize_sdp, decompose
+    from repblock.formats import parse_group_spec, parse_rep_spec, parse_sdp
+
+    sdp, group, rep = (Path(p).read_text() for p in s4xc2_regular_files)
+    prob = parse_sdp(sdp)
+    rep = parse_rep_spec(rep, parse_group_spec(group), prob.field)
+    d = decompose(rep, rng=np.random.default_rng(5))
+    blocked = block_diagonalize_sdp(d, prob, rng=np.random.default_rng(6))
+    for comp in blocked.components:
+        format_sdp(SdpProblem(c=comp.c_block, a=comp.a_blocks, b=blocked.b,
+                              field=blocked.field))
+    assert d.arithmetic.startswith("real")
+    assert blocked.extraction.startswith("orbital coordinates")
+    assert chain_builds == []
+    assert rep.group.order() == 48 and chain_builds == [48]
+
+
+def test_blockdiag_builds_the_chain_for_its_verbose_label_only(s4xc2_regular_files, tmp_path,
+                                                               chain_builds, capsys):
+    args = ["blockdiag", *s4xc2_regular_files, "--seed", "2", "--out", str(tmp_path / "b"),
+            "--format", "structured"]
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert chain_builds == [] and quiet.err == ""
+    assert main(args + ["-v"]) == 0
+    loud = capsys.readouterr()
+    assert chain_builds == [48]
+    assert loud.err.splitlines()[0] == ("# permutation group, degree 48, order 48, base length 1, "
+                                        "3 strong generators; SDP n=48, m=1, field complex")
+    assert loud.out == quiet.out

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -716,6 +717,26 @@ def test_verify_flags_corrupted_basis(rng):
     # a NaN entry fails every check instead of passing them all
     u[1, 1] = np.nan
     r = verify_decomposition(rep, d, trials=10, rng=rng)
+    assert any("unitary" in f for f in r.failures)
+    assert any("leakage" in f for f in r.failures)
+    assert any("copy structure" in f for f in r.failures)
+
+
+@pytest.mark.parametrize("images", ["index action", "dense"])
+def test_verify_fails_an_infinite_basis_without_a_numpy_warning(rng, images):
+    # inf * 0 in U^dag U and in the strips must reach the gates as NaN, not
+    # stop verification with numpy's invalid-value warning
+    rep = natural_perm_rep(symmetric(4), "complex")
+    d = decompose(rep, rng=rng)
+    if images == "dense":
+        rep = Representation(rep.group, rep.dim, rep.field, rep.image)
+    d.U = d.U.copy()
+    d.U[1, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = verify_decomposition(rep, d, rng=rng)
+    assert not r.passed
+    assert np.isnan(r.unitarity_residual) and np.isnan(r.max_off_component)
     assert any("unitary" in f for f in r.failures)
     assert any("leakage" in f for f in r.failures)
     assert any("copy structure" in f for f in r.failures)

@@ -547,8 +547,10 @@ def _assert_read_in_runs(text):
     assert entry.call_count == 0
     assert prob.k.size == 5 * 110 * 111 // 2
     # the reader that split every line on its own peaked at 9,439,437 bytes
-    # on the complex file (Python 3.11, numpy 2.4); the C-reader runs may add 10%
-    assert peak <= 1.1 * 9_439_437
+    # on the complex file (Python 3.11, numpy 2.4), the C-reader runs holding
+    # their record arrays and the lines to the end at 8,894,274; contiguous
+    # column copies, with the lines dropped after the runs, peak at 5,236,091
+    assert peak <= 1.15 * 5_236_091
 
 
 def test_parse_sdp_checks_no_valid_line_on_its_own():

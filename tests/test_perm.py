@@ -1,11 +1,15 @@
 import itertools
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repblock import Permutation, PermutationGroup, compose, group_from_generators, identity, inverse
+from repblock import perm
+from repblock.perm import _CHAIN_ATTRIBUTES, evaluate_words
 
 from conftest import (alternating4, closure, cyclic, dihedral, group_of,
                       klein4, quaternion8, reference_build_chain, symmetric)
@@ -366,6 +370,78 @@ def test_chain_base_and_orbits_ignore_generator_order(case):
     for other in (group_of(d, gens[::-1]), group_of(d, shuffled)):
         assert other.base == g.base
         assert [sorted(t) for t in other.transversals] == [sorted(t) for t in g.transversals]
+
+
+_CHAIN_READS = {
+    "base": lambda g: g.base,
+    "strong_generators": lambda g: g.strong_generators,
+    "strong_generator_count": lambda g: g.strong_generator_count,
+    "transversals": lambda g: g.transversals,
+    "transversal_nodes": lambda g: g.transversal_nodes,
+    "_inverses": lambda g: g._inverses,
+    "_orbits": lambda g: g._orbits,
+    "order": lambda g: g.order(),
+    "sample": lambda g: g.sample(np.random.default_rng(0)),
+    "factorize": lambda g: g.factorize(identity(g.degree)),
+    "sift": lambda g: g.sift(identity(g.degree)),
+    "contains": lambda g: identity(g.degree) in g,
+    "elements": lambda g: next(g.elements()),
+    "transversal_sets": lambda g: g.transversal_sets(),
+    "transversal_images": lambda g: g.transversal_images(
+        [p.images for p in g.generators], lambda: tuple(range(g.degree)),
+        lambda a, b: tuple(a[x] for x in b), lambda a: inverse(Permutation(a)).images),
+    "transversal_words": lambda g: g.transversal_words,
+    "repr": repr,
+}
+
+
+def _letters(levels, n_gens):
+    """Each level's orbit point -> its word's letters, as ``transversal_words``
+    spells them."""
+    words = [w for level in levels for w in level.values()]
+    letters = iter(evaluate_words(words, [(i + 1,) for i in range(n_gens)], tuple,
+                                  lambda a, b: a + b, lambda w: tuple(-x for x in reversed(w))))
+    return [{b: next(letters) for b in level} for level in levels]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(_permutation_of(d), max_size=4),
+                        st.randoms(use_true_random=False))))
+@example((1, [], random.Random(0)))  # the trivial group
+@example((4, [[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 2, 3]], random.Random(1)))  # identities given
+@example((6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 2, 5]], random.Random(2)))  # intransitive
+def test_the_chain_built_on_first_read_is_the_direct_build(case):
+    # whichever attribute or method is read first, the chain is built once,
+    # and it is the chain _build_chain gives
+    d, gens, rnd = case
+    g = group_of(d, gens)
+    assert not _CHAIN_ATTRIBUTES & set(vars(g))
+    assert _CHAIN_ATTRIBUTES <= set(_CHAIN_READS)
+    reads = list(_CHAIN_READS)
+    rnd.shuffle(reads)
+    with mock.patch.object(perm, "_build_chain", wraps=perm._build_chain) as build:
+        assert not hasattr(g, "no_such_attribute") and build.call_count == 0
+        for name in reads:
+            _CHAIN_READS[name](g)
+    assert build.call_count == 1
+
+    levels, count = perm._build_chain(d, [(p.images, i) for i, p in enumerate(g.generators)])
+    assert g.base == tuple(lvl.point for lvl in levels)
+    assert g.strong_generator_count == count
+    assert [[s.images for s in strong] for strong in g.strong_generators] == \
+        [[imgs for imgs, _ in lvl.gens] for lvl in levels]
+    # dict order too: it fixes the order of the transversal sets and samples
+    assert [[(b, u.images) for b, u in t.items()] for t in g.transversals] == \
+        [[(b, imgs) for b, (imgs, _) in lvl.transversal.items()] for lvl in levels]
+    assert [list(inv.items()) for inv in g._inverses] == \
+        [[(b, imgs) for b, (imgs, _) in lvl.inverses.items()] for lvl in levels]
+    assert g._orbits == tuple(tuple(sorted(lvl.transversal)) for lvl in levels)
+    want = _letters([{b: w for b, (_, w) in lvl.transversal.items()} for lvl in levels],
+                    len(gens))
+    assert [list(w.items()) for w in _letters(g.transversal_nodes, len(gens))] == \
+        [list(w.items()) for w in want]
+    assert list(g.transversal_words) == want
 
 
 def test_chain_s14_keeps_14_strong_generators(monkeypatch):

@@ -154,6 +154,35 @@ def test_index_action_agrees_with_images(rng):
             assert np.array_equal(rep.index_action.element(p), sigma)
 
 
+@pytest.mark.parametrize("first_use", ["dense images", "permutation images", "chain average",
+                                       "sample"])
+def test_the_chain_is_built_once_by_its_first_reader(first_use, chain_builds, rng):
+    from repblock.commutant import chain_average
+
+    g = symmetric(4)
+    nat = natural_perm_rep(g, "real")
+    x = np.diag(np.arange(4.0))
+    assert chain_builds == []  # the index action reads only the generators
+    if first_use == "dense images":
+        # both generators are odd: sign times permutation matrix, no index action
+        images = [-perm_matrix(p.images) for p in g.generators]
+        rep = rep_from_generator_images(g, images, "real")
+        assert rep.index_action is None
+        rep.image(g.sample(rng))
+    elif first_use == "permutation images":
+        rep = rep_from_generator_images(g, [perm_matrix(p.images) for p in g.generators],
+                                        "real")
+        rep.index_action.element(g.sample(rng))
+    elif first_use == "chain average":
+        assert np.allclose(chain_average(nat, x), 1.5 * np.eye(4))
+    else:
+        g.sample(rng)
+    assert chain_builds == [4]
+    nat.image(g.sample(rng))
+    chain_average(nat, x)
+    assert chain_builds == [4]
+
+
 def test_natural_rep_examples():
     g = symmetric(3)
     rep = natural_perm_rep(g, "complex")

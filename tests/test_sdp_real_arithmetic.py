@@ -153,8 +153,9 @@ def test_non_finite_input_fails_closed(s4xc2_regular, via, fault):
         getattr(mats[0], part)[0, 1] = np.nan
         at = np.flatnonzero((prob.k == 0) & (prob.i == 0) & (prob.j == 1))
         getattr(prob.v, part)[at] = np.nan
-    # inf * 0 in the products raises numpy's own invalid-value warning first
-    with np.errstate(invalid="ignore"), pytest.raises(NotInvariantError):
+    # inf * 0 in the products must reach the gate as NaN, not as numpy's warning
+    with warnings.catch_warnings(), pytest.raises(NotInvariantError):
+        warnings.simplefilter("error")
         if via == "matrix":
             block_diagonalize_matrix(d, mats[0])
         else:
