@@ -41,8 +41,9 @@ shrinks the part of the matrix outside the commutant, so the residual
 falls geometrically until it reaches roundoff, and the iteration stops
 there.
 
-The conjugation inverse is realized as the conjugate transpose, which is
-exact for unitary representations and keeps Hermitian input Hermitian.
+Every path returns the plain linear average P.  Its conjugation inverse is
+the conjugate transpose, exact for unitary representations, so P commutes
+with taking adjoints, and a Hermitian sample is P's Hermitian part, taken once.
 """
 
 from __future__ import annotations
@@ -136,37 +137,29 @@ def sample_gue(n: int, field="complex", rng=None) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _conjugation_average(rep, elements, x, hermitize):
+def _conjugation_average(rep, elements, x):
     x = np.asarray(x)
     field_dtype = np.complex128 if rep.field == "complex" else np.float64
     acc = np.zeros(x.shape, dtype=np.result_type(x.dtype, field_dtype))
     for g in elements:
         u = rep.image(g)
         acc += u @ x @ u.conj().T
-    acc /= len(elements)
-    if hermitize:
-        acc = (acc + acc.conj().T) / 2
-    return acc
+    return acc / len(elements)
 
 
-def commutation_residual(rep: Representation, x, elements, images=None) -> float:
-    """max_g ||x rho_g - rho_g x||_F / ||x||_F over the given elements.
-
-    ``images``, when given, are the images of ``elements``, built once by a
-    caller that measures the same elements repeatedly.
-    """
+def commutation_residual(x, images) -> float:
+    """max_u ||x u - u x||_F / ||x||_F over the given images u."""
     x = x / _pow2_scale(x)
     nx = np.linalg.norm(x)
-    if nx == 0 or len(elements) == 0:
+    if nx == 0:
         return 0.0
     worst = 0.0
-    for k, g in enumerate(elements):
-        u = rep.image(g) if images is None else images[k]
+    for u in images:
         worst = float(np.maximum(worst, np.linalg.norm(x @ u - u @ x) / nx))  # keeps NaN
     return worst
 
 
-def chain_average(rep: Representation, x, hermitize=True) -> np.ndarray:
+def chain_average(rep: Representation, x) -> np.ndarray:
     """Exact group average of x through the transversal-set factorization.
 
     Costs one conjugation per transversal element instead of one per group
@@ -178,11 +171,11 @@ def chain_average(rep: Representation, x, hermitize=True) -> np.ndarray:
         raise TypeError("finite projection requires a permutation-group representation")
     out = np.array(x)
     for t in rep.group.transversal_sets():
-        out = _conjugation_average(rep, t, out, hermitize)
+        out = _conjugation_average(rep, t, out)
     return out
 
 
-def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
+def orbital_average(rep: Representation, x) -> np.ndarray:
     """Exact group average of x for a representation with an index action.
 
     Conjugation by a permutation image moves entry (i, j) within its
@@ -195,10 +188,7 @@ def orbital_average(rep: Representation, x, hermitize=True) -> np.ndarray:
     if np.iscomplexobj(flat):
         means = means + 1j * (np.bincount(ids, weights=flat.imag,
                                           minlength=len(counts)) / counts)
-    out = means[ids].reshape(rep.dim, rep.dim)
-    if hermitize:
-        out = (out + out.conj().T) / 2
-    return out
+    return means[ids].reshape(rep.dim, rep.dim)
 
 
 def orbital_sample(rep: Representation, rng) -> np.ndarray:
@@ -319,7 +309,7 @@ def _casimir_solve(omega, x, cap, gap):
 
 
 @np.errstate(invalid="ignore")  # non-finite input fails the gate, which says so
-def _casimir_projection(rep, x, config, hermitize):
+def _casimir_projection(rep, x, config):
     """Exact commutant projection through the Casimir kernel, gated.
 
     CG runs at most n^2 iterations, the dimension of the matrix space,
@@ -336,13 +326,11 @@ def _casimir_projection(rep, x, config, hermitize):
         reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
         u = rep.image(reflection)
         out = (out + u @ out @ u.conj().T) / 2
-    if hermitize:
-        out = (out + out.conj().T) / 2
     scale = 2 * rep.derived.leaves / gap if gap else 0.0
     nx = np.linalg.norm(out)
     resid = scale * float(np.linalg.norm(omega(out))) / nx if nx else 0.0
     if _reflects(rep):
-        resid = float(np.maximum(resid, commutation_residual(rep, out, [reflection], [u])))
+        resid = float(np.maximum(resid, commutation_residual(out, [u])))
     if not resid <= config.commutation_tol:  # NaN fails too
         raise ProjectionError(
             f"Casimir kernel projection left commutation residual {resid:.3e} above "
@@ -351,7 +339,7 @@ def _casimir_projection(rep, x, config, hermitize):
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite results fail the gate
-def _project(rep, x, config, rng, hermitize):
+def _project(rep, x, config, rng):
     """Group average of x and its commutation residual, gated.
 
     Exact for finite groups and for compact groups with a derived action;
@@ -361,12 +349,12 @@ def _project(rep, x, config, rng, hermitize):
         if rep.index_action is not None:
             # the labels were checked against every generator when built, so
             # the average commutes exactly unless the input is not finite
-            out = orbital_average(rep, x, hermitize)
+            out = orbital_average(rep, x)
             resid = 0.0 if np.isfinite(out).all() else math.nan
         else:
-            out = chain_average(rep, x, hermitize)
+            out = chain_average(rep, x)
             # commuting with the generators' images means commuting with the group
-            resid = commutation_residual(rep, out, rep.group.generators)
+            resid = commutation_residual(out, [rep.image(g) for g in rep.group.generators])
         if not resid <= FINITE_COMMUTATION_TOL:  # NaN fails too
             raise ProjectionError(
                 f"finite projection left commutation residual {resid:.3e}; the input is "
@@ -374,19 +362,18 @@ def _project(rep, x, config, rng, hermitize):
         return out, resid
     config = config or ProjectionConfig()
     if rep.derived is not None:
-        return _casimir_projection(rep, x, config, hermitize)
+        return _casimir_projection(rep, x, config)
     rng = rng or np.random.default_rng()
     handle = rep.group
-    probes = [handle.sample(rng) for _ in range(_RESIDUAL_PROBES)]
-    probe_images = [rep.image(g) for g in probes]
+    probes = [rep.image(handle.sample(rng)) for _ in range(_RESIDUAL_PROBES)]
     out = np.array(x)
     rounds, resid = 0, math.inf
     while rounds < _MAX_ROUNDS:
         for _ in range(min(_CHECK_EVERY, _MAX_ROUNDS - rounds)):
             t = [handle.sample(rng) for _ in range(_SET_SIZE)]
-            out = _conjugation_average(rep, t, out, hermitize)
+            out = _conjugation_average(rep, t, out)
             rounds += 1
-        last, resid = resid, commutation_residual(rep, out, probes, probe_images)
+        last, resid = resid, commutation_residual(out, probes)
         if not resid < last / 2:  # roundoff reached; NaN stops too
             break
     if not resid <= config.commutation_tol:
@@ -398,19 +385,20 @@ def _project(rep, x, config, rng, hermitize):
 
 def project_commutant(rep: Representation, x, config: ProjectionConfig = None,
                       rng=None) -> CommutantSample:
-    """Group-appropriate projection of a Hermitian matrix onto the commutant.
+    """Hermitian part of :func:`project_linear`, with the average's residual.
 
-    Raises :class:`ProjectionError` when the result does not commute with
+    Raises :class:`ProjectionError` when the average does not commute with
     the representation to tolerance.
     """
-    return CommutantSample(*_project(rep, x, config, rng, hermitize=True))
+    out, resid = _project(rep, x, config, rng)
+    return CommutantSample((out + out.conj().T) / 2, resid)
 
 
 def project_linear(rep: Representation, x, config: ProjectionConfig = None,
                    rng=None) -> np.ndarray:
-    """Projection of an arbitrary (not necessarily Hermitian) matrix: the
-    averaging and gate of :func:`project_commutant`, without the Hermitian part."""
-    return _project(rep, x, config, rng, hermitize=False)[0]
+    """Group average of an arbitrary (not necessarily Hermitian) matrix onto
+    the commutant, gated on its commutation residual."""
+    return _project(rep, x, config, rng)[0]
 
 
 def sample_commutant(rep: Representation, config: ProjectionConfig = None,
@@ -424,7 +412,6 @@ def sample_commutant(rep: Representation, config: ProjectionConfig = None,
     if rep.index_action is not None:
         whole, resid = orbital_sample(rep, rng), 0.0
     else:
-        whole, resid = _project(rep, _gaussian(rep.dim, rep.field, rng), config, rng,
-                                hermitize=False)
+        whole, resid = _project(rep, _gaussian(rep.dim, rep.field, rng), config, rng)
     return CommutantSample((whole + whole.conj().T) / 2, resid,
                            whole if rep.field == "real" else None)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -104,19 +105,32 @@ class SubrepBasis:
 class EquivalenceWitness:
     """Intertwiner evidence that two subrepresentations are equivalent.
 
-    ``F`` maps the second basis to the first; ``alpha`` is its spectral
-    norm, the scale at which F becomes unitary.
+    ``F`` maps the second basis to the first.  One SVD of F, made on first
+    use, gives ``alpha``, its spectral norm, the scale at which F becomes
+    unitary, and ``transform``, its unitary polar factor: F/alpha up to the
+    noise in F, but exactly unitary, so harmonized bases stay orthonormal.
     """
 
     F: np.ndarray
-    alpha: float
+
+    @cached_property
+    def _svd(self):
+        return np.linalg.svd(self.F)
+
+    @property
+    def alpha(self) -> float:
+        return float(self._svd[1][0])
 
     @property
     def transform(self) -> np.ndarray:
-        # Unitary polar factor of F: equals F/alpha up to the noise in F,
-        # but exactly unitary, so harmonized bases stay orthonormal.
-        w, _, vh = np.linalg.svd(self.F)
+        w, _, vh = self._svd
         return w @ vh
+
+    @property
+    def unit_residual(self) -> float:
+        """||A^dag A - I||_F / max(1, sqrt k), A = F / alpha, from F's singular values."""
+        s = self._svd[1]
+        return float(np.linalg.norm((s / s[0]) ** 2 - 1) / max(1.0, np.sqrt(len(s))))
 
 
 @dataclass
@@ -252,14 +266,11 @@ def equivalence_test(b1: SubrepBasis, b2: SubrepBasis, y_b2: np.ndarray, y_norm:
     if np.linalg.norm(f) <= _ZERO_TOL * y_norm:
         return None
 
-    alpha = float(np.linalg.norm(f, 2))
-    a = f / alpha
-    k = b1.dim
-    unit_resid = np.linalg.norm(a.conj().T @ a - np.eye(k)) / max(1.0, np.sqrt(k))
-    if not unit_resid <= _WITNESS_TOL:
-        raise ResampleNeeded(
-            f"candidate intertwiner is not a scaled unitary (residual {unit_resid:.3e})")
-    return EquivalenceWitness(F=f, alpha=alpha)
+    witness = EquivalenceWitness(F=f)
+    if not witness.unit_residual <= _WITNESS_TOL:
+        raise ResampleNeeded("candidate intertwiner is not a scaled unitary "
+                             f"(residual {witness.unit_residual:.3e})")
+    return witness
 
 
 def harmonize(b2: SubrepBasis, witness: EquivalenceWitness) -> SubrepBasis:

@@ -77,6 +77,8 @@ def _load_json(text, what):
         raise SpecFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError:
         raise SpecFormatError(f"{what}: JSON nests too deeply to parse") from None
+    except ValueError:  # an integer of more digits than Python converts
+        raise SpecFormatError(f"{what}: a JSON integer is too long to read") from None
     if "true" in text or "false" in text:  # as every JSON boolean is spelled
         stack = [(doc, what)]  # depth first in document order, without recursion
         while stack:
@@ -107,7 +109,7 @@ def parse_group_spec(text: str):
             raise SpecFormatError(f"unknown compact group kind {kind!r}")
         if not isinstance(dim, int) or dim < 1:
             raise SpecFormatError("compact group needs a positive integer 'dimension'")
-        return CompactGroupHandle(kind, dim)
+        return _compact_group(kind, dim, "group spec")
 
     degree = doc.get("degree")
     gens = doc.get("generators")
@@ -133,7 +135,14 @@ def parse_inline_group(token: str):
     kind, _, d = token.partition(":")
     if kind not in ("unitary", "orthogonal") or not d.isdecimal() or int(d) < 1:
         raise SpecFormatError(f"expected 'unitary:<d>' or 'orthogonal:<d>', got {token!r}")
-    return CompactGroupHandle(kind, int(d))
+    return _compact_group(kind, int(d), f"group {token!r}")
+
+
+def _compact_group(kind, dim, where):
+    """U(d) or O(d), refused at ``where`` when one of its d x d matrices, as
+    Haar sampling draws them, exceeds physical memory (``reps._check_dim``)."""
+    _build_at(where, _check_dim, dim, "complex" if kind == "unitary" else "real")
+    return CompactGroupHandle(kind, dim)
 
 
 # ---------------------------------------------------------------------------

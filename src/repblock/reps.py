@@ -438,6 +438,7 @@ def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
     if own == "complex" and field == "real":
         raise ValueError(f"the defining representation of a {handle.kind} group is "
                          "complex, not real")
+    _check_dim(handle.dim, field)
     dt = _dtype(field)
 
     def image(u) -> np.ndarray:
@@ -458,11 +459,23 @@ def _require_compatible(reps, what):
 
 def _check_dim(dim, field):
     """Refuse a dimension whose one n x n matrix exceeds physical memory."""
+    if dim.bit_length() > 64:  # beyond any memory, and its square may be too long to print
+        _check_dim_bits(f"of {dim.bit_length()} bits", dim.bit_length() - 1, field)
     need = dim * dim * np.dtype(_dtype(field)).itemsize
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"dimension {dim} is too large: one {dim} x {dim} {field} matrix "
                          f"needs {need:,} bytes, physical memory is {have:,} bytes")
+
+
+def _check_dim_bits(name, bits, field):
+    """Refuse the dimension ``name``, known to be at least 2^bits, when 2^bits
+    alone breaks the :func:`_check_dim` rule: before the dimension, which may
+    have more digits than Python prints, is formed."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if bits >= math.isqrt(have // np.dtype(_dtype(field)).itemsize).bit_length():
+        raise ValueError(f"dimension {name} is too large: one {field} matrix of 2^{bits} x "
+                         f"2^{bits} or more exceeds physical memory, {have:,} bytes")
 
 
 def _combined_action(reps, dim, combine):
@@ -485,6 +498,8 @@ def tensor(r1: Representation, *rest: Representation) -> Representation:
     numpy's kron, folded left to right."""
     reps = (r1, *rest)
     _require_compatible(reps, "tensor")
+    _check_dim_bits(f"of a product of {len(reps)} factors",
+                    sum(r.dim.bit_length() - 1 for r in reps), r1.field)
     dim = math.prod(r.dim for r in reps)
     _check_dim(dim, r1.field)
 
@@ -555,4 +570,5 @@ def tensor_power(r: Representation, k: int) -> Representation:
     """k-fold tensor power: :func:`tensor` of k copies of ``r``."""
     if k < 1:
         raise ValueError("tensor power exponent must be >= 1")
+    _check_dim_bits(f"{r.dim}^{k}", k * (r.dim.bit_length() - 1), r.field)
     return tensor(*[r] * k)

@@ -379,6 +379,46 @@ def test_decompose_huge_natural_rep_exit2(tmp_path, capsys):
     assert peak < 64 * 2 ** 20
 
 
+def test_decompose_huge_power_refused_before_the_product(tmp_path, capsys, monkeypatch):
+    import time
+
+    import repblock.reps as reps_mod
+
+    def tensor(*reps):
+        raise AssertionError(f"tensor of {len(reps)} factors built")
+
+    monkeypatch.setattr(reps_mod, "tensor", tensor)
+    group, rep = tmp_path / "u2.group", tmp_path / "power.rep"
+    group.write_text(U2_GROUP)
+    rep.write_text('{"kind": "power", "k": 1000000, "inner": {"kind": "defining"}}\n')
+    start = time.perf_counter()
+    code = main(["decompose", str(group), str(rep)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    captured = capsys.readouterr()
+    # the dimension is named, not printed: 2^10^6 has 301,030 digits
+    assert captured.err.startswith("error: rep: dimension 2^1000000 is too large: one "
+                                   "complex matrix of 2^1000000 x 2^1000000 or more exceeds")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind, field", [("unitary", "complex"), ("orthogonal", "real")])
+def test_huge_compact_group_exit2(tmp_path, capsys, kind, field):
+    # a d x d matrix of d = 10^7 takes 800 TB or more; refused before any draw
+    d = 10 ** 7
+    tail = (f"dimension {d} is too large: one {d} x {d} {field} matrix needs "
+            f"{d * d * (16 if field == 'complex' else 8):,} bytes")
+    group, rep = tmp_path / "big.group", tmp_path / "defining.rep"
+    group.write_text(json.dumps({"compact": kind, "dimension": d}))
+    rep.write_text('{"kind": "defining"}\n')
+    assert main(["decompose", str(group), str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: group spec: {tail}") and captured.out == ""
+    assert main(["sample-group", f"{kind}:{d}", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: group '{kind}:{d}': {tail}") and captured.out == ""
+
+
 C2_GROUP = '{"degree": 2, "generators": [[1, 0]]}\n'
 
 
@@ -499,6 +539,23 @@ def test_deeply_nested_spec_exit2(tmp_path, capsys, group_text, rep_text, spots)
     assert main(["decompose", str(group), str(rep)]) == 2
     captured = capsys.readouterr()
     assert captured.err in [f"error: {spot}\n" for spot in spots]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_compact_dimension_of_thousands_of_digits_exit2(tmp_path, capsys, digits):
+    # 4,000 digits parse but their square has too many to print; 5,000 are
+    # more than Python converts from text (where it limits conversion)
+    group, rep = tmp_path / "g.group", tmp_path / "defining.rep"
+    group.write_text('{"compact": "unitary", "dimension": 1' + "0" * digits + "}")
+    rep.write_text('{"kind": "defining"}\n')
+    assert main(["decompose", str(group), str(rep)]) == 2
+    captured = capsys.readouterr()
+    bits = (10 ** digits).bit_length()
+    too_large = (f"error: group spec: dimension of {bits} bits is too large: one complex "
+                 f"matrix of 2^{bits - 1} x 2^{bits - 1} or more exceeds physical memory")
+    assert captured.err.startswith(too_large) or (
+        digits == 5000 and captured.err == "error: group spec: a JSON integer is too long to read\n")
     assert captured.out == ""
 
 

@@ -122,7 +122,7 @@ def test_chain_projection_invariants(name, make, rng):
     assert np.linalg.norm(again - proj) <= 1e-10 * np.linalg.norm(proj)
     # commutes with 20 random elements
     elems = [group.sample(rng) for _ in range(20)]
-    assert commutation_residual(rep, proj, elems) <= 1e-10
+    assert commutation_residual(proj, [rep.image(g) for g in elems]) <= 1e-10
     # trace preserved
     assert abs(np.trace(proj) - np.trace(x)) <= 1e-10 * max(1, abs(np.trace(x)))
     # linear
@@ -430,7 +430,7 @@ def test_orbital_gate_refuses_a_planted_label(monkeypatch, rng):
                                return_inverse=True, return_counts=True)
     rep.index_action._orbitals = (ids, counts)
     out = orbital_average(rep, sample_gue(3, "complex", rng))
-    assert commutation_residual(rep, out, rep.group.generators) > 1e-3
+    assert commutation_residual(out, _generator_images(rep)) > 1e-3
 
 
 @pytest.mark.parametrize("bad", [(np.nan, np.nan), (np.inf, np.inf), (np.inf, -np.inf)])
@@ -450,7 +450,7 @@ def test_finite_gate_refuses_non_finite_input(bad, images, rng):
             project(rep, x)
     # the commutation gate, which the orbital path no longer runs, refuses it too
     with np.errstate(invalid="ignore"):
-        assert not commutation_residual(rep, x, rep.group.generators) <= 1.0
+        assert not commutation_residual(x, _generator_images(rep)) <= 1.0
 
 
 def test_sample_commutant_trivial_group_returns_raw_gue():
@@ -502,7 +502,7 @@ def test_orbital_sample_is_a_hermitian_commutant_element(build, field, rng):
     state = rng.bit_generator.state
     x = orbital_sample(rep, rng)
     assert x.dtype == (complex if field == "complex" else float)
-    assert commutation_residual(rep, x, rep.group.generators) <= 1e-14
+    assert commutation_residual(x, _generator_images(rep)) <= 1e-14
     assert not np.array_equal(x, x.conj().T)
     rng.bit_generator.state = state
     s = sample_commutant(rep, rng=rng)
@@ -519,11 +519,32 @@ def test_orbital_sample_moments_match_projected_seeds(field):
     rng = np.random.default_rng(2024)
     draws = 3000
     got = np.array([orbital_sample(rep, rng).reshape(-1)[first] for _ in range(draws)])
-    want = np.array([orbital_average(rep, _gaussian(5, field, rng), hermitize=False)
+    want = np.array([orbital_average(rep, _gaussian(5, field, rng))
                      .reshape(-1)[first] for _ in range(draws)])
     got, want = np.mean(np.abs(got) ** 2, axis=0), np.mean(np.abs(want) ** 2, axis=0)
     assert len(counts) == 11 and set(counts.tolist()) == {1, 3}
     np.testing.assert_allclose(got, want, rtol=0.1)
+
+
+def _generator_images(rep):
+    return [rep.image(g) for g in rep.group.generators]
+
+
+@pytest.mark.parametrize("path", ["orbital", "stabilizer chain", "Casimir", "Haar"])
+def test_project_commutant_is_the_hermitian_part_of_project_linear(path):
+    # every path returns the linear average P; the Hermitian part is taken once
+    if path in ("orbital", "stabilizer chain"):
+        rep = natural_perm_rep(symmetric(4), "complex")
+    else:
+        rep = tensor_power(defining_rep(orthogonal_group(3), "complex"), 2)
+    if path in ("stabilizer chain", "Haar"):  # the same images, without the structure
+        rep = Representation(rep.group, rep.dim, rep.field, rep.image)
+    assert projection_path(rep).startswith(path)
+    x = _gaussian(rep.dim, rep.field, np.random.default_rng(5))
+    p = project_linear(rep, x, rng=np.random.default_rng(7))
+    got = project_commutant(rep, x, rng=np.random.default_rng(7))
+    assert not np.array_equal(p, p.conj().T)
+    assert np.array_equal(got.matrix, (p + p.conj().T) / 2)
 
 
 def test_project_dispatch(rng):

@@ -171,9 +171,25 @@ def test_harmonize_identity_witness(rng):
     rep, bases, xprime = _s3_double_standard(rng)
     from repblock import EquivalenceWitness
 
-    w = EquivalenceWitness(F=np.eye(2), alpha=1.0)
+    w = EquivalenceWitness(F=np.eye(2))
     out = harmonize(bases[0], w)
     assert np.allclose(out.rows, bases[0].rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_witness_reads_alpha_and_residual_from_one_svd(k, rng):
+    # a scaled near-unitary F: its SVD gives the spectral norm and the
+    # residual the product formula ||A^dag A - I|| / max(1, sqrt k) gives
+    from repblock import EquivalenceWitness
+
+    q = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    f = 3.7 * q + 1e-6 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    w = EquivalenceWitness(F=f)
+    assert abs(w.alpha - np.linalg.norm(f, 2)) <= 1e-14 * np.linalg.norm(f, 2)
+    a = f / np.linalg.norm(f, 2)
+    want = np.linalg.norm(a.conj().T @ a - np.eye(k)) / max(1.0, np.sqrt(k))
+    assert abs(w.unit_residual - want) <= 1e-13
+    assert np.linalg.norm(w.transform @ w.transform.conj().T - np.eye(k)) <= 1e-13
 
 
 def test_harmonize_idempotent(rng):

@@ -634,3 +634,22 @@ def test_dimension_guard_at_the_boundary_names_the_excess(monkeypatch, field, it
     assert str(err.value) == (
         f"dimension {n + 1} is too large: one {n + 1} x {n + 1} {field} matrix "
         f"needs {need:,} bytes, physical memory is {have:,} bytes")
+
+
+def test_power_refused_from_bit_lengths_only_where_the_dimension_rule_refuses(monkeypatch):
+    # physical memory of one 300 x 300 real matrix: 2^k is refused from k alone
+    # once 2^k > 300, 3^k is formed and refused by the ordinary rule below that
+    sizes = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 300 * 300}
+    monkeypatch.setattr(reps_mod.os, "sysconf", sizes.__getitem__)
+    two, three = (natural_perm_rep(cyclic(m), "real") for m in (2, 3))
+    assert tensor_power(two, 8).dim == 256 and tensor_power(three, 5).dim == 243
+    with pytest.raises(ValueError, match=r"^dimension 2\^9 is too large: one real matrix of "
+                                         r"2\^9 x 2\^9 or more exceeds physical memory"):
+        tensor_power(two, 9)
+    with pytest.raises(ValueError, match=r"^dimension 729 is too large: one 729 x 729"):
+        tensor_power(three, 6)
+    with pytest.raises(ValueError, match=r"^dimension of a product of 9 factors is too large"):
+        tensor(*[two] * 9)
+    with pytest.raises(ValueError, match=r"^dimension 301 is too large"):
+        defining_rep(orthogonal_group(301))
+    assert defining_rep(orthogonal_group(300)).dim == 300

@@ -422,7 +422,7 @@ def test_orbital_extraction_matches_the_dense_path(generated, field, doubled, sy
             blocked = block_diagonalize_sdp(d, prob, symmetrize_first=symmetrize)
     if orbital and not symmetrize:
         # the invariance residuals, summed from the entries, against |X - x[ids]| / |X|
-        want = [np.linalg.norm(x - orbital_average(rep, x, hermitize=False))
+        want = [np.linalg.norm(x - orbital_average(rep, x))
                 / (np.linalg.norm(x) or 1.0) for x in mats]
         assert np.allclose(gated[0], want, rtol=1e-12, atol=1e-12)
     if rejected:
