@@ -187,6 +187,8 @@ def _note(args, message):
 
 
 def _note_decomposition(args, rep, decomp):
+    if not args.verbose:  # naming the projection path may build the stabilizer chain
+        return
     _note(args, f"decomposed in {decomp.attempts} attempt(s); "
                 f"projection: {projection_path(rep)}")
     _note(args, f"{decomp.clusters} eigenvalue clusters; {decomp.pairs_tested} candidate "

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact import lie_basis
 from .reps import ProjectionError, Representation
 
 #: Commutation tolerance for the exact finite-group projection; anything
@@ -205,7 +204,9 @@ def orbital_sample(rep: Representation, rng) -> np.ndarray:
 def projection_path(rep: Representation) -> str:
     """How the commutant projection of ``rep`` averages, and over how much."""
     if rep.derived is not None:
-        path = f"Casimir kernel, {len(lie_basis(rep.group))} Lie generators"
+        d = rep.group.dim  # the length of compact.lie_basis, without its d x d matrices
+        k = d * d if rep.group.kind == "unitary" else d * (d - 1) // 2
+        path = f"Casimir kernel, {k} Lie generators"
         return path + (", one reflection average" if _reflects(rep) else "")
     if not rep.is_finite:
         return "Haar averaging"
@@ -308,7 +309,6 @@ def _casimir_solve(omega, x, cap, gap):
     return y, iters
 
 
-@np.errstate(invalid="ignore")  # non-finite input fails the gate, which says so
 def _casimir_projection(rep, x, config):
     """Exact commutant projection through the Casimir kernel, gated.
 
@@ -343,8 +343,20 @@ def _project(rep, x, config, rng):
     """Group average of x and its commutation residual, gated.
 
     Exact for finite groups and for compact groups with a derived action;
-    otherwise averaging stops as :class:`ProjectionConfig` describes.
+    otherwise averaging stops as :class:`ProjectionConfig` describes.  Every
+    path averages x / s, s = :func:`_pow2_scale` (x), and scales back: no
+    norm it reads overflows or underflows, and P(2^k x) = 2^k P(x) bit for bit.
     """
+    x = np.asarray(x)
+    s = _pow2_scale(x)
+    out, resid = _average(rep, x / s, config, rng)
+    out = out * s
+    if not np.isfinite(out).all():  # the residual was read on x / s, which held
+        raise ProjectionError(f"the group average of data scaled by {s:.3e} overflows")
+    return out, resid
+
+
+def _average(rep, x, config, rng):
     if rep.is_finite:
         if rep.index_action is not None:
             # the labels were checked against every generator when built, so

@@ -37,8 +37,8 @@ count).  A generic symmetric sample has one eigenvalue cluster per copy,
 sum M in all: so clusters = s exactly when no component is of complex or
 quaternionic type.  The twin is sampled only when r <= s^2, as the real
 route has r = sum M^2 <= (sum M)^2 = s^2, and kept only when the clusters of
-its first sample, counted on the eigenvalues alone, number s; otherwise the
-complex route draws what it draws without the twin.  A type other than real
+its first sample number s; otherwise that split is dropped, and the complex
+route draws what it draws without the twin.  A type other than real
 then read from the twin is a genericity failure.
 
 All genericity assumptions hold with probability one but can fail
@@ -208,19 +208,6 @@ class IrrepDecomposition:
         return list(accumulate((c.size for c in self.components), initial=0))
 
 
-def _cuts(evals):
-    """The first index of each eigenvalue cluster of an ascending spectrum
-    and, last, its length; and the gap threshold the clusters split at."""
-    span = float(evals[-1] - evals[0])
-    # The additive term keeps the threshold above eigenvalue roundoff even
-    # when the whole spectrum collapses to one point (span ~ eps), where a
-    # purely relative threshold would shatter the noise into fake clusters.
-    scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
-    threshold = _GAP_TOL * span + 1e3 * np.finfo(float).eps * scale
-    gaps = np.flatnonzero(np.diff(evals) > threshold) + 1
-    return [0, *gaps.tolist(), len(evals)], threshold
-
-
 def eigsplit(xbar: CommutantSample):
     """Split a commutant sample's eigenbasis into eigenvalue clusters.
 
@@ -235,7 +222,14 @@ def eigsplit(xbar: CommutantSample):
     x = np.asarray(xbar.matrix if isinstance(xbar, CommutantSample) else xbar)
     evals, evecs = np.linalg.eigh(x)
     vh = evecs.conj().T
-    cuts, threshold = _cuts(evals)
+    span = float(evals[-1] - evals[0])
+    # The additive term keeps the threshold above eigenvalue roundoff even
+    # when the whole spectrum collapses to one point (span ~ eps), where a
+    # purely relative threshold would shatter the noise into fake clusters.
+    scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
+    threshold = _GAP_TOL * span + 1e3 * np.finfo(float).eps * scale
+    gaps = np.flatnonzero(np.diff(evals) > threshold) + 1
+    cuts = [0, *gaps.tolist(), len(evals)]
     out = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         spread = float(evals[hi - 1] - evals[lo])
@@ -473,18 +467,18 @@ def _decompose_once(rep, cfg, streams, attempt):
     # the third stream is unused; the last, which verifies a compact group, keeps its seed
     s_xbar, s_xprime, _, s_verify = streams
 
-    target, arithmetic, xbar = rep, rep.field, None
+    target, arithmetic = rep, rep.field
     twin, s = _real_twin(rep)
     if twin is not None:
-        # from a copy, so that the complex route draws what it draws without the
-        # twin; the eigenvalues alone count the clusters, at half eigh's cost
-        sample = sample_commutant(twin, cfg.projection, copy.deepcopy(s_xbar))
-        if len(_cuts(np.linalg.eigvalsh(sample.matrix))[0]) - 1 == s:
-            target, xbar = twin, sample
+        # from a copy, so that the complex route draws what it draws without the twin
+        xbar = sample_commutant(twin, cfg.projection, copy.deepcopy(s_xbar))
+        bases = eigsplit(xbar)
+        if len(bases) == s:
+            target = twin
             arithmetic = f"real: every component of real type, {s} self-paired orbitals"
-    if xbar is None:
+    if target is rep:
         xbar = sample_commutant(rep, cfg.projection, s_xbar)
-    bases = eigsplit(xbar)
+        bases = eigsplit(xbar)
     # once read, each Hermitian sample gives way to its whole element (None over C)
     xbar = xbar.whole
     xprime = sample_commutant(target, cfg.projection, s_xprime)

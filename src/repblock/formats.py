@@ -49,8 +49,8 @@ from .compact import CompactGroupHandle
 from .decompose import IrrepDecomposition, REAL_TYPES, isotypic_components
 from .perm import Permutation, PermutationGroup
 from .sdp import SdpProblem
-from .reps import (Representation, _check_dim, conjugate, defining_rep, direct_sum,
-                   natural_perm_rep, rep_from_generator_images, tensor,
+from .reps import (Representation, _check_dim, _check_dim_bits, conjugate, defining_rep,
+                   direct_sum, natural_perm_rep, rep_from_generator_images, tensor,
                    tensor_power)
 
 
@@ -131,11 +131,20 @@ def parse_group_spec(text: str):
 
 
 def parse_inline_group(token: str):
-    """Parse 'unitary:d' / 'orthogonal:d' shorthand used on the command line."""
+    """Parse 'unitary:d' / 'orthogonal:d' shorthand used on the command line.
+
+    A d of k > 20 significant digits, beyond 64 bits, is at least
+    10^(k - 1) >= 2^(3 (k - 1)): the memory rule refuses it on that bound,
+    before int() meets more digits than it converts.
+    """
     kind, _, d = token.partition(":")
-    if kind not in ("unitary", "orthogonal") or not d.isdecimal() or int(d) < 1:
+    d = d.lstrip("0")  # leading zeros do not count as digits of d
+    if kind not in ("unitary", "orthogonal") or not d.isdecimal() or len(d) <= 20 and int(d) < 1:
         raise SpecFormatError(f"expected 'unitary:<d>' or 'orthogonal:<d>', got {token!r}")
-    return _compact_group(kind, int(d), f"group {token!r}")
+    where, field = f"group {token!r}", "complex" if kind == "unitary" else "real"
+    if len(d) > 20:
+        _build_at(where, _check_dim_bits, f"of {len(d):,} digits", 3 * (len(d) - 1), field)
+    return _compact_group(kind, int(d), where)
 
 
 def _compact_group(kind, dim, where):

@@ -559,6 +559,23 @@ def test_compact_dimension_of_thousands_of_digits_exit2(tmp_path, capsys, digits
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("d,code", [("1" + "0" * 5000, 2), ("0" * 5000 + "2", 0)],
+                         ids=["5,001 digits", "zero-padded"])
+def test_inline_dimension_of_thousands_of_digits(capsys, d, code):
+    # refused by its digit count before int() meets more digits than it
+    # converts; leading zeros do not count
+    assert main(["sample-group", f"unitary:{d}", "1", "--seed", "2"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith(
+            f"error: group 'unitary:{d}': dimension of 5,001 digits is too large: one complex "
+            "matrix of 2^15000 x 2^15000 or more exceeds physical memory")
+        assert captured.out == ""
+    else:
+        assert main(["sample-group", "unitary:2", "1", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == captured.out
+
+
 def test_decompose_nan_generator_image_exit2(s3_files, tmp_path, capsys):
     group, _ = s3_files
     rep = tmp_path / "nan.rep"
@@ -608,6 +625,49 @@ def test_blockdiag_compact_group(tmp_path, capsys):
     assert sorted(b["dimension"] for b in manifest["blocks"]) == [1, 3]
     assert all(b["size"] == 1 for b in manifest["blocks"])
     assert manifest["worst_residual"] <= 1e-6
+
+
+def test_blockdiag_symmetrizes_data_near_the_float_range(tmp_path):
+    # the Casimir projection of O(3) averages data of 1e300 as it does data of 1
+    from repblock.formats import parse_sdp
+
+    (tmp_path / "g").write_text('{"compact": "orthogonal", "dimension": 3}\n')
+    (tmp_path / "r").write_text('{"kind": "defining"}\n')
+    blocks = []
+    for scale in ("1", "1e300"):
+        sdp = tmp_path / f"{scale}.sdp"
+        sdp.write_text("3 1 real\n" + "".join(f"MATRIX 0 {i} {j} {scale}\n" for i in range(3)
+                                               for j in range(i, 3))
+                       + "".join(f"MATRIX 1 {i} {i} 1\n" for i in range(3)) + "B 1\n")
+        out = tmp_path / f"b{scale}"
+        assert main(["blockdiag", str(sdp), str(tmp_path / "g"), str(tmp_path / "r"),
+                     "--symmetrize", "--seed", "1", "--out", str(out)]) == 0
+        blocks.append(parse_sdp((out / "block_000.sdp").read_text()))
+        assert not (out / "block_001.sdp").exists()
+    for prob, scale in zip(blocks, (1.0, 1e300)):  # the average of C is tr(C) / 3 I
+        assert prob.n == 1 and list(prob.b) == [1.0]
+        np.testing.assert_allclose(prob.matrix(0), [[scale]], rtol=1e-15)
+        np.testing.assert_allclose(prob.matrix(1), [[1.0]], rtol=1e-15)
+
+
+def test_decompose_names_the_lie_generators_without_building_them(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the projection note is formed only under -v, and counts d^2 generators
+    import repblock.commutant
+    import repblock.compact
+
+    def refuse(handle):
+        raise AssertionError("lie_basis built")
+
+    for module in (repblock.compact, repblock.commutant):  # wherever it is bound
+        monkeypatch.setattr(module, "lie_basis", refuse, raising=False)
+    (tmp_path / "g").write_text('{"compact": "unitary", "dimension": 3}\n')
+    (tmp_path / "r").write_text('{"kind": "defining"}\n')
+    for flags in ([], ["-v"]):
+        assert main(["decompose", str(tmp_path / "g"), str(tmp_path / "r"), *flags]) == 0
+        notes = capsys.readouterr().err
+        assert ("# decomposed in 1 attempt(s); projection: Casimir kernel, 9 Lie generators"
+                in notes) == bool(flags)
 
 
 def test_blockdiag_threads_flag_retired(s3_files, tmp_path, capsys):

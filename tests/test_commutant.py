@@ -530,9 +530,10 @@ def _generator_images(rep):
     return [rep.image(g) for g in rep.group.generators]
 
 
-@pytest.mark.parametrize("path", ["orbital", "stabilizer chain", "Casimir", "Haar"])
-def test_project_commutant_is_the_hermitian_part_of_project_linear(path):
-    # every path returns the linear average P; the Hermitian part is taken once
+_PATHS = ["orbital", "stabilizer chain", "Casimir", "Haar"]
+
+
+def _path_rep(path):
     if path in ("orbital", "stabilizer chain"):
         rep = natural_perm_rep(symmetric(4), "complex")
     else:
@@ -540,11 +541,51 @@ def test_project_commutant_is_the_hermitian_part_of_project_linear(path):
     if path in ("stabilizer chain", "Haar"):  # the same images, without the structure
         rep = Representation(rep.group, rep.dim, rep.field, rep.image)
     assert projection_path(rep).startswith(path)
+    return rep
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_project_commutant_is_the_hermitian_part_of_project_linear(path):
+    # every path returns the linear average P; the Hermitian part is taken once
+    rep = _path_rep(path)
     x = _gaussian(rep.dim, rep.field, np.random.default_rng(5))
     p = project_linear(rep, x, rng=np.random.default_rng(7))
     got = project_commutant(rep, x, rng=np.random.default_rng(7))
     assert not np.array_equal(p, p.conj().T)
     assert np.array_equal(got.matrix, (p + p.conj().T) / 2)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_projection_commutes_with_powers_of_two(path):
+    # P(2^k x) = 2^k P(x) bit for bit: data near the ends of the float range
+    # project as ordinary data do, and ordinary data keep their bits
+    rep = _path_rep(path)
+    x = _gaussian(rep.dim, rep.field, np.random.default_rng(5))
+    p, resid = commutant._project(rep, x, None, np.random.default_rng(7))
+    for k in (-1000, 0, 1000):
+        got = commutant._project(rep, x * 2.0 ** k, None, np.random.default_rng(7))
+        assert np.array_equal(got[0], p * 2.0 ** k) and got[1] == resid
+
+
+def test_casimir_projection_of_data_near_the_float_range():
+    # the CG residual's squared norm overflowed above about 1e154
+    o3 = defining_rep(orthogonal_group(3))
+    for scale in (1e-300, 1e160, 1e300):
+        got = project_linear(o3, np.full((3, 3), scale))
+        np.testing.assert_allclose(got, scale * np.eye(3), rtol=0, atol=1e-14 * scale)
+
+
+def test_average_that_overflows_when_scaled_back_is_refused():
+    # the reflection's commutant holds a projector with an entry of 1.75, so
+    # the average of 1e308 * ones has an entry of 3.6e308: finite data whose
+    # average commutes at the scale it was taken, but not as floats
+    w = np.ones(8)
+    w[0] = -1
+    w /= np.linalg.norm(w)
+    rep = rep_from_generator_images(cyclic(2), [np.eye(8) - 2 * np.outer(w, w)], "real")
+    assert project_linear(rep, np.full((8, 8), 1e300))[0, 0] == pytest.approx(3.625e300)
+    with pytest.raises(ProjectionError, match="overflows"):
+        project_linear(rep, np.full((8, 8), 1e308))
 
 
 def test_project_dispatch(rng):

@@ -512,6 +512,34 @@ def test_decisions_are_pinned(shape):
             1, clusters, pairs, equivalent)
 
 
+@pytest.mark.parametrize("group,route,splits", [
+    (lambda: symmetric(4), "real", 1),     # the twin's split is kept
+    (lambda: cyclic(4), "complex", 2),     # dropped: 3 clusters, not s = 2
+])
+def test_each_sample_is_eigendecomposed_at_most_once(monkeypatch, group, route, splits):
+    dec = importlib.import_module("repblock.decompose")
+    samples, spectra, eigvalsh = [], [], []
+    draw, eigh = dec.sample_commutant, np.linalg.eigh
+
+    def counted_draw(*args):
+        samples.append(draw(*args))
+        return samples[-1]
+
+    def counted_eigh(x, *args):
+        spectra.append(x)
+        return eigh(x, *args)
+
+    monkeypatch.setattr(dec, "sample_commutant", counted_draw)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: eigvalsh.append(args))
+    d = decompose(natural_perm_rep(group()), rng=np.random.default_rng(0))
+    assert d.arithmetic.startswith(route) and d.attempts == 1
+    assert len(spectra) == splits and eigvalsh == []
+    # every split reads a sample drawn as the first of its route, each once
+    assert len(samples) == splits + 1
+    assert all(x is c.matrix for x, c in zip(spectra, samples))
+
+
 def test_fresh_sample_matches_block_pattern(rng):
     # a commutant sample conjugated by U must be block-scalar per component
     from repblock import block_diagonalize_matrix

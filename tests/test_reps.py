@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_permutation_images_skip_the_unitarity_product(monkeypatch):
     for bad in (2 * np.eye(3), np.full((3, 3), np.nan)):
         with pytest.raises(ValueError, match=r"^generator image 1 is not unitary"):
             rep_from_generator_images(g, [perm_matrix((1, 0, 2)), bad], "real")
+
+
+def test_overflowing_image_is_refused_without_a_warning():
+    # m^dag m overflows; the non-finite residual fails the gate as a ValueError
+    for field in ("real", "complex"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^generator image 0 is not unitary "
+                                                 r"\(residual (inf|nan)\)"):
+                rep_from_generator_images(cyclic(2), [np.full((2, 2), 1e308)], field)
 
 
 def test_index_action_agrees_with_images(rng):
