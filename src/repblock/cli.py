@@ -29,13 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .commutant import ProjectionConfig, ProjectionError, projection_path
+from .commutant import ProjectionConfig, ProjectionError
 from .decompose import (DecomposeConfig, DecompositionError, decompose,
                         verify_decomposition)
 from .formats import (SpecFormatError, format_basis, format_rows, format_sdp,
                       parse_basis, parse_group_spec, parse_inline_group,
                       parse_rep_spec, parse_sdp)
 from .perm import PermutationGroup
+from .reps import _check_memory
 from .sdp import DEFAULT_INVARIANCE_TOL, NotInvariantError, SdpProblem, block_diagonalize_sdp
 
 ENV_PREFIX = "REPBLOCK_"
@@ -186,11 +187,12 @@ def _note(args, message):
         print(f"# {message}", file=sys.stderr)
 
 
-def _note_decomposition(args, rep, decomp):
-    if not args.verbose:  # naming the projection path may build the stabilizer chain
-        return
+def _note_decomposition(args, decomp):
     _note(args, f"decomposed in {decomp.attempts} attempt(s); "
-                f"projection: {projection_path(rep)}")
+                f"projection: {decomp.projection}")
+    if decomp.restarts:
+        _note(args, "restarted after " + "; ".join(
+            f"attempt {k}: {reason}" for k, reason in enumerate(decomp.restarts, 1)))
     _note(args, f"{decomp.clusters} eigenvalue clusters; {decomp.pairs_tested} candidate "
                 f"pairs tested, {decomp.pairs_equivalent} equivalent")
     _note(args, f"arithmetic: {decomp.arithmetic}")
@@ -202,7 +204,7 @@ def cmd_decompose(args) -> int:
         _note(args, f"{_group_label(rep.group, chain=True)}; representation dimension {rep.dim}")
     rng = np.random.default_rng(args.seed)
     decomp = decompose(rep, _decompose_config(args), rng=rng)
-    _note_decomposition(args, rep, decomp)
+    _note_decomposition(args, decomp)
 
     if args.emit_basis:
         Path(args.emit_basis).write_text(format_basis(decomp, args.field))
@@ -250,7 +252,7 @@ def cmd_blockdiag(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _decompose_config(args)
     decomp = decompose(rep, config, rng=rng)
-    _note_decomposition(args, rep, decomp)
+    _note_decomposition(args, decomp)
 
     tol = args.tol if args.tol is not None else DEFAULT_INVARIANCE_TOL
     try:
@@ -346,6 +348,11 @@ def cmd_sample_group(args) -> int:
         group = _load_group(args.spec)
     if args.count < 0:
         raise SpecFormatError("count must be >= 0")
+    # a sample is at least its degree's 8-byte images, or its d x d matrix
+    size = (8 * group.degree if isinstance(group, PermutationGroup)
+            else group.dim ** 2 * (16 if group.kind == "unitary" else 8))
+    _check_memory(args.count * size,
+                  f"count {args.count} is too large: a list of {args.count} samples")
 
     rng = np.random.default_rng(args.seed)
     samples = [group.sample(rng) for _ in range(args.count)]

@@ -44,6 +44,8 @@ there.
 Every path returns the plain linear average P.  Its conjugation inverse is
 the conjugate transpose, exact for unitary representations, so P commutes
 with taking adjoints, and a Hermitian sample is P's Hermitian part, taken once.
+Each path names itself where it runs, with its count, in the sample's
+:attr:`CommutantSample.path`; nothing re-derives it.
 """
 
 from __future__ import annotations
@@ -112,11 +114,13 @@ class CommutantSample:
     """A generic Hermitian commutant element and its measured residual.
     Over R, ``whole`` is the projected seed, whose symmetric part is
     ``matrix`` and whose antisymmetric part gives the real types; None over
-    C, where that part is i times a Hermitian commutant element."""
+    C, where that part is i times a Hermitian commutant element.  ``path``
+    names the averaging that ran and its count, as the average recorded it."""
 
     matrix: np.ndarray
     residual: float
     whole: np.ndarray | None = None
+    path: str = ""
 
 
 def _gaussian(n, field, rng):
@@ -201,19 +205,8 @@ def orbital_sample(rep: Representation, rng) -> np.ndarray:
     return (g / np.sqrt(counts))[ids].reshape(rep.dim, rep.dim)
 
 
-def projection_path(rep: Representation) -> str:
-    """How the commutant projection of ``rep`` averages, and over how much."""
-    if rep.derived is not None:
-        d = rep.group.dim  # the length of compact.lie_basis, without its d x d matrices
-        k = d * d if rep.group.kind == "unitary" else d * (d - 1) // 2
-        path = f"Casimir kernel, {k} Lie generators"
-        return path + (", one reflection average" if _reflects(rep) else "")
-    if not rep.is_finite:
-        return "Haar averaging"
-    if rep.index_action is not None:
-        return f"orbital averaging, {len(rep.index_action.orbitals()[1])} orbitals"
-    total = sum(len(t) for t in rep.group.transversals)
-    return f"stabilizer chain, {total} transversal elements"
+def _orbital_path(rep):
+    return f"orbital averaging, {len(rep.index_action.orbitals()[1])} orbitals"
 
 
 def _reflects(rep):
@@ -310,7 +303,7 @@ def _casimir_solve(omega, x, cap, gap):
 
 
 def _casimir_projection(rep, x, config):
-    """Exact commutant projection through the Casimir kernel, gated.
+    """Exact commutant projection through the Casimir kernel, gated, and its path.
 
     CG runs at most n^2 iterations, the dimension of the matrix space,
     within which it ends in exact arithmetic.  The residual is the bound
@@ -318,29 +311,31 @@ def _casimir_projection(rep, x, config):
     o(1) = 0), or the relative commutator with the reflection's image.
     """
     x, omega = np.asarray(x), _casimir(rep)
-    d = rep.group.dim
-    gap = d if rep.group.kind == "unitary" else (d - 1) / 2
+    d, reflects = rep.group.dim, _reflects(rep)
+    # the gap, and the Lie generators: d^2 on u(d), d(d - 1)/2 on o(d)
+    gap, k = (d, d * d) if rep.group.kind == "unitary" else ((d - 1) / 2, d * (d - 1) // 2)
     y, iters = _casimir_solve(omega, x, rep.dim ** 2, gap)
     out = x - y
-    if _reflects(rep):
+    if reflects:
         reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
         u = rep.image(reflection)
         out = (out + u @ out @ u.conj().T) / 2
     scale = 2 * rep.derived.leaves / gap if gap else 0.0
     nx = np.linalg.norm(out)
     resid = scale * float(np.linalg.norm(omega(out))) / nx if nx else 0.0
-    if _reflects(rep):
+    if reflects:
         resid = float(np.maximum(resid, commutation_residual(out, [u])))
     if not resid <= config.commutation_tol:  # NaN fails too
         raise ProjectionError(
             f"Casimir kernel projection left commutation residual {resid:.3e} above "
             f"{config.commutation_tol:.1e} after {iters} conjugate-gradient iterations")
-    return out, resid
+    path = f"Casimir kernel, {k} Lie generators, {iters} conjugate-gradient iterations"
+    return out, resid, path + (", one reflection average" if reflects else "")
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite results fail the gate
 def _project(rep, x, config, rng):
-    """Group average of x and its commutation residual, gated.
+    """Group average of x, its commutation residual, gated, and its path.
 
     Exact for finite groups and for compact groups with a derived action;
     otherwise averaging stops as :class:`ProjectionConfig` describes.  Every
@@ -349,11 +344,11 @@ def _project(rep, x, config, rng):
     """
     x = np.asarray(x)
     s = _pow2_scale(x)
-    out, resid = _average(rep, x / s, config, rng)
+    out, resid, path = _average(rep, x / s, config, rng)
     out = out * s
     if not np.isfinite(out).all():  # the residual was read on x / s, which held
         raise ProjectionError(f"the group average of data scaled by {s:.3e} overflows")
-    return out, resid
+    return out, resid, path
 
 
 def _average(rep, x, config, rng):
@@ -363,15 +358,17 @@ def _average(rep, x, config, rng):
             # the average commutes exactly unless the input is not finite
             out = orbital_average(rep, x)
             resid = 0.0 if np.isfinite(out).all() else math.nan
+            path = _orbital_path(rep)
         else:
             out = chain_average(rep, x)
             # commuting with the generators' images means commuting with the group
             resid = commutation_residual(out, [rep.image(g) for g in rep.group.generators])
+            path = f"stabilizer chain, {sum(map(len, rep.group.transversals))} transversal elements"
         if not resid <= FINITE_COMMUTATION_TOL:  # NaN fails too
             raise ProjectionError(
                 f"finite projection left commutation residual {resid:.3e}; the input is "
                 "not finite or the representation is probably not a homomorphism")
-        return out, resid
+        return out, resid, path
     config = config or ProjectionConfig()
     if rep.derived is not None:
         return _casimir_projection(rep, x, config)
@@ -379,7 +376,7 @@ def _average(rep, x, config, rng):
     handle = rep.group
     probes = [rep.image(handle.sample(rng)) for _ in range(_RESIDUAL_PROBES)]
     out = np.array(x)
-    rounds, resid = 0, math.inf
+    rounds, resid, stop = 0, math.inf, f"the {_MAX_ROUNDS:,}-round cap"
     while rounds < _MAX_ROUNDS:
         for _ in range(min(_CHECK_EVERY, _MAX_ROUNDS - rounds)):
             t = [handle.sample(rng) for _ in range(_SET_SIZE)]
@@ -387,23 +384,24 @@ def _average(rep, x, config, rng):
             rounds += 1
         last, resid = resid, commutation_residual(out, probes)
         if not resid < last / 2:  # roundoff reached; NaN stops too
+            stop = "roundoff"
             break
     if not resid <= config.commutation_tol:
         raise ProjectionError(
             f"commutation residual {resid:.3e} above {config.commutation_tol:.1e} "
             f"after {rounds} rounds")
-    return out, resid
+    return out, resid, f"Haar averaging, {rounds} rounds, stopped at {stop}"
 
 
 def project_commutant(rep: Representation, x, config: ProjectionConfig = None,
                       rng=None) -> CommutantSample:
-    """Hermitian part of :func:`project_linear`, with the average's residual.
+    """Hermitian part of :func:`project_linear`, with the average's residual and path.
 
     Raises :class:`ProjectionError` when the average does not commute with
     the representation to tolerance.
     """
-    out, resid = _project(rep, x, config, rng)
-    return CommutantSample((out + out.conj().T) / 2, resid)
+    out, resid, path = _project(rep, x, config, rng)
+    return CommutantSample((out + out.conj().T) / 2, resid, path=path)
 
 
 def project_linear(rep: Representation, x, config: ProjectionConfig = None,
@@ -422,8 +420,8 @@ def sample_commutant(rep: Representation, config: ProjectionConfig = None,
     if rng is None:
         rng = np.random.default_rng()
     if rep.index_action is not None:
-        whole, resid = orbital_sample(rep, rng), 0.0
+        whole, resid, path = orbital_sample(rep, rng), 0.0, _orbital_path(rep)
     else:
-        whole, resid = _project(rep, _gaussian(rep.dim, rep.field, rng), config, rng)
+        whole, resid, path = _project(rep, _gaussian(rep.dim, rep.field, rng), config, rng)
     return CommutantSample((whole + whole.conj().T) / 2, resid,
-                           whole if rep.field == "real" else None)
+                           whole if rep.field == "real" else None, path)

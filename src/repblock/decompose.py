@@ -193,6 +193,8 @@ class IrrepDecomposition:
     pairs_tested: int = 0
     pairs_equivalent: int = 0
     arithmetic: str = ""  # the field the samples were drawn over, and why
+    projection: str = ""  # the first sample's averaging path (CommutantSample.path)
+    restarts: tuple = ()  # why each attempt before the one that succeeded restarted
 
     @property
     def multiplicities(self):
@@ -480,7 +482,7 @@ def _decompose_once(rep, cfg, streams, attempt):
         xbar = sample_commutant(rep, cfg.projection, s_xbar)
         bases = eigsplit(xbar)
     # once read, each Hermitian sample gives way to its whole element (None over C)
-    xbar = xbar.whole
+    xbar, projection = xbar.whole, xbar.path
     xprime = sample_commutant(target, cfg.projection, s_xprime)
     classes, pairs_tested, pairs_equivalent = _equivalence_pass(bases, xprime.matrix)
     xprime = xprime.whole
@@ -503,7 +505,7 @@ def _decompose_once(rep, cfg, streams, attempt):
     decomp = IrrepDecomposition(
         U=u, components=components, diagnostics=None, rep=target, attempts=attempt + 1,
         clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent,
-        arithmetic=arithmetic)
+        arithmetic=arithmetic, projection=projection)
 
     report = verify_decomposition(target, decomp, trials=_VERIFY_TRIALS,
                                   tol=cfg.block_tol, rng=s_verify)
@@ -557,7 +559,7 @@ def decompose(rep: Representation, config: DecomposeConfig | None = None,
     samples when a genericity assumption fails, up to
     ``_MAX_RESAMPLES`` restarts.  The returned object carries the
     unitary change of basis, the (dimension, multiplicity) structure,
-    real-field type labels, and the verification report.
+    real-field type labels, the verification report and the restart reasons.
     """
     cfg = config or DecomposeConfig()
     if rng is None:
@@ -566,9 +568,12 @@ def decompose(rep: Representation, config: DecomposeConfig | None = None,
     for attempt in range(_MAX_RESAMPLES + 1):
         streams = rng.spawn(4)
         try:
-            return _decompose_once(rep, cfg, streams, attempt)
+            decomp = _decompose_once(rep, cfg, streams, attempt)
         except ResampleNeeded as exc:
             reasons.append(str(exc))
+        else:
+            decomp.restarts = tuple(reasons)
+            return decomp
     raise DecompositionError(
         f"gave up after {len(reasons)} attempts: "
         + "; ".join(f"attempt {k}: {r}" for k, r in enumerate(reasons, 1)))

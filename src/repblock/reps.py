@@ -159,7 +159,7 @@ class Derived:
         A part shared by several slots, as in a tensor power, is walked once."""
         if self.kind == "leaf":
             return Derived("leaf", self.dim, conj=not self.conj)
-        flipped = {id(p): p.conjugate() for p in self.parts}
+        flipped = {key: p.conjugate() for key, p in {id(p): p for p in self.parts}.items()}
         return Derived(self.kind, self.dim, [flipped[id(p)] for p in self.parts])
 
 
@@ -462,11 +462,15 @@ def _check_dim(dim, field):
     """Refuse a dimension whose one n x n matrix exceeds physical memory."""
     if dim.bit_length() > 64:  # beyond any memory, and its square may be too long to print
         _check_dim_bits(f"of {dim.bit_length()} bits", dim.bit_length() - 1, field)
-    need = dim * dim * np.dtype(_dtype(field)).itemsize
+    _check_memory(dim * dim * np.dtype(_dtype(field)).itemsize,
+                  f"dimension {dim} is too large: one {dim} x {dim} {field} matrix")
+
+
+def _check_memory(need, what):
+    """Refuse ``what``, which needs ``need`` bytes, when that exceeds physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"dimension {dim} is too large: one {dim} x {dim} {field} matrix "
-                         f"needs {need:,} bytes, physical memory is {have:,} bytes")
+        raise ValueError(f"{what} needs {need:,} bytes, physical memory is {have:,} bytes")
 
 
 def _check_dim_bits(name, bits, field):
@@ -568,8 +572,26 @@ def conjugate(r: Representation) -> Representation:
 
 
 def tensor_power(r: Representation, k: int) -> Representation:
-    """k-fold tensor power: :func:`tensor` of k copies of ``r``."""
+    """k-fold tensor power: :func:`tensor` of k copies of ``r``.  Of a
+    one-dimensional ``r``, in O(log k): its image to the k-th power by
+    squaring, its index action, and its derived tree squared likewise."""
     if k < 1:
         raise ValueError("tensor power exponent must be >= 1")
+    if r.dim == 1:
+        def image(g):
+            return np.linalg.matrix_power(r.image(g), k)
+
+        return Representation(r.group, 1, r.field, image if r.index_action is None else None,
+                              name=f"{r.name}^{k}", index_action=r.index_action,
+                              derived=None if r.derived is None else _derived_power(r.derived, k))
     _check_dim_bits(f"{r.dim}^{k}", k * (r.dim.bit_length() - 1), r.field)
     return tensor(*[r] * k)
+
+
+def _derived_power(tree, k):
+    """The one-dimensional ``tree`` tensored k times, as O(log k) nodes that
+    share their parts: charge k charge and leaves k leaves."""
+    if k == 1:
+        return tree
+    half = _derived_power(tree, k // 2)
+    return Derived("tensor", 1, [half, half] + [tree] * (k % 2))

@@ -88,10 +88,10 @@ def _check_hermitian(m, what):
         raise ValueError(f"{what} has a non-finite entry")
     if np.array_equal(m, m.conj().T):  # bitwise Hermitian: the residual is 0
         return
-    # |m - m^dag| <= tol max(1, |m|), read on m / s for s = max |re|, |im|
-    # (> 0 here) so that no square overflows: |u - u^dag| <= tol |u| or
+    # |m - m^dag| <= tol max(1, |m|), read on m / s for s = _pow2_scale(m)
+    # so that no square overflows: |u - u^dag| <= tol |u| or
     # s |u - u^dag| <= tol, where the product may overflow to inf and fail
-    s = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+    s = _pow2_scale(m)
     u = m / s
     resid = float(np.linalg.norm(u - u.conj().T))
     if not (resid <= _HERMITIAN_TOL * float(np.linalg.norm(u))

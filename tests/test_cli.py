@@ -952,3 +952,48 @@ def test_blockdiag_builds_the_chain_for_its_verbose_label_only(s4xc2_regular_fil
     assert loud.err.splitlines()[0] == ("# permutation group, degree 48, order 48, base length 1, "
                                         "3 strong generators; SDP n=48, m=1, field complex")
     assert loud.out == quiet.out
+
+
+def test_sample_group_refuses_a_count_beyond_memory(s3_files, capsys, monkeypatch):
+    # refused by the physical-memory rule of one representation matrix,
+    # before the first draw
+    from repblock.compact import CompactGroupHandle
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(CompactGroupHandle, "sample", no_draw)
+    monkeypatch.setattr(cli.PermutationGroup, "sample", no_draw)
+    group, _ = s3_files
+    for spec in ("unitary:2", str(group)):
+        assert main(["sample-group", spec, "100000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "count 100000000000 is too large" in captured.err
+        assert "physical memory is" in captured.err
+
+
+def test_verbose_keeps_the_restart_reasons(s3_files, capsys, monkeypatch):
+    import importlib
+
+    from repblock import ResampleNeeded
+
+    dec = importlib.import_module("repblock.decompose")
+    once = dec._decompose_once
+
+    def first_fails(rep, cfg, streams, attempt):
+        if attempt == 0:
+            raise ResampleNeeded("planted genericity failure")
+        return once(rep, cfg, streams, attempt)
+
+    monkeypatch.setattr(dec, "_decompose_once", first_fails)
+    group, rep = s3_files
+    args = ["decompose", str(group), str(rep), "--seed", "3", "--format", "structured"]
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert main(args + ["-v"]) == 0
+    loud = capsys.readouterr()
+    assert quiet.err == "" and loud.out == quiet.out
+    assert "# decomposed in 2 attempt(s); projection: orbital averaging, 2 orbitals" in loud.err
+    assert "# restarted after attempt 1: planted genericity failure\n" in loud.err
+    assert "planted" not in quiet.out

@@ -17,7 +17,7 @@ from repblock import commutant
 import repblock.reps as reps_mod
 from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, _gaussian, chain_average,
                                 commutation_residual, orbital_average, orbital_sample,
-                                project_linear, projection_path)
+                                project_linear)
 from repblock.decompose import _VERIFY_TRIALS
 
 from conftest import (alternating4, brute_average, closure, closure_with_images,
@@ -236,15 +236,34 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+# per case: the Lie generators, the CG iterations (one per distinct nonzero
+# Casimir value on a generic X), the reflection, and the oracle's Haar rounds
+_CASIMIR_PATHS = {
+    "U(1)": ("1 Lie generators, 0 conjugate-gradient iterations", 20),
+    "U(3) (x) U(3)": ("9 Lie generators, 3 conjugate-gradient iterations", 80),
+    "U(3)^3": ("9 Lie generators, 5 conjugate-gradient iterations", 80),
+    "U(2) (x) conj U(2)": ("4 Lie generators, 2 conjugate-gradient iterations", 70),
+    "U(2) (+) U(2)^2": ("4 Lie generators, 4 conjugate-gradient iterations", 80),
+    "O(2) over R": ("1 Lie generators, 1 conjugate-gradient iterations, "
+                    "one reflection average", 60),
+    "O(3) (+) O(3)^2 over R": ("3 Lie generators, 4 conjugate-gradient iterations, "
+                               "one reflection average", 80),
+    "trivial (+) U(2) (x) trivial": ("4 Lie generators, 2 conjugate-gradient iterations", 80),
+    "trivial (+) O(3) over R": ("3 Lie generators, 2 conjugate-gradient iterations, "
+                                "one reflection average", 70),
+}
+
+
 @pytest.mark.parametrize("name,rep", _casimir_cases(), ids=lambda v: v if isinstance(v, str) else "")
 def test_casimir_projection_matches_the_haar_oracle(name, rep, rng):
     # the oracle is the same representation given by its images alone
     oracle, _ = _counting(rep, rep.image)
-    assert projection_path(rep).startswith("Casimir kernel")
-    assert projection_path(oracle) == "Haar averaging"
     x = sample_gue(rep.dim, rep.field, rng)
     got = project_commutant(rep, x, rng=rng)
     want = project_commutant(oracle, x, rng=rng)
+    casimir, rounds = _CASIMIR_PATHS[name]
+    assert got.path == f"Casimir kernel, {casimir}"
+    assert want.path == f"Haar averaging, {rounds} rounds, stopped at roundoff"
     assert got.residual <= 1e-13
     assert _rel(got.matrix, want.matrix) <= 1e-12
     assert np.linalg.norm(got.matrix - got.matrix.conj().T) == 0.0
@@ -255,11 +274,41 @@ def test_casimir_projection_matches_the_haar_oracle(name, rep, rng):
     assert _rel(project_linear(rep, z, rng=rng), project_linear(oracle, z, rng=rng)) <= 1e-12
 
 
-def test_casimir_projection_names_its_path():
+def test_casimir_projection_names_its_path(rng):
+    # CG takes one step per distinct nonzero Casimir value on X: three on
+    # End(C^3 (x) C^3); on End(R^3), 1 on the antisymmetric and 3 on the
+    # traceless symmetric part of a Gaussian seed
     u3 = defining_rep(unitary_group(3))
-    assert projection_path(tensor(u3, u3)) == "Casimir kernel, 9 Lie generators"
-    assert projection_path(defining_rep(orthogonal_group(3))) == \
-        "Casimir kernel, 3 Lie generators, one reflection average"
+    assert project_commutant(tensor(u3, u3), sample_gue(9, "complex", rng)).path == \
+        "Casimir kernel, 9 Lie generators, 3 conjugate-gradient iterations"
+    assert sample_commutant(defining_rep(orthogonal_group(3)), rng=rng).path == \
+        "Casimir kernel, 3 Lie generators, 2 conjugate-gradient iterations, one reflection average"
+
+
+def test_finite_projections_name_their_paths(rng):
+    # S3 natural: the diagonal and the off-diagonal orbital, drawn or averaged
+    natural = natural_perm_rep(symmetric(3), "complex")
+    assert sample_commutant(natural, rng=rng).path == "orbital averaging, 2 orbitals"
+    x = sample_gue(3, "complex", rng)
+    assert project_commutant(natural, x).path == "orbital averaging, 2 orbitals"
+    # S3 standard images: a chain of base length 2, transversals of 3 and 2
+    std = rep_from_generator_images(symmetric(3), s3_standard_images(), "real")
+    assert sample_commutant(std, rng=rng).path == "stabilizer chain, 5 transversal elements"
+    assert project_commutant(std, np.eye(2)).path == "stabilizer chain, 5 transversal elements"
+
+
+def test_haar_projection_names_its_rounds_and_stop(rng, monkeypatch):
+    # U(2) by its images alone: no derived action, so Haar rounds
+    u2 = defining_rep(unitary_group(2))
+    rep = Representation(u2.group, 2, "complex", u2.image)
+    x = sample_gue(2, "complex", rng)
+    assert project_commutant(rep, x, rng=np.random.default_rng(3)).path == \
+        "Haar averaging, 70 rounds, stopped at roundoff"
+    # a cap reached before roundoff is named as the cap
+    monkeypatch.setattr(commutant, "_MAX_ROUNDS", 10)
+    got = project_commutant(rep, x, ProjectionConfig(commutation_tol=1.0),
+                            rng=np.random.default_rng(3))
+    assert got.path == "Haar averaging, 10 rounds, stopped at the 10-round cap"
 
 
 @pytest.mark.parametrize("build", [
@@ -540,7 +589,8 @@ def _path_rep(path):
         rep = tensor_power(defining_rep(orthogonal_group(3), "complex"), 2)
     if path in ("stabilizer chain", "Haar"):  # the same images, without the structure
         rep = Representation(rep.group, rep.dim, rep.field, rep.image)
-    assert projection_path(rep).startswith(path)
+    probe = project_commutant(rep, np.eye(rep.dim), rng=np.random.default_rng(0))
+    assert probe.path.startswith(path)
     return rep
 
 
@@ -561,7 +611,7 @@ def test_projection_commutes_with_powers_of_two(path):
     # project as ordinary data do, and ordinary data keep their bits
     rep = _path_rep(path)
     x = _gaussian(rep.dim, rep.field, np.random.default_rng(5))
-    p, resid = commutant._project(rep, x, None, np.random.default_rng(7))
+    p, resid, _ = commutant._project(rep, x, None, np.random.default_rng(7))
     for k in (-1000, 0, 1000):
         got = commutant._project(rep, x * 2.0 ** k, None, np.random.default_rng(7))
         assert np.array_equal(got[0], p * 2.0 ** k) and got[1] == resid

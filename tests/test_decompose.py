@@ -2,6 +2,7 @@ import importlib
 import inspect
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
-                      IsotypicComponent, PermutationGroup, Representation, ResampleNeeded,
+                      IsotypicComponent, Permutation, PermutationGroup, Representation,
+                      ResampleNeeded,
                       classify_real_type, conjugate, decompose,
                       defining_rep, direct_sum, eigsplit, equivalence_test,
                       group_from_generators, harmonize, natural_perm_rep,
@@ -19,7 +21,7 @@ from repblock import (CommutantSample, DecomposeConfig, DecompositionError,
 
 from repblock.reps import IndexAction
 
-from conftest import (closure_with_images, cyclic, equivalence_pass_order, group_of,
+from conftest import (closure, closure_with_images, cyclic, equivalence_pass_order, group_of,
                       perm_matrix, quaternion8, reference_verify, regular_rep, symmetric)
 from test_reps import s3_standard_images
 
@@ -1111,3 +1113,47 @@ def test_decomposition_counts_its_equivalence_pass(rng):
     assert (d.clusters, d.pairs_tested, d.pairs_equivalent) == equivalence_pass_order(d)
     assert d.clusters == 4 and d.pairs_equivalent == 1
     assert d.pairs_tested in (4, 5, 6)
+
+
+@pytest.mark.parametrize("k", [10 ** 9, 10 ** 9 + 1])
+def test_power_of_a_character_decomposes_in_log_k(k):
+    # S3's sign character by dense 1 x 1 images, to the k-th power
+    g = symmetric(3)
+    start = time.perf_counter()
+    rep = tensor_power(rep_from_generator_images(g, [np.array([[-1.0]]), np.array([[1.0]])]), k)
+    d = decompose(rep, rng=np.random.default_rng(0))
+    assert time.perf_counter() - start < 2
+    assert d.dm_multiset() == [(1, 1)] and d.diagnostics.passed
+    for images in closure(3, [p.images for p in g.generators]):
+        sign = round(np.linalg.det(perm_matrix(images)))
+        assert rep.image(Permutation(list(images))).tolist() == [[sign ** k]]
+
+
+def test_power_of_u1_passes_the_casimir_projection_and_verification():
+    # charges 5, 1 and 5: the two charge-5 powers are one irrep, twice
+    u1 = defining_rep(unitary_group(1))
+    rep = direct_sum(tensor_power(u1, 5), u1, tensor_power(u1, 5))
+    x = sample_commutant(rep, rng=np.random.default_rng(4))
+    assert x.path.startswith("Casimir kernel, 1 Lie generators") and x.residual <= 1e-13
+    # the charge-1 copy couples to neither charge-5 copy, which couple
+    scale = np.linalg.norm(x.matrix)
+    assert max(abs(x.matrix[0, 1]), abs(x.matrix[1, 2])) <= 1e-13 * scale
+    assert abs(x.matrix[0, 2]) > 1e-3 * scale
+    d = decompose(rep, rng=np.random.default_rng(4))
+    assert d.dm_multiset() == [(1, 1), (1, 2)] and d.diagnostics.passed
+
+
+def test_restart_reasons_are_kept_when_a_later_attempt_succeeds(monkeypatch):
+    dec = importlib.import_module("repblock.decompose")
+    once = dec._decompose_once
+
+    def first_fails(rep, cfg, streams, attempt):
+        if attempt == 0:
+            raise ResampleNeeded("planted genericity failure")
+        return once(rep, cfg, streams, attempt)
+
+    rep = natural_perm_rep(symmetric(3))
+    assert decompose(rep, rng=np.random.default_rng(0)).restarts == ()
+    monkeypatch.setattr(dec, "_decompose_once", first_fails)
+    d = decompose(rep, rng=np.random.default_rng(0))
+    assert d.attempts == 2 and d.restarts == ("planted genericity failure",)

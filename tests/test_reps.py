@@ -664,3 +664,30 @@ def test_power_refused_from_bit_lengths_only_where_the_dimension_rule_refuses(mo
     with pytest.raises(ValueError, match=r"^dimension 301 is too large"):
         defining_rep(orthogonal_group(301))
     assert defining_rep(orthogonal_group(300)).dim == 300
+
+
+def test_power_of_a_one_dimensional_node_is_built_in_log_k():
+    # the image is the inner scalar to the k-th power, the index action the
+    # inner one, and the derived tree has O(log k) nodes, charge k charge
+    # and leaves k leaves
+    u1 = defining_rep(unitary_group(1))
+    k = 10 ** 9 + 1
+    power = tensor_power(u1, k)
+    assert power.dim == 1 and power.derived.dim == 1
+    assert power.derived.charge == k and power.derived.leaves == k
+    assert conjugate(power).derived.charge == -k
+
+    def nodes(tree, seen):
+        if id(tree) not in seen:
+            seen.add(id(tree))
+            for p in tree.parts:
+                nodes(p, seen)
+        return len(seen)
+
+    assert nodes(power.derived, set()) <= 2 * k.bit_length()
+    u = np.array([[1j]])  # i^(10^9 + 1) = i, exactly by squaring
+    assert power.image(u).tolist() == [[1j]]
+    sign = natural_perm_rep(symmetric(1))
+    assert tensor_power(sign, k).index_action is sign.index_action
+    # a power of a node of dimension >= 2 keeps its flat factor list
+    assert len(tensor_power(defining_rep(unitary_group(2)), 3).derived.parts) == 3
