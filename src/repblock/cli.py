@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -35,7 +36,7 @@ from .decompose import (DecomposeConfig, DecompositionError, decompose,
 from .formats import (SpecFormatError, format_basis, format_rows, format_sdp,
                       parse_basis, parse_group_spec, parse_inline_group,
                       parse_rep_spec, parse_sdp)
-from .perm import PermutationGroup
+from .perm import Permutation, PermutationGroup
 from .reps import _check_memory
 from .sdp import DEFAULT_INVARIANCE_TOL, NotInvariantError, SdpProblem, block_diagonalize_sdp
 
@@ -341,6 +342,43 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _sample_doc(group, u):
+    """One sample as the structured format lists it."""
+    if isinstance(group, PermutationGroup):
+        return list(u.images)
+    if group.kind == "unitary":
+        return [[[float(v.real), float(v.imag)] for v in row] for row in u]
+    return [[float(v) for v in row] for row in u]
+
+
+def _held_size(obj):
+    """``sys.getsizeof`` of obj and of every list, tuple and number in it."""
+    if isinstance(obj, Permutation):
+        return sys.getsizeof(obj) + _held_size(obj.images)
+    if isinstance(obj, (list, tuple)):
+        return sys.getsizeof(obj) + sum(_held_size(x) for x in obj)
+    return sys.getsizeof(obj)  # an array that owns its data counts it
+
+
+def _sample_size(group, structured):
+    """Bytes held per sample: the element and its list slot; in the structured
+    format also its document entry, the JSON encoder's pieces of it and its
+    text, joined and encoded.  Read off a template of at most 64 points or
+    8 x 8 entries, each number printed at full length, scaled up in size."""
+    if isinstance(group, PermutationGroup):
+        t = min(group.degree, 64)
+        u, entry, scale = Permutation.identity(t), [group.degree - 1] * t, group.degree / t
+    else:
+        t, x = min(group.dim, 8), -2.2250738585072014e-308  # the longest float repr
+        u = np.full((t, t), complex(x, x) if group.kind == "unitary" else x)
+        entry, scale = _sample_doc(group, u), (group.dim / t) ** 2
+    size = 16 + _held_size(u)  # a list slot, twice while the list grows
+    if structured:
+        pieces = list(json.JSONEncoder(indent=2).iterencode({"samples": [entry]}))
+        size += 16 + _held_size(entry) + _held_size(pieces) + 2 * sum(map(len, pieces))
+    return math.ceil(scale * size)
+
+
 def cmd_sample_group(args) -> int:
     if _INLINE_GROUP.match(args.spec):
         group = parse_inline_group(args.spec)
@@ -348,33 +386,21 @@ def cmd_sample_group(args) -> int:
         group = _load_group(args.spec)
     if args.count < 0:
         raise SpecFormatError("count must be >= 0")
-    # a sample is at least its degree's 8-byte images, or its d x d matrix
-    size = (8 * group.degree if isinstance(group, PermutationGroup)
-            else group.dim ** 2 * (16 if group.kind == "unitary" else 8))
-    _check_memory(args.count * size,
+    structured = args.format == "structured"
+    _check_memory(args.count * _sample_size(group, structured),
                   f"count {args.count} is too large: a list of {args.count} samples")
 
     rng = np.random.default_rng(args.seed)
     samples = [group.sample(rng) for _ in range(args.count)]
-
-    if isinstance(group, PermutationGroup):
-        doc_samples = [list(p.images) for p in samples]
-        worst = None
-    else:
-        doc_samples = []
-        worst = 0.0
+    worst = None
+    if not isinstance(group, PermutationGroup):
         eye = np.eye(group.dim)
-        for u in samples:
-            worst = max(worst, float(np.linalg.norm(u.conj().T @ u - eye)))
-            if group.kind == "unitary":
-                doc_samples.append([[[float(v.real), float(v.imag)] for v in row]
-                                    for row in u])
-            else:
-                doc_samples.append([[float(v) for v in row] for row in u])
+        worst = max((float(np.linalg.norm(u.conj().T @ u - eye)) for u in samples), default=0.0)
 
-    if args.format == "structured":
+    if structured:
         doc = _report_doc("sample-group", args, {
-            "spec": args.spec, "count": args.count, "samples": doc_samples})
+            "spec": args.spec, "count": args.count,
+            "samples": [_sample_doc(group, u) for u in samples]})
         if worst is not None:
             doc["max_unitarity_residual"] = worst
         print(json.dumps(doc, indent=2))

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -302,13 +303,29 @@ def _casimir_solve(omega, x, cap, gap):
     return y, iters
 
 
+def _charges(node):
+    """The charges q of a tree of U(1), d rho(i) = i diag(q): +1 or -1 on a
+    leaf, 0 on the trivial one, concatenated by a sum, and added row-major,
+    as the Kronecker product orders indices, by a tensor."""
+    if node.kind == "zero":
+        return np.zeros(node.dim)
+    if node.dim == 1:  # a leaf, or a power built in log k steps
+        return np.array([float(node.charge)])
+    parts = [_charges(p) for p in node.parts]
+    if node.kind == "sum":
+        return np.concatenate(parts)
+    return reduce(lambda a, b: np.add.outer(a, b).ravel(), parts)
+
+
 def _casimir_projection(rep, x, config):
     """Exact commutant projection through the Casimir kernel, gated, and its path.
 
     CG runs at most n^2 iterations, the dimension of the matrix space,
     within which it ends in exact arithmetic.  The residual is the bound
     2 r ||Omega X|| / (lambda_1 ||X||) on max_j ||[A_j, X]|| / ||X|| (0 on
-    o(1) = 0), or the relative commutator with the reflection's image.
+    o(1) = 0), or the relative commutator with the reflection's image.  On
+    u(1) it is ||[A, X]|| / ||X|| itself, (q_a - q_b) X_ab from the charges:
+    the bound's roundoff in Omega grows with the charges squared.
     """
     x, omega = np.asarray(x), _casimir(rep)
     d, reflects = rep.group.dim, _reflects(rep)
@@ -320,9 +337,13 @@ def _casimir_projection(rep, x, config):
         reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
         u = rep.image(reflection)
         out = (out + u @ out @ u.conj().T) / 2
-    scale = 2 * rep.derived.leaves / gap if gap else 0.0
     nx = np.linalg.norm(out)
-    resid = scale * float(np.linalg.norm(omega(out))) / nx if nx else 0.0
+    if rep.group.kind == "unitary" and d == 1:
+        q = _charges(rep.derived)
+        resid = float(np.linalg.norm((q[:, None] - q) * out)) / nx if nx else 0.0
+    else:
+        scale = 2 * rep.derived.leaves / gap if gap else 0.0
+        resid = scale * float(np.linalg.norm(omega(out))) / nx if nx else 0.0
     if reflects:
         resid = float(np.maximum(resid, commutation_residual(out, [u])))
     if not resid <= config.commutation_tol:  # NaN fails too

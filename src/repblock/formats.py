@@ -25,7 +25,8 @@ SDP problem (line-oriented text)
                                              im required iff field complex
     vector:   B v_1 ... v_m                  exactly one such line
     Unlisted entries are zero.  Values are written with 17 significant
-    digits, which round-trips IEEE doubles exactly.
+    digits, which round-trips IEEE doubles exactly.  ``parse_sdp`` reads a
+    well-formed file in one numpy C-reader call, others line by line.
 
 Decomposition basis (line-oriented text)
     BASIS 1
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from itertools import chain
 
@@ -302,10 +304,9 @@ def parse_rep_spec(text: str, group, field: str) -> Representation:
 # SDP problems
 # ---------------------------------------------------------------------------
 
-_SDP_CHUNK = 4096  # lines per run; one reader call over a whole file peaks higher
-
-
 def _sdp_header(parts, lineno):
+    """The header's (n, m, field), refused when one n x n matrix exceeds physical
+    memory (``reps._check_dim``) or a key (k n + i) n + j may overflow 64 bits."""
     if len(parts) != 3:
         raise SpecFormatError("header must be 'n m field'", line=lineno)
     try:
@@ -316,6 +317,12 @@ def _sdp_header(parts, lineno):
     if n < 1 or m < 0 or field not in ("real", "complex"):
         raise SpecFormatError("header must be 'n m field' with n >= 1, m >= 0, "
                               "field in {real, complex}", line=lineno)
+    if (m + 1) * n * n * (16 if field == "complex" else 8) >= 2 ** 63:
+        raise SpecFormatError("header sizes are too large for 64-bit entry keys", line=lineno)
+    try:
+        _check_dim(n, field)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc), line=lineno) from None
     return n, m, field
 
 
@@ -357,142 +364,131 @@ def _sdp_b(parts, lineno, m):
     return bvec
 
 
-def _sdp_matrix_run(lines, linenos, n, m, field):
-    """Entries of a run of lines whose first token is exactly MATRIX.
+def _sdp_blocks(text, start):
+    """The lines of ``text`` from ``start`` on, in blocks of about 64 KB: at
+    most a block of line strings is held while the C reader takes them."""
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield text[start:end].split("\n")  # a block's last, empty line is skipped
+        start = end
 
-    One call of numpy's C text reader converts the run and every check runs
-    as a mask.  Returns the (line, k, i, j, re, im) arrays of the lines that
-    pass and the (line, error) of the first line that fails, or None.
-    """
-    # the 6-byte tag would cut MATRIXX to MATRIX: the caller passes no other record
-    floats = ["re", "im"] if field == "complex" else ["re"]
-    dtype = ([("tag", "S6")] + [(c, np.int64) for c in ["k", "i", "j"]]
-             + [(c, np.float64) for c in floats])
+
+def _sdp_fast(text):
+    """The problem's n, field, entries (k, i, j, value) sorted by (k, i, j)
+    and b, from one call of numpy's C text reader, or None for the checked
+    reader.  Only whole-text string work precedes the call, and no Python
+    code runs per line.  Errors it can word first, the header's or, once
+    every other line has passed, the B line's, are raised."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    # str.splitlines breaks lines at these too, numpy's reader does not; and a
+    # bytes column drops a token's trailing NULs
+    if any(c in text for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\0"):
+        return None
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", "", text)
+    if not text.isascii():  # a non-ASCII digit or space outside the comments
+        return None
+    first = re.search(r"\S[^\n]*", text)
+    if first is None:
+        raise SpecFormatError("empty SDP file", line=1)
+    header_line = text.count("\n", 0, first.start()) + 1
+    n, m, field = _sdp_header(first.group().split(), header_line)
+    # the one B of the file, as no number, MATRIX tag or valid header holds one
+    at = text.find("B")
+    if at < 0 or text.find("B", at + 1) >= 0:
+        return None
+    end = text.find("\n", at)
+    b_parts = text[text.rfind("\n", 0, at) + 1:end if end >= 0 else None].split()
+    if b_parts[0] != "B":  # the reader would take the rest of its line for a comment
+        return None
+    complex_ = field == "complex"
+    # an 8-byte tag keeps MATRIXX and longer tags apart from MATRIX, and the
+    # number columns aligned
+    dtype = ([("tag", "S8")] + [(c, np.int64) for c in ["k", "i", "j"]]
+             + [(c, np.float64) for c in (["re", "im"] if complex_ else ["re"])])
     try:
-        # The reader splits on str.split's whitespace, refuses a line of the
-        # wrong width and converts with Python's float parser.  It refuses
-        # some tokens that int and float accept (1_0, non-ASCII digits, an
-        # index beyond int64), and an older numpy may only warn about a float
-        # in an integer field: either leaves the run to _sdp_entry below.
+        # The reader splits as str.split does and converts with Python's float
+        # parser; it refuses tokens such as 1_0, and an older numpy may only
+        # warn about a float in an integer field.  The one B starts a comment.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cols = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, Warning):
-        pass
-    else:
-        # contiguous copies: views would keep the whole record array, tag included
-        k, i, j, re = (cols[c].copy() for c in ["k", "i", "j", "re"])
-        im = cols["im"].copy() if field == "complex" else np.zeros(len(lines))
-        ok = (np.isfinite(re) & np.isfinite(im) & (0 <= k) & (k <= m)
-              & (0 <= i) & (i <= j) & (j < n) & ((i < j) | (im == 0)))
-        if ok.all():
-            return [linenos, k, i, j, re, im], None
-    # a width, a conversion or a check failed: _sdp_entry words the first bad line
-    rows, error = [], None  # no error: numpy refused a token that Python parses
-    for lineno, line in zip(linenos.tolist(), lines):
-        try:
-            rows.append((lineno, *_sdp_entry(line.split(), lineno, n, m, field)))
-        except SpecFormatError as exc:
-            error = (lineno, exc)
-            break
-    return [np.array([row[c] for row in rows], dtype=np.int64 if c < 4 else np.float64)
-            for c in range(6)], error
+            cols = np.loadtxt(chain.from_iterable(_sdp_blocks(text, first.end())),
+                              dtype=dtype, comments="B", ndmin=1)
+    except (ValueError, Warning):  # an empty body warns
+        return None
+    if not (cols["tag"].view("<u8") == int.from_bytes(b"MATRIX", "little")).all():
+        return None  # the tag's 8 bytes, compared as one number
+    # contiguous copies: views would keep the whole record array, tag included
+    k, i, j = (cols[c].copy() for c in ["k", "i", "j"])
+    values = np.empty(k.size, dtype=np.complex128 if complex_ else np.float64)
+    values.real = cols["re"]
+    if complex_:
+        values.imag = cols["im"]
+    del cols
+    ok = np.isfinite(values) & (0 <= k) & (k <= m) & (0 <= i) & (i <= j) & (j < n)
+    if complex_:
+        ok &= (i < j) | (values.imag == 0)
+    if not ok.all():
+        return None
+    key = (k * n + i) * n + j
+    if not (key[1:] > key[:-1]).all():  # listed out of order, or with a repeat
+        order = np.argsort(key, kind="stable")
+        if (key[order[1:]] == key[order[:-1]]).any():  # the checked reader names the first
+            return None
+        k, i, j, values = k[order], i[order], j[order], values[order]
+    # every other line has passed, so an error on the B line is the file's first
+    return n, field, k, i, j, values, _sdp_b(b_parts, text.count("\n", 0, at) + 1, m)
+
+
+def _sdp_checked(text):
+    """``_sdp_fast``'s result, read line by line; the first line that fails
+    a check raises, worded by ``_sdp_header``, ``_sdp_entry`` or ``_sdp_b``."""
+    header, entries, bvec = None, {}, None  # entries: (k, i, j) -> value, in file order
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if header is None:
+            n, m, field = header = _sdp_header(parts, lineno)
+        elif parts[0] == "MATRIX":
+            k, i, j, re_, im = _sdp_entry(parts, lineno, n, m, field)
+            if (k, i, j) in entries:
+                raise SpecFormatError(f"duplicate entry for matrix {k} at ({i}, {j})",
+                                      line=lineno)
+            entries[k, i, j] = complex(re_, im) if field == "complex" else re_
+        elif parts[0] != "B":
+            raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
+        elif bvec is not None:
+            raise SpecFormatError("duplicate B line", line=lineno)
+        else:
+            bvec = _sdp_b(parts, lineno, m)
+    if header is None:
+        raise SpecFormatError("empty SDP file", line=1)
+    if bvec is None:
+        raise SpecFormatError("missing B line")
+    keys = sorted(entries)  # the order of the keys (k n + i) n + j
+    k, i, j = np.array(keys, dtype=np.int64).reshape(-1, 3).T.copy()
+    values = np.array([entries[key] for key in keys],
+                      dtype=np.complex128 if field == "complex" else np.float64)
+    return n, field, k, i, j, values, bvec
 
 
 def parse_sdp(text: str) -> SdpProblem:
     """Parse the sparse SDP text format into a problem held as its entries.
 
     The checked upper-triangle entries, sorted by (k, i, j), become the
-    problem's storage; no dense matrix is formed.  A header is refused before
-    any entry is read when one n x n matrix, which the basis and the dense
-    extraction need, exceeds physical memory, the representation builders'
-    rule (``reps._check_dim``).  Parse errors carry the offending line number.
-    Lines are read in runs of a few thousand: one call of numpy's C text
-    reader converts a run's MATRIX lines and every check runs as a mask.  A
-    run the reader refuses or a mask fails is read again line by line, so the
-    first line failing any check, or repeating an earlier (k, i, j) in any
-    run, is reported with the message a line-by-line reading gives, and
-    errors come out in file order.
+    problem's storage; no dense matrix is formed.  The header is checked
+    before any entry is read (``_sdp_header``).  Parse errors carry the
+    offending line number.  A well-formed file, ASCII outside its comments,
+    whose lines end in LF or CRLF is read by one call of numpy's C text reader,
+    with every check run as a mask (``_sdp_fast``).  Any other file, and
+    any file that call refuses or a mask fails, is read line by line
+    (``_sdp_checked``), so the first failing line is reported with the
+    message a line-by-line reading gives.
     """
-    lines = text.splitlines()
-    header = None
-    for pos, raw in enumerate(lines):
-        parts = raw.split("#", 1)[0].split()
-        if parts:
-            header_line = pos + 1
-            header = _sdp_header(parts, header_line)
-            break
-    if header is None:
-        raise SpecFormatError("empty SDP file", line=1)
-    n, m, field = header
-    dtype = np.complex128 if field == "complex" else np.float64
-    if (m + 1) * n * n * np.dtype(dtype).itemsize >= 2 ** 63:  # keeps the int64 keys exact
-        raise SpecFormatError("header sizes are too large for 64-bit entry keys", line=header_line)
-    try:
-        _check_dim(n, field)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc), line=header_line) from None
-
-    bvec = None
-    batches = []  # (lines, k, i, j, re, im) of the MATRIX lines of each run that passed
-    error = None  # (line, exception) of the first line that failed
-    for start in range(header_line, len(lines), _SDP_CHUNK):
-        run = lines[start:start + _SDP_CHUNK]
-        joined = "\n".join(run)
-        if "#" in joined:
-            run = [raw.split("#", 1)[0] for raw in run]
-            joined = "\n".join(run)
-        linenos = np.arange(start + 1, start + 1 + len(run))
-        if joined.count("\nMATRIX ") + joined.startswith("MATRIX ") < len(run):
-            body = []  # positions of the lines whose first token is MATRIX
-            for t, raw in enumerate(run):
-                parts = ["MATRIX"] if raw.startswith("MATRIX ") else raw.split()
-                if parts[:1] == ["MATRIX"]:
-                    body.append(t)
-                elif parts:
-                    lineno = start + 1 + t
-                    try:
-                        if parts[0] != "B":
-                            raise SpecFormatError(f"unknown record {parts[0]!r}", line=lineno)
-                        if bvec is not None:
-                            raise SpecFormatError("duplicate B line", line=lineno)
-                        bvec = _sdp_b(parts, lineno, m)
-                    except SpecFormatError as exc:
-                        error = (lineno, exc)
-                        break
-            run, linenos = [run[t] for t in body], linenos[body]
-        cols, failed = _sdp_matrix_run(run, linenos, n, m, field)
-        batches.append(cols)
-        if failed is not None:  # its lines all precede an error found above
-            error = failed
-        if error is not None:
-            break
-
-    del lines  # the runs' columns hold all that is read from here on
-    lines_arr, k, i, j, re, im = (np.concatenate([b[c] for b in batches])
-                                  if batches else np.zeros(0, dtype=np.int64)
-                                  for c in range(6))
-    del batches
-    key = (k * n + i) * n + j
-    order = np.argsort(key, kind="stable")  # equal keys stay in file order
-    repeat = order[1:][key[order][1:] == key[order][:-1]]
-    if repeat.size:
-        first = repeat[np.argmin(lines_arr[repeat])]
-        if error is None or lines_arr[first] < error[0]:
-            error = (int(lines_arr[first]), SpecFormatError(
-                f"duplicate entry for matrix {k[first]} at ({i[first]}, {j[first]})",
-                line=int(lines_arr[first])))
-    if error is not None:
-        raise error[1]
-    if bvec is None:
-        raise SpecFormatError("missing B line")
-
-    values = np.empty(k.size, dtype=dtype)
-    values.real = re
-    if field == "complex":
-        values.imag = im
-    return SdpProblem._from_entries(n, k[order], i[order], j[order], values[order],
-                                    np.array(bvec), field)
+    n, field, k, i, j, values, bvec = _sdp_fast(text) or _sdp_checked(text)
+    return SdpProblem._from_entries(n, k, i, j, values, np.array(bvec), field)
 
 
 def format_sdp(prob) -> str:

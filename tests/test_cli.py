@@ -973,6 +973,54 @@ def test_sample_group_refuses_a_count_beyond_memory(s3_files, capsys, monkeypatc
         assert "physical memory is" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_sample_group_charges_at_least_the_traced_peak(s3_files, fmt):
+    # the per-sample size the memory rule charges covers what the command
+    # holds; output goes to a file, which the process does not hold
+    import contextlib
+    import os
+    import tracemalloc
+
+    from repblock.formats import parse_group_spec, parse_inline_group
+
+    group, _ = s3_files
+    count = 20000
+    for spec, handle in [("unitary:2", parse_inline_group("unitary:2")),
+                         (str(group), parse_group_spec(S3_GROUP))]:
+        args = ["sample-group", spec, str(count), "--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(args[:2] + ["3"] + args[3:]) == 0  # imports and caches, once
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert cli._sample_size(handle, fmt == "structured") >= peak / count, spec
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_sample_group_refuses_a_hundredth_of_memory_in_samples(s3_files, capsys, monkeypatch, fmt):
+    import os
+    import time
+
+    from repblock.compact import CompactGroupHandle
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(CompactGroupHandle, "sample", no_draw)
+    monkeypatch.setattr(cli.PermutationGroup, "sample", no_draw)
+    count = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 100
+    group, _ = s3_files
+    for spec in ("unitary:2", str(group)):
+        start = time.perf_counter()
+        assert main(["sample-group", spec, str(count), "--format", fmt]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"count {count} is too large" in captured.err
+
+
 def test_verbose_keeps_the_restart_reasons(s3_files, capsys, monkeypatch):
     import importlib
 

@@ -355,6 +355,34 @@ def test_casimir_gate_without_lie_generators_or_leaves(rep, rng):
         project_commutant(rep, x)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_u1_gate_reads_the_charges_at_large_charge(seed):
+    # charges 1000 and 1: Omega's roundoff grows with the charges squared,
+    # and the bound 2 r ||Omega X|| / ||X|| refused these correct projections
+    u1 = defining_rep(unitary_group(1))
+    rep = direct_sum(tensor_power(u1, 1000), u1)
+    got = sample_commutant(rep, rng=np.random.default_rng(seed))
+    assert got.residual <= 1e-12
+    assert decompose(rep, rng=np.random.default_rng(seed)).dm_multiset() == [(1, 1), (1, 1)]
+
+
+def test_u1_gate_refuses_a_planted_coupling(monkeypatch):
+    # a projection that leaves the coupling between charges 1000 and 1
+    u1 = defining_rep(unitary_group(1))
+    rep = direct_sum(tensor_power(u1, 1000), u1)
+    monkeypatch.setattr(commutant, "_casimir_solve", lambda omega, x, cap, gap: (0 * x, 0))
+    x = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)
+    with pytest.raises(ProjectionError, match=r"residual 9\.990e-07 above"):
+        project_commutant(rep, x)
+
+
+def test_u1_charges_follow_the_kronecker_order():
+    u1 = defining_rep(unitary_group(1))
+    rep = tensor(direct_sum(u1, conjugate(u1), trivial_rep(unitary_group(1))),
+                 direct_sum(tensor_power(u1, 3), u1))
+    assert commutant._charges(rep.derived).tolist() == [4, 2, 2, 0, 3, 1]
+
+
 def _gap_cases():
     u2, u3 = defining_rep(unitary_group(2)), defining_rep(unitary_group(3))
     return [

@@ -381,9 +381,10 @@ def sdp_files(draw):
     """A valid SDP file as a list of lines, with its (n, m, field).
 
     Fields may be separated by tabs and lines indented; lines may end in
-    CRLF, or share a list item through a form feed or a line separator,
-    which ``splitlines`` breaks at; the B line may come first; and a file
-    without blank or comment lines keeps its MATRIX lines in one long run.
+    CRLF, or share a list item through another break that ``splitlines``
+    breaks at (a lone CR, a vertical tab, a form feed, a file separator,
+    NEL, a line or a paragraph separator); the B line may come first; and a
+    comment may hold a B or non-ASCII text.
     """
     field = draw(st.sampled_from(["real", "complex"]))
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
@@ -409,13 +410,14 @@ def sdp_files(draw):
     lines = ["# generated", f"{n} {m} {field}"]
     for line in body:
         if gaps:
-            lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# x"]),
-                                       max_size=1)))
+            lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# x", "# B 1",
+                                                        "# café"]), max_size=1)))
             line += draw(st.sampled_from(["", "  ", " # trailing"]))
         lines.append(line)
     out = lines[:2]
     for line in lines[2:]:
-        brk = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\x0c", "\u2028"]))
+        brk = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                                    "\x85", "\u2028", "\u2029"]))
         if brk == "\n":
             out.append(line)
         elif brk == "\r\n":
@@ -439,9 +441,10 @@ def mutated_sdp_files(draw):
             src = draw(st.sampled_from(at))
             extra, lo = lines[src], src + 1
         else:
-            # a 6-byte tag column would read MATRIXX as MATRIX
+            # a tag column narrower than 7 bytes would read MATRIXX as MATRIX,
+            # and a bytes column drops trailing NULs
             record = draw(st.sampled_from(["MATRICES 0 0 0 1", "MATRIXX 0 0 0 1",
-                                           "MATRIX1 0 0 1"]))
+                                           "MATRIX1 0 0 1", "MATRIX\0 0 0 0 1"]))
             extra = {"second B": "B" + " 1" * m, "record": record}.get(kind, "MATRIX 0 0 0 1")
             lo = 2
         pos = draw(st.integers(lo, len(lines)))
@@ -485,18 +488,16 @@ def mutated_sdp_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sdp_files(), st.integers(1, 9))
-def test_parse_sdp_matches_reference_on_valid_files(case, chunk):
+@given(sdp_files())
+def test_parse_sdp_matches_reference_on_valid_files(case):
     lines, _ = case
-    with mock.patch.object(formats, "_SDP_CHUNK", chunk):  # many batch boundaries
-        _assert_same_sdp("\n".join(lines) + "\n")
+    _assert_same_sdp("\n".join(lines) + "\n")
 
 
 @settings(max_examples=250, deadline=None)
-@given(mutated_sdp_files(), st.integers(1, 9))
-def test_parse_sdp_matches_reference_on_mutated_files(lines, chunk):
-    with mock.patch.object(formats, "_SDP_CHUNK", chunk):
-        _assert_same_sdp("\n".join(lines) + "\n")
+@given(mutated_sdp_files())
+def test_parse_sdp_matches_reference_on_mutated_files(lines):
+    _assert_same_sdp("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("dup", [None, 4096, 4097, 5000])
@@ -534,9 +535,9 @@ def _sdp_text(field="complex", notes=False, n=110, m=4):
     return "\n".join(lines) + "\n"
 
 
-def _assert_read_in_runs(text):
-    """Every line of a valid file is checked by the runs' masks, none by
-    ``_sdp_entry``, within a bound on the traced memory peak."""
+def _assert_read_in_one_call(text):
+    """Every line of a valid file is checked by the masks over one reader
+    call, none by ``_sdp_entry``, within a bound on the traced memory peak."""
     with mock.patch.object(formats, "_sdp_entry", wraps=formats._sdp_entry) as entry:
         tracemalloc.start()
         try:
@@ -547,22 +548,33 @@ def _assert_read_in_runs(text):
     assert entry.call_count == 0
     assert prob.k.size == 5 * 110 * 111 // 2
     # the reader that split every line on its own peaked at 9,439,437 bytes
-    # on the complex file (Python 3.11, numpy 2.4), the C-reader runs holding
-    # their record arrays and the lines to the end at 8,894,274; contiguous
-    # column copies, with the lines dropped after the runs, peak at 5,236,091
-    assert peak <= 1.15 * 5_236_091
+    # on the complex file (Python 3.11, numpy 2.4), and 4,096-line runs of
+    # the C reader at 5,236,091.  One reader call over 64 KB blocks of lines
+    # peaks at 2,688,636 there, and at 3,580,488 on the CRLF copy of the
+    # commented real file, which holds two edited copies of the text at once.
+    assert peak <= 1.15 * 3_580_488
 
 
 def test_parse_sdp_checks_no_valid_line_on_its_own():
-    _assert_read_in_runs(_sdp_text())
+    _assert_read_in_one_call(_sdp_text())
 
 
 def test_parse_sdp_checks_no_valid_line_of_a_commented_real_file_on_its_own():
-    # comment lines, trailing comments and the B line first send each run
-    # through the line sorting; a numpy whose reader refused them would fall
-    # back to _sdp_entry on every run
+    # comment lines, trailing comments, CRLF line ends and the B line first
+    # are all read by the one reader call
     text = _sdp_text("real", notes=True)
-    _assert_read_in_runs(text)
+    for copy in [text, text.replace("\n", "\r\n")]:
+        _assert_read_in_one_call(copy)
+        _assert_same_sdp(copy)
+
+
+def test_parse_sdp_words_a_bad_b_line_without_reading_lines_on_their_own():
+    # every MATRIX line passes the masks, so the B line's error is the first
+    text = _sdp_text("real").replace("B 1 1 1 1", "B 1 1 1")
+    with mock.patch.object(formats, "_sdp_entry", wraps=formats._sdp_entry) as entry:
+        with pytest.raises(SpecFormatError, match=r"^line 30527: B line needs exactly 4 values$"):
+            parse_sdp(text)
+    assert entry.call_count == 0
     _assert_same_sdp(text)
 
 
