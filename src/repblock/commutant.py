@@ -324,22 +324,22 @@ def _casimir_projection(rep, x, config):
     within which it ends in exact arithmetic.  The residual is the bound
     2 r ||Omega X|| / (lambda_1 ||X||) on max_j ||[A_j, X]|| / ||X|| (0 on
     o(1) = 0), or the relative commutator with the reflection's image.  On
-    u(1) it is ||[A, X]|| / ||X|| itself, (q_a - q_b) X_ab from the charges:
-    the bound's roundoff in Omega grows with the charges squared.
+    u(1), X - X * [q_a != q_b] (charges q) projects without CG, whose roundoff
+    grows with q^2, NaN where X is not finite; the gate reads (q_a - q_b) X_ab.
     """
-    x, omega = np.asarray(x), _casimir(rep)
-    d, reflects = rep.group.dim, _reflects(rep)
+    x, d, reflects = np.asarray(x), rep.group.dim, _reflects(rep)
     # the gap, and the Lie generators: d^2 on u(d), d(d - 1)/2 on o(d)
     gap, k = (d, d * d) if rep.group.kind == "unitary" else ((d - 1) / 2, d * (d - 1) // 2)
-    y, iters = _casimir_solve(omega, x, rep.dim ** 2, gap)
+    q = _charges(rep.derived) if rep.group.kind == "unitary" and d == 1 else None
+    omega = None if q is not None else _casimir(rep)  # u(1) needs no Casimir
+    y, iters = (x * (q[:, None] != q), 0) if q is not None else _casimir_solve(
+        omega, x, rep.dim ** 2, gap)
     out = x - y
     if reflects:
-        reflection = np.diag([-1.0] + [1.0] * (rep.group.dim - 1))
-        u = rep.image(reflection)
+        u = rep.image(np.diag([-1.0] + [1.0] * (rep.group.dim - 1)))  # a reflection
         out = (out + u @ out @ u.conj().T) / 2
     nx = np.linalg.norm(out)
-    if rep.group.kind == "unitary" and d == 1:
-        q = _charges(rep.derived)
+    if q is not None:
         resid = float(np.linalg.norm((q[:, None] - q) * out)) / nx if nx else 0.0
     else:
         scale = 2 * rep.derived.leaves / gap if gap else 0.0

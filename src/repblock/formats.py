@@ -15,6 +15,8 @@ Representation spec (JSON tree)
     {"kind": "power", "k": K, "inner": NODE}                K-fold tensor power
     MATRIX is a list of rows; an entry is a number (real) or a [re, im]
     pair (complex field only).  A tree nests at most 100 levels deep.
+    ``parse_rep_spec`` reads a spec that is one generator-images object of
+    square 0/1 matrices by a byte comparison, others with ``json.loads``.
 
 SDP problem (line-oriented text)
     '#' starts a comment; blank lines are ignored.
@@ -294,8 +296,68 @@ def _build_rep(node, group, field, path):
     raise SpecFormatError(f"{path}: unknown construction kind {kind!r}")
 
 
+_IMAGES_KEY = '"images"'
+_IMAGES_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*(?=\[)")
+_IMAGES_ONLY = ((("kind", "generator-images"), ("images", [])),
+                (("images", []), ("kind", "generator-images")))
+_ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
+
+
+def _permutation_images(text):
+    """The images of a spec that is exactly one generator-images object of
+    square matrices written with the digits 0 and 1, as one k x n x n array
+    of booleans, or None for the JSON reader.
+
+    No Python object is made per entry.  The value's bytes, with the JSON
+    whitespace (RFC 8259 section 2) deleted and 1 read as 0, must equal the
+    canonical text [[[0,...],...],...] of k n x n matrices, n counted on the
+    first row; and the text with the value replaced by [] must load as those
+    two keys alone, so the whole text loads as the canonical text would.
+    """
+    if not text.isascii() or text.count(_IMAGES_KEY) != 1:
+        return None
+    colon = _IMAGES_COLON.match(text, text.find(_IMAGES_KEY) + len(_IMAGES_KEY))
+    if colon is None:
+        return None
+    # the value holds no '}': it ends at the last ']' before the next one
+    start = colon.end()
+    end = text.rfind("]", start, text.find("}", start)) + 1
+    value = text[start:end].encode()
+    shape = value.translate(_ONE_AS_ZERO, b" \t\n\r")
+    n = shape.count(b"0", 0, shape.find(b"]"))
+    k = shape.count(b"0") // (n * n) if n else 0
+    # the canonical text of k n x n images is 2 k (n^2 + n + 1) + 1 bytes long,
+    # built only for a value of that length: never larger than the text
+    if k == 0 or len(shape) != 2 * k * (n * n + n + 1) + 1:
+        return None
+    row = b"[" + b"0," * (n - 1) + b"0]"
+    image = b"[" + b",".join([row] * n) + b"]"
+    if shape != b"[" + b",".join([image] * k) + b"]":
+        return None
+    try:
+        skeleton = json.loads(text[:start] + "[]" + text[end:], object_pairs_hook=tuple)
+    except (ValueError, RecursionError):
+        return None
+    if skeleton not in _IMAGES_ONLY:  # as pairs, so a repeated key counts
+        return None
+    digits = np.frombuffer(value.translate(None, b"[], \t\n\r"), np.uint8)
+    return (digits == ord("1")).reshape(-1, n, n)
+
+
 def parse_rep_spec(text: str, group, field: str) -> Representation:
-    """Build a representation of ``group`` over ``field`` from a spec tree."""
+    """Build a representation of ``group`` over ``field`` from a spec tree.
+
+    A spec that is exactly one generator-images object over a permutation
+    group, its images square matrices of the digits 0 and 1, is read by one
+    byte comparison (``_permutation_images``) into the arrays the JSON reader
+    gives; every other text, and every text that comparison refuses, is read
+    by ``json.loads``, so no message changes.
+    """
+    images = _permutation_images(text) if isinstance(group, PermutationGroup) else None
+    if images is not None:
+        dtype = np.complex128 if field == "complex" else np.float64
+        return _build_at("rep", rep_from_generator_images, group,
+                         [m.astype(dtype) for m in images], field)
     doc = _load_json(text, "rep")
     return _build_rep(doc, group, field, "rep")
 
@@ -437,8 +499,11 @@ def _sdp_fast(text):
         if (key[order[1:]] == key[order[:-1]]).any():  # the checked reader names the first
             return None
         k, i, j, values = k[order], i[order], j[order], values[order]
-    # every other line has passed, so an error on the B line is the file's first
-    return n, field, k, i, j, values, _sdp_b(b_parts, text.count("\n", 0, at) + 1, m)
+    try:  # every other line has passed, so an error on the B line is the file's first
+        bvec = _sdp_b(b_parts, None, m)
+    except SpecFormatError as exc:  # the B line is counted only to word its error
+        raise SpecFormatError(str(exc), line=text.count("\n", 0, at) + 1) from None
+    return n, field, k, i, j, values, bvec
 
 
 def _sdp_checked(text):

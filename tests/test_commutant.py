@@ -357,22 +357,29 @@ def test_casimir_gate_without_lie_generators_or_leaves(rep, rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_u1_gate_reads_the_charges_at_large_charge(seed):
-    # charges 1000 and 1: Omega's roundoff grows with the charges squared,
-    # and the bound 2 r ||Omega X|| / ||X|| refused these correct projections
+    # charges k and 1: Omega's roundoff grows with the charges squared, and
+    # the bound 2 r ||Omega X|| / ||X|| refused these correct projections at
+    # k = 1000, CG's roundoff itself at k = 10^9
     u1 = defining_rep(unitary_group(1))
-    rep = direct_sum(tensor_power(u1, 1000), u1)
-    got = sample_commutant(rep, rng=np.random.default_rng(seed))
-    assert got.residual <= 1e-12
-    assert decompose(rep, rng=np.random.default_rng(seed)).dm_multiset() == [(1, 1), (1, 1)]
+    for k in [1000, 10**9]:
+        rep = direct_sum(tensor_power(u1, k), u1)
+        got = sample_commutant(rep, rng=np.random.default_rng(seed))
+        assert got.residual <= 1e-12
+        assert decompose(rep, rng=np.random.default_rng(seed)).dm_multiset() == [(1, 1), (1, 1)]
 
 
-def test_u1_gate_refuses_a_planted_coupling(monkeypatch):
-    # a projection that leaves the coupling between charges 1000 and 1
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_u1_charge_mask_drops_the_coupling_and_fails_closed(bad):
+    # charges 1000 and 1: the mask keeps the diagonal exactly, without CG, and
+    # a non-finite entry the mask drops still fails the gate (0 * inf is NaN)
     u1 = defining_rep(unitary_group(1))
     rep = direct_sum(tensor_power(u1, 1000), u1)
-    monkeypatch.setattr(commutant, "_casimir_solve", lambda omega, x, cap, gap: (0 * x, 0))
-    x = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)
-    with pytest.raises(ProjectionError, match=r"residual 9\.990e-07 above"):
+    x = np.array([[1.0, 1e-9], [1e-9, 2.0]], dtype=complex)
+    got = project_commutant(rep, x)
+    assert np.array_equal(got.matrix, np.diag([1.0, 2.0])) and got.residual == 0.0
+    assert got.path == "Casimir kernel, 1 Lie generators, 0 conjugate-gradient iterations"
+    x[0, 1] = bad
+    with pytest.raises(ProjectionError, match="residual nan above"):
         project_commutant(rep, x)
 
 

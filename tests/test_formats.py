@@ -660,6 +660,153 @@ def test_parse_matrix_matches_reference(rows, field):
 
 
 # ---------------------------------------------------------------------------
+# generator images of 0/1 matrices: one byte comparison, checked against JSON
+# ---------------------------------------------------------------------------
+
+def _rep_outcome(text, group, field):
+    """What ``parse_rep_spec`` gives, as bytes: the message of its error, or
+    the images of the generators and the index arrays of the action."""
+    try:
+        rep = parse_rep_spec(text, group, field)
+    except SpecFormatError as exc:
+        return str(exc)
+    out = [rep.dim, rep.field]
+    for m in [rep.image(g) for g in getattr(group, "generators", ())]:
+        out.append((m.dtype.str, m.shape, m.tobytes()))
+    if rep.index_action is not None:
+        out += [(s.dtype.str, s.tobytes()) for s in rep.index_action.generators]
+    return out
+
+
+def _json_route_outcome(text, group, field):
+    with mock.patch.object(formats, "_permutation_images", lambda text: None):
+        return _rep_outcome(text, group, field)
+
+
+def _perm_matrix(images):
+    m = np.zeros((len(images), len(images)), dtype=int)
+    m[list(images), range(len(images))] = 1
+    return m.tolist()
+
+
+_GAPS = ["", "", "", "", " ", "  ", "\t", "\n", "\r\n", " \r\n\t"]
+_SPELLINGS = ["1.0", "-0", "01", "10", "true", "0 1", "1e0", "2"]
+
+
+@st.composite
+def rep_texts(draw):
+    """A group, a field and a rep text: one generator-images object of 0/1
+    matrices, spaced as JSON allows, with at most one defect or variation."""
+    defect = draw(st.sampled_from([None] * 6 + [
+        "spelling", "ragged", "mixed sizes", "count", "kind", "extra key", "dsum", "compact"]))
+    group = (CompactGroupHandle("unitary", 2) if defect == "compact"
+             else draw(st.sampled_from([symmetric(3), symmetric(2)])))
+    gens = [g.images for g in getattr(group, "generators", ())] or [(0, 1)]
+    count = len(gens) + (draw(st.sampled_from([-1, 1])) if defect == "count" else 0)
+    mats = []
+    for t in range(count):
+        how = draw(st.sampled_from(["natural"] * 3 + ["permutation", "binary", "1 x 1"]))
+        n = draw(st.integers(1, 4))
+        if how == "natural":
+            m = _perm_matrix(gens[t % len(gens)])
+        elif how == "permutation":
+            m = _perm_matrix(draw(st.permutations(range(n))))
+        elif how == "binary":
+            m = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(n)]
+        else:
+            m = [[1]]
+        mats.append([[str(v) for v in row] for row in m])
+    if defect == "mixed sizes" and mats:
+        mats[-1] = [["1"] * (len(mats[0]) + 1)] * (len(mats[0]) + 1)
+    if defect in ("spelling", "ragged") and mats:
+        row = draw(st.sampled_from(draw(st.sampled_from(mats))))
+        if defect == "ragged":
+            del row[-1]
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_SPELLINGS))
+
+    rnd = draw(st.randoms(use_true_random=False))
+    spaced = draw(st.booleans())
+
+    def gap():
+        return rnd.choice(_GAPS) if spaced else ""
+
+    def array(items):
+        return "[" + ",".join(gap() + x + gap() for x in items) + gap() + "]"
+
+    def obj(pairs):
+        return "{" + ",".join(gap() + f'"{k}"' + gap() + ":" + gap() + v + gap()
+                              for k, v in pairs) + gap() + "}"
+
+    kind = "natural" if defect == "kind" else "generator-images"
+    pairs = [("kind", f'"{kind}"'), ("images", array([array([array(r) for r in m])
+                                                      for m in mats]))]
+    if draw(st.booleans()):
+        pairs.reverse()
+    if defect == "extra key":  # a note, or a second images key, spelled or escaped
+        pairs.insert(draw(st.integers(0, 2)), draw(st.sampled_from([
+            ("note", '"x"'), ("note", '"caf\\u00e9"'), ("note", '"café"'), ("note", "true"),
+            ("note", "[[[1]]]"), ("images", "[]"), ("images", "[[[1]]]"),
+            ("\\u0069mages", "[]"), ("\\u0069mages", "[[[1]]]")])))
+    text = obj(pairs)
+    if defect == "dsum":
+        text = obj([("kind", '"dsum"'), ("terms", array([text, '{"kind": "natural"}']))])
+    return gap() + text + gap(), group, draw(st.sampled_from(["real", "complex"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rep_texts())
+def test_parse_rep_spec_reads_01_images_as_the_json_route_does(case):
+    text, group, field = case
+    assert _rep_outcome(text, group, field) == _json_route_outcome(text, group, field)
+
+
+def _s8_on_01_8_text():
+    """The Terwilliger job's rep file: S8 acting on {0,1}^8 by moving bits."""
+    swap, cycle = [1, 0] + list(range(2, 8)), list(range(1, 8)) + [0]
+    images = [[sum(1 << g[k] for k in range(8) if x >> k & 1) for x in range(256)]
+              for g in (swap, cycle)]
+    group = parse_group_spec(json.dumps({"degree": 8, "generators": [swap, cycle]}))
+    text = json.dumps({"kind": "generator-images", "images": [_perm_matrix(p) for p in images]})
+    return text + "\n", group
+
+
+def test_parse_rep_spec_reads_a_benchmark_sized_01_file_without_loading_it():
+    text, group = _s8_on_01_8_text()
+    want = _json_route_outcome(text, group, "real")  # also builds the group's chain
+    with mock.patch.object(formats.json, "loads", wraps=json.loads) as loads:
+        assert _rep_outcome(text, group, "real") == want
+    assert loads.call_count == 1 and all(len(c.args[0]) < 200 for c in loads.call_args_list)
+    tracemalloc.start()
+    try:
+        parse_rep_spec(text, group, "real")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # json.loads and its lists peaked at 3,222,132 bytes (Python 3.11, numpy
+    # 2.4); the byte comparison at 2,096,375, most of it the homomorphism
+    # check on the two 256 x 256 float images
+    assert peak <= 1.15 * 2_096_375
+
+
+@pytest.mark.parametrize("rows", [[50_000], [300] + [1] * 300, [200, 40_000]])
+def test_parse_rep_spec_refuses_a_long_first_row_before_building_its_text(rows):
+    """n is counted on the first row: the canonical text of n x n images
+    (2 n^2 bytes) is built only once the value is as long as it is."""
+    text = '{"kind": "generator-images", "images": [[%s]]}' % ",".join(
+        "[" + ",".join(["0"] * r) + "]" for r in rows)
+    tracemalloc.start()
+    try:
+        assert formats._permutation_images(text) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)  # the value's bytes and their copy without whitespace
+    assert _rep_outcome(text, symmetric(3), "real") == _json_route_outcome(
+        text, symmetric(3), "real")
+
+
+# ---------------------------------------------------------------------------
 # fuzzing: malformed specs end in SpecFormatError and nothing else
 # ---------------------------------------------------------------------------
 
