@@ -120,9 +120,6 @@ def _build_parser():
     p.add_argument("group_spec")
     p.add_argument("rep_spec")
     p.add_argument("basis", help="basis file written by decompose --emit-basis")
-    p.add_argument("--trials", type=int, default=50,
-                   help="Haar-random elements checked for a compact group (default 50); "
-                        "a finite group is checked on its generators, exactly")
 
     p = sub.add_parser("sample-group", parents=[common],
                        help="sample group elements")
@@ -259,7 +256,7 @@ def cmd_blockdiag(args) -> int:
     try:
         blocked = block_diagonalize_sdp(
             decomp, prob, symmetrize_first=args.symmetrize, tol=tol,
-            config=config.projection, rng=rng)
+            config=config.projection)
     except NotInvariantError as exc:
         print(f"invariance check failed: {exc}\n"
               "(re-run with --symmetrize to project the data first)", file=sys.stderr)
@@ -315,9 +312,7 @@ def cmd_verify(args) -> int:
             f"basis size {decomp.U.shape[0]} does not match representation "
             f"dimension {rep.dim}")
 
-    rng = np.random.default_rng(args.seed)
-    report = verify_decomposition(rep, decomp, trials=args.trials, tol=args.tol,
-                                  rng=rng)
+    report = verify_decomposition(rep, decomp, tol=args.tol)
     if args.format == "structured":
         doc = _report_doc("verify", args, {
             "n": rep.dim,
@@ -330,9 +325,11 @@ def cmd_verify(args) -> int:
         doc["field"] = basis_field
         print(json.dumps(doc, indent=2))
     else:
-        checked = "generators" if rep.is_finite else "trials"
+        checked = f"{report.trials} generators" if rep.is_finite else (
+            f"{report.trials} Lie-algebra elements" if rep.group.kind == "unitary"
+            else f"{report.trials - 1} Lie-algebra elements and a reflection")
         print(f"verifying basis against n={rep.dim}, field={basis_field}, "
-              f"{report.trials} {checked}, tolerance {report.tolerance:.1e}")
+              f"{checked}, tolerance {report.tolerance:.1e}")
         print(f"unitarity residual:        {report.unitarity_residual:.3e}")
         print(f"max off-component:         {report.max_off_component:.3e}")
         for i, r in enumerate(report.component_residuals):

@@ -9,8 +9,8 @@ the group on index pairs, at O(n^2) cost, and sampled with one Gaussian
 per orbital and no seed; any other is averaged through the stabilizer-chain
 transversal sets.
 
-A compact-group representation with a derived action d rho (every one built
-from the defining representation) is projected exactly.  Its commutant is
+A compact-group representation, the tree of combinators that built it from
+the defining representation, is projected exactly.  Its commutant is
 the kernel of the Casimir Omega(X) = -sum_j [A_j, [A_j, X]] = 2 K(X) - CX - XC,
 A_j = d rho(L_j) over the orthonormal basis L_j of the Lie algebra,
 K(X) = sum_j A_j X A_j and C = K(I).  K is read from the tree of combinators
@@ -35,12 +35,6 @@ sum_i lambda_i^2 >= 1.  On SO(d), c = sum_{i <= d/2} (lambda_i^2 + lambda_i
 With r the largest number of leaves on one tensor path, ||A_j||_2 <= r and
 ||[A_j, X]|| = ||[A_j, X - PX]|| <= 2 r ||X - PX|| <= 2 r ||Omega X|| / lambda_1.
 
-Any other compact-group representation, one given by its images alone, is
-averaged iteratively over small random Haar sample sets; each round
-shrinks the part of the matrix outside the commutant, so the residual
-falls geometrically until it reaches roundoff, and the iteration stops
-there.
-
 Every path returns the plain linear average P.  Its conjugation inverse is
 the conjugate transpose, exact for unitary representations, so P commutes
 with taking adjoints, and a Hermitian sample is P's Hermitian part, taken once.
@@ -62,17 +56,11 @@ from .reps import ProjectionError, Representation
 #: above this indicates a broken representation rather than roundoff.
 FINITE_COMMUTATION_TOL = 1e-10
 
-_RESIDUAL_PROBES = 20
 #: CG on the Casimir stops once its residual is this small relative to
 #: Omega X.  Not a stagnation rule: CG residuals are not monotone, and
 #: stopping at the first one that fails to halve can leave a residual of
 #: order one.
 _CG_RTOL = 1e-14
-#: Averaging rounds between two residual checks of the Haar loop, the most
-#: rounds it runs, and the Haar samples averaged over in each round.
-_CHECK_EVERY = 10
-_MAX_ROUNDS = 1000
-_SET_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -80,13 +68,8 @@ class ProjectionConfig:
     """Gate of the compact-group projection: its commutation residual must
     be within ``commutation_tol``.
 
-    On the Casimir path the residual bounds the largest relative commutator
-    with a d rho(L_j) through the Casimir's spectral gap (and the reflection
-    of O(d)).  A representation without a derived action is averaged over
-    Haar samples, 3 fresh ones per round; every 10 rounds the residual is
-    measured on 20 Haar probes drawn once, and averaging stops at the first
-    check that does not halve the previous one, when the residual has
-    reached roundoff, or after 1000 rounds.
+    The residual bounds the largest relative commutator with a d rho(L_j)
+    through the Casimir's spectral gap (and the reflection of O(d)).
     """
 
     commutation_tol: float = 1e-8
@@ -141,16 +124,6 @@ def sample_gue(n: int, field="complex", rng=None) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _conjugation_average(rep, elements, x):
-    x = np.asarray(x)
-    field_dtype = np.complex128 if rep.field == "complex" else np.float64
-    acc = np.zeros(x.shape, dtype=np.result_type(x.dtype, field_dtype))
-    for g in elements:
-        u = rep.image(g)
-        acc += u @ x @ u.conj().T
-    return acc / len(elements)
-
-
 def commutation_residual(x, images) -> float:
     """max_u ||x u - u x||_F / ||x||_F over the given images u."""
     x = x / _pow2_scale(x)
@@ -174,8 +147,13 @@ def chain_average(rep: Representation, x) -> np.ndarray:
     if not rep.is_finite:
         raise TypeError("finite projection requires a permutation-group representation")
     out = np.array(x)
+    dtype = np.result_type(out, np.complex128 if rep.field == "complex" else np.float64)
     for t in rep.group.transversal_sets():
-        out = _conjugation_average(rep, t, out)
+        acc = np.zeros(out.shape, dtype)
+        for g in t:
+            u = rep.image(g)
+            acc += u @ out @ u.conj().T
+        out = acc / len(t)
     return out
 
 
@@ -355,24 +333,23 @@ def _casimir_projection(rep, x, config):
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite results fail the gate
-def _project(rep, x, config, rng):
+def _project(rep, x, config):
     """Group average of x, its commutation residual, gated, and its path.
 
-    Exact for finite groups and for compact groups with a derived action;
-    otherwise averaging stops as :class:`ProjectionConfig` describes.  Every
-    path averages x / s, s = :func:`_pow2_scale` (x), and scales back: no
-    norm it reads overflows or underflows, and P(2^k x) = 2^k P(x) bit for bit.
+    Exact on every path.  Every path averages x / s, s = :func:`_pow2_scale`
+    (x), and scales back: no norm it reads overflows or underflows, and
+    P(2^k x) = 2^k P(x) bit for bit.
     """
     x = np.asarray(x)
     s = _pow2_scale(x)
-    out, resid, path = _average(rep, x / s, config, rng)
+    out, resid, path = _average(rep, x / s, config)
     out = out * s
     if not np.isfinite(out).all():  # the residual was read on x / s, which held
         raise ProjectionError(f"the group average of data scaled by {s:.3e} overflows")
     return out, resid, path
 
 
-def _average(rep, x, config, rng):
+def _average(rep, x, config):
     if rep.is_finite:
         if rep.index_action is not None:
             # the labels were checked against every generator when built, so
@@ -390,46 +367,23 @@ def _average(rep, x, config, rng):
                 f"finite projection left commutation residual {resid:.3e}; the input is "
                 "not finite or the representation is probably not a homomorphism")
         return out, resid, path
-    config = config or ProjectionConfig()
-    if rep.derived is not None:
-        return _casimir_projection(rep, x, config)
-    rng = rng or np.random.default_rng()
-    handle = rep.group
-    probes = [rep.image(handle.sample(rng)) for _ in range(_RESIDUAL_PROBES)]
-    out = np.array(x)
-    rounds, resid, stop = 0, math.inf, f"the {_MAX_ROUNDS:,}-round cap"
-    while rounds < _MAX_ROUNDS:
-        for _ in range(min(_CHECK_EVERY, _MAX_ROUNDS - rounds)):
-            t = [handle.sample(rng) for _ in range(_SET_SIZE)]
-            out = _conjugation_average(rep, t, out)
-            rounds += 1
-        last, resid = resid, commutation_residual(out, probes)
-        if not resid < last / 2:  # roundoff reached; NaN stops too
-            stop = "roundoff"
-            break
-    if not resid <= config.commutation_tol:
-        raise ProjectionError(
-            f"commutation residual {resid:.3e} above {config.commutation_tol:.1e} "
-            f"after {rounds} rounds")
-    return out, resid, f"Haar averaging, {rounds} rounds, stopped at {stop}"
+    return _casimir_projection(rep, x, config or ProjectionConfig())
 
 
-def project_commutant(rep: Representation, x, config: ProjectionConfig = None,
-                      rng=None) -> CommutantSample:
+def project_commutant(rep: Representation, x, config: ProjectionConfig = None) -> CommutantSample:
     """Hermitian part of :func:`project_linear`, with the average's residual and path.
 
     Raises :class:`ProjectionError` when the average does not commute with
     the representation to tolerance.
     """
-    out, resid, path = _project(rep, x, config, rng)
+    out, resid, path = _project(rep, x, config)
     return CommutantSample((out + out.conj().T) / 2, resid, path=path)
 
 
-def project_linear(rep: Representation, x, config: ProjectionConfig = None,
-                   rng=None) -> np.ndarray:
+def project_linear(rep: Representation, x, config: ProjectionConfig = None) -> np.ndarray:
     """Group average of an arbitrary (not necessarily Hermitian) matrix onto
     the commutant, gated on its commutation residual."""
-    return _project(rep, x, config, rng)[0]
+    return _project(rep, x, config)[0]
 
 
 def sample_commutant(rep: Representation, config: ProjectionConfig = None,
@@ -443,6 +397,6 @@ def sample_commutant(rep: Representation, config: ProjectionConfig = None,
     if rep.index_action is not None:
         whole, resid, path = orbital_sample(rep, rng), 0.0, _orbital_path(rep)
     else:
-        whole, resid, path = _project(rep, _gaussian(rep.dim, rep.field, rng), config, rng)
+        whole, resid, path = _project(rep, _gaussian(rep.dim, rep.field, rng), config)
     return CommutantSample((whole + whole.conj().T) / 2, resid,
                            whole if rep.field == "real" else None, path)

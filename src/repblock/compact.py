@@ -5,13 +5,14 @@ columns by the phases (signs, in the real case) of the R diagonal.  The
 rescaling matters: the raw QR of a Gaussian matrix is *not* Haar
 distributed, because LAPACK's sign conventions bias the factor Q.
 
-:func:`lie_basis` gives an orthonormal basis of the Lie algebra u(d) or
-o(d), the one the commutant projection's Casimir sums over and its tests
-check Brauer's identities on.
+Samples serve ``repblock sample-group``.  :func:`lie_generators` gives a
+few elements that generate the Lie algebra u(d) or o(d): verification
+checks their derived images.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,24 +63,27 @@ class CompactGroupHandle:
         return f"CompactGroupHandle({self.kind!r}, dim={self.dim})"
 
 
-def lie_basis(handle: CompactGroupHandle) -> np.ndarray:
-    """Frobenius-orthonormal basis of u(d) or o(d), as a (k, d, d) stack.
+def lie_generators(handle: CompactGroupHandle) -> list:
+    """Elements that generate u(d) or o(d) as a real Lie algebra L.
 
-    The anti-Hermitian matrices (E_ab - E_ba)/sqrt(2) for a < b span o(d),
-    k = d(d-1)/2; u(d) adds i(E_ab + E_ba)/sqrt(2) for a < b and i E_aa,
-    k = d^2.
+    u(d): H = i diag(h), h_a = 2pa + (a^2 mod p) + 1 (a < d, p the least
+    prime >= max(d, 2)), and X = i (J - I), J all ones.  The h_a - 1 lie in
+    the Erdos-Turan Sidon set, so the h_a - h_b, a != b, are distinct, and
+    tr H > 0.  ad_H^k X = i sum_{a != b} (i (h_a - h_b))^k E_ab, so by
+    Vandermonde every E_ab, a != b, lies in L + iL, and so do
+    [E_ab, E_ba] = E_aa - E_bb and H: L + iL = gl(d, C), so L = u(d).
+    o(d): the adjacent rotations L_{a,a+1}, L_ab = E_ab - E_ba, since
+    [L_ab, L_bc] = L_ac (Hall, *Lie Groups, Lie Algebras, and
+    Representations*, 2015, ch. 3).
     """
     d = handle.dim
-    a, b = np.triu_indices(d, 1)
-    pairs = np.arange(len(a))
-    real = handle.kind == "orthogonal"
-    basis = np.zeros((len(a) if real else d * d, d, d), dtype=np.float64 if real else complex)
-    basis[pairs, a, b] = 1 / math.sqrt(2.0)
-    basis[pairs, b, a] = -1 / math.sqrt(2.0)
-    if not real:
-        basis[len(a) + pairs, a, b] = basis[len(a) + pairs, b, a] = 1j / math.sqrt(2.0)
-        basis[2 * len(a) + np.arange(d), np.arange(d), np.arange(d)] = 1j
-    return basis
+    eye = np.eye(d)
+    if handle.kind == "orthogonal":
+        return [np.outer(eye[a], eye[a + 1]) - np.outer(eye[a + 1], eye[a]) for a in range(d - 1)]
+    p = next(q for q in itertools.count(max(d, 2))
+             if all(q % k for k in range(2, math.isqrt(q) + 1)))
+    a = np.arange(d)
+    return [1j * np.diag(2.0 * p * a + a * a % p + 1), 1j * (1 - eye)]
 
 
 def unitary_group(d: int) -> CompactGroupHandle:

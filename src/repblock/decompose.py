@@ -17,8 +17,8 @@ samples:
 
 The intertwiners are not probed on group elements: verification checks
 every component's repeated-block pattern, on the generators of a finite
-group and on Haar-random elements of a compact one, and a wrong grouping or
-alignment fails there.
+group and on d rho of Lie-algebra generators of a compact one, and a wrong
+grouping or alignment fails there.
 
 The assembled change of basis puts group images into block-diagonal form
 with each isotypic component a multiplicity-fold repetition of one irrep
@@ -51,12 +51,13 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .commutant import (CommutantSample, ProjectionConfig, _check_tol, _pow2_scale,
                         sample_commutant)
+from .compact import lie_generators
 from .reps import Representation
 
 REAL_TYPES = ("real", "complex", "quaternionic", "not_applicable")
@@ -65,7 +66,6 @@ _GAP_TOL = 1e-6        # eigenvalue clusters split at gaps above this (relative 
 _ZERO_TOL = 1e-6       # |F| below this (relative to |Y|) means inequivalent
 _WITNESS_TOL = 1e-3    # acceptance band for the scaled-unitary check of a candidate intertwiner
 _MAX_RESAMPLES = 3     # full restarts allowed on genericity failures
-_VERIFY_TRIALS = 20    # Haar-random elements verified for a compact group
 _CLASSIFY_SV_CUTOFF = 1e-6
 # real dimension of the commutant of an irreducible real representation
 _REAL_TYPE_WEIGHT = {"real": 1, "complex": 2, "quaternionic": 4}
@@ -328,9 +328,8 @@ def classify_real_type(rep: Representation, components, samples) -> list:
 # a non-finite basis gives NaN residuals (inf * 0), which the gates refuse, not a warning
 @np.errstate(invalid="ignore", over="ignore")
 def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
-                         trials: int = 50, tol: float | None = None,
-                         rng=None) -> VerificationReport:
-    """Check a decomposition on the generators, or on Haar-random elements.
+                         tol: float | None = None) -> VerificationReport:
+    """Check a decomposition on the generators of the group or of its Lie algebra.
 
     For each checked image rho_g the conjugation U rho_g U^dag is compared
     against the claimed pattern: zero off the component blocks, and each
@@ -349,10 +348,15 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     generator residual eps bounds that of a word of length L by about L eps.
     That the chain's evaluation of generator images is a homomorphism is
     checked exactly when the representation is built
-    (:func:`~repblock.reps.rep_from_generator_images`), not here.  The report's
-    ``trials`` is then the number of generators, and ``trials`` and ``rng``
-    serve a compact group only, which is checked on ``trials`` Haar-random
-    elements.
+    (:func:`~repblock.reps.rep_from_generator_images`), not here.
+
+    A compact group is checked alike on the dense d rho(Z) of the generators
+    Z of its Lie algebra (:func:`~repblock.compact.lie_generators`), and on
+    O(d) on a reflection's image: the *-algebra then holds d rho of their
+    commutators, so of the whole Lie algebra, and every exp(d rho(Z)) =
+    rho(exp Z), which make up U(d) or SO(d).  A d rho(Z) of 0 is skipped.
+    The report's ``trials`` counts the generators, or the Lie-algebra
+    elements and reflection, given to the check.
 
     For an index action the commutant dimension is also checked exactly: the
     number r of orbitals must equal sum e M^2, with e = 1 over C and e = 1, 2, 4
@@ -364,10 +368,6 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
     if tol is None:
         tol = 1e-8 if rep.is_finite else 1e-6
     _check_tol(tol, "tol")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if rng is None:
-        rng = np.random.default_rng()
     u = decomp.U
     n = rep.dim
     action = rep.index_action
@@ -377,7 +377,11 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
         gens = rep.group.generators
         images, trials = (rep.image(x) for x in gens), len(gens)
     else:
-        images = (rep.image(rep.group.sample(rng)) for _ in range(trials))
+        group = rep.group
+        lie = lie_generators(group)
+        reflection = ([rep.image(np.diag([-1.0] + [1.0] * (group.dim - 1)))]
+                      if group.kind == "orthogonal" else [])
+        images, trials = chain(map(rep.lie_image, lie), reflection), len(lie) + len(reflection)
     failures = []
 
     offsets = decomp.offsets
@@ -417,6 +421,8 @@ def verify_decomposition(rep: Representation, decomp: IrrepDecomposition,
         for img in images:
             if action is None:
                 nrm = float(np.linalg.norm(img))
+                if nrm == 0 and not rep.is_finite:  # d rho(Z) = 0
+                    continue
                 gv = img @ v
             else:  # rho_g V gathers the rows of V; |rho_g|_F = sqrt(n)
                 nrm = np.sqrt(n)
@@ -466,8 +472,8 @@ def _real_twin(rep):
 
 
 def _decompose_once(rep, cfg, streams, attempt):
-    # the third stream is unused; the last, which verifies a compact group, keeps its seed
-    s_xbar, s_xprime, _, s_verify = streams
+    # the last two streams are unused, and spawned so that later attempts keep their seeds
+    s_xbar, s_xprime, _, _ = streams
 
     target, arithmetic = rep, rep.field
     twin, s = _real_twin(rep)
@@ -507,8 +513,7 @@ def _decompose_once(rep, cfg, streams, attempt):
         clusters=len(bases), pairs_tested=pairs_tested, pairs_equivalent=pairs_equivalent,
         arithmetic=arithmetic, projection=projection)
 
-    report = verify_decomposition(target, decomp, trials=_VERIFY_TRIALS,
-                                  tol=cfg.block_tol, rng=s_verify)
+    report = verify_decomposition(target, decomp, tol=cfg.block_tol)
     decomp.diagnostics = report
     if not report.passed:
         raise ResampleNeeded("verification failed: " + "; ".join(report.failures))

@@ -10,19 +10,16 @@ itself (:func:`natural_perm_rep`) or from one unitary matrix per generator
 then assembled by sifting it through the stabilizer chain and multiplying
 precomputed transversal images.  Generator images are accepted exactly when
 that evaluation is a homomorphism extending them, which the chain's
-Schreier relators decide.  Compact-group representations start from
-the defining representation (the sample *is* the matrix) and are combined
-with :func:`tensor`, :func:`direct_sum`, :func:`conjugate` and
-:func:`tensor_power`.
+Schreier relators decide.  A compact-group representation is the tree of
+combinators (:func:`tensor`, :func:`direct_sum`, :func:`conjugate`,
+:func:`tensor_power`) that built it from :func:`defining_rep` and
+:func:`trivial_rep` (:class:`Derived`); its images, its derived
+representation d rho and the commutant projection's Casimir are read from it.
 
 A representation whose images permute the basis vectors carries an
 :class:`IndexAction`: one integer array per element instead of a matrix.
 Its images and products are then integer gathers, and the combinators
-carry the action along.  A compact-group representation built from the
-defining one carries its derived representation d rho the same way, as
-the tree of combinators that built it (:class:`Derived`), and the
-commutant projection reads its Casimir from that tree in place of Haar
-samples.
+carry the action along.
 """
 
 from __future__ import annotations
@@ -163,6 +160,35 @@ class Derived:
         return Derived(self.kind, self.dim, [flipped[id(p)] for p in self.parts])
 
 
+def _evaluate(tree, x, dtype, lie):
+    """rho(x) of a group element x, or with ``lie`` d rho(x) of a Lie-algebra
+    element x, read from ``tree``.  A leaf gives x, conjugated when flagged;
+    a zero gives 1, or 0 for d rho; a sum is block-diagonal; a tensor is the
+    Kronecker product, or A (x) I + I (x) B for d rho, folded left to right.
+    A part shared by several slots, as in a tensor power, is evaluated once."""
+    done = {}
+
+    def walk(node):
+        if id(node) not in done:
+            if node.kind == "leaf":
+                out = np.asarray(np.conj(x) if node.conj else x, dtype=dtype)
+            elif node.kind == "zero":
+                out = np.full((1, 1), 0 if lie else 1, dtype=dtype)
+            elif node.kind == "sum":
+                out = np.zeros((node.dim, node.dim), dtype=dtype)
+                for p, lo in zip(node.parts, accumulate((p.dim for p in node.parts), initial=0)):
+                    out[lo:lo + p.dim, lo:lo + p.dim] = walk(p)
+            elif lie:
+                out = reduce(lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b),
+                             map(walk, node.parts))
+            else:
+                out = reduce(np.kron, map(walk, node.parts))
+            done[id(node)] = out
+        return done[id(node)]
+
+    return walk(tree)
+
+
 class Representation:
     """A unitary representation, exposed as an image oracle.
 
@@ -173,16 +199,14 @@ class Representation:
         Matrix size n of the images.
     field : {"real", "complex"}
     image_fn : callable or None
-        Maps a group element (Permutation, or sampled matrix for compact
-        groups) to its n x n image.  None builds the images from
-        ``index_action``.
+        Maps a Permutation to its n x n image.  None builds the images from
+        ``index_action`` or ``derived``.
     index_action : IndexAction or None
         Set when every image permutes the basis vectors.
     derived : Derived or None
-        The derived representation d rho of a compact-group representation
-        built from the defining one, as the tree of combinators that built
-        it.  It must agree with the images; verification against Haar
-        samples catches one that does not.
+        Required for a compact group, and then the only description: the
+        tree of combinators that built the representation from the defining
+        one, which gives its images and its derived representation d rho.
     """
 
     def __init__(self, group, dim, field, image_fn, name="rep", index_action=None,
@@ -190,7 +214,11 @@ class Representation:
         _check_field(field)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if image_fn is None and index_action is None:
+        if isinstance(group, CompactGroupHandle) and (derived is None or image_fn is not None):
+            raise ValueError("a compact-group representation " + (
+                "needs derived, the tree of combinators that built it" if derived is None
+                else "takes no image_fn: its images are read from derived"))
+        if image_fn is None and index_action is None and derived is None:
             raise ValueError("a representation needs image_fn or index_action")
         self.group = group
         self.dim = int(dim)
@@ -205,9 +233,15 @@ class Representation:
         return isinstance(self.group, PermutationGroup)
 
     def image(self, g) -> np.ndarray:
+        if self.derived is not None:
+            return _evaluate(self.derived, g, _dtype(self.field), lie=False)
         if self._image_fn is None:
             return _perm_matrix(self.index_action.element(g), _dtype(self.field))
         return self._image_fn(g)
+
+    def lie_image(self, z) -> np.ndarray:
+        """d rho(Z) of an element Z of a compact group's Lie algebra, dense."""
+        return _evaluate(self.derived, z, _dtype(self.field), lie=True)
 
     def __repr__(self):
         return f"Representation({self.name}, dim={self.dim}, field={self.field})"
@@ -261,7 +295,7 @@ class _ChainImages:
         one product per level and orbit point serves all rows that share it."""
         for level in reversed(range(points.shape[1])):
             column = points[:, level]
-            for b in np.unique(column):
+            for b in np.flatnonzero(np.bincount(column)):  # np.unique imports numpy.ma
                 if b != self.group.base[level]:
                     rows = column == b
                     x[rows] = self._mul(self._transversal_image(level, int(b)), x[rows])
@@ -420,12 +454,12 @@ def natural_perm_rep(group: PermutationGroup, field="complex") -> Representation
 def trivial_rep(group, field="complex") -> Representation:
     """One-dimensional representation sending everything to [[1]].
 
-    Of a compact group it carries the derived action 0.
+    Of a compact group it is the tree ``zero``, whose d rho is 0.
     """
+    if isinstance(group, CompactGroupHandle):
+        return Representation(group, 1, field, None, name="trivial", derived=Derived("zero", 1))
     one = np.ones((1, 1), dtype=_dtype(field))
-    derived = Derived("zero", 1) if isinstance(group, CompactGroupHandle) else None
-    return Representation(group, 1, field, lambda g: one.copy(), name="trivial",
-                          derived=derived)
+    return Representation(group, 1, field, lambda g: one.copy(), name="trivial")
 
 
 def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
@@ -440,12 +474,7 @@ def defining_rep(handle: CompactGroupHandle, field=None) -> Representation:
         raise ValueError(f"the defining representation of a {handle.kind} group is "
                          "complex, not real")
     _check_dim(handle.dim, field)
-    dt = _dtype(field)
-
-    def image(u) -> np.ndarray:
-        return np.asarray(u, dtype=dt)
-
-    return Representation(handle, handle.dim, field, image, name="defining",
+    return Representation(handle, handle.dim, field, None, name="defining",
                           derived=Derived("leaf", handle.dim))
 
 
@@ -493,9 +522,8 @@ def _combined_action(reps, dim, combine):
 
 
 def _combined_derived(reps, kind, dim):
-    """Derived representation of a combination, if every part has one."""
-    parts = [r.derived for r in reps]
-    return None if any(p is None for p in parts) else Derived(kind, dim, parts)
+    """The tree of a combination of compact-group representations, else None."""
+    return None if reps[0].is_finite else Derived(kind, dim, [r.derived for r in reps])
 
 
 def tensor(r1: Representation, *rest: Representation) -> Representation:
@@ -514,25 +542,17 @@ def tensor(r1: Representation, *rest: Representation) -> Representation:
             out = (out[:, None] * r.dim + s).ravel()
         return out
 
-    # each distinct factor is evaluated once per element, and the 1 x 1
-    # factors multiply as one scalar instead of entering the kron fold
-    distinct = list({id(r): r for r in reps}.values())
-    slot = {id(r): i for i, r in enumerate(distinct)}
-    blocks = [slot[id(r)] for r in reps if r.dim > 1]
-    scalars = [slot[id(r)] for r in reps if r.dim == 1]
-    dt = _dtype(r1.field)
+    distinct = {id(r): r for r in reps}
 
-    def image(g):
-        imgs = [r.image(g) for r in distinct]
-        out = reduce(np.kron, [imgs[i] for i in blocks]) if blocks else np.ones((1, 1), dt)
-        if scalars:
-            out = out * math.prod(imgs[i][0, 0] for i in scalars)
-        return out
+    def image(g):  # each distinct factor evaluated once per element
+        imgs = {key: r.image(g) for key, r in distinct.items()}
+        return reduce(np.kron, [imgs[id(r)] for r in reps])
 
     action = _combined_action(reps, dim, kron_indices)
-    return Representation(r1.group, dim, r1.field, image if action is None else None,
+    derived = _combined_derived(reps, "tensor", dim)
+    return Representation(r1.group, dim, r1.field, None if action or derived else image,
                           name="(" + " (x) ".join(r.name for r in reps) + ")",
-                          index_action=action, derived=_combined_derived(reps, "tensor", dim))
+                          index_action=action, derived=derived)
 
 
 def direct_sum(r1: Representation, *rest: Representation) -> Representation:
@@ -552,9 +572,10 @@ def direct_sum(r1: Representation, *rest: Representation) -> Representation:
 
     action = _combined_action(reps, dim, lambda *sigmas: np.concatenate(
         [s + lo for s, lo in zip(sigmas, offsets)]))
-    return Representation(r1.group, dim, r1.field, image if action is None else None,
+    derived = _combined_derived(reps, "sum", dim)
+    return Representation(r1.group, dim, r1.field, None if action or derived else image,
                           name="(" + " (+) ".join(r.name for r in reps) + ")",
-                          index_action=action, derived=_combined_derived(reps, "sum", dim))
+                          index_action=action, derived=derived)
 
 
 def conjugate(r: Representation) -> Representation:
@@ -566,9 +587,9 @@ def conjugate(r: Representation) -> Representation:
         return np.conj(r.image(g))
 
     return Representation(r.group, r.dim, r.field,
-                          image if r.index_action is None else None,
+                          None if r.index_action or r.derived else image,
                           name=f"conj({r.name})", index_action=r.index_action,
-                          derived=None if r.derived is None else r.derived.conjugate())
+                          derived=r.derived and r.derived.conjugate())
 
 
 def tensor_power(r: Representation, k: int) -> Representation:
@@ -581,9 +602,9 @@ def tensor_power(r: Representation, k: int) -> Representation:
         def image(g):
             return np.linalg.matrix_power(r.image(g), k)
 
-        return Representation(r.group, 1, r.field, image if r.index_action is None else None,
+        return Representation(r.group, 1, r.field, None if r.index_action or r.derived else image,
                               name=f"{r.name}^{k}", index_action=r.index_action,
-                              derived=None if r.derived is None else _derived_power(r.derived, k))
+                              derived=r.derived and _derived_power(r.derived, k))
     _check_dim_bits(f"{r.dim}^{k}", k * (r.dim.bit_length() - 1), r.field)
     return tensor(*[r] * k)
 

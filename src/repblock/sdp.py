@@ -202,17 +202,12 @@ class BlockDiagonalizedSdp:
     residual: float
     extraction: str = ""  # which extraction ran, and over how many orbitals or products
 
-    @property
-    def block_sizes(self):
-        return [c.multiplicity for c in self.components]
 
-
-def symmetrize_matrix(rep: Representation, x, config: ProjectionConfig = None,
-                      rng=None) -> np.ndarray:
+def symmetrize_matrix(rep: Representation, x, config: ProjectionConfig = None) -> np.ndarray:
     """Group average of a Hermitian matrix; a fixed point iff already invariant."""
     x = np.asarray(x)
     _check_hermitian(x, "matrix to symmetrize")
-    return project_commutant(rep, x, config, rng).matrix
+    return project_commutant(rep, x, config).matrix
 
 
 def _real_valued(a):
@@ -429,13 +424,13 @@ def _orbital_blocks(decomp, prob, names, symmetrize_first, tol):
     return blocks, per_component, max(worst, pattern, mismatch)
 
 
-def _dense_blocks(decomp, prob, names, symmetrize_first, tol, config, rng):
+def _dense_blocks(decomp, prob, names, symmetrize_first, tol, config):
     """Each matrix formed on its own, group-averaged if asked, conjugated by U."""
     results = []
     for q in range(prob.m + 1):
         x = prob.matrix(q)
         if symmetrize_first:
-            x = symmetrize_matrix(decomp.rep, x, config, rng)
+            x = symmetrize_matrix(decomp.rep, x, config)
         results.append(_extract_blocks(decomp, x))
     worst = _gate_residuals([total for _, _, total in results], names, tol)
     per_component = [max(res[1][ci] for res in results)
@@ -453,8 +448,10 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
     With ``symmetrize_first`` the data is group-averaged before
     extraction, so nearly-invariant input is repaired instead of rejected.
     The module docstring describes the two extractions and when each runs;
-    ``config`` and ``rng`` serve only the dense one's group average.
-    ``threads`` accepts only 1: extraction is serial.
+    ``config`` serves only the dense one's group average.  ``rng`` is unused,
+    as every average is exact, and ``threads`` accepts only 1, as extraction
+    is serial; both stay accepted because the benchmark's ``bench/job.py``
+    passes them.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (extraction is serial), got {threads!r}")
@@ -470,7 +467,7 @@ def block_diagonalize_sdp(decomp: IrrepDecomposition, prob: SdpProblem,
         extraction = f"orbital coordinates, {len(decomp.rep.index_action.orbitals()[1])} orbitals"
     else:
         blocks, per_component, worst = _dense_blocks(decomp, prob, names, symmetrize_first,
-                                                     tol, config, rng)
+                                                     tol, config)
         extraction = f"dense conjugation, {prob.m + 1} products"
 
     components = [

@@ -6,6 +6,8 @@ images ride along as explicit products, so these helpers can serve as
 oracles for the chain-based code under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -461,13 +463,59 @@ def reference_parse_matrix(rows, field, where):
     return mat
 
 
+# --- compact-group oracles ----------------------------------------------------
+
+def lie_basis(handle):
+    """Frobenius-orthonormal basis of u(d) or o(d), as a (k, d, d) stack.
+
+    The anti-Hermitian matrices (E_ab - E_ba)/sqrt(2) for a < b span o(d),
+    k = d(d-1)/2; u(d) adds i(E_ab + E_ba)/sqrt(2) for a < b and i E_aa,
+    k = d^2.
+    """
+    d = handle.dim
+    a, b = np.triu_indices(d, 1)
+    pairs = np.arange(len(a))
+    real = handle.kind == "orthogonal"
+    basis = np.zeros((len(a) if real else d * d, d, d), dtype=np.float64 if real else complex)
+    basis[pairs, a, b] = 1 / math.sqrt(2.0)
+    basis[pairs, b, a] = -1 / math.sqrt(2.0)
+    if not real:
+        basis[len(a) + pairs, a, b] = basis[len(a) + pairs, b, a] = 1j / math.sqrt(2.0)
+        basis[2 * len(a) + np.arange(d), np.arange(d), np.arange(d)] = 1j
+    return basis
+
+
+def haar_average(rep, x, rng):
+    """The group average of x over a compact group by Haar sampling.
+
+    Each round conjugates by 3 fresh Haar samples and averages, which shrinks
+    the part outside the commutant geometrically; every 10 rounds the
+    relative commutator with 20 fixed Haar images is measured, and averaging
+    stops at the first measurement that does not halve the previous one.
+    """
+    def draw():
+        return rep.image(rep.group.sample(rng))
+
+    probes = [draw() for _ in range(20)]
+    out, resid = np.array(x, dtype=complex if rep.field == "complex" else float), math.inf
+    for _ in range(100):
+        for _ in range(10):
+            out = sum(u @ out @ u.conj().T for u in (draw() for _ in range(3))) / 3
+        last = resid
+        resid = max(np.linalg.norm(out @ u - u @ out) for u in probes) / np.linalg.norm(out)
+        if not resid < last / 2:
+            return out
+    raise AssertionError("Haar averaging did not reach roundoff in 1,000 rounds")
+
+
 # --- reference verification -------------------------------------------------
 #
 # The dense verification loop that repblock.decompose.verify_decomposition
 # replaced: each checked image forms the full conjugation U rho_g U^dag,
 # zeroes the component blocks to measure the leak, and compares each block
-# with its repeated-copy pattern.  Same gates, messages and checked images:
-# the generators of a finite group, else the same Haar-random elements.
+# with its repeated-copy pattern.  Same gates and messages.  A finite group
+# is checked on its generators; a compact one on ``trials`` Haar-random
+# elements, the oracle of the library's check on Lie-algebra generators.
 
 def reference_verify(rep, decomp, trials, tol, rng):
     from repblock.decompose import _REAL_TYPE_WEIGHT, VerificationReport

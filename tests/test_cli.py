@@ -99,10 +99,9 @@ def test_emit_basis_and_verify(s3_files, tmp_path, capsys):
     assert main(["verify", str(group), str(rep), str(basis), "--seed", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    # a permutation action is checked on its 2 generators, whatever --trials says
+    # a permutation action is checked on its 2 generators
     assert "n=3, field=complex, 2 generators, tolerance" in out
-    assert main(["verify", str(group), str(rep), str(basis), "--trials", "7",
-                 "--format", "structured"]) == 0
+    assert main(["verify", str(group), str(rep), str(basis), "--format", "structured"]) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["trials"] == 2
 
     # corrupt one row: unitarity breaks, exit 5
@@ -141,7 +140,7 @@ def test_verify_tight_tolerance_on_compact_basis(tmp_path, capsys):
     lines[row] = " ".join(["ROW", repr(float(first) + 1e-9), *rest])
     basis.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(group), str(rep), str(basis), "--seed", "5"]) == 0
-    assert "50 trials" in capsys.readouterr().out
+    assert "n=4, field=complex, 2 Lie-algebra elements, tolerance" in capsys.readouterr().out
     code = main(["verify", str(group), str(rep), str(basis), "--seed", "5",
                  "--tol", "1e-15"])
     assert code == 5
@@ -254,6 +253,7 @@ def test_blockdiag_nan_entry_exit2(s3_files, tmp_path, capsys):
 
 @pytest.mark.parametrize("command,flag,value", [
     ("verify", "--tol", "inf"), ("verify", "--tol", "nan"), ("verify", "--tol", "-1"),
+    # --trials is retired: argparse refuses it by name as an unrecognized argument
     ("verify", "--trials", "0"), ("verify", "--trials", "-3"),
     ("blockdiag", "--tol", "inf"), ("blockdiag", "--tol", "nan"),
     ("blockdiag", "--tol", "-1"), ("blockdiag", "--commutation-tol", "nan"),
@@ -668,6 +668,22 @@ def test_decompose_names_the_lie_generators_without_building_them(tmp_path, caps
         notes = capsys.readouterr().err
         assert ("# decomposed in 1 attempt(s); projection: Casimir kernel, 9 Lie generators"
                 in notes) == bool(flags)
+
+
+def test_verify_trials_flag_retired_and_o3_named(tmp_path, capsys):
+    # a compact group is checked on its Lie-algebra generators, so there is
+    # no count of random elements to set; O(3) adds a reflection
+    (tmp_path / "g").write_text('{"compact": "orthogonal", "dimension": 3}\n')
+    (tmp_path / "r").write_text('{"kind": "power", "k": 2, "inner": {"kind": "defining"}}\n')
+    basis = tmp_path / "u.basis"
+    paths = [str(tmp_path / "g"), str(tmp_path / "r"), str(basis)]
+    assert main(["decompose", *paths[:2], "--field", "real", "--emit-basis", str(basis)]) == 0
+    capsys.readouterr()
+    assert main(["verify", *paths, "--trials", "4"]) == 2
+    assert "unrecognized arguments: --trials 4" in capsys.readouterr().err
+    assert main(["verify", *paths]) == 0
+    out = capsys.readouterr().out
+    assert "n=9, field=real, 2 Lie-algebra elements and a reflection, tolerance" in out
 
 
 def test_blockdiag_threads_flag_retired(s3_files, tmp_path, capsys):

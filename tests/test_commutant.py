@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from repblock import (CommutantSample, ProjectionConfig,
+from repblock import (CommutantSample, CompactGroupHandle, ProjectionConfig,
                       ProjectionError, Representation, conjugate, decompose,
                       defining_rep, direct_sum, group_from_generators,
                       natural_perm_rep, orthogonal_group, project_commutant,
@@ -15,13 +15,11 @@ from repblock import (CommutantSample, ProjectionConfig,
                       tensor, tensor_power, trivial_rep, unitary_group)
 from repblock import commutant
 import repblock.reps as reps_mod
-from repblock.commutant import (_MAX_ROUNDS, _RESIDUAL_PROBES, _SET_SIZE, _gaussian, chain_average,
-                                commutation_residual, orbital_average, orbital_sample,
-                                project_linear)
-from repblock.decompose import _VERIFY_TRIALS
+from repblock.commutant import (_gaussian, chain_average, commutation_residual,
+                                orbital_average, orbital_sample, project_linear)
 
 from conftest import (alternating4, brute_average, closure, closure_with_images,
-                      cyclic, dihedral, group_of, klein4, perm_matrix,
+                      cyclic, dihedral, group_of, haar_average, klein4, perm_matrix,
                       quaternion8, regular_group, symmetric)
 from test_reps import s3_standard_images
 
@@ -142,7 +140,7 @@ def test_projection_config_validation():
 
 def test_project_compact_identity(rng):
     rep = tensor(defining_rep(unitary_group(2)), defining_rep(unitary_group(2)))
-    out = project_commutant(rep, np.eye(4), rng=rng)
+    out = project_commutant(rep, np.eye(4))
     assert np.linalg.norm(out.matrix - np.eye(4)) <= 1e-12
     assert out.residual <= 1e-12
 
@@ -150,7 +148,7 @@ def test_project_compact_identity(rng):
 def test_project_compact_u1_scalar(rng):
     rep = defining_rep(unitary_group(1))
     x = np.array([[2.5]])
-    out = project_commutant(rep, x, rng=rng)
+    out = project_commutant(rep, x)
     assert np.allclose(out.matrix, x)
 
 
@@ -159,7 +157,7 @@ def test_project_compact_schur_weyl(rng):
     u2 = defining_rep(unitary_group(2))
     rep = tensor(u2, u2)
     x = sample_gue(4, "complex", rng)
-    out = project_commutant(rep, x, rng=rng)
+    out = project_commutant(rep, x)
     assert out.residual <= 1e-8
 
     swap = np.zeros((4, 4))
@@ -172,47 +170,31 @@ def test_project_compact_schur_weyl(rng):
     assert np.linalg.norm(fitted - out.matrix) <= 1e-6
 
 
-def test_project_compact_budget_exhaustion(rng, monkeypatch):
-    # on the Haar path: a representation given by its images alone
+def test_project_compact_budget_exhaustion(rng):
+    # a gate below roundoff, which no projection reaches: the Casimir path
+    # refuses the projection and names the conjugate-gradient steps it ran
     u2 = defining_rep(unitary_group(2))
-    inner = tensor(u2, u2)
-    rep, _ = _counting(inner, inner.image)
     x = sample_gue(4, "complex", rng)
-    monkeypatch.setattr(commutant, "_MAX_ROUNDS", 1)
-    monkeypatch.setattr(commutant, "_SET_SIZE", 2)
-    cfg = ProjectionConfig(commutation_tol=1e-15)
-    with pytest.raises(ProjectionError, match="after 1 rounds"):
-        project_commutant(rep, x, cfg, rng)
-
-
-def _counting(rep, image):
-    """``rep`` with its images taken from ``image``, and a call counter."""
-    calls = [0]
-
-    def image_fn(g):
-        calls[0] += 1
-        return image(g)
-
-    return Representation(rep.group, rep.dim, rep.field, image_fn), calls
+    cfg = ProjectionConfig(commutation_tol=1e-300)
+    with pytest.raises(ProjectionError, match=r"above 1\.0e-300 after \d+ conjugate-gradient"):
+        project_commutant(tensor(u2, u2), x, cfg)
 
 
 def test_project_compact_stops_at_roundoff(rng):
+    # CG takes one step per distinct nonzero Casimir value on X, three on
+    # End(C^3 (x) C^3), far below its cap of n^2 = 81, and ends at roundoff
     u3 = defining_rep(unitary_group(3))
-    inner = tensor(u3, u3)
-    rep, calls = _counting(inner, inner.image)
-    out = project_commutant(rep, sample_gue(9, "complex", rng), rng=rng)
+    out = project_commutant(tensor(u3, u3), sample_gue(9, "complex", rng))
     assert out.residual <= 1e-13
-    # the residual reaches roundoff well before the round cap
-    assert calls[0] <= _MAX_ROUNDS * _SET_SIZE // 5
+    assert out.path.endswith(", 3 conjugate-gradient iterations")
 
 
-def test_project_compact_nan_image_stops_early(rng):
+def test_project_compact_nan_image_stops_early():
+    # images are read from the tree and cannot hold NaN; NaN input stops
+    # CG before its first step, and the gate refuses it
     u2 = defining_rep(unitary_group(2))
-    rep, calls = _counting(u2, lambda g: np.full((2, 2), np.nan))
-    with pytest.raises(ProjectionError, match="nan above .* after 10 rounds"):
-        project_commutant(rep, np.eye(2), rng=rng)
-    # ten rounds, then one residual check on the fixed probes
-    assert calls[0] == 10 * _SET_SIZE + _RESIDUAL_PROBES
+    with pytest.raises(ProjectionError, match="nan above .* after 0 conjugate-gradient"):
+        project_commutant(u2, np.full((2, 2), np.nan))
 
 
 def _casimir_cases():
@@ -237,41 +219,37 @@ def _rel(a, b):
 
 
 # per case: the Lie generators, the CG iterations (one per distinct nonzero
-# Casimir value on a generic X), the reflection, and the oracle's Haar rounds
+# Casimir value on a generic X) and the reflection
 _CASIMIR_PATHS = {
-    "U(1)": ("1 Lie generators, 0 conjugate-gradient iterations", 20),
-    "U(3) (x) U(3)": ("9 Lie generators, 3 conjugate-gradient iterations", 80),
-    "U(3)^3": ("9 Lie generators, 5 conjugate-gradient iterations", 80),
-    "U(2) (x) conj U(2)": ("4 Lie generators, 2 conjugate-gradient iterations", 70),
-    "U(2) (+) U(2)^2": ("4 Lie generators, 4 conjugate-gradient iterations", 80),
-    "O(2) over R": ("1 Lie generators, 1 conjugate-gradient iterations, "
-                    "one reflection average", 60),
+    "U(1)": "1 Lie generators, 0 conjugate-gradient iterations",
+    "U(3) (x) U(3)": "9 Lie generators, 3 conjugate-gradient iterations",
+    "U(3)^3": "9 Lie generators, 5 conjugate-gradient iterations",
+    "U(2) (x) conj U(2)": "4 Lie generators, 2 conjugate-gradient iterations",
+    "U(2) (+) U(2)^2": "4 Lie generators, 4 conjugate-gradient iterations",
+    "O(2) over R": "1 Lie generators, 1 conjugate-gradient iterations, one reflection average",
     "O(3) (+) O(3)^2 over R": ("3 Lie generators, 4 conjugate-gradient iterations, "
-                               "one reflection average", 80),
-    "trivial (+) U(2) (x) trivial": ("4 Lie generators, 2 conjugate-gradient iterations", 80),
+                               "one reflection average"),
+    "trivial (+) U(2) (x) trivial": "4 Lie generators, 2 conjugate-gradient iterations",
     "trivial (+) O(3) over R": ("3 Lie generators, 2 conjugate-gradient iterations, "
-                                "one reflection average", 70),
+                                "one reflection average"),
 }
 
 
 @pytest.mark.parametrize("name,rep", _casimir_cases(), ids=lambda v: v if isinstance(v, str) else "")
 def test_casimir_projection_matches_the_haar_oracle(name, rep, rng):
-    # the oracle is the same representation given by its images alone
-    oracle, _ = _counting(rep, rep.image)
+    # the oracle averages over Haar samples of the same images
     x = sample_gue(rep.dim, rep.field, rng)
-    got = project_commutant(rep, x, rng=rng)
-    want = project_commutant(oracle, x, rng=rng)
-    casimir, rounds = _CASIMIR_PATHS[name]
-    assert got.path == f"Casimir kernel, {casimir}"
-    assert want.path == f"Haar averaging, {rounds} rounds, stopped at roundoff"
+    got = project_commutant(rep, x)
+    want = haar_average(rep, x, rng)
+    assert got.path == f"Casimir kernel, {_CASIMIR_PATHS[name]}"
     assert got.residual <= 1e-13
-    assert _rel(got.matrix, want.matrix) <= 1e-12
+    assert _rel(got.matrix, (want + want.conj().T) / 2) <= 1e-12
     assert np.linalg.norm(got.matrix - got.matrix.conj().T) == 0.0
 
     z = rng.standard_normal((rep.dim, rep.dim))
     if rep.field == "complex":
         z = z + 1j * rng.standard_normal((rep.dim, rep.dim))
-    assert _rel(project_linear(rep, z, rng=rng), project_linear(oracle, z, rng=rng)) <= 1e-12
+    assert _rel(project_linear(rep, z), haar_average(rep, z, rng)) <= 1e-12
 
 
 def test_casimir_projection_names_its_path(rng):
@@ -295,20 +273,6 @@ def test_finite_projections_name_their_paths(rng):
     std = rep_from_generator_images(symmetric(3), s3_standard_images(), "real")
     assert sample_commutant(std, rng=rng).path == "stabilizer chain, 5 transversal elements"
     assert project_commutant(std, np.eye(2)).path == "stabilizer chain, 5 transversal elements"
-
-
-def test_haar_projection_names_its_rounds_and_stop(rng, monkeypatch):
-    # U(2) by its images alone: no derived action, so Haar rounds
-    u2 = defining_rep(unitary_group(2))
-    rep = Representation(u2.group, 2, "complex", u2.image)
-    x = sample_gue(2, "complex", rng)
-    assert project_commutant(rep, x, rng=np.random.default_rng(3)).path == \
-        "Haar averaging, 70 rounds, stopped at roundoff"
-    # a cap reached before roundoff is named as the cap
-    monkeypatch.setattr(commutant, "_MAX_ROUNDS", 10)
-    got = project_commutant(rep, x, ProjectionConfig(commutation_tol=1.0),
-                            rng=np.random.default_rng(3))
-    assert got.path == "Haar averaging, 10 rounds, stopped at the 10-round cap"
 
 
 @pytest.mark.parametrize("build", [
@@ -456,18 +420,19 @@ def test_casimir_projection_memory_is_bounded_in_the_generators(rng):
         1e-12 * np.linalg.norm(out.matrix)
 
 
-def test_casimir_decompose_draws_images_only_for_verification(rng):
-    inner = tensor_power(defining_rep(unitary_group(3)), 3)
-    calls = [0]
-
-    def image(g):
-        calls[0] += 1
-        return inner.image(g)
-
-    rep = Representation(inner.group, inner.dim, inner.field, image, derived=inner.derived)
-    d = decompose(rep, rng=rng)
+def test_casimir_decompose_draws_images_only_for_verification(rng, monkeypatch):
+    # U(d) has no reflection, and verification reads d rho of two Lie-algebra
+    # elements: no group image at all, and no Haar draw
+    calls = []
+    image, lie_image = Representation.image, Representation.lie_image
+    monkeypatch.setattr(Representation, "image", lambda r, g: calls.append(g) or image(r, g))
+    monkeypatch.setattr(Representation, "lie_image",
+                        lambda r, z: calls.append("lie") or lie_image(r, z))
+    monkeypatch.setattr(CompactGroupHandle, "sample",
+                        lambda *a: pytest.fail("a Haar sample was drawn"))
+    d = decompose(tensor_power(defining_rep(unitary_group(3)), 3), rng=rng)
     assert d.dm_multiset() == [(1, 1), (8, 2), (10, 1)]
-    assert calls[0] == _VERIFY_TRIALS * d.attempts
+    assert calls == ["lie"] * 2 * d.attempts
 
 
 def test_project_linear_gates_a_broken_finite_rep(rng):
@@ -614,7 +579,7 @@ def _generator_images(rep):
     return [rep.image(g) for g in rep.group.generators]
 
 
-_PATHS = ["orbital", "stabilizer chain", "Casimir", "Haar"]
+_PATHS = ["orbital", "stabilizer chain", "Casimir"]
 
 
 def _path_rep(path):
@@ -622,9 +587,9 @@ def _path_rep(path):
         rep = natural_perm_rep(symmetric(4), "complex")
     else:
         rep = tensor_power(defining_rep(orthogonal_group(3), "complex"), 2)
-    if path in ("stabilizer chain", "Haar"):  # the same images, without the structure
+    if path == "stabilizer chain":  # the same images, without the structure
         rep = Representation(rep.group, rep.dim, rep.field, rep.image)
-    probe = project_commutant(rep, np.eye(rep.dim), rng=np.random.default_rng(0))
+    probe = project_commutant(rep, np.eye(rep.dim))
     assert probe.path.startswith(path)
     return rep
 
@@ -634,8 +599,8 @@ def test_project_commutant_is_the_hermitian_part_of_project_linear(path):
     # every path returns the linear average P; the Hermitian part is taken once
     rep = _path_rep(path)
     x = _gaussian(rep.dim, rep.field, np.random.default_rng(5))
-    p = project_linear(rep, x, rng=np.random.default_rng(7))
-    got = project_commutant(rep, x, rng=np.random.default_rng(7))
+    p = project_linear(rep, x)
+    got = project_commutant(rep, x)
     assert not np.array_equal(p, p.conj().T)
     assert np.array_equal(got.matrix, (p + p.conj().T) / 2)
 
@@ -646,9 +611,9 @@ def test_projection_commutes_with_powers_of_two(path):
     # project as ordinary data do, and ordinary data keep their bits
     rep = _path_rep(path)
     x = _gaussian(rep.dim, rep.field, np.random.default_rng(5))
-    p, resid, _ = commutant._project(rep, x, None, np.random.default_rng(7))
+    p, resid, _ = commutant._project(rep, x, None)
     for k in (-1000, 0, 1000):
-        got = commutant._project(rep, x * 2.0 ** k, None, np.random.default_rng(7))
+        got = commutant._project(rep, x * 2.0 ** k, None)
         assert np.array_equal(got[0], p * 2.0 ** k) and got[1] == resid
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from repblock import (CompactGroupHandle, haar_orthogonal, haar_unitary,
                       orthogonal_group, unitary_group)
-from repblock.compact import lie_basis
+from repblock.compact import lie_generators
+
+from conftest import lie_basis
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
@@ -113,3 +115,47 @@ def test_brauer_identities_of_the_lie_basis(d):
     assert np.allclose(pairs(u.conj(), u), ptrans, atol=1e-14)
     assert np.allclose(pairs(o, o), (ptrans - swap) / 2, atol=1e-14)
     assert np.allclose(np.einsum("jab,jbc->ac", o, o), -(d - 1) / 2 * eye, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_lie_generators_generate_the_lie_algebra(kind, d):
+    # brute force: add commutators of the span to it until none is new; its
+    # real rank must be that of u(d), d^2, or of o(d), d(d - 1)/2
+    gens = lie_generators(CompactGroupHandle(kind, d))
+    assert all(np.array_equal(z, -z.conj().T) for z in gens)
+    assert all(not np.iscomplexobj(z) for z in gens) == (kind == "orthogonal")
+
+    def fresh(m, span):
+        v = np.concatenate([m.real.ravel(), m.imag.ravel()])
+        for w in span:
+            v = v - (w @ v) * w
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 1e-9 * max(1.0, np.linalg.norm(m)) else None
+
+    span, mats = [], []
+    for z in gens:
+        if (v := fresh(z, span)) is not None:
+            span.append(v)
+            mats.append(z / np.linalg.norm(z))
+    grown = list(mats)
+    while grown:
+        new = []
+        for a in grown:
+            for b in list(mats):
+                c = a @ b - b @ a
+                if (v := fresh(c, span)) is not None:
+                    span.append(v)
+                    new.append(c / np.linalg.norm(c))
+                    mats.append(new[-1])
+        grown = new
+    rank = np.linalg.matrix_rank(np.array(span).reshape(len(span), -1)) if span else 0
+    assert rank == (d * d if kind == "unitary" else d * (d - 1) // 2)
+
+
+def test_lie_generators_diagonal_has_distinct_differences():
+    # the Sidon property the proof needs, well past the tested ranks
+    for d in (1, 2, 17, 18, 64):
+        h = lie_generators(unitary_group(d))[0].diagonal().imag
+        diffs = (h[:, None] - h)[~np.eye(d, dtype=bool)]
+        assert len(set(diffs.tolist())) == d * (d - 1) and h.sum() > 0

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import inspect
 import itertools
@@ -23,7 +24,7 @@ from repblock.reps import IndexAction
 
 from conftest import (closure, closure_with_images, cyclic, equivalence_pass_order, group_of,
                       perm_matrix, quaternion8, reference_verify, regular_rep, symmetric)
-from test_reps import s3_standard_images
+from test_reps import _derived_cases, s3_standard_images
 
 
 def character_multiplicities_natural(group):
@@ -278,7 +279,7 @@ def test_decompose_u2_adjoint(rng):
     d = decompose(rep, rng=rng)
     assert d.dm_multiset() == [(1, 1), (3, 1)]
     assert d.diagnostics.max_off_component <= 1e-6
-    report = verify_decomposition(rep, d, trials=50, rng=rng)
+    report = verify_decomposition(rep, d)
     assert report.passed and report.max_off_component <= 1e-6
 
 
@@ -369,13 +370,14 @@ def test_o3_parity_separates_the_two_spin_one_copies(monkeypatch):
         decompose(rep, rng=np.random.default_rng(1))
 
 
-def test_derived_action_disagreeing_with_the_images_fails_verification():
-    # conj without the conjugate: conjugated images, the defining derived action
+def test_compact_images_apart_from_the_tree_are_refused_at_construction():
+    # conj without the conjugate: conjugated images and the defining tree
+    # cannot disagree, as a compact representation takes no images
     u2 = defining_rep(unitary_group(2))
-    wrong = Representation(u2.group, 2, "complex", lambda g: np.conj(g),
-                           derived=u2.derived)
-    with pytest.raises(DecompositionError, match="verification failed"):
-        decompose(tensor(u2, wrong), rng=np.random.default_rng(2))
+    with pytest.raises(ValueError, match="takes no image_fn"):
+        Representation(u2.group, 2, "complex", lambda g: np.conj(g), derived=u2.derived)
+    with pytest.raises(ValueError, match="needs derived"):
+        Representation(u2.group, 2, "complex", lambda g: np.conj(g))
     right = decompose(tensor(u2, conjugate(u2)), rng=np.random.default_rng(2))
     assert right.dm_multiset() == [(1, 1), (3, 1)]
 
@@ -448,7 +450,7 @@ def test_decompose_invariants(rng):
         n = rep.dim
         assert sum(c.dimension * c.multiplicity for c in d.components) == n
         assert np.linalg.norm(d.U.conj().T @ d.U - np.eye(n)) <= 1e-9 * n
-        report = verify_decomposition(rep, d, trials=50, rng=rng)
+        report = verify_decomposition(rep, d)
         assert report.passed
         assert report.max_off_component <= 1e-8
         assert max(report.component_residuals) <= 1e-8
@@ -727,18 +729,10 @@ def test_tolerances_fail_closed(value, rng):
         verify_decomposition(rep, d, tol=value)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_verify_needs_a_trial(trials, rng):
-    rep = natural_perm_rep(symmetric(3), "complex")
-    d = decompose(rep, rng=rng)
-    with pytest.raises(ValueError, match="trials"):
-        verify_decomposition(rep, d, trials=trials)
-
-
 def test_verify_trivial_group(rng):
     rep = natural_perm_rep(group_from_generators(4, []), "complex")
     d = decompose(rep, rng=rng)
-    r = verify_decomposition(rep, d, trials=10, rng=rng)
+    r = verify_decomposition(rep, d)
     assert r.passed
     assert r.unitarity_residual <= 1e-12
     assert r.max_off_component <= 1e-12
@@ -747,7 +741,7 @@ def test_verify_trivial_group(rng):
 def test_verify_s4_natural(rng):
     rep = natural_perm_rep(symmetric(4), "complex")
     d = decompose(rep, rng=rng)
-    r = verify_decomposition(rep, d, trials=50, rng=rng)
+    r = verify_decomposition(rep, d)
     assert r.passed and r.max_off_component <= 1e-8
 
 
@@ -757,12 +751,12 @@ def test_verify_flags_corrupted_basis(rng):
     u = d.U.copy()
     u[0] = 0.0
     d.U = u
-    r = verify_decomposition(rep, d, trials=10, rng=rng)
+    r = verify_decomposition(rep, d)
     assert not r.passed
     assert any("unitary" in f for f in r.failures)
     # a NaN entry fails every check instead of passing them all
     u[1, 1] = np.nan
-    r = verify_decomposition(rep, d, trials=10, rng=rng)
+    r = verify_decomposition(rep, d)
     assert any("unitary" in f for f in r.failures)
     assert any("leakage" in f for f in r.failures)
     assert any("copy structure" in f for f in r.failures)
@@ -780,7 +774,7 @@ def test_verify_fails_an_infinite_basis_without_a_numpy_warning(rng, images):
     d.U[1, 2] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = verify_decomposition(rep, d, rng=rng)
+        r = verify_decomposition(rep, d)
     assert not r.passed
     assert np.isnan(r.unitarity_residual) and np.isnan(r.max_off_component)
     assert any("unitary" in f for f in r.failures)
@@ -800,7 +794,7 @@ def test_verify_flags_misaligned_copy(rng):
     u = d.U.copy()
     u[2:4] = r @ u[2:4]
     d.U = u
-    report = verify_decomposition(rep, d, trials=10, rng=rng)
+    report = verify_decomposition(rep, d)
     assert not report.passed
     assert report.unitarity_residual <= 1e-12
     assert any("component copy structure" in f for f in report.failures)
@@ -841,7 +835,7 @@ def test_verify_flags_wrong_multiplicity(rng):
     assert (big.dimension, big.multiplicity) == (2, 2)
     d.components[:1] = [IsotypicComponent(2, 1, big.basis[:2]),
                         IsotypicComponent(2, 1, big.basis[2:])]
-    report = verify_decomposition(rep, d, trials=10, rng=rng)
+    report = verify_decomposition(rep, d)
     assert report.failures == (
         "commutant dimension 4 claimed by the components differs from the 6 orbitals",)
 
@@ -850,9 +844,9 @@ def test_verify_flags_wrong_real_type(rng):
     rep = natural_perm_rep(cyclic(5), "real")
     d = decompose(rep, rng=rng)
     assert sorted(c.real_type for c in d.components) == ["complex", "complex", "real"]
-    assert verify_decomposition(rep, d, trials=10, rng=rng).passed
+    assert verify_decomposition(rep, d).passed
     next(c for c in d.components if c.real_type == "complex").real_type = "real"
-    report = verify_decomposition(rep, d, trials=10, rng=rng)
+    report = verify_decomposition(rep, d)
     assert report.failures == (
         "commutant dimension 4 claimed by the components differs from the 5 orbitals",)
 
@@ -901,7 +895,7 @@ def test_verify_matches_the_dense_oracle(generated, field, doubled, dense, case,
     if dense:  # the same images without the index action: the matrix path
         rep = Representation(rep.group, rep.dim, rep.field, rep.image)
 
-    new = verify_decomposition(rep, d, trials=3, tol=1e-8, rng=np.random.default_rng(seed + 1))
+    new = verify_decomposition(rep, d, tol=1e-8)
     old = reference_verify(rep, d, trials=3, tol=1e-8, rng=np.random.default_rng(seed + 1))
     if math.isnan(old.max_off_component):
         assert not new.max_off_component <= new.tolerance
@@ -1022,6 +1016,44 @@ def test_generator_check_agrees_with_the_whole_group(generated, field, kind, fau
     assert not np.any(np.array(gen.component_residuals) > whole.component_residuals)
 
 
+# ---------------------------------------------------------------------------
+# the check of a compact group on Lie-algebra generators against Haar images
+# ---------------------------------------------------------------------------
+
+def _compact_cases():
+    u1 = defining_rep(unitary_group(1))
+    return _derived_cases() + [("U(1) (x) conj U(1)", tensor(u1, conjugate(u1))),
+                               ("O(3)^4", tensor_power(defining_rep(orthogonal_group(3)), 4))]
+
+
+@pytest.mark.parametrize("name,rep", _compact_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_lie_check_agrees_with_the_haar_oracle(name, rep):
+    # correct bases pass, also where d rho is 0 (trivial, O(1), U(1) (x) conj
+    # U(1)); a swap of the first and last rows, or their rotation by 1e-3,
+    # fails unless it only relabels two 1-dimensional components; the verdict
+    # is that of 20 Haar images, and a second call gives the same report
+    d = decompose(rep, rng=np.random.default_rng(0))
+    faults = ["correct"] + ["swap", "rotate"] * (len(d.components) >= 2)
+    comps = d.components
+    for fault in faults:
+        u = d.U.copy()
+        ends = [0, rep.dim - 1]
+        if fault == "swap":
+            u[ends] = u[ends[::-1]]
+        elif fault == "rotate":
+            c, s = math.cos(1e-3), math.sin(1e-3)
+            u[ends] = np.array([[c, -s], [s, c]]) @ u[ends]
+        faulty = copy.copy(d)
+        faulty.U = u
+        got = verify_decomposition(rep, faulty)
+        assert got == verify_decomposition(rep, faulty)
+        oracle = reference_verify(rep, faulty, trials=20, tol=1e-6,
+                                  rng=np.random.default_rng(1))
+        assert got.passed == oracle.passed
+        relabels = fault == "swap" and comps[0].size == comps[-1].size == 1
+        assert got.passed == (fault == "correct" or relabels), (fault, got.failures)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("build", [
     lambda: natural_perm_rep(symmetric(5)),
@@ -1043,19 +1075,20 @@ def test_decompose_draws_no_verification_samples(monkeypatch, build, seed):
     assert calls[0] == 0
     assert d.diagnostics.trials == len(rep.group.generators)
 
-    # verification forced back onto random elements drawn from its own
-    # stream, next to the generators: the same U, so the streams that feed U
-    # did not move
+    # verification forced onto 20 random elements too, drawn from a stream of
+    # its own, next to the generators: the same U, so verification feeds no
+    # stream that U reads
     verify = dec.verify_decomposition
 
-    def on_random_elements(rep, decomp, trials, tol, rng):
-        drawn = [rep.index_action.element(rep.group.sample(rng)) for _ in range(trials)]
+    def on_random_elements(rep, decomp, tol):
+        rng = np.random.default_rng(99)
+        drawn = [rep.index_action.element(rep.group.sample(rng)) for _ in range(20)]
         forced = _with_generators(rep, rep.index_action.generators + tuple(drawn))
-        return verify(forced, decomp, trials=trials, tol=tol, rng=rng)
+        return verify(forced, decomp, tol=tol)
 
     monkeypatch.setattr(dec, "verify_decomposition", on_random_elements)
     forced = decompose(rep, rng=np.random.default_rng(seed))
-    assert calls[0] == dec._VERIFY_TRIALS * forced.attempts
+    assert calls[0] == 20 * forced.attempts
     assert forced.attempts == d.attempts
     assert forced.U.tobytes() == d.U.tobytes()
 
@@ -1076,7 +1109,7 @@ def test_finite_reps_are_decided_and_verified_without_sampling(monkeypatch, imag
     rep = direct_sum(rep, natural_perm_rep(g, "real"))
     d = decompose(rep, rng=np.random.default_rng(0))
     assert d.diagnostics.trials == len(g.generators)
-    report = verify_decomposition(rep, d, trials=7, rng=np.random.default_rng(1))
+    report = verify_decomposition(rep, d)
     assert report.passed and report.trials == len(g.generators)
 
 

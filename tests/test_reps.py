@@ -1,7 +1,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +16,13 @@ from repblock import (Permutation, PermutationGroup, Representation, conjugate,
                       rep_from_generator_images, tensor, tensor_power,
                       trivial_rep, unitary_group, orthogonal_group)
 
+from scipy.linalg import block_diag
+
 from repblock.commutant import lie_contraction
-from repblock.compact import lie_basis
 import repblock.reps as reps_mod
 from repblock.reps import _ChainImages
 
-from conftest import closure_with_images, cyclic, group_of, perm_matrix, symmetric
+from conftest import closure_with_images, cyclic, group_of, lie_basis, perm_matrix, symmetric
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -332,14 +337,51 @@ def test_derived_action_is_the_derivative_of_the_images(name, rep, rng):
     assert np.linalg.norm(lie_contraction(rep, x) - want) <= 1e-8 * scale
 
 
+# the image of g by the kron fold of the leaves' images, per _derived_cases shape
+_KRON_FOLDS = {
+    "U(1)": lambda g: g,
+    "U(1) (x) conj U(1) (+) U(1)": lambda g: block_diag(np.kron(g, g.conj()), g),
+    "U(3) (x) U(3)": lambda g: np.kron(g, g),
+    "U(2) (x) conj U(2)": lambda g: np.kron(g, g.conj()),
+    "U(2) (+) U(2)^2": lambda g: block_diag(g, np.kron(g, g)),
+    "(U(2) (+) U(2)^2) (x) conj(U(2))^2":
+        lambda g: np.kron(block_diag(g, np.kron(g, g)), np.kron(g.conj(), g.conj())),
+    "O(3) (+) O(3)^2": lambda g: block_diag(g, np.kron(g, g)),
+    "O(2) on C^2": lambda g: np.kron(g, g),
+    "O(1)": lambda g: g,
+    "trivial (+) U(2) (x) trivial": lambda g: block_diag(np.eye(1), np.kron(g, np.eye(1))),
+    "trivial of O(3) over R": lambda g: np.eye(1),
+}
+
+
+@pytest.mark.parametrize("name,rep", _derived_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_tree_images_are_the_kron_fold_of_the_leaves(name, rep, rng):
+    # rho(g) read from the tree equals the fold written out by hand, in the
+    # field's dtype; d rho(Z) read from it is the derivative of those images
+    dtype = np.complex128 if rep.field == "complex" else np.float64
+    for _ in range(3):
+        g = rep.group.sample(rng)
+        got = rep.image(g)
+        assert got.dtype == dtype and got.shape == (rep.dim, rep.dim)
+        np.testing.assert_allclose(got, _KRON_FOLDS[name](g), rtol=0, atol=1e-14)
+    t = 1e-5
+    for lie in lie_basis(rep.group):
+        plus, minus = _exp_skew(t * lie), _exp_skew(-t * lie)
+        if rep.group.kind == "orthogonal":
+            plus, minus = plus.real, minus.real
+        slope = (rep.image(plus) - rep.image(minus)) / (2 * t)
+        assert rep.lie_image(lie).dtype == dtype
+        np.testing.assert_allclose(rep.lie_image(lie), slope, rtol=0, atol=1e-8)
+
+
 def test_derived_action_only_where_every_part_has_one():
+    # a finite representation has no tree; a compact one is nothing else
     u2 = defining_rep(unitary_group(2))
-    bare = Representation(u2.group, 2, "complex", u2.image)
-    assert bare.derived is None
-    assert tensor(u2, bare).derived is None and direct_sum(bare, u2).derived is None
-    assert conjugate(bare).derived is None
-    assert natural_perm_rep(symmetric(3)).derived is None
-    assert trivial_rep(symmetric(3)).derived is None
+    with pytest.raises(ValueError, match="needs derived"):
+        Representation(u2.group, 2, "complex", u2.image)
+    s3 = symmetric(3)
+    assert natural_perm_rep(s3).derived is None and trivial_rep(s3).derived is None
+    assert tensor(natural_perm_rep(s3), trivial_rep(s3)).derived is None
     # leaves on one tensor path; conjugation flips the leaves' flags
     assert tensor_power(u2, 3).derived.leaves == 3
     assert direct_sum(u2, tensor_power(u2, 2)).derived.leaves == 2
@@ -413,26 +455,25 @@ def test_factor_lists_match_the_binary_fold(rng):
                     assert _same_bits(action.element(x), oracle.element(x))
 
 def test_tensor_without_index_action_evaluates_each_factor_once(monkeypatch):
-    # a power of k 1 x 1 factors: one image of the inner representation per
-    # element, and its k-th power as one scalar, with no kron fold
-    inner = defining_rep(unitary_group(1))
-    images = []
-
-    def counted(u):
-        images.append(u)
-        return inner.image(u)
-
-    once = Representation(inner.group, 1, "complex", counted, name="defining")
-    power = tensor_power(once, 1000)
+    # a power of k 1 x 1 factors: its tree shares its parts, and each shared
+    # part is evaluated once per element, so there are O(log k) kron steps;
+    # on a finite group, each distinct factor's image is formed once
+    power = tensor_power(defining_rep(unitary_group(1)), 1000)
     krons = []
     real_kron = np.kron
     monkeypatch.setattr(np, "kron", lambda a, b: krons.append(1) or real_kron(a, b))
     for seed in range(5):
-        u = inner.group.sample(np.random.default_rng(seed))
+        u = power.group.sample(np.random.default_rng(seed))
         got = power.image(u)
-        assert len(images) == seed + 1 and got.shape == (1, 1)
+        assert got.shape == (1, 1)
         assert np.allclose(got, u[0, 0] ** 1000, rtol=1e-12, atol=0)
-    assert krons == []
+    assert len(krons) == 5 * 14  # 1000 = 0b1111101000: 9 halvings, 5 odd steps
+    g = symmetric(3)
+    std = rep_from_generator_images(g, s3_standard_images(), "complex")
+    calls = []
+    monkeypatch.setattr(std, "image", lambda p: calls.append(p) or std._image_fn(p))
+    assert tensor(std, std, std).image(g.generators[0]).shape == (8, 8)
+    assert calls == [g.generators[0]]
 
 
 def test_tensor_mixed_factor_lists_match_the_kron_fold():
@@ -691,3 +732,27 @@ def test_power_of_a_one_dimensional_node_is_built_in_log_k():
     assert tensor_power(sign, k).index_action is sign.index_action
     # a power of a node of dimension >= 2 keeps its flat factor list
     assert len(tensor_power(defining_rep(unitary_group(2)), 3).derived.parts) == 3
+
+
+def test_generator_images_pipeline_imports_no_numpy_ma():
+    # np.unique imports numpy.ma (about 9 ms a process); the chain's apply
+    # reads its distinct points from a bincount, in the same ascending order
+    code = """
+import sys
+import numpy as np
+import repblock as rb
+g = rb.group_from_generators(3, [rb.Permutation([1, 0, 2]), rb.Permutation([1, 2, 0])])
+p = [np.eye(3)[:, list(x.images)].T for x in g.generators]
+rep = rb.rep_from_generator_images(g, [-p[0], p[1]], "real")
+d = rb.decompose(rep, rng=np.random.default_rng(0))
+c = rb.sample_commutant(rep, rng=np.random.default_rng(1)).matrix
+rb.block_diagonalize_sdp(d, rb.SdpProblem(c=c, a=[], b=[], field="real"))
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
