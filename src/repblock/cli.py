@@ -15,16 +15,18 @@ Every value flag can also be set through an environment variable with the
 flags win over the environment.
 
 Exit codes: 0 success, 2 spec/parse error, 3 decomposition failure,
-4 invariance check failure, 5 verification failure.
+4 invariance check failure, 5 verification failure.  ``sample-group`` and
+``--emit-basis`` write as they go; a closed output pipe ends ``repblock``
+silently by SIGPIPE (status 141 in a POSIX shell) where the platform has it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -33,11 +35,10 @@ import numpy as np
 from .commutant import ProjectionConfig, ProjectionError
 from .decompose import (DecomposeConfig, DecompositionError, decompose,
                         verify_decomposition)
-from .formats import (SpecFormatError, format_basis, format_rows, format_sdp,
+from .formats import (SpecFormatError, basis_lines, format_rows, format_sdp,
                       parse_basis, parse_group_spec, parse_inline_group,
                       parse_rep_spec, parse_sdp)
-from .perm import Permutation, PermutationGroup
-from .reps import _check_memory
+from .perm import PermutationGroup
 from .sdp import DEFAULT_INVARIANCE_TOL, NotInvariantError, SdpProblem, block_diagonalize_sdp
 
 ENV_PREFIX = "REPBLOCK_"
@@ -205,7 +206,8 @@ def cmd_decompose(args) -> int:
     _note_decomposition(args, decomp)
 
     if args.emit_basis:
-        Path(args.emit_basis).write_text(format_basis(decomp, args.field))
+        with open(args.emit_basis, "w") as out:
+            out.writelines(basis_lines(decomp, args.field))
 
     if args.format == "structured":
         doc = _report_doc("decompose", args, {
@@ -343,37 +345,18 @@ def _sample_doc(group, u):
     """One sample as the structured format lists it."""
     if isinstance(group, PermutationGroup):
         return list(u.images)
-    if group.kind == "unitary":
-        return [[[float(v.real), float(v.imag)] for v in row] for row in u]
-    return [[float(v) for v in row] for row in u]
+    return (np.stack([u.real, u.imag], -1) if group.kind == "unitary" else u).tolist()
 
 
-def _held_size(obj):
-    """``sys.getsizeof`` of obj and of every list, tuple and number in it."""
-    if isinstance(obj, Permutation):
-        return sys.getsizeof(obj) + _held_size(obj.images)
-    if isinstance(obj, (list, tuple)):
-        return sys.getsizeof(obj) + sum(_held_size(x) for x in obj)
-    return sys.getsizeof(obj)  # an array that owns its data counts it
-
-
-def _sample_size(group, structured):
-    """Bytes held per sample: the element and its list slot; in the structured
-    format also its document entry, the JSON encoder's pieces of it and its
-    text, joined and encoded.  Read off a template of at most 64 points or
-    8 x 8 entries, each number printed at full length, scaled up in size."""
-    if isinstance(group, PermutationGroup):
-        t = min(group.degree, 64)
-        u, entry, scale = Permutation.identity(t), [group.degree - 1] * t, group.degree / t
-    else:
-        t, x = min(group.dim, 8), -2.2250738585072014e-308  # the longest float repr
-        u = np.full((t, t), complex(x, x) if group.kind == "unitary" else x)
-        entry, scale = _sample_doc(group, u), (group.dim / t) ** 2
-    size = 16 + _held_size(u)  # a list slot, twice while the list grows
-    if structured:
-        pieces = list(json.JSONEncoder(indent=2).iterencode({"samples": [entry]}))
-        size += 16 + _held_size(entry) + _held_size(pieces) + 2 * sum(map(len, pieces))
-    return math.ceil(scale * size)
+def _indented(x, pad="    "):
+    """``json.dumps(x, indent=2)`` of nested lists of ints and finite floats at the
+    indent ``pad``, without the indented encoder's reference cycle per call."""
+    if not isinstance(x, list):
+        return repr(x)
+    if not x:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + ",\n".join(inner + _indented(v, inner) for v in x) + "\n" + pad + "]"
 
 
 def cmd_sample_group(args) -> int:
@@ -383,35 +366,34 @@ def cmd_sample_group(args) -> int:
         group = _load_group(args.spec)
     if args.count < 0:
         raise SpecFormatError("count must be >= 0")
-    structured = args.format == "structured"
-    _check_memory(args.count * _sample_size(group, structured),
-                  f"count {args.count} is too large: a list of {args.count} samples")
 
+    # each draw is printed as it is drawn; the pieces make json.dumps(doc, indent=2)
     rng = np.random.default_rng(args.seed)
-    samples = [group.sample(rng) for _ in range(args.count)]
-    worst = None
-    if not isinstance(group, PermutationGroup):
-        eye = np.eye(group.dim)
-        worst = max((float(np.linalg.norm(u.conj().T @ u - eye)) for u in samples), default=0.0)
+    compact = not isinstance(group, PermutationGroup)
+    structured = args.format == "structured"
+    if structured:
+        head = json.dumps(_report_doc("sample-group", args, {
+            "spec": args.spec, "count": args.count, "samples": []}), indent=2)
+        sys.stdout.write(head[:-len("]\n}")])  # ends in '"samples": ['
+    worst = 0.0
+    for k in range(args.count):
+        u = group.sample(rng)
+        if compact:
+            worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(group.dim))))
+        if structured:
+            sys.stdout.write(("," if k else "") + "\n    " + _indented(_sample_doc(group, u)))
+        elif compact:
+            print(f"SAMPLE {k}")
+            for line in format_rows(u, "complex" if group.kind == "unitary" else "real"):
+                print(line)
+        else:
+            print(json.dumps(list(u.images)))
 
     if structured:
-        doc = _report_doc("sample-group", args, {
-            "spec": args.spec, "count": args.count,
-            "samples": [_sample_doc(group, u) for u in samples]})
-        if worst is not None:
-            doc["max_unitarity_residual"] = worst
-        print(json.dumps(doc, indent=2))
-    else:
-        if isinstance(group, PermutationGroup):
-            for p in samples:
-                print(json.dumps(list(p.images)))
-        else:
-            for k, u in enumerate(samples):
-                print(f"SAMPLE {k}")
-                for line in format_rows(u, "complex" if group.kind == "unitary" else "real"):
-                    print(line)
-            if samples:
-                print(f"# max unitarity residual: {worst:.3e}")
+        tail = f',\n  "max_unitarity_residual": {json.dumps(worst)}' if compact else ""
+        sys.stdout.write(("\n  ]" if args.count else "]") + tail + "\n}\n")
+    elif compact and args.count:
+        print(f"# max unitarity residual: {worst:.3e}")
     return EXIT_OK
 
 
@@ -450,4 +432,6 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    if hasattr(signal, "SIGPIPE"):  # a closed output pipe ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -581,13 +581,18 @@ def format_rows(mat, field: str) -> list:
     return [line % tuple(row) for row in vals.tolist()]
 
 
+def basis_lines(decomp: IrrepDecomposition, field: str):
+    """The basis file's lines, newline included, U formatted one row at a time."""
+    yield f"BASIS 1\nFIELD {field}\nDIM {decomp.U.shape[0]}\n"
+    for comp in decomp.components:
+        yield f"COMPONENT {comp.dimension} {comp.multiplicity} {comp.real_type}\n"
+    for k in range(decomp.U.shape[0]):
+        yield f"ROW {format_rows(decomp.U[k:k + 1], field)[0]}\n"
+
+
 def format_basis(decomp: IrrepDecomposition, field: str) -> str:
     """Serialize U and the component structure, row-major, 17 digits."""
-    out = ["BASIS 1", f"FIELD {field}", f"DIM {decomp.U.shape[0]}"]
-    for comp in decomp.components:
-        out.append(f"COMPONENT {comp.dimension} {comp.multiplicity} {comp.real_type}")
-    out.extend("ROW " + row for row in format_rows(decomp.U, field))
-    return "\n".join(out) + "\n"
+    return "".join(basis_lines(decomp, field))
 
 
 def parse_basis(text: str):

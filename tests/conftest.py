@@ -6,7 +6,10 @@ images ride along as explicit products, so these helpers can serve as
 oracles for the chain-based code under test.
 """
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +414,55 @@ def reference_format_rows(mat, field):
             vals = [f"{float(v.real):.17g}" for v in row]
         rows.append(" ".join(vals))
     return rows
+
+
+def reference_format_basis(decomp, field):
+    """The buffered basis writer: every line formed, then joined."""
+    out = ["BASIS 1", f"FIELD {field}", f"DIM {decomp.U.shape[0]}"]
+    for comp in decomp.components:
+        out.append(f"COMPONENT {comp.dimension} {comp.multiplicity} {comp.real_type}")
+    out.extend("ROW " + row for row in reference_format_rows(decomp.U, field))
+    return "\n".join(out) + "\n"
+
+
+def reference_sample_group(spec, count, seed, fmt, field="complex"):
+    """The buffered ``repblock sample-group`` stdout: every draw from
+    ``default_rng(seed)`` is held, then the whole output is formatted; the
+    structured format is one ``json.dumps(doc, indent=2)``."""
+    from repblock.formats import parse_group_spec, parse_inline_group
+
+    if re.fullmatch(r"(unitary|orthogonal):\d+", spec):
+        group = parse_inline_group(spec)
+    else:
+        group = parse_group_spec(Path(spec).read_text())
+    rng = np.random.default_rng(seed)
+    samples = [group.sample(rng) for _ in range(count)]
+    compact = not isinstance(group, PermutationGroup)
+    if compact:
+        worst = max((float(np.linalg.norm(u.conj().T @ u - np.eye(group.dim)))
+                     for u in samples), default=0.0)
+    if fmt == "structured":
+        if not compact:
+            entries = [list(p.images) for p in samples]
+        elif group.kind == "unitary":
+            entries = [[[[float(v.real), float(v.imag)] for v in row] for row in u]
+                       for u in samples]
+        else:
+            entries = [[[float(v) for v in row] for row in u] for u in samples]
+        doc = {"schema_version": 1, "command": "sample-group", "seed": seed,
+               "field": field, "spec": spec, "count": count, "samples": entries}
+        if compact:
+            doc["max_unitarity_residual"] = worst
+        return json.dumps(doc, indent=2) + "\n"
+    if not compact:
+        return "".join(json.dumps(list(p.images)) + "\n" for p in samples)
+    out = []
+    for k, u in enumerate(samples):
+        out.append(f"SAMPLE {k}")
+        out.extend(reference_format_rows(u, "complex" if group.kind == "unitary" else "real"))
+    if samples:
+        out.append(f"# max unitarity residual: {worst:.3e}")
+    return "".join(line + "\n" for line in out)
 
 
 def reference_format_sdp(prob):

@@ -11,7 +11,7 @@ from repblock import cli
 from repblock.cli import main
 from repblock.formats import format_sdp
 
-from conftest import symmetric
+from conftest import reference_sample_group, symmetric
 
 S3_GROUP = '{"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}\n'
 NATURAL = '{"kind": "natural"}\n'
@@ -767,6 +767,64 @@ def test_sample_group_frequencies(s3_files, capsys):
         assert abs(c / 6000 - 1 / 6) < 0.03
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_sample_group_streams_the_buffered_output(s3_files, capsys, fmt):
+    # each draw is printed as it is drawn: the bytes are the buffered
+    # rendering's, the same draws from the same seed, for every count
+    group, _ = s3_files
+    for spec in (str(group), "unitary:2", "orthogonal:3"):
+        for count in (0, 1, 2, 7):
+            for seed in range(4):
+                args = ["sample-group", spec, str(count), "--seed", str(seed), "--format", fmt]
+                assert main(args) == 0
+                assert capsys.readouterr().out == reference_sample_group(spec, count, seed, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_sample_group_peak_does_not_grow_with_the_count(fmt):
+    # a buffered command held every draw: 56 MB for 20,000 structured U(2)
+    # draws against 0.6 MB for 200
+    import contextlib
+    import os
+    import tracemalloc
+
+    peaks = []
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["sample-group", "unitary:2", "3", "--format", fmt]) == 0  # imports, once
+        for count in (200, 20000):
+            tracemalloc.start()
+            try:
+                assert main(["sample-group", "unitary:2", str(count), "--format", fmt]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 32_768, peaks
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_closed_pipe_ends_sample_group_quietly(fmt):
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep \
+        + env.get("PYTHONPATH", "")
+    args = [sys.executable, "-m", "repblock", "sample-group", "unitary:2", "100000",
+            "--format", fmt]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away, as `| head -1` does
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert first == (b"SAMPLE 0\n" if fmt == "text" else b"{\n")
+    assert err == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert proc.returncode == -signal.SIGPIPE
+
+
 def test_env_overrides(s3_files, capsys, monkeypatch):
     group, rep = s3_files
     main(["decompose", str(group), str(rep), "--seed", "42", "--format", "structured"])
@@ -968,73 +1026,6 @@ def test_blockdiag_builds_the_chain_for_its_verbose_label_only(s4xc2_regular_fil
     assert loud.err.splitlines()[0] == ("# permutation group, degree 48, order 48, base length 1, "
                                         "3 strong generators; SDP n=48, m=1, field complex")
     assert loud.out == quiet.out
-
-
-def test_sample_group_refuses_a_count_beyond_memory(s3_files, capsys, monkeypatch):
-    # refused by the physical-memory rule of one representation matrix,
-    # before the first draw
-    from repblock.compact import CompactGroupHandle
-
-    def no_draw(*args):
-        raise AssertionError("a sample was drawn")
-
-    monkeypatch.setattr(CompactGroupHandle, "sample", no_draw)
-    monkeypatch.setattr(cli.PermutationGroup, "sample", no_draw)
-    group, _ = s3_files
-    for spec in ("unitary:2", str(group)):
-        assert main(["sample-group", spec, "100000000000"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "count 100000000000 is too large" in captured.err
-        assert "physical memory is" in captured.err
-
-
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_sample_group_charges_at_least_the_traced_peak(s3_files, fmt):
-    # the per-sample size the memory rule charges covers what the command
-    # holds; output goes to a file, which the process does not hold
-    import contextlib
-    import os
-    import tracemalloc
-
-    from repblock.formats import parse_group_spec, parse_inline_group
-
-    group, _ = s3_files
-    count = 20000
-    for spec, handle in [("unitary:2", parse_inline_group("unitary:2")),
-                         (str(group), parse_group_spec(S3_GROUP))]:
-        args = ["sample-group", spec, str(count), "--format", fmt]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            assert main(args[:2] + ["3"] + args[3:]) == 0  # imports and caches, once
-            tracemalloc.start()
-            try:
-                assert main(args) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert cli._sample_size(handle, fmt == "structured") >= peak / count, spec
-
-
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_sample_group_refuses_a_hundredth_of_memory_in_samples(s3_files, capsys, monkeypatch, fmt):
-    import os
-    import time
-
-    from repblock.compact import CompactGroupHandle
-
-    def no_draw(*args):
-        raise AssertionError("a sample was drawn")
-
-    monkeypatch.setattr(CompactGroupHandle, "sample", no_draw)
-    monkeypatch.setattr(cli.PermutationGroup, "sample", no_draw)
-    count = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 100
-    group, _ = s3_files
-    for spec in ("unitary:2", str(group)):
-        start = time.perf_counter()
-        assert main(["sample-group", spec, str(count), "--format", fmt]) == 2
-        assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"count {count} is too large" in captured.err
 
 
 def test_verbose_keeps_the_restart_reasons(s3_files, capsys, monkeypatch):

@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from repblock import formats
 from repblock import (CompactGroupHandle, PermutationGroup, decompose,
                       natural_perm_rep, sample_commutant, SdpProblem)
-from repblock.formats import (SpecFormatError, format_basis, format_rows, format_sdp,
+from repblock.decompose import IrrepDecomposition, isotypic_components
+from repblock.formats import (SpecFormatError, basis_lines, format_basis, format_rows, format_sdp,
                               parse_basis, parse_group_spec, parse_inline_group, parse_rep_spec,
                               parse_sdp)
 
-from conftest import (reference_format_rows, reference_format_sdp, reference_parse_matrix,
-                      reference_parse_sdp, symmetric)
+from conftest import (reference_format_basis, reference_format_rows, reference_format_sdp,
+                      reference_parse_matrix, reference_parse_sdp, symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +296,32 @@ def test_basis_roundtrip(field):
     rep = natural_perm_rep(symmetric(3), field)
     decomp = decompose(rep, rng=np.random.default_rng(7))
     text = format_basis(decomp, field)
+    assert text == reference_format_basis(decomp, field)
     back_field, back = parse_basis(text)
     assert back_field == field
     assert np.array_equal(back.U, decomp.U)  # 17 digits round-trip doubles
     assert [(c.dimension, c.multiplicity, c.real_type) for c in back.components] \
         == [(c.dimension, c.multiplicity, c.real_type) for c in decomp.components]
     assert format_basis(back, field) == text
+
+
+def test_basis_lines_write_a_large_basis_row_by_row(tmp_path):
+    # `decompose --emit-basis` writes basis_lines to its file; the buffered
+    # writer peaked at 65 MB here, for a 21.7 MB file
+    n = 1024
+    u = np.random.default_rng(0).standard_normal((n, n))
+    decomp = IrrepDecomposition(U=u, components=isotypic_components(
+        u, [(1, n, {"real_type": "real"})]), diagnostics=None)
+    path = tmp_path / "u.basis"
+    tracemalloc.start()
+    try:
+        with open(path, "w") as out:
+            out.writelines(basis_lines(decomp, "real"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert path.read_text() == reference_format_basis(decomp, "real")
 
 
 _ROW_PARTS = st.one_of(
